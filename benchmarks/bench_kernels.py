@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Micro-benchmarks of the scheduling kernels in ``hubroster._kernels``.
 
-Times the three hot kernels on synthetic workloads and a full paper-scale
-scenario run under each backend:
+Times each hot kernel on synthetic workloads and prints the fastest of three
+runs. End-to-end timings of the ``hubroster`` command line come from
+``perfbench/run.py``:
 
     python benchmarks/bench_kernels.py [--quick]
 """
@@ -14,11 +15,7 @@ import time
 
 import numpy as np
 
-from hubroster import _kernels
-from hubroster.config import ScenarioParams
-from hubroster.demand import GeneratorConfig, generate_arrivals
-from hubroster.engine import ScenarioConfig, run_scenario
-from hubroster.network import random_network
+from hubroster import _kernels as kernels
 
 
 def _time(fn, repeat=3):
@@ -30,26 +27,34 @@ def _time(fn, repeat=3):
     return best
 
 
-def bench_within_hub(impl, rows):
+def bench_within_hub(rows, dwell):
     def run():
         for x in rows:
-            impl.within_hub_runs(x, 1, 8, 0)
+            kernels.within_hub_runs(x, dwell, 8, 0)
 
     return run
 
 
-def bench_merge(impl, runs_by_hub, pairs):
+def bench_merge(runs_by_hub, pairs):
     def run():
         for _ in range(50):
-            impl.merge_runs([list(r) for r in runs_by_hub], pairs, 8, 2, -1)
+            kernels.merge_runs([list(r) for r in runs_by_hub], pairs, 8, 2, -1)
 
     return run
 
 
-def bench_replay(impl, arrival_rows, cap_rows):
+def bench_match(demand_rows, cap_rows):
+    def run():
+        for demand, cap in zip(demand_rows, cap_rows):
+            kernels.fifo_match_units(demand, cap, 1)
+
+    return run
+
+
+def bench_replay(arrival_rows, cap_rows):
     def run():
         for arr, cap in zip(arrival_rows, cap_rows):
-            impl.fifo_replay(arr, cap, 1, 150)
+            kernels.fifo_replay(arr, cap, 1, 150)
 
     return run
 
@@ -77,42 +82,16 @@ def main():
     arrival_rows = [[int(v) for v in rng.integers(0, 3000, 24)] for _ in range(500)]
     cap_rows = [[int(v) for v in rng.integers(0, 20, 24)] for _ in range(500)]
 
-    backends = _kernels.available_backends()
-    print(f"available backends: {backends}\n")
-    results = {}
-    for name in backends:
-        impl = _kernels._pure if name == "pure" else __import__(
-            "hubroster._kernels._core", fromlist=["_core"]
-        )
-        results[name] = {
-            "within_hub_runs": _time(bench_within_hub(impl, rows)),
-            "merge_runs": _time(bench_merge(impl, runs_by_hub, pairs)),
-            "fifo_replay": _time(bench_replay(impl, arrival_rows, cap_rows)),
-        }
-
-    net = random_network(n_hubs=52, n_gateways=3, seed=42)
-    volume = 100_000 if args.quick else 1_173_253
-    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=volume), 42)
-    params = ScenarioParams(seed=42)
-    previous = _kernels.get_backend()
-    try:
-        for name in backends:
-            _kernels.set_backend(name)
-            cfg = ScenarioConfig.for_scenario(1, net, arrivals, params, noise="paper")
-            results[name]["full_scenario_run"] = _time(lambda: run_scenario(cfg), repeat=1)
-    finally:
-        _kernels.set_backend(previous)
-
-    width = max(len(k) for k in next(iter(results.values())))
-    header = f"{'kernel':<{width}}" + "".join(f"{n:>12}" for n in backends)
-    if len(backends) == 2:
-        header += f"{'speedup':>10}"
-    print(header)
-    for key in next(iter(results.values())):
-        row = f"{key:<{width}}" + "".join(f"{results[n][key]:>11.4f}s" for n in backends)
-        if len(backends) == 2:
-            row += f"{results[backends[0]][key] / results[backends[1]][key]:>9.1f}x"
-        print(row)
+    results = {
+        "within_hub_runs (dwell 1)": _time(bench_within_hub(rows, 1)),
+        "within_hub_runs (dwell 3)": _time(bench_within_hub(rows, 3)),
+        "merge_runs": _time(bench_merge(runs_by_hub, pairs)),
+        "fifo_match_units": _time(bench_match(rows[:500], cap_rows)),
+        "fifo_replay": _time(bench_replay(arrival_rows, cap_rows)),
+    }
+    width = max(len(k) for k in results)
+    for key, seconds in results.items():
+        print(f"{key:<{width}}  {seconds:>9.4f}s")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 """Rolling-horizon workforce scheduling and relocation for parcel hub networks."""
 
-from ._kernels import get_backend
 from .config import ScenarioParams
 from .demand import (
     ArrivalSeries,
@@ -18,6 +17,12 @@ from .shifts import Segment, Shift, combine_within_hub, init_max_shifts, merge_a
 from .valuation import ValueWeights, shift_value, should_fix
 
 __version__ = "0.1.0"
+
+
+def get_backend() -> str:
+    """Name of the kernel implementation; there is one, in plain Python."""
+    return "pure"
+
 
 __all__ = [
     "ArrivalSeries",

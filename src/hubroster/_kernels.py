@@ -1,8 +1,7 @@
-"""Pure-Python scheduling kernels.
+"""Scheduling kernels: the inner loops of the engine, in plain Python.
 
-Reference implementation of the inner loops; `_core.pyx` is a compiled twin
-with identical semantics. Everything here works on plain ints and tuples so
-both backends stay interchangeable.
+Everything here works on plain ints, lists and tuples. The engine and the
+shift builders call these functions through the module (``kernels.<name>``).
 
 Run representation: a run is a half-open slot interval ``(start, end)`` of
 contiguous working hours for one worker at one hub.
@@ -39,29 +38,28 @@ def part1_runs(x, max_run, start_min=0):
 def _trial_run(avail, t0, dwell, max_run, n):
     """Simulate one run starting at t0: serve one unit per slot, earliest
     effective deadline first (ties to the freshest origin), until no unit
-    within its dwell window remains. Returns the (origin, slot) services."""
+    within its dwell window remains. Returns the (origin, slot) services.
+
+    An origin's deadline ``min(s + dwell, n - 1)`` rises strictly with ``s``
+    until it clamps at the horizon end, so the pick is the oldest open origin
+    in ``[t - dwell, t]``; when that one's deadline is clamped, every open
+    origin ties and the freshest wins.
+    """
     out = []
-    local = {}
-    t = t0
-    while t < n and len(out) < max_run:
-        pick = -1
-        best_dl = 0
-        lo = t - dwell
-        if lo < 0:
-            lo = 0
-        for s in range(lo, t + 1):
-            if avail[s] - local.get(s, 0) > 0:
-                dl = s + dwell
-                if dl > n - 1:
-                    dl = n - 1
-                # min deadline, then max origin: leaves wide windows for later runs
-                if pick < 0 or dl < best_dl or (dl == best_dl and s > pick):
-                    pick, best_dl = s, dl
-        if pick < 0:
+    left = list(avail)
+    clamped = n - 1 - dwell  # origins from here on share the deadline n - 1
+    for t in range(t0, min(n, t0 + max_run)):
+        pick = t - dwell if t > dwell else 0
+        while pick <= t and left[pick] <= 0:
+            pick += 1
+        if pick > t:
             break
-        local[pick] = local.get(pick, 0) + 1
+        if pick >= clamped:
+            pick = t
+            while left[pick] <= 0:
+                pick -= 1
+        left[pick] -= 1
         out.append((pick, t))
-        t += 1
     return out
 
 

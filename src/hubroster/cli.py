@@ -91,15 +91,24 @@ def cmd_run(args) -> int:
     seed = cfg["seed"] if args.seed is None else args.seed
     cfg["seed"] = seed
     header = file_header(seed, config_hash(cfg))
-
-    net = load_network(net_path)
-    arrivals = read_arrivals_csv(arr_path)
-    params = params_from_config(cfg, seed)
     scenarios = [1, 2, 3] if args.scenario == "all" else [int(args.scenario)]
 
+    try:
+        net = load_network(net_path)
+        arrivals = read_arrivals_csv(arr_path)
+        params = params_from_config(cfg, seed)
+        configs = [
+            ScenarioConfig.for_scenario(num, net, arrivals, params, noise=args.noise)
+            for num in scenarios
+        ]
+        for sc in configs:
+            sc.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
     reports = []
-    for num in scenarios:
-        sc = ScenarioConfig.for_scenario(num, net, arrivals, params, noise=args.noise)
+    for num, sc in zip(scenarios, configs):
         report = run_scenario(
             sc,
             collect_forecasts=args.debug_forecasts,

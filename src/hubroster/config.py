@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 
@@ -104,6 +104,9 @@ def load_config(path=None) -> dict:
 
 def params_from_config(cfg: dict, seed=None) -> ScenarioParams:
     kwargs = dict(cfg.get("params", {}))
+    unknown = sorted(set(kwargs) - {f.name for f in fields(ScenarioParams)})
+    if unknown:
+        raise ValueError(f"unknown params key(s) in config: {', '.join(unknown)}")
     kwargs["seed"] = cfg["seed"] if seed is None else seed
     return ScenarioParams(**kwargs)
 

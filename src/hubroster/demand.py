@@ -26,7 +26,7 @@ class ArrivalSeries:
 
     def __post_init__(self):
         if any(a < 0 for a in self.arrivals):
-            raise ValueError("arrival counts must be non-negative")
+            raise ValueError(f"hub {self.hub_id}: arrival counts must be non-negative")
 
     @property
     def total(self) -> int:
@@ -191,15 +191,26 @@ def write_arrivals_csv(path, series: dict[int, ArrivalSeries], header: str = "")
 
 
 def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
+    """Read ``hub_id,slot_h,arrivals`` rows. Every hub must have exactly one
+    row for each slot from 0 to the last slot in the file."""
     rows = {}
     with open(path, newline="") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     for rec in csv.DictReader(lines):
-        rows.setdefault(int(rec["hub_id"]), {})[int(rec["slot_h"])] = int(rec["arrivals"])
+        hub_id, slot = int(rec["hub_id"]), int(rec["slot_h"])
+        by_slot = rows.setdefault(hub_id, {})
+        if slot < 0:
+            raise ValueError(f"{path}: negative slot for hub {hub_id} slot {slot}")
+        if slot in by_slot:
+            raise ValueError(f"{path}: duplicate row for hub {hub_id} slot {slot}")
+        by_slot[slot] = int(rec["arrivals"])
+    n = 1 + max((max(by_slot) for by_slot in rows.values()), default=-1)
     out = {}
     for hub_id, by_slot in rows.items():
-        n = max(by_slot) + 1
-        out[hub_id] = ArrivalSeries(hub_id, [by_slot.get(t, 0) for t in range(n)])
+        for t in range(n):
+            if t not in by_slot:
+                raise ValueError(f"{path}: missing row for hub {hub_id} slot {t}")
+        out[hub_id] = ArrivalSeries(hub_id, [by_slot[t] for t in range(n)])
     return out
 
 

@@ -129,3 +129,57 @@ def test_debug_dumps(tmp_path):
     assert forecasts[1] == "made_at_h,hub_id,slot_h,arrivals"
     workers = (out / "workers_s2.csv").read_text().splitlines()
     assert workers[1] == "step_h,worker_id,state,shift_id"
+
+
+def _run_error(tmp_path, capsys, edit):
+    """Generate the tiny instance, apply ``edit(out)``, and return the error
+    line of the failing ``run``."""
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    edit(out)
+    capsys.readouterr()
+    assert main(["run", "--out", str(out), "--scenario", "1"]) == 1
+    captured = capsys.readouterr()
+    assert not (out / "ledger_s1.json").exists()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+def _edit_json(path, update):
+    doc = json.loads(path.read_text())
+    update(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_run_rejects_unknown_params_key(tmp_path, capsys):
+    err = _run_error(
+        tmp_path, capsys,
+        lambda out: _edit_json(out / "config.json", lambda c: c["params"].update(replan_minutes=15)),
+    )
+    assert "replan_minutes" in err
+
+
+def test_generate_rejects_unknown_params_key(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {"params": {"dwell": 2}})
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "dwell" in capsys.readouterr().err
+
+
+def test_run_rejects_negative_arrivals(tmp_path, capsys):
+    def edit(out):
+        path = out / "arrivals.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",-3\n"
+        path.write_text("".join(lines))
+
+    assert "non-negative" in _run_error(tmp_path, capsys, edit)
+
+
+def test_run_rejects_arrivals_for_another_network(tmp_path, capsys):
+    def edit(out):
+        path = out / "arrivals.csv"
+        path.write_text("".join(ln for ln in path.read_text().splitlines(keepends=True) if not ln.startswith("3,")))
+
+    assert "cover exactly the network's hubs" in _run_error(tmp_path, capsys, edit)

@@ -186,6 +186,26 @@ def test_arrivals_csv_round_trip(tmp_path):
     assert {h: s.arrivals for h, s in back.items()} == {h: s.arrivals for h, s in series.items()}
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[:5] + rows[6:], "missing row for hub 0 slot 5"),
+        (lambda rows: rows[:-1], "missing row for hub 2 slot 23"),
+        (lambda rows: rows + ["1,7,99\n"], "duplicate row for hub 1 slot 7"),
+        (lambda rows: rows + ["1,-1,5\n"], "negative slot for hub 1 slot -1"),
+    ],
+    ids=["missing-inner", "missing-last", "duplicate", "negative-slot"],
+)
+def test_arrivals_csv_rejects_missing_and_duplicate_rows(tmp_path, edit, message):
+    net = random_network(n_hubs=3, n_gateways=1, seed=2)
+    path = tmp_path / "arrivals.csv"
+    write_arrivals_csv(path, generate_arrivals(net, GeneratorConfig(daily_volume=900), seed=2))
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(edit(rows)))
+    with pytest.raises(ValueError, match=message):
+        read_arrivals_csv(path)
+
+
 def test_arrival_series_rejects_negative():
     with pytest.raises(ValueError):
         ArrivalSeries(0, [1, -1])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hubroster._kernels import _trial_run
 from hubroster.ledger import moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs
 from hubroster.shifts import (
@@ -142,6 +143,41 @@ def test_combine_deterministic():
     for _ in range(50):
         x = [int(v) for v in rng.integers(0, 4, 20)]
         assert spans(combine_within_hub(x, 2, RHO)) == spans(combine_within_hub(x, 2, RHO))
+
+
+def _edf_trial_run(avail, t0, dwell, max_run, n):
+    """Literal earliest-deadline scan: each slot serves the open origin with
+    the smallest deadline min(s + dwell, n - 1), ties to the freshest origin.
+    Also returns how many picks broke a tie."""
+    left = list(avail)
+    out, ties = [], 0
+    for t in range(t0, min(n, t0 + max_run)):
+        deadline = {s: min(s + dwell, n - 1) for s in range(max(0, t - dwell), t + 1) if left[s] > 0}
+        if not deadline:
+            break
+        best = min(deadline.values())
+        tied = [s for s, dl in deadline.items() if dl == best]
+        ties += len(tied) > 1
+        left[max(tied)] -= 1
+        out.append((max(tied), t))
+    return out, ties
+
+
+def test_trial_run_matches_earliest_deadline_scan():
+    # short horizons and long dwell windows make many origins clamp their
+    # deadline at the horizon end, where only the tie rule decides the pick
+    rng = np.random.default_rng(5)
+    ties = 0
+    for _ in range(4000):
+        n = int(rng.integers(1, 14))
+        avail = [int(v) for v in rng.integers(0, 3, n)]
+        dwell = int(rng.integers(0, 6))
+        max_run = int(rng.integers(1, 9))
+        t0 = int(rng.integers(0, n))
+        expected, k = _edf_trial_run(avail, t0, dwell, max_run, n)
+        assert _trial_run(avail, t0, dwell, max_run, n) == expected
+        ties += k
+    assert ties > 500
 
 
 def test_combine_respects_start_min():
