@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Micro-benchmarks of the scheduling kernels in ``hubroster._kernels``.
+"""Micro-benchmarks of the scheduling kernels in ``hubroster._kernels`` and
+of the workforce pool.
 
-Times each hot kernel on synthetic workloads and prints the fastest of three
-runs. End-to-end timings of the ``hubroster`` command line come from
-``perfbench/run.py``:
+Times each hot kernel, and pool assignment with hire simulation, on synthetic
+workloads and prints the fastest of three runs. End-to-end timings of the
+``hubroster`` command line come from ``perfbench/run.py``:
 
     python benchmarks/bench_kernels.py [--quick]
 """
@@ -16,6 +17,8 @@ import time
 import numpy as np
 
 from hubroster import _kernels as kernels
+from hubroster.pool import WorkforcePool
+from hubroster.shifts import Segment, Shift
 
 
 def _time(fn, repeat=3):
@@ -59,6 +62,25 @@ def bench_replay(arrival_rows, cap_rows):
     return run
 
 
+def bench_pool(n_workers, batches):
+    """A late-day pool: ``n_workers`` hired in the morning, nine in ten of
+    them with the whole 8 h budget used, then one replan per batch that
+    simulates the batch's hires and assigns it."""
+    morning = [Shift([Segment(0, 0, 8 if i % 10 else 4, "working")]) for i in range(n_workers)]
+
+    def run():
+        pool = WorkforcePool(daily_cap_h=8)
+        for i, shift in enumerate(morning):
+            pool.assign(shift, 0, i)
+        for now, batch in batches:
+            pool.release_finished(now)
+            pool.simulate_hires(batch)
+            for shift in batch:
+                pool.assign(shift, now, 0)
+
+    return run
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
@@ -82,12 +104,19 @@ def main():
     arrival_rows = [[int(v) for v in rng.integers(0, 3000, 24)] for _ in range(500)]
     cap_rows = [[int(v) for v in rng.integers(0, 20, 24)] for _ in range(500)]
 
+    n_workers = 130 if args.quick else 1300
+    batches = [
+        (now, [Shift([Segment(0, now, now + int(w), "working")]) for w in rng.integers(1, 4, 60)])
+        for now in range(12, 22)
+    ]
+
     results = {
         "within_hub_runs (dwell 1)": _time(bench_within_hub(rows, 1)),
         "within_hub_runs (dwell 3)": _time(bench_within_hub(rows, 3)),
         "merge_runs": _time(bench_merge(runs_by_hub, pairs)),
         "fifo_match_units": _time(bench_match(rows[:500], cap_rows)),
         "fifo_replay": _time(bench_replay(arrival_rows, cap_rows)),
+        f"pool assign + simulate_hires ({n_workers} pooled)": _time(bench_pool(n_workers, batches)),
     }
     width = max(len(k) for k in results)
     for key, seconds in results.items():

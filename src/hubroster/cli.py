@@ -60,16 +60,16 @@ def _build_instance(cfg: dict, seed: int):
 
 
 def cmd_generate(args) -> int:
-    cfg = load_config(args.config)
-    seed = cfg["seed"] if args.seed is None else args.seed
-    cfg["seed"] = seed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        cfg = load_config(args.config)
+        seed = cfg["seed"] if args.seed is None else args.seed
+        cfg["seed"] = seed
         net, arrivals = _build_instance(cfg, seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     header = file_header(seed, config_hash(cfg))
     save_network(net, out / "network.json")
     write_arrivals_csv(out / "arrivals.csv", arrivals, header)
@@ -87,13 +87,12 @@ def cmd_run(args) -> int:
         print(f"error: no generated instance in {out} (run `generate` first)", file=sys.stderr)
         return 1
     cfg_path = out / "config.json"
-    cfg = load_config(cfg_path if cfg_path.exists() else args.config)
-    seed = cfg["seed"] if args.seed is None else args.seed
-    cfg["seed"] = seed
-    header = file_header(seed, config_hash(cfg))
     scenarios = [1, 2, 3] if args.scenario == "all" else [int(args.scenario)]
 
     try:
+        cfg = load_config(cfg_path if cfg_path.exists() else args.config)
+        seed = cfg["seed"] if args.seed is None else args.seed
+        cfg["seed"] = seed
         net = load_network(net_path)
         arrivals = read_arrivals_csv(arr_path)
         params = params_from_config(cfg, seed)
@@ -107,6 +106,7 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    header = file_header(seed, config_hash(cfg))
     reports = []
     for num, sc in zip(scenarios, configs):
         report = run_scenario(

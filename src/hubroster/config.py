@@ -93,7 +93,14 @@ def load_config(path=None) -> dict:
     """Read a config JSON file and fill in defaults for missing sections."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
-        user = json.loads(Path(path).read_text())
+        try:
+            user = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ValueError(f"{path}: cannot read config ({exc.strerror})") from exc
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        if not isinstance(user, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
         for key, value in user.items():
             if isinstance(value, dict) and isinstance(cfg.get(key), dict):
                 cfg[key].update(value)

@@ -179,12 +179,15 @@ def deduct_assigned(forecast_demand: dict[int, list[int]], fixed_shifts: list[Sh
     return out
 
 
+ARRIVAL_COLUMNS = ("hub_id", "slot_h", "arrivals")
+
+
 def write_arrivals_csv(path, series: dict[int, ArrivalSeries], header: str = "") -> None:
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(header)
         writer = csv.writer(fh)
-        writer.writerow(["hub_id", "slot_h", "arrivals"])
+        writer.writerow(ARRIVAL_COLUMNS)
         for hub_id in sorted(series):
             for t, count in enumerate(series[hub_id].arrivals):
                 writer.writerow([hub_id, t, count])
@@ -196,7 +199,14 @@ def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
     rows = {}
     with open(path, newline="") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
-    for rec in csv.DictReader(lines):
+    reader = csv.DictReader(lines)
+    missing = [c for c in ARRIVAL_COLUMNS if c not in (reader.fieldnames or [])]
+    if missing:
+        raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+    for rec in reader:
+        if any(rec[c] is None for c in ARRIVAL_COLUMNS):
+            fields = ",".join(v for v in rec.values() if v is not None)
+            raise ValueError(f"{path}: row {fields!r} lacks a field")
         hub_id, slot = int(rec["hub_id"]), int(rec["slot_h"])
         by_slot = rows.setdefault(hub_id, {})
         if slot < 0:

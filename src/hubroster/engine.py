@@ -240,8 +240,8 @@ class RollingEngine:
             p.dwell_h,
             p.work_rate,
         )
-        for h in self.hub_ids:
-            series[h]["resting"] = self._resting_series(h)
+        for h, row in self._resting_series().items():
+            series[h]["resting"] = row
         lateness_penalty(late, self.ledger)
         self.pool.end_of_day()
 
@@ -258,14 +258,16 @@ class RollingEngine:
             worker_states=self.worker_states,
         )
 
-    def _resting_series(self, hub_id: int) -> list[int]:
-        row = [0] * self.n
+    def _resting_series(self) -> dict[int, list[int]]:
+        """Per hub, how many rostered workers rest there in each slot."""
+        rows = {h: [0] * self.n for h in self.hub_ids}
         for entry in self.roster:
             for seg in entry.shift.segments:
-                if seg.kind == RESTING and seg.hub_id == hub_id:
+                if seg.kind == RESTING:
+                    row = rows[seg.hub_id]
                     for t in range(seg.start_h, min(seg.end_h, self.n)):
                         row[t] += 1
-        return row
+        return rows
 
     def _flows(self) -> dict[tuple[int, int, int], int]:
         flows = {}

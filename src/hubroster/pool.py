@@ -5,10 +5,20 @@ pooled worker whose daily working hours still fit the cap, hiring a fresh
 worker when none qualifies (the labor market is elastic; short notice is
 penalized downstream, not refused). The hiring payment is due once per
 worker per day.
+
+Pooled workers sit in one FIFO bucket per whole hour of remaining daily
+budget, ``floor(daily_cap_h - hours_worked)``, each entry tagged with a
+release sequence number. A shift's working hours are whole slots, so a
+worker fits it exactly when the worker's bucket is at least the shift's
+working hours; the longest-idle fitting worker is the smallest-sequence head
+among those buckets. That is the worker a scan of one release-ordered queue
+would find first, but each assignment looks at ``daily_cap_h + 1`` bucket
+heads instead of every pooled worker, most of whom have used up their day.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -29,13 +39,28 @@ class Worker:
     hours_worked: float = 0.0
 
 
+def _oldest(heads: list, need: int) -> int:
+    """Index of the smallest non-None entry of ``heads[need:]``, or -1."""
+    best, best_head = -1, None
+    for b in range(need, len(heads)):
+        head = heads[b]
+        if head is not None and (best_head is None or head < best_head):
+            best, best_head = b, head
+    return best
+
+
 class WorkforcePool:
     """Single-writer pool driven by the engine's sequential step."""
 
     def __init__(self, daily_cap_h: float):
         self.daily_cap_h = daily_cap_h
         self.workers: list[Worker] = []
-        self._queue: deque[int] = deque()  # pooled worker ids, longest idle first
+        # _buckets[b]: (release_seq, worker id) of the pooled workers with b
+        # whole hours of budget left, longest idle first
+        n_buckets = max(0, math.floor(daily_cap_h)) + 1
+        self._buckets: list[deque[tuple[int, int]]] = [deque() for _ in range(n_buckets)]
+        self._released = 0
+        self._pooled = 0
         self.hires = 0
 
     def assign(self, shift: Shift, now_h: float, shift_id: int) -> tuple[Worker, float, bool]:
@@ -46,13 +71,13 @@ class WorkforcePool:
         """
         if shift.start_h < now_h:
             raise ValueError("cannot assign a shift that starts in the past")
+        working_h = shift.working_h
         worker = None
-        for idx, wid in enumerate(self._queue):
-            cand = self.workers[wid]
-            if cand.hours_worked + shift.working_h <= self.daily_cap_h:
-                del self._queue[idx]
-                worker = cand
-                break
+        if self._pooled:
+            b = _oldest([q[0] if q else None for q in self._buckets], working_h)
+            if b >= 0:
+                worker = self.workers[self._buckets[b].popleft()[1]]
+                self._pooled -= 1
         is_new_hire = worker is None
         if is_new_hire:
             worker = Worker(id=len(self.workers))
@@ -62,23 +87,26 @@ class WorkforcePool:
         worker.assigned_shift = shift_id
         worker.notified_at_h = now_h
         worker.busy_until_h = shift.end_h
-        worker.hours_worked += shift.working_h
+        worker.hours_worked += working_h
         return worker, shift.start_h - now_h, is_new_hire
 
-    def simulate_hires(self, shifts) -> int:
+    def simulate_hires(self, shifts: list[Shift]) -> int:
         """How many fresh hires assigning these shifts in order would need,
-        without touching the pool. Used to bound the cross-hub merge pass."""
-        budgets = {wid: self.daily_cap_h - self.workers[wid].hours_worked for wid in self._queue}
-        order = list(self._queue)
+        without touching the pool. Used to bound the cross-hub merge pass.
+
+        A simulated assignment uses each pooled worker at most once, so a
+        read-only cursor per bucket stands for the workers still unused."""
+        if not self._pooled:
+            return len(shifts)
+        cursors = [iter(q) for q in self._buckets]
+        heads = [next(c, None) for c in cursors]
         hires = 0
         for shift in shifts:
-            for idx, wid in enumerate(order):
-                if budgets[wid] >= shift.working_h:
-                    budgets[wid] -= shift.working_h
-                    del order[idx]
-                    break
-            else:
+            b = _oldest(heads, shift.working_h)
+            if b < 0:
                 hires += 1
+            else:
+                heads[b] = next(cursors[b], None)
         return hires
 
     def release(self, worker: Worker, now_h: float) -> None:
@@ -89,7 +117,11 @@ class WorkforcePool:
             raise ValueError(f"worker {worker.id} is busy until h={worker.busy_until_h}")
         worker.state = IN_POOL
         worker.assigned_shift = None
-        self._queue.append(worker.id)
+        budget = math.floor(self.daily_cap_h - worker.hours_worked)
+        if budget >= 0:  # a worker hired past the cap never fits again
+            self._buckets[budget].append((self._released, worker.id))
+        self._released += 1
+        self._pooled += 1
 
     def release_finished(self, now_h: float) -> list[Worker]:
         """Release every assigned worker whose shift has ended by now."""
@@ -102,11 +134,13 @@ class WorkforcePool:
         for w in self.workers:
             w.state = RELEASED_FOR_DAY
             w.assigned_shift = None
-        self._queue.clear()
+        for q in self._buckets:
+            q.clear()
+        self._pooled = 0
 
     @property
     def pooled(self) -> int:
-        return len(self._queue)
+        return self._pooled
 
     @property
     def assigned(self) -> int:

@@ -183,3 +183,39 @@ def test_run_rejects_arrivals_for_another_network(tmp_path, capsys):
         path.write_text("".join(ln for ln in path.read_text().splitlines(keepends=True) if not ln.startswith("3,")))
 
     assert "cover exactly the network's hubs" in _run_error(tmp_path, capsys, edit)
+
+
+def test_run_rejects_malformed_config(tmp_path, capsys):
+    def edit(out):
+        (out / "config.json").write_text('{"seed": 7,')
+
+    assert "config.json" in _run_error(tmp_path, capsys, edit)
+
+
+def test_generate_rejects_malformed_or_missing_config(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    for text in ('{"seed": 7,', "[1, 2]", None):
+        if text is None:
+            cfg.unlink()
+        else:
+            cfg.write_text(text)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "config.json" in err[0]
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_rejects_arrivals_missing_a_column(tmp_path, capsys):
+    def drop_column(out):
+        path = out / "arrivals.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(ln if ln.startswith("#") else ln.rsplit(",", 1)[0] + "\n" for ln in lines))
+
+    def truncate_row(out):
+        path = out / "arrivals.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "\n"
+        path.write_text("".join(lines))
+
+    assert "missing column(s) arrivals" in _run_error(tmp_path, capsys, drop_column)
+    assert "lacks a field" in _run_error(tmp_path, capsys, truncate_row)
