@@ -7,6 +7,8 @@ Run representation: a run is a half-open slot interval ``(start, end)`` of
 contiguous working hours for one worker at one hub.
 """
 
+import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 
 
@@ -69,9 +71,10 @@ def within_hub_runs(x, dwell, max_run, start_min=0):
     Full-length (= max_run) runs are extracted first at their on-time
     placement. The remainder is then served one run at a time: each run's
     start is chosen within the dwell window of the earliest unserved unit
-    (longest resulting run wins, earliest start on ties) and slots are
-    filled earliest-deadline-first, so no unit is served more than ``dwell``
-    slots after its origin. Units whose whole window lies before
+    (longest resulting run wins, earliest start on ties, so the search ends
+    at the first full-length run) and slots are filled
+    earliest-deadline-first, so no unit is served more than ``dwell`` slots
+    after its origin. Units whose whole window lies before
     ``start_min`` cannot be scheduled and are reported as dropped.
 
     Returns (runs, served, dropped) where served is a sorted list of
@@ -109,6 +112,8 @@ def within_hub_runs(x, dwell, max_run, start_min=0):
             trial = _trial_run(avail, t0, dwell, max_run, n)
             if best is None or len(trial) > len(best):
                 best = trial
+                if len(best) == max_run:
+                    break  # no later start can run longer, and ties keep the earliest
         for origin, slot in best:
             avail[origin] -= 1
             served[(origin, slot)] = served.get((origin, slot), 0) + 1
@@ -122,12 +127,18 @@ def within_hub_runs(x, dwell, max_run, start_min=0):
 def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
     """Greedy cross-hub merge over distance-ordered pairs.
 
+    ``runs_by_hub`` holds each hub's non-empty runs sorted by start.
     ``pairs`` is a list of (hub_idx_a, hub_idx_b, travel_time_h) already
     sorted ascending by distance and pre-filtered to pairs whose moving
     payment undercuts a fresh hire. For each pair, feasible run combinations
     (no overlap, travel time <= gap <= max_gap, summed hours <= max_work)
     are merged earliest-start-first; each run merges at most once. A
     non-negative ``max_merges`` caps the number of merges performed.
+
+    A run of hub a only looks at hub b's runs whose start can give a
+    feasible gap: ``[e1 + ceil(travel), e1 + max_gap]`` when b goes second,
+    and ``[s1 - max_gap - hours_left, s1 - ceil(travel) - 1]`` when b goes
+    first, both found by bisecting b's run starts.
 
     Returns (merges, used) where merges is a list of
     (pair_idx, run_idx_a, run_idx_b, a_goes_first) and used marks consumed
@@ -142,36 +153,40 @@ def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
         runs_b = runs_by_hub[ib]
         if not runs_a or not runs_b:
             continue
+        used_a = used[ia]
+        used_b = used[ib]
+        starts_b = [s for s, _e in runs_b]
+        lead = math.ceil(travel_h) if travel_h > 0 else 0  # fewest whole slots of gap
         combos = []
         for i, (s1, e1) in enumerate(runs_a):
-            if used[ia][i]:
+            room = max_work - (e1 - s1)
+            if used_a[i] or room < 1:
                 continue
-            for j, (s2, e2) in enumerate(runs_b):
-                if used[ib][j]:
+            # b after a: the gap s2 - e1 is whole slots in [lead, max_gap]
+            for j in range(bisect_left(starts_b, e1 + lead), bisect_right(starts_b, e1 + max_gap)):
+                s2, e2 = runs_b[j]
+                if used_b[j] or e2 - s2 > room:
                     continue
-                if e1 <= s2:
-                    gap = s2 - e1
-                    key = (s1, s2, e1, e2, 0, i, j)
-                    a_first = 1
-                elif e2 <= s1:
-                    gap = s1 - e2
-                    key = (s2, s1, e2, e1, 1, i, j)
-                    a_first = 0
-                else:
+                combos.append(((s1, s2, e1, e2, 0, i, j), i, j, 1))
+            # b before a: s2 < e2 <= s1 - lead and e2 >= s1 - max_gap
+            for j in range(
+                bisect_left(starts_b, s1 - max_gap - room), bisect_right(starts_b, s1 - lead - 1)
+            ):
+                s2, e2 = runs_b[j]
+                if used_b[j] or e2 - s2 > room:
                     continue
+                gap = s1 - e2
                 if travel_h > gap or gap > max_gap:
                     continue
-                if (e1 - s1) + (e2 - s2) > max_work:
-                    continue
-                combos.append((key, i, j, a_first))
+                combos.append(((s2, s1, e2, e1, 1, i, j), i, j, 0))
         combos.sort()
         for _key, i, j, a_first in combos:
             if max_merges >= 0 and len(merges) >= max_merges:
                 break
-            if used[ia][i] or used[ib][j]:
+            if used_a[i] or used_b[j]:
                 continue
-            used[ia][i] = True
-            used[ib][j] = True
+            used_a[i] = True
+            used_b[j] = True
             merges.append((p_idx, i, j, a_first))
     return merges, used
 

@@ -3,10 +3,11 @@
 Every replan interval the engine refreshes arrival forecasts, converts them
 to integer labor demand, subtracts what the already-fixed roster covers
 (first-in-first-out, so dwell-deferred coverage is not double-booked),
-rebuilds candidate shifts from the residual, fixes the high-value ones plus
-everything starting before the next replan, assigns pooled workers, and
-books all payments. After the last step the roster is replayed against the
-actual arrivals to count parcels that missed their dwell deadline.
+rebuilds candidate runs from the residual, fixes the high-value ones plus
+everything starting before the next replan (building a ``Shift`` only for
+those), assigns pooled workers, and books all payments. After the last step
+the roster is replayed against the actual arrivals to count parcels that
+missed their dwell deadline.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .demand import ArrivalSeries, ForecastSnapshot, forecast_matrix
 from .ledger import CostLedger, CostRates, accrue_shift, lateness_penalty, moving_payment
 from .network import HubNetwork, build_moving_pairs
 from .pool import WorkforcePool
-from .shifts import RESTING, TRAVEL, WORKING, Shift, combine_within_hub_detail, merge_across_hubs
+from .shifts import RESTING, TRAVEL, WORKING, Segment, Shift, combine_within_hub_detail, merge_across_hubs
 from .valuation import ValueWeights, shift_value, should_fix
 
 SCENARIO_PRESETS = {
@@ -140,23 +141,40 @@ class RollingEngine:
             [self.actual_matrix[:, :first_slot].astype(np.float64), pred_tail], axis=1
         )
         units = np.ceil(full / self.cfg.params.work_rate).astype(np.int64)
-        rows = {h: [int(v) for v in units[i]] for i, h in enumerate(self.hub_ids)}
+        rows = dict(zip(self.hub_ids, units.tolist()))
         if self.collect_forecasts:
             self.forecast_snapshots.append(
                 ForecastSnapshot(now_h, {h: [float(v) for v in full[i]] for i, h in enumerate(self.hub_ids)})
             )
         return rows, full
 
-    def _candidates(self, residual: dict[int, list[int]], start_min: int) -> list[Shift]:
+    def _select(self, residual: dict[int, list[int]], now_h: float, fix_all: bool = False) -> list[Shift]:
+        """Within-hub candidates for the residual demand, keeping only those
+        fixed now: everything when ``fix_all``, runs starting before the next
+        replan, and runs whose value reaches the threshold.
+
+        Candidates stay ``(start, hub, end)`` tuples until the decision, so a
+        ``Shift`` is built only for a kept run; sorting the tuples gives the
+        ``Shift.sort_key`` order.
+        """
         p = self.cfg.params
-        out = []
+        cap = p.max_work_h
+        weights = self.weights
+        threshold = weights.fix_threshold
+        first_slot = math.ceil(now_h - 1e-9)
+        horizon_edge = now_h + p.replan_h + 1e-9
+        kept = []
         for h in self.hub_ids:
-            shifts, _served, _dropped = combine_within_hub_detail(
-                residual[h], p.dwell_h, p.max_work_h, hub_id=h, start_min=start_min
-            )
-            out.extend(shifts)
-        out.sort(key=Shift.sort_key)
-        return out
+            runs, _served, _dropped = combine_within_hub_detail(residual[h], p.dwell_h, cap, first_slot)
+            for start, end in runs:
+                if (
+                    fix_all
+                    or start <= horizon_edge
+                    or should_fix(shift_value(start, end - start, 0, now_h, weights, cap), threshold)
+                ):
+                    kept.append((start, h, end))
+        kept.sort()
+        return [Shift([Segment(h, start, end, WORKING)]) for start, h, end in kept]
 
     def _merge_selected(self, selected: list[Shift]) -> list[Shift]:
         """Cross-hub merge within the shifts being fixed this step, capped by
@@ -184,25 +202,13 @@ class RollingEngine:
         """One replan pass; returns the number of shifts fixed."""
         p = self.cfg.params
         self.pool.release_finished(now_h)
-        first_slot = math.ceil(now_h - 1e-9)
         demand, _full = self._demand_units(now_h)
 
         residual = {
             h: kernels.fifo_match_units(demand[h], self.capacity[h], p.dwell_h)
             for h in self.hub_ids
         }
-        candidates = self._candidates(residual, first_slot)
-
-        horizon_edge = now_h + p.replan_h + 1e-9
-        selected = []
-        for cand in candidates:
-            if cand.start_h <= horizon_edge or fix_all:
-                selected.append(cand)
-            elif should_fix(
-                shift_value(cand, now_h, self.weights, p.max_work_h),
-                self.weights.fix_threshold,
-            ):
-                selected.append(cand)
+        selected = self._select(residual, now_h, fix_all)
         if self.cfg.allow_cross_hub and len(selected) > 1:
             selected = self._merge_selected(selected)
 

@@ -106,23 +106,24 @@ def init_max_shifts(x, max_work_h: int, hub_id: int = 0, start_min: int = 0) -> 
 
 def combine_within_hub(x, dwell_h: int, max_work_h: int, hub_id: int = 0, start_min: int = 0) -> list[Shift]:
     """Combine a hub's demand into few, long shifts via dwell-time deferral."""
-    shifts, _served, _dropped = combine_within_hub_detail(x, dwell_h, max_work_h, hub_id, start_min)
-    return shifts
+    runs, _served, _dropped = combine_within_hub_detail(x, dwell_h, max_work_h, start_min)
+    return [_single(hub_id, s, e) for s, e in runs]
 
 
-def combine_within_hub_detail(x, dwell_h: int, max_work_h: int, hub_id: int = 0, start_min: int = 0):
-    """Like combine_within_hub but also returns service provenance.
+def combine_within_hub_detail(x, dwell_h: int, max_work_h: int, start_min: int = 0):
+    """Like combine_within_hub, but as plain runs plus service provenance.
 
-    Returns (shifts, served, dropped): ``served`` lists
-    (origin_slot, served_slot, count) for every demand unit, ``dropped``
-    lists units whose dwell window closed before ``start_min``.
+    Returns (runs, served, dropped): ``runs`` are sorted ``(start, end)``
+    working runs, ``served`` lists (origin_slot, served_slot, count) for
+    every demand unit, ``dropped`` lists units whose dwell window closed
+    before ``start_min``. No ``Shift`` is built, so the engine pays for one
+    only when it fixes the run.
     """
-    if any(v < 0 for v in x):
+    if min(x, default=0) < 0:
         raise ValueError("demand must be non-negative")
     if dwell_h < 0:
         raise ValueError("dwell_h must be >= 0")
-    runs, served, dropped = kernels.within_hub_runs(list(x), dwell_h, max_work_h, start_min)
-    return [_single(hub_id, s, e) for s, e in runs], served, dropped
+    return kernels.within_hub_runs(list(x), dwell_h, max_work_h, start_min)
 
 
 def merge_across_hubs(

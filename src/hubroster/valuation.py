@@ -8,14 +8,16 @@ A candidate shift's value is a weighted sum of three terms, each clamped to
   utilization  working hours over the per-shift cap
   continuity   working hours over resting hours; 1 for rest-free shifts
 
-A shift is fixed as soon as its value reaches the threshold (inclusive).
+The value depends only on a shift's start, working and resting hours, so it
+is computed from those numbers: the engine scores within-hub candidates as
+plain ``(start, end)`` runs (resting 0) and builds a ``Shift`` only for the
+ones it fixes. A shift is fixed as soon as its value reaches the threshold
+(inclusive).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .shifts import Shift
 
 
 @dataclass(frozen=True)
@@ -47,19 +49,24 @@ class ValueWeights:
         )
 
 
-def shift_value(shift: Shift, now_h: float, weights: ValueWeights, max_work_h: int) -> float:
+def shift_value(
+    start_h: float,
+    working_h: int,
+    resting_h: int,
+    now_h: float,
+    weights: ValueWeights,
+    max_work_h: int,
+) -> float:
     """Score a candidate shift at the current time. Raises on zero working
     hours; shifts already at or past their start are the caller's emergency
     path and score the maximal urgency term here."""
-    working = shift.working_h
-    if working == 0:
+    if working_h == 0:
         raise ValueError("cannot value a shift with no working hours")
-    resting = shift.resting_h
-    lead = shift.start_h - now_h
+    lead = start_h - now_h
 
     urgency = 1.0 if lead <= weights.fix_lead_h else min(1.0, weights.fix_lead_h / lead)
-    utilization = min(1.0, working / max_work_h)
-    continuity = 1.0 if resting == 0 else min(1.0, working / resting)
+    utilization = min(1.0, working_h / max_work_h)
+    continuity = 1.0 if resting_h == 0 else min(1.0, working_h / resting_h)
     return (
         weights.urgency * urgency
         + weights.utilization * utilization

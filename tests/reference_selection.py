@@ -1,0 +1,52 @@
+"""Shift-based candidate selection: the reference the engine's selection
+must match.
+
+Every within-hub run becomes a single-segment ``Shift``; the whole list is
+sorted by ``Shift.sort_key`` and walked once, keeping a candidate when it
+starts before the next replan (or everything is forced) or when its value,
+read off the ``Shift``, reaches the threshold. The engine keeps candidates
+as ``(start, hub, end)`` tuples and builds a ``Shift`` only for kept ones.
+"""
+
+import math
+
+from hubroster.shifts import WORKING, Segment, Shift
+from reference_kernels import within_hub_runs
+
+
+def shift_value(shift, now_h, weights, max_work_h):
+    working = shift.working_h
+    if working == 0:
+        raise ValueError("cannot value a shift with no working hours")
+    resting = shift.resting_h
+    lead = shift.start_h - now_h
+
+    urgency = 1.0 if lead <= weights.fix_lead_h else min(1.0, weights.fix_lead_h / lead)
+    utilization = min(1.0, working / max_work_h)
+    continuity = 1.0 if resting == 0 else min(1.0, working / resting)
+    return (
+        weights.urgency * urgency
+        + weights.utilization * utilization
+        + weights.continuity * continuity
+    )
+
+
+def candidates(residual, hub_ids, dwell_h, max_work_h, start_min):
+    out = []
+    for h in hub_ids:
+        runs, _served, _dropped = within_hub_runs(list(residual[h]), dwell_h, max_work_h, start_min)
+        out.extend(Shift([Segment(h, s, e, WORKING)]) for s, e in runs)
+    out.sort(key=Shift.sort_key)
+    return out
+
+
+def select(residual, hub_ids, now_h, params, weights, fix_all=False):
+    first_slot = math.ceil(now_h - 1e-9)
+    horizon_edge = now_h + params.replan_h + 1e-9
+    selected = []
+    for cand in candidates(residual, hub_ids, params.dwell_h, params.max_work_h, first_slot):
+        if cand.start_h <= horizon_edge or fix_all:
+            selected.append(cand)
+        elif shift_value(cand, now_h, weights, params.max_work_h) >= weights.fix_threshold:
+            selected.append(cand)
+    return selected

@@ -309,12 +309,16 @@ def test_criterion_07_value_regression():
         from hubroster.shifts import Segment, Shift
 
         w = ValueWeights()
+
+        def value(shift):
+            return shift_value(shift.start_h, shift.working_h, shift.resting_h, 0, w, RHO)
+
         full = Shift([Segment(0, 4, 12, "working")])
-        assert abs(shift_value(full, 0, w, RHO) - 1.0) < 1e-9
+        assert abs(value(full) - 1.0) < 1e-9
         rest_heavy = Shift(
             [Segment(0, 16, 18, "working"), Segment(0, 18, 24, "resting")]
         )
-        assert abs(shift_value(rest_heavy, 0, w, RHO) - 0.275) < 1e-9
+        assert abs(value(rest_heavy) - 0.275) < 1e-9
         assert should_fix(1.0, 0.9)
         assert not should_fix(0.275, 0.9)
         assert should_fix(0.9, 0.9)

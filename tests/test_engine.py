@@ -9,6 +9,10 @@ from hubroster.config import ScenarioParams
 from hubroster.demand import ArrivalSeries, GeneratorConfig, generate_arrivals
 from hubroster.engine import RollingEngine, ScenarioConfig, replay_execution, run_scenario
 from hubroster.network import Hub, HubNetwork, random_network
+from hubroster.shifts import validate_shift
+from hubroster.valuation import ValueWeights
+from reference_selection import select as reference_select
+from reference_selection import shift_value as reference_value
 
 RATE = 150
 
@@ -245,3 +249,68 @@ def test_flow_windows_aggregate_by_six_hours():
     assert all(window % 6 == 0 for (_s, _d, window) in report.flows)
     assert sum(report.flows.values()) == report.merged_shift_count
     assert (0, 1, 0) in report.flows
+
+
+def test_selection_matches_shift_based_reference():
+    # fractional replan times, fix_all, dwell 0-3, caps 1-8 and random
+    # weights; half the thresholds equal a value some candidate attains, so
+    # the inclusive boundary and the exact float expression both decide
+    rng = np.random.default_rng(8)
+    boundary_fixes = 0
+    for _ in range(1500):
+        n_hubs = int(rng.integers(1, 5))
+        horizon = int(rng.integers(8, 25))
+        params = dict(
+            horizon_h=horizon,
+            dwell_h=int(rng.integers(0, 4)),
+            max_work_h=int(rng.integers(1, 9)),
+            replan_min=int(rng.choice([15, 45, 60])),
+        )
+        engine = RollingEngine(_cfg(_net(n_hubs), {h: [0] * horizon for h in range(n_hubs)}, **params))
+        p = engine.cfg.params
+        raw = rng.random(3) + 0.01
+        urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
+        lead = float(rng.choice([4.0, float(rng.uniform(0.5, 6.0))]))
+        residual = {h: [int(v) for v in rng.integers(0, 4, horizon)] for h in range(n_hubs)}
+        now_h = int(rng.integers(0, math.ceil(horizon / p.replan_h))) * p.replan_h
+        fix_all = bool(rng.random() < 0.1)
+
+        threshold = float(rng.random())
+        weights = ValueWeights(urgency, utilization, continuity, lead, threshold)
+        edge = now_h + p.replan_h + 1e-9
+        deferrable = [
+            v
+            for c in reference_select(residual, engine.hub_ids, now_h, p, weights, fix_all=True)
+            if c.start_h > edge and (v := reference_value(c, now_h, weights, p.max_work_h)) <= 1.0
+        ]
+        if deferrable and rng.random() < 0.5:
+            threshold = deferrable[int(rng.integers(len(deferrable)))]
+            boundary_fixes += not fix_all
+        engine.weights = ValueWeights(urgency, utilization, continuity, lead, threshold)
+
+        expected = reference_select(residual, engine.hub_ids, now_h, p, engine.weights, fix_all)
+        got = engine._select(residual, now_h, fix_all)
+        assert [(s.start_h, s.segments[0].hub_id, s.end_h) for s in got] == [
+            (s.start_h, s.segments[0].hub_id, s.end_h) for s in expected
+        ]
+        assert all(len(s.segments) == 1 and s.segments[0].kind == "working" for s in got)
+    assert boundary_fixes > 300
+
+
+def test_engine_rosters_pass_validate_shift():
+    # every shift the engine fixes, merged ones included, keeps the
+    # structural invariants: contiguous segments, 1..cap working hours, and
+    # a travel segment at every hub change
+    net = random_network(n_hubs=6, n_gateways=2, area_m=3000, seed=3)
+    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=40_000), 3)
+    rows = {h: s.arrivals for h, s in arrivals.items()}
+    merged = 0
+    for replan_min in (15, 60):
+        for scenario in (1, 2, 3):
+            cfg = _cfg(net, rows, scenario=scenario, noise="paper", seed=3, replan_min=replan_min)
+            report = run_scenario(cfg)
+            assert report.roster
+            for entry in report.roster:
+                validate_shift(entry.shift, cfg.params.max_work_h)
+            merged += report.merged_shift_count
+    assert merged >= 3

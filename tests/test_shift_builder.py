@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import reference_kernels
+from hubroster import _kernels as kernels
 from hubroster._kernels import _trial_run
 from hubroster.ledger import moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs
@@ -108,12 +110,16 @@ def test_combine_conservation_dwell_bound_and_cap():
         n = int(rng.integers(1, 30))
         x = [int(v) for v in rng.integers(0, 4, n)]
         dwell = int(rng.integers(0, 4))
-        shifts, served, dropped = combine_within_hub_detail(x, dwell, RHO)
+        runs, served, dropped = combine_within_hub_detail(x, dwell, RHO)
         assert dropped == []
-        assert sum(s.working_h for s in shifts) == sum(x)
+        assert sum(e - s for s, e in runs) == sum(x)
         assert sum(c for _, _, c in served) == sum(x)
         for origin, slot, _count in served:
             assert origin <= slot <= origin + dwell
+        for s, e in runs:
+            assert 0 < e - s <= RHO
+        shifts = combine_within_hub(x, dwell, RHO)
+        assert spans(shifts) == runs
         for s in shifts:
             assert s.working_h <= RHO
             assert s.resting_h == 0 and s.travel_h == 0
@@ -180,15 +186,73 @@ def test_trial_run_matches_earliest_deadline_scan():
     assert ties > 500
 
 
+def _counting(fn, calls):
+    def wrapper(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def test_within_hub_runs_matches_full_scan(monkeypatch):
+    # the start search ends at the first full-length run; the full scan tries
+    # every start of the window, so fewer trials show the early exit fired
+    new_calls, ref_calls = [0], [0]
+    monkeypatch.setattr(kernels, "_trial_run", _counting(_trial_run, new_calls))
+    monkeypatch.setattr(reference_kernels, "_trial_run", _counting(_trial_run, ref_calls))
+    rng = np.random.default_rng(6)
+    early = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 30))
+        x = [int(v) for v in rng.integers(0, 4, n)]
+        dwell = int(rng.integers(0, 5))
+        max_run = int(rng.integers(1, 9))
+        start_min = int(rng.integers(0, 4))
+        new_calls[0] = ref_calls[0] = 0
+        assert kernels.within_hub_runs(x, dwell, max_run, start_min) == reference_kernels.within_hub_runs(
+            x, dwell, max_run, start_min
+        )
+        early += new_calls[0] < ref_calls[0]
+    assert early > 1000
+
+
+def _sorted_runs(rng, n_runs, horizon):
+    runs = []
+    for _ in range(n_runs):
+        s = int(rng.integers(0, horizon))
+        runs.append((s, s + int(rng.integers(1, 9))))
+    return sorted(runs)
+
+
+def test_merge_runs_matches_all_pairs_scan():
+    rng = np.random.default_rng(7)
+    merged = 0
+    for _ in range(3000):
+        n_hubs = int(rng.integers(2, 5))
+        horizon = int(rng.integers(4, 25))
+        runs_by_hub = [_sorted_runs(rng, int(rng.integers(0, 12)), horizon) for _ in range(n_hubs)]
+        pairs = [
+            (int(a), int(b), float(rng.choice([0.0, 1.0, rng.uniform(0, 3)])))
+            for a, b in (rng.choice(n_hubs, 2, replace=False) for _ in range(int(rng.integers(1, 6))))
+        ]
+        max_work = int(rng.integers(1, 13))
+        max_gap = int(rng.integers(0, 4))
+        max_merges = int(rng.choice([-1, 0, 1, 3, 100]))
+        got = kernels.merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges)
+        assert got == reference_kernels.merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges)
+        merged += len(got[0])
+    assert merged > 2000
+
+
 def test_combine_respects_start_min():
-    shifts, served, dropped = combine_within_hub_detail([1, 1, 0, 0], 1, RHO, start_min=1)
+    runs, _served, dropped = combine_within_hub_detail([1, 1, 0, 0], 1, RHO, start_min=1)
     # slot-0 demand can still be served at slot 1; nothing starts before 1
-    assert all(s.start_h >= 1 for s in shifts)
-    assert sum(s.working_h for s in shifts) + sum(c for _, c in dropped) == 2
+    assert all(s >= 1 for s, _e in runs)
+    assert sum(e - s for s, e in runs) + sum(c for _, c in dropped) == 2
 
 
 def test_combine_drops_expired_units():
-    _shifts, _served, dropped = combine_within_hub_detail([1, 0, 0, 1], 1, RHO, start_min=3)
+    _runs, _served, dropped = combine_within_hub_detail([1, 0, 0, 1], 1, RHO, start_min=3)
     assert dropped == [(0, 1)]
 
 

@@ -17,17 +17,21 @@ def _shift(start, working, resting=0):
     return Shift(segs)
 
 
+def _value(shift):
+    return shift_value(shift.start_h, shift.working_h, shift.resting_h, 0, W, RHO)
+
+
 def test_full_continuous_shift_scores_one():
-    assert shift_value(_shift(4, 8), 0, W, RHO) == pytest.approx(1.0, abs=1e-9)
+    assert _value(_shift(4, 8)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_short_rest_heavy_far_shift():
-    value = shift_value(_shift(16, 2, resting=6), 0, W, RHO)
+    value = _value(_shift(16, 2, resting=6))
     assert value == pytest.approx(0.275, abs=1e-9)
 
 
 def test_imminent_full_shift_caps_at_one():
-    assert shift_value(_shift(1, 8), 0, W, RHO) == pytest.approx(1.0, abs=1e-9)
+    assert _value(_shift(1, 8)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_should_fix_examples():
@@ -37,12 +41,12 @@ def test_should_fix_examples():
 
 
 def test_urgency_monotone_as_start_approaches():
-    values = [shift_value(_shift(start, 4), 0, W, RHO) for start in range(20, 1, -1)]
+    values = [_value(_shift(start, 4)) for start in range(20, 1, -1)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_utilization_monotone_in_working_hours():
-    values = [shift_value(_shift(10, w), 0, W, RHO) for w in range(1, 9)]
+    values = [_value(_shift(10, w)) for w in range(1, 9)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -52,20 +56,20 @@ def test_value_bounded_zero_one():
         start = int(rng.integers(1, 24))
         working = int(rng.integers(1, 9))
         resting = int(rng.integers(0, 12))
-        v = shift_value(_shift(start, working, resting), 0, W, RHO)
+        v = _value(_shift(start, working, resting))
         assert 0.0 <= v <= 1.0 + 1e-12
 
 
 def test_rest_free_shift_maximizes_continuity_term():
-    rested = shift_value(_shift(10, 4, resting=5), 0, W, RHO)
-    continuous = shift_value(_shift(10, 4), 0, W, RHO)
+    rested = _value(_shift(10, 4, resting=5))
+    continuous = _value(_shift(10, 4))
     assert continuous > rested
 
 
 def test_zero_working_rejected():
     bad = Shift([Segment(0, 0, 2, "resting")])
     with pytest.raises(ValueError):
-        shift_value(bad, 0, W, RHO)
+        _value(bad)
 
 
 def test_weight_validation():
