@@ -1,19 +1,12 @@
 """Rolling-horizon workforce scheduling and relocation for parcel hub networks."""
 
 from .config import ScenarioParams
-from .demand import (
-    ArrivalSeries,
-    GeneratorConfig,
-    deduct_assigned,
-    forecast,
-    generate_arrivals,
-    labor_demand,
-)
+from .demand import ArrivalSeries, GeneratorConfig, forecast_matrix, generate_arrivals, labor_demand
 from .engine import ScenarioConfig, SimReport, replay_execution, run_scenario
 from .ledger import CostLedger, CostRates, emergency_penalty, moving_payment
 from .network import Hub, HubNetwork, MovingPair, build_moving_pairs, distance, random_network
 from .pool import Worker, WorkforcePool
-from .shifts import Segment, Shift, combine_within_hub, init_max_shifts, merge_across_hubs
+from .shifts import Segment, Shift, combine_within_hub_detail, merge_across_hubs
 from .valuation import ValueWeights, shift_value, should_fix
 
 __version__ = "0.1.0"
@@ -41,14 +34,12 @@ __all__ = [
     "WorkforcePool",
     "ValueWeights",
     "build_moving_pairs",
-    "combine_within_hub",
-    "deduct_assigned",
+    "combine_within_hub_detail",
     "distance",
     "emergency_penalty",
-    "forecast",
+    "forecast_matrix",
     "generate_arrivals",
     "get_backend",
-    "init_max_shifts",
     "labor_demand",
     "merge_across_hubs",
     "moving_payment",

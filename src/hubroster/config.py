@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
+
+from .valuation import ValueWeights
 
 
 @dataclass
@@ -41,13 +43,7 @@ class ScenarioParams:
         self.validate()
 
     def validate(self):
-        w = (self.urgency_weight, self.utilization_weight, self.continuity_weight)
-        if any(x < 0 for x in w):
-            raise ValueError("value weights must be non-negative")
-        if abs(sum(w) - 1.0) > 1e-9:
-            raise ValueError(f"value weights must sum to 1, got {sum(w)}")
-        if not 0.0 <= self.fix_threshold <= 1.0:
-            raise ValueError("fix_threshold must lie in [0, 1]")
+        ValueWeights.from_params(self)  # weight, threshold and fix-lead rules
         if self.dwell_h < 0:
             raise ValueError("dwell_h must be >= 0")
         if self.max_work_h <= 0:
@@ -60,8 +56,6 @@ class ScenarioParams:
             raise ValueError("horizon_h must be >= 1")
         if self.max_gap_h < 0:
             raise ValueError("max_gap_h must be >= 0")
-        if self.fix_lead_h <= 0:
-            raise ValueError("fix_lead_h must be positive")
 
     @property
     def replan_h(self) -> float:
@@ -127,7 +121,3 @@ def config_hash(cfg: dict) -> str:
 def file_header(seed, cfg_hash: str) -> str:
     """Comment line carried at the top of every emitted CSV."""
     return f"# seed={seed} config={cfg_hash}\n"
-
-
-def params_dict(params: ScenarioParams) -> dict:
-    return asdict(params)

@@ -9,12 +9,10 @@ so a forecast is exact at lead 0 and off by at most (t1 - t0) percent.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 import numpy as np
 
 from .network import HubNetwork
-from .shifts import WORKING, Shift
 
 
 @dataclass
@@ -125,20 +123,9 @@ def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
     return floors
 
 
-def forecast(actual_count: float, made_at_h: float, target_h: float, rng) -> float:
-    """Predicted arrivals for one (hub, slot) at one snapshot.
-
-    Draws a fresh u ~ Uniform[-1, 1]; exact when target == made_at.
-    """
-    if target_h < made_at_h:
-        raise ValueError("cannot forecast a slot before the snapshot time")
-    if actual_count < 0:
-        raise ValueError("actual count must be non-negative")
-    u = rng.uniform(-1.0, 1.0)
-    return forecast_with_u(actual_count, made_at_h, target_h, u)
-
-
 def forecast_with_u(actual_count: float, made_at_h: float, target_h: float, u: float) -> float:
+    """Scalar form of the forecast model for one (hub, slot) and one draw u;
+    the elementwise reference for ``forecast_matrix``."""
     lead = target_h - made_at_h
     return max(0.0, actual_count * (u * lead + 100.0) / 100.0)
 
@@ -156,27 +143,13 @@ def forecast_matrix(actuals: np.ndarray, made_at_h: float, first_slot: int, u: n
     return np.maximum(0.0, tail * (u * leads[None, :] + 100.0) / 100.0)
 
 
-def labor_demand(counts, work_rate: float) -> list[int]:
-    """Workers required per slot: arrivals divided by the hourly work rate,
-    rounded up so scheduled capacity always covers the volume."""
+def labor_demand(counts, work_rate: float) -> np.ndarray:
+    """Workers required per slot: non-negative (predicted) arrivals divided
+    by the hourly work rate, rounded up so scheduled capacity always covers
+    the volume. Works elementwise on an array of any shape."""
     if work_rate <= 0:
         raise ValueError("work_rate must be positive")
-    return [math.ceil(c / work_rate) if c > 0 else 0 for c in counts]
-
-
-def deduct_assigned(forecast_demand: dict[int, list[int]], fixed_shifts: list[Shift]) -> dict[int, list[int]]:
-    """Subtract one worker-unit per covered slot for every fixed working
-    segment, clamped at zero. Returns a new matrix; inputs are not mutated."""
-    out = {hub: list(row) for hub, row in forecast_demand.items()}
-    for shift in fixed_shifts:
-        for seg in shift.segments:
-            if seg.kind != WORKING or seg.hub_id not in out:
-                continue
-            row = out[seg.hub_id]
-            for t in range(seg.start_h, min(seg.end_h, len(row))):
-                if row[t] > 0:
-                    row[t] -= 1
-    return out
+    return np.ceil(np.asarray(counts, dtype=np.float64) / work_rate).astype(np.int64)
 
 
 ARRIVAL_COLUMNS = ("hub_id", "slot_h", "arrivals")

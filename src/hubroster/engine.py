@@ -21,11 +21,11 @@ import numpy as np
 
 from . import _kernels as kernels
 from .config import ScenarioParams
-from .demand import ArrivalSeries, ForecastSnapshot, forecast_matrix
+from .demand import ArrivalSeries, ForecastSnapshot, forecast_matrix, labor_demand
 from .ledger import CostLedger, CostRates, accrue_shift, lateness_penalty, moving_payment
 from .network import HubNetwork, build_moving_pairs
 from .pool import WorkforcePool
-from .shifts import RESTING, TRAVEL, WORKING, Segment, Shift, combine_within_hub_detail, merge_across_hubs
+from .shifts import RESTING, WORKING, Segment, Shift, combine_within_hub_detail, merge_across_hubs
 from .valuation import ValueWeights, shift_value, should_fix
 
 SCENARIO_PRESETS = {
@@ -98,11 +98,26 @@ class SimReport:
     def merged_shift_count(self) -> int:
         return sum(1 for e in self.roster if e.shift.is_multi_hub)
 
-    @property
-    def multi_segment_share(self) -> float:
-        if not self.roster:
-            return 0.0
-        return sum(1 for e in self.roster if len(e.shift.segments) > 1) / len(self.roster)
+
+def tally(shifts, working, resting, flows) -> None:
+    """Add shifts to the roster-derived tables, in place.
+
+    ``working`` and ``resting`` map hub -> per-slot worker counts; ``flows``
+    maps (from hub, to hub, six-hour window of the travel start) -> moves.
+    """
+    for shift in shifts:
+        for seg in shift.segments:
+            if seg.kind == WORKING:
+                row = working[seg.hub_id]
+            elif seg.kind == RESTING:
+                row = resting[seg.hub_id]
+            else:
+                continue
+            for t in range(seg.start_h, seg.end_h):
+                row[t] += 1
+        for src, dst, seg in shift.moves():
+            key = (src, dst, (seg.start_h // 6) * 6)
+            flows[key] = flows.get(key, 0) + 1
 
 
 class RollingEngine:
@@ -120,7 +135,10 @@ class RollingEngine:
         self.pool = WorkforcePool(daily_cap_h=p.max_work_h)
         self.ledger = CostLedger(rates=cfg.rates)
         self.roster: list[RosterEntry] = []
+        # roster-derived tables, added to by tally() as shifts are fixed
         self.capacity = {h: [0] * self.n for h in self.hub_ids}  # workers working
+        self.resting = {h: [0] * self.n for h in self.hub_ids}
+        self.flows: dict[tuple[int, int, int], int] = {}
         self.now_h = 0.0
         self.weights = ValueWeights.from_params(p)
         self.collect_forecasts = collect_forecasts
@@ -140,8 +158,7 @@ class RollingEngine:
         full = np.concatenate(
             [self.actual_matrix[:, :first_slot].astype(np.float64), pred_tail], axis=1
         )
-        units = np.ceil(full / self.cfg.params.work_rate).astype(np.int64)
-        rows = dict(zip(self.hub_ids, units.tolist()))
+        rows = dict(zip(self.hub_ids, labor_demand(full, self.cfg.params.work_rate).tolist()))
         if self.collect_forecasts:
             self.forecast_snapshots.append(
                 ForecastSnapshot(now_h, {h: [float(v) for v in full[i]] for i, h in enumerate(self.hub_ids)})
@@ -218,11 +235,7 @@ class RollingEngine:
             cand.fixed_at_h = now_h
             accrue_shift(cand, lead, new_hire, self.ledger, distance_fn=self.cfg.network.distance_m)
             self.roster.append(RosterEntry(shift_id, cand, worker.id, lead, new_hire))
-            for seg in cand.segments:
-                if seg.kind == WORKING:
-                    cap = self.capacity[seg.hub_id]
-                    for t in range(seg.start_h, seg.end_h):
-                        cap[t] += 1
+        tally(selected, self.capacity, self.resting, self.flows)
 
         self.now_h = now_h + p.replan_h
         if self.collect_worker_states:
@@ -246,7 +259,7 @@ class RollingEngine:
             p.dwell_h,
             p.work_rate,
         )
-        for h, row in self._resting_series().items():
+        for h, row in self.resting.items():
             series[h]["resting"] = row
         lateness_penalty(late, self.ledger)
         self.pool.end_of_day()
@@ -257,37 +270,12 @@ class RollingEngine:
             roster=self.roster,
             late_parcels=late,
             series=series,
-            flows=self._flows(),
+            flows=self.flows,
             runtime_s=time.perf_counter() - t0,
             hires=self.pool.hires,
             forecast_snapshots=self.forecast_snapshots,
             worker_states=self.worker_states,
         )
-
-    def _resting_series(self) -> dict[int, list[int]]:
-        """Per hub, how many rostered workers rest there in each slot."""
-        rows = {h: [0] * self.n for h in self.hub_ids}
-        for entry in self.roster:
-            for seg in entry.shift.segments:
-                if seg.kind == RESTING:
-                    row = rows[seg.hub_id]
-                    for t in range(seg.start_h, min(seg.end_h, self.n)):
-                        row[t] += 1
-        return rows
-
-    def _flows(self) -> dict[tuple[int, int, int], int]:
-        flows = {}
-        for entry in self.roster:
-            segs = entry.shift.segments
-            for i, seg in enumerate(segs):
-                if seg.kind != TRAVEL:
-                    continue
-                src = next(s.hub_id for s in reversed(segs[:i]) if s.kind == WORKING)
-                dst = next(s.hub_id for s in segs[i + 1 :] if s.kind == WORKING)
-                window = (seg.start_h // 6) * 6
-                key = (src, dst, window)
-                flows[key] = flows.get(key, 0) + 1
-        return flows
 
 
 def replay_execution(

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .shifts import TRAVEL, WORKING, Shift
+from .shifts import Shift
 
 
 @dataclass(frozen=True)
@@ -93,21 +93,12 @@ def accrue_shift(
         ledger.hiring += rates.hiring_per_day
     ledger.hourly += rates.hourly * shift.working_h
     ledger.waiting += rates.waiting_hourly * shift.resting_h
-    for prev, seg, nxt in _travel_contexts(shift):
+    for src, dst, _seg in shift.moves():
         if distance_fn is None:
             raise ValueError("distance_fn required for shifts with travel segments")
-        ledger.moving += moving_payment(distance_fn(prev.hub_id, nxt.hub_id), rates)
+        ledger.moving += moving_payment(distance_fn(src, dst), rates)
     ledger.emergency += emergency_penalty(lead_time_h, rates)
     return ledger
-
-
-def _travel_contexts(shift: Shift):
-    segs = shift.segments
-    for i, seg in enumerate(segs):
-        if seg.kind == TRAVEL:
-            prev = next(s for s in reversed(segs[:i]) if s.kind == WORKING)
-            nxt = next(s for s in segs[i + 1 :] if s.kind == WORKING)
-            yield prev, seg, nxt
 
 
 def lateness_penalty(late_parcels: int, ledger: CostLedger) -> CostLedger:

@@ -118,12 +118,27 @@ def save_network(net: HubNetwork, path) -> None:
 
 
 def load_network(path) -> HubNetwork:
-    doc = json.loads(Path(path).read_text())
-    hubs = [
-        Hub(int(h["id"]), str(h["name"]), float(h["x_m"]), float(h["y_m"]), str(h["tier"]))
-        for h in doc["hubs"]
-    ]
-    return HubNetwork(hubs, float(doc["d_max_m"]), float(doc["speed_m_per_h"]))
+    """Read a network written by ``save_network``. A file that cannot be
+    read, is not JSON, lacks a key or holds a bad value raises ``ValueError``
+    naming the file (and the missing key)."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read network ({exc.strerror})") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: network must be a JSON object")
+    try:
+        hubs = [
+            Hub(int(h["id"]), str(h["name"]), float(h["x_m"]), float(h["y_m"]), str(h["tier"]))
+            for h in doc["hubs"]
+        ]
+        return HubNetwork(hubs, float(doc["d_max_m"]), float(doc["speed_m_per_h"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def random_network(

@@ -81,37 +81,23 @@ class Shift:
     def working_segments(self):
         return [s for s in self.segments if s.kind == WORKING]
 
-    def travel_segments(self):
-        return [s for s in self.segments if s.kind == TRAVEL]
+    def moves(self):
+        """Yield ``(from_hub, to_hub, travel_segment)`` for each relocation:
+        the hubs are those of the working segments on either side of it."""
+        segs = self.segments
+        for i, seg in enumerate(segs):
+            if seg.kind == TRAVEL:
+                src = next(s.hub_id for s in reversed(segs[:i]) if s.kind == WORKING)
+                dst = next(s.hub_id for s in segs[i + 1 :] if s.kind == WORKING)
+                yield src, dst, seg
 
     def sort_key(self):
         return (self.start_h, self.segments[0].hub_id, self.end_h)
 
 
-def _single(hub_id: int, start: int, end: int) -> Shift:
-    return Shift([Segment(hub_id, start, end, WORKING)])
-
-
-def init_max_shifts(x, max_work_h: int, hub_id: int = 0, start_min: int = 0) -> list[Shift]:
-    """Maximal-length working shifts covering a demand row exactly.
-
-    Scans left to right; each shift extends while demand stays positive,
-    capped at ``max_work_h``. Total working hours across the output equal
-    the total input demand.
-    """
-    if any(v < 0 for v in x):
-        raise ValueError("demand must be non-negative")
-    return [_single(hub_id, s, e) for s, e in kernels.part1_runs(list(x), max_work_h, start_min)]
-
-
-def combine_within_hub(x, dwell_h: int, max_work_h: int, hub_id: int = 0, start_min: int = 0) -> list[Shift]:
-    """Combine a hub's demand into few, long shifts via dwell-time deferral."""
-    runs, _served, _dropped = combine_within_hub_detail(x, dwell_h, max_work_h, start_min)
-    return [_single(hub_id, s, e) for s, e in runs]
-
-
 def combine_within_hub_detail(x, dwell_h: int, max_work_h: int, start_min: int = 0):
-    """Like combine_within_hub, but as plain runs plus service provenance.
+    """Combine a hub's demand into few, long working runs via dwell-time
+    deferral (``kernels.within_hub_runs``), with service provenance.
 
     Returns (runs, served, dropped): ``runs`` are sorted ``(start, end)``
     working runs, ``served`` lists (origin_slot, served_slot, count) for

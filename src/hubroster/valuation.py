@@ -30,9 +30,10 @@ class ValueWeights:
 
     def __post_init__(self):
         if min(self.urgency, self.utilization, self.continuity) < 0:
-            raise ValueError("weights must be non-negative")
-        if abs(self.urgency + self.utilization + self.continuity - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+            raise ValueError("value weights must be non-negative")
+        total = self.urgency + self.utilization + self.continuity
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"value weights must sum to 1, got {total}")
         if not 0.0 <= self.fix_threshold <= 1.0:
             raise ValueError("fix_threshold must lie in [0, 1]")
         if self.fix_lead_h <= 0:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hubroster.config import ScenarioParams
-from hubroster.demand import ArrivalSeries, GeneratorConfig, forecast, generate_arrivals
+from hubroster.demand import ArrivalSeries, GeneratorConfig, forecast_matrix, generate_arrivals
 from hubroster.engine import ScenarioConfig, replay_execution, run_scenario
 from hubroster.ledger import (
     CostLedger,
@@ -24,7 +24,7 @@ from hubroster.ledger import (
     moving_payment,
 )
 from hubroster.network import Hub, HubNetwork, random_network
-from hubroster.shifts import combine_within_hub, merge_across_hubs
+from hubroster.shifts import Segment, Shift, combine_within_hub_detail, merge_across_hubs
 from hubroster.valuation import ValueWeights, shift_value, should_fix
 from oracle_enum import min_workers_single_hub, min_workers_two_hub
 
@@ -32,6 +32,12 @@ RATE = 150
 RHO = 8
 DWELL = 1
 MAX_GAP = 2
+
+
+def _combined(x, dwell, rho, hub=0):
+    """A hub's within-hub runs as single-segment working shifts."""
+    runs, _served, _dropped = combine_within_hub_detail(x, dwell, rho)
+    return [Shift([Segment(hub, s, e, "working")]) for s, e in runs]
 
 
 def _report(num, desc, fn):
@@ -266,7 +272,7 @@ def test_criterion_06_small_instance_oracle():
             ([1, 2, 1, 0, 0, 2], 2, 8),
         ]
         for x, dwell, rho in single_cases:
-            shifts = combine_within_hub(x, dwell, rho)
+            shifts = _combined(x, dwell, rho)
             assert sum(s.working_h for s in shifts) == sum(x)
             assert all(s.working_h <= rho for s in shifts)
             best = min_workers_single_hub(x, dwell, rho)
@@ -288,8 +294,8 @@ def test_criterion_06_small_instance_oracle():
         ]
         for xa, xb, dwell in two_hub_cases:
             per_hub = {
-                0: combine_within_hub(xa, dwell, RHO, hub_id=0),
-                1: combine_within_hub(xb, dwell, RHO, hub_id=1),
+                0: _combined(xa, dwell, RHO, hub=0),
+                1: _combined(xb, dwell, RHO, hub=1),
             }
             out = merge_across_hubs(per_hub, pairs, RHO, MAX_GAP, 50, moving_payment)
             assert sum(s.working_h for s in out) == sum(xa) + sum(xb)
@@ -306,8 +312,6 @@ def test_criterion_06_small_instance_oracle():
 
 def test_criterion_07_value_regression():
     def check():
-        from hubroster.shifts import Segment, Shift
-
         w = ValueWeights()
 
         def value(shift):
@@ -333,9 +337,10 @@ def test_criterion_08_forecast_convergence():
     def check():
         rng = np.random.default_rng(8)
         for _ in range(1000):
-            c = int(rng.integers(0, 1_000_000))
-            t = float(rng.integers(0, 24))
-            assert forecast(c, t, t, rng) == c
+            actuals = rng.integers(0, 1_000_000, size=(1, 24))
+            t = int(rng.integers(0, 24))
+            u = rng.uniform(-1.0, 1.0, size=(1, 24 - t))
+            assert forecast_matrix(actuals, float(t), t, u)[0, 0] == actuals[0, t]
 
     _report(8, "forecast at zero lead equals the actual count exactly, 1000 draws", check)
 
@@ -427,3 +432,44 @@ def test_criterion_11_ledger_audit(suite200, showcase):
             assert audited.to_dict() == report.ledger.to_dict()
 
     _report(11, "replaying roster dumps through the accrual ops reproduces every ledger", check)
+
+
+# ------------------------------------------------ roster-derived outputs
+
+
+def test_series_and_flows_match_roster_rewalk(suite200, showcase):
+    """The working and resting rows of ``series`` and the relocation
+    ``flows`` equal a slot-by-slot re-walk of the roster done here, without
+    the engine's derivation."""
+    reports = [(net, rep) for net, _a, rep in suite200]
+    reports += [(net, r) for net, _a, r1, r2 in showcase for r in (r1, r2)]
+    rested = moved = 0
+    for net, report in reports:
+        working = {h: [0] * 24 for h in net.hub_ids}
+        resting = {h: [0] * 24 for h in net.hub_ids}
+        flows = {}
+        for e in report.roster:
+            left_from = None  # (hub, travel start) while a worker is on the way
+            last_hub = None
+            for seg in e.shift.segments:
+                for t in range(seg.start_h, seg.end_h):
+                    if seg.kind == "working":
+                        working[seg.hub_id][t] += 1
+                    elif seg.kind == "resting":
+                        resting[seg.hub_id][t] += 1
+                if seg.kind == "travel":
+                    left_from = (last_hub, seg.start_h)
+                elif seg.kind == "working":
+                    if left_from is not None:
+                        src, start = left_from
+                        key = (src, seg.hub_id, start - start % 6)
+                        flows[key] = flows.get(key, 0) + 1
+                        left_from = None
+                    last_hub = seg.hub_id
+        for h in net.hub_ids:
+            assert report.series[h]["working"] == working[h]
+            assert report.series[h]["resting"] == resting[h]
+        assert report.flows == flows
+        rested += sum(sum(row) for row in resting.values())
+        moved += sum(flows.values())
+    assert rested > 0 and moved >= 5

@@ -219,3 +219,23 @@ def test_run_rejects_arrivals_missing_a_column(tmp_path, capsys):
 
     assert "missing column(s) arrivals" in _run_error(tmp_path, capsys, drop_column)
     assert "lacks a field" in _run_error(tmp_path, capsys, truncate_row)
+
+
+def test_run_rejects_malformed_network(tmp_path, capsys):
+    def drop_d_max(out):
+        _edit_json(out / "network.json", lambda doc: doc.pop("d_max_m"))
+
+    def not_json(out):
+        (out / "network.json").write_text("not json\n")
+
+    err = _run_error(tmp_path, capsys, drop_d_max)
+    assert "network.json" in err and "'d_max_m'" in err
+    assert "network.json" in _run_error(tmp_path, capsys, not_json)
+
+
+def test_run_rejects_value_weights_not_summing_to_one(tmp_path, capsys):
+    err = _run_error(
+        tmp_path, capsys,
+        lambda out: _edit_json(out / "config.json", lambda c: c["params"].update(urgency_weight=0.6)),
+    )
+    assert "value weights must sum to 1, got 1.2" in err

@@ -1,13 +1,14 @@
-"""Forecast model, labor conversion, deduction, and arrival synthesis."""
+"""Forecast model, labor conversion, residual demand, and arrival synthesis."""
+
+import math
 
 import numpy as np
 import pytest
 
+from hubroster._kernels import fifo_match_units
 from hubroster.demand import (
     ArrivalSeries,
     GeneratorConfig,
-    deduct_assigned,
-    forecast,
     forecast_matrix,
     forecast_with_u,
     generate_arrivals,
@@ -16,22 +17,24 @@ from hubroster.demand import (
     write_arrivals_csv,
 )
 from hubroster.network import random_network
-from hubroster.shifts import Segment, Shift
-
-
-def _working(hub, s, e):
-    return Shift([Segment(hub, s, e, "working")])
-
 
 # ---------------------------------------------------------------- forecast
+
+
+def _snapshot(actuals, made_at_h, rng):
+    """Noisy forecast of every slot from ``made_at_h`` on, one fresh u per
+    (hub, slot), as the engine draws it."""
+    first = math.ceil(made_at_h)
+    u = rng.uniform(-1.0, 1.0, size=(actuals.shape[0], actuals.shape[1] - first))
+    return forecast_matrix(actuals, made_at_h, first, u)
 
 
 def test_forecast_exact_at_zero_lead():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        c = int(rng.integers(0, 100000))
-        t = float(rng.integers(0, 24))
-        assert forecast(c, t, t, rng) == c
+        actuals = rng.integers(0, 100000, size=(3, 24))
+        t = int(rng.integers(0, 24))
+        assert (_snapshot(actuals, float(t), rng)[:, 0] == actuals[:, t]).all()
 
 
 def test_forecast_lead_ten_u_minus_one():
@@ -40,8 +43,8 @@ def test_forecast_lead_ten_u_minus_one():
 
 def test_forecast_zero_actual():
     rng = np.random.default_rng(1)
-    for lead in (0, 3, 17):
-        assert forecast(0, 2, 2 + lead, rng) == 0.0
+    pred = _snapshot(np.zeros((4, 24), dtype=np.int64), 2.0, rng)
+    assert (pred == 0.0).all()
 
 
 def test_forecast_u_zero_is_exact_any_lead():
@@ -52,20 +55,13 @@ def test_forecast_u_zero_is_exact_any_lead():
 
 def test_forecast_band_and_clamp():
     rng = np.random.default_rng(2)
-    for _ in range(500):
-        c = int(rng.integers(0, 5000))
-        lead = float(rng.integers(0, 24))
-        p = forecast(c, 10.0, 10.0 + lead, rng)
-        assert p >= 0.0
-        assert abs(p - c) <= c * lead / 100.0 + 1e-9
-
-
-def test_forecast_rejects_past_slot():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        forecast(10, 5, 4, rng)
-    with pytest.raises(ValueError):
-        forecast(-1, 0, 0, rng)
+    for _ in range(50):
+        actuals = rng.integers(0, 5000, size=(10, 34))
+        pred = _snapshot(actuals, 10.0, rng)
+        lead = np.arange(24, dtype=np.float64)
+        tail = actuals[:, 10:]
+        assert (pred >= 0.0).all()
+        assert (np.abs(pred - tail) <= tail * lead / 100.0 + 1e-9).all()
 
 
 def test_forecast_matrix_matches_scalar():
@@ -84,19 +80,19 @@ def test_forecast_matrix_matches_scalar():
 
 
 def test_labor_demand_examples():
-    assert labor_demand([300], 150) == [2]
-    assert labor_demand([0], 150) == [0]
-    assert labor_demand([301], 150) == [3]
+    assert labor_demand([300, 0, 301], 150).tolist() == [2, 0, 3]
+    assert labor_demand(np.array([[0.0, 149.9], [150.0, 150.0001]]), 150).tolist() == [[0, 1], [1, 2]]
 
 
 def test_labor_demand_monotone_and_covering():
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        a = int(rng.integers(0, 10000))
-        b = a + int(rng.integers(0, 500))
-        xa, xb = labor_demand([a], 150)[0], labor_demand([b], 150)[0]
-        assert xb >= xa
-        assert xa * 150 >= a
+    a = rng.uniform(0, 10000, 2000)
+    b = a + rng.uniform(0, 500, 2000)
+    xa, xb = labor_demand(a, 150), labor_demand(b, 150)
+    assert xa.dtype == np.int64
+    assert (xb >= xa).all()
+    assert (xa * 150 >= a).all()
+    assert xa.tolist() == [math.ceil(c / 150) for c in a]
 
 
 def test_labor_demand_rejects_bad_rate():
@@ -104,33 +100,61 @@ def test_labor_demand_rejects_bad_rate():
         labor_demand([1], 0)
 
 
-# ---------------------------------------------------------------- deduction
+# ------------------------------------------- residual demand (FIFO in dwell)
 
 
 def test_deduct_basic():
-    out = deduct_assigned({0: [2, 2, 0]}, [_working(0, 0, 2)])
-    assert out == {0: [1, 1, 0]}
+    assert fifo_match_units([2, 2, 0], [1, 1, 0], 0) == [1, 1, 0]
 
 
 def test_deduct_clamps_at_zero():
-    out = deduct_assigned({0: [1, 0]}, [_working(0, 0, 2)])
-    assert out == {0: [0, 0]}
+    assert fifo_match_units([1, 0], [1, 1], 0) == [0, 0]
+    assert fifo_match_units([1, 0], [3, 3], 1) == [0, 0]
 
 
 def test_deduct_identity_without_shifts():
-    src = {0: [3, 3]}
-    out = deduct_assigned(src, [])
-    assert out == {0: [3, 3]}
-    out[0][0] = 99
-    assert src == {0: [3, 3]}  # never mutates input
+    demand, capacity = [3, 3], [0, 0]
+    out = fifo_match_units(demand, capacity, 1)
+    assert out == [3, 3]
+    fifo_match_units(demand, [2, 2], 1)
+    out[0] = 99
+    assert demand == [3, 3] and capacity == [0, 0]  # never mutates input
 
 
-def test_deduct_order_independent_disjoint():
-    shifts = [_working(0, 0, 2), _working(0, 3, 5), _working(1, 1, 3)]
-    demand = {0: [2, 2, 2, 2, 2], 1: [1, 1, 1, 1, 1]}
-    fwd = deduct_assigned(demand, shifts)
-    rev = deduct_assigned(demand, list(reversed(shifts)))
-    assert fwd == rev
+def test_deduct_serves_oldest_origin_within_dwell():
+    # capacity at slot t serves origin t - dwell before fresher units
+    assert fifo_match_units([1, 1, 1], [0, 0, 1], 2) == [0, 1, 1]
+    assert fifo_match_units([1, 1, 1], [0, 0, 2], 1) == [1, 0, 0]
+    # and never a unit it would reach after its deadline
+    assert fifo_match_units([2, 0, 0], [0, 0, 2], 1) == [2, 0, 0]
+    assert fifo_match_units([0, 0, 1], [5, 0, 0], 3) == [0, 0, 1]
+
+
+def _unit_scan(demand, capacity, dwell):
+    """Literal unit-at-a-time matching: each worker-slot serves one unit, the
+    oldest unserved one whose origin lies in [t - dwell, t]."""
+    rem = list(demand)
+    for t, workers in enumerate(capacity):
+        for _ in range(workers):
+            for origin in range(max(0, t - dwell), t + 1):
+                if rem[origin] > 0:
+                    rem[origin] -= 1
+                    break
+    return rem
+
+
+def test_fifo_match_units_matches_unit_scan():
+    rng = np.random.default_rng(6)
+    partial = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 25))
+        demand = [int(v) for v in rng.integers(0, 5, n)]
+        capacity = [int(v) for v in rng.integers(0, 4, n)]
+        dwell = int(rng.integers(0, 4))
+        out = fifo_match_units(demand, capacity, dwell)
+        assert out == _unit_scan(demand, capacity, dwell), (demand, capacity, dwell)
+        partial += 0 < sum(out) < sum(demand)
+    assert partial > 1000
 
 
 # ------------------------------------------------------------- generation

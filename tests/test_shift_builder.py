@@ -11,9 +11,7 @@ from hubroster.network import Hub, HubNetwork, build_moving_pairs
 from hubroster.shifts import (
     Segment,
     Shift,
-    combine_within_hub,
     combine_within_hub_detail,
-    init_max_shifts,
     merge_across_hubs,
     validate_shift,
 )
@@ -22,12 +20,18 @@ from oracle_enum import min_workers_single_hub, min_workers_two_hub
 RHO = 8
 
 
-def spans(shifts):
-    return [(s.start_h, s.end_h) for s in shifts]
-
-
 def _working(hub, s, e):
     return Shift([Segment(hub, s, e, "working")])
+
+
+def _runs(x, dwell):
+    return combine_within_hub_detail(x, dwell, RHO)[0]
+
+
+def _combined(x, dwell, hub=0):
+    """A hub's within-hub runs as single-segment working shifts, the form
+    merge_across_hubs takes."""
+    return [_working(hub, s, e) for s, e in _runs(x, dwell)]
 
 
 def _two_hub_net(dist_m, d_max_m=3000, speed=15000):
@@ -39,33 +43,33 @@ def _two_hub_net(dist_m, d_max_m=3000, speed=15000):
     return net, build_moving_pairs(net)
 
 
-# -------------------------------------------------------------- max shifts
+# ---------------------------------------------------------------- max runs
 
 
-def test_init_max_shifts_hand_trace():
-    assert spans(init_max_shifts([2, 1, 0, 1], RHO)) == [(0, 2), (0, 1), (3, 4)]
+def test_part1_runs_hand_trace():
+    assert kernels.part1_runs([2, 1, 0, 1], RHO) == [(0, 2), (0, 1), (3, 4)]
 
 
-def test_init_max_shifts_empty():
-    assert init_max_shifts([0, 0, 0], RHO) == []
+def test_part1_runs_empty():
+    assert kernels.part1_runs([0, 0, 0], RHO) == []
 
 
-def test_init_max_shifts_length_cap():
-    assert spans(init_max_shifts([1] * 10, RHO)) == [(0, 8), (8, 10)]
+def test_part1_runs_length_cap():
+    assert kernels.part1_runs([1] * 10, RHO) == [(0, 8), (8, 10)]
 
 
-def test_init_max_shifts_conserves_demand():
+def test_part1_runs_conserves_demand():
     rng = np.random.default_rng(0)
     for _ in range(300):
         x = [int(v) for v in rng.integers(0, 5, int(rng.integers(1, 30)))]
-        shifts = init_max_shifts(x, RHO)
-        assert sum(s.working_h for s in shifts) == sum(x)
-        assert all(s.working_h <= RHO for s in shifts)
+        runs = kernels.part1_runs(x, RHO)
+        assert sum(e - s for s, e in runs) == sum(x)
+        assert all(0 < e - s <= RHO for s, e in runs)
 
 
-def test_init_max_shifts_rejects_negative():
+def test_combine_rejects_negative_demand():
     with pytest.raises(ValueError):
-        init_max_shifts([1, -1], RHO)
+        combine_within_hub_detail([1, -1], 1, RHO)
 
 
 # ---------------------------------------------------------- within-hub mix
@@ -74,34 +78,29 @@ def test_init_max_shifts_rejects_negative():
 def test_combine_bridges_gap_into_one_shift():
     # one unit per slot at 0, 1 and 3: deferring by <= 1 slot yields a single
     # contiguous 3-hour shift with no resting
-    shifts = combine_within_hub([1, 1, 0, 1], 1, RHO)
-    assert len(shifts) == 1
-    assert shifts[0].working_h == 3
-    assert shifts[0].resting_h == 0
+    [(start, end)] = _runs([1, 1, 0, 1], 1)
+    assert end - start == 3
 
 
 def test_combine_cannot_bridge_two_slot_gap():
-    assert spans(combine_within_hub([1, 0, 0, 1], 1, RHO)) == [(0, 1), (3, 4)]
+    assert _runs([1, 0, 0, 1], 1) == [(0, 1), (3, 4)]
 
 
 def test_combine_extracts_full_shifts_first():
-    assert spans(combine_within_hub([1] * 9, 1, RHO)) == [(0, 8), (8, 9)]
+    assert _runs([1] * 9, 1) == [(0, 8), (8, 9)]
 
 
 def test_combine_smooths_peak_into_valley():
     # the second unit at slot 0 defers into the empty slot, one worker total
-    shifts = combine_within_hub([2, 0, 1], 1, RHO)
-    assert len(shifts) == 1
-    assert shifts[0].working_h == 3
+    [(start, end)] = _runs([2, 0, 1], 1)
+    assert end - start == 3
 
 
 def test_combine_dwell_zero_equals_max_shifts():
     rng = np.random.default_rng(1)
     for _ in range(100):
         x = [int(v) for v in rng.integers(0, 4, 12)]
-        assert spans(combine_within_hub(x, 0, RHO)) == sorted(
-            spans(init_max_shifts(x, RHO))
-        )
+        assert _runs(x, 0) == sorted(kernels.part1_runs(x, RHO))
 
 
 def test_combine_conservation_dwell_bound_and_cap():
@@ -116,13 +115,9 @@ def test_combine_conservation_dwell_bound_and_cap():
         assert sum(c for _, _, c in served) == sum(x)
         for origin, slot, _count in served:
             assert origin <= slot <= origin + dwell
+        assert runs == sorted(runs)
         for s, e in runs:
             assert 0 < e - s <= RHO
-        shifts = combine_within_hub(x, dwell, RHO)
-        assert spans(shifts) == runs
-        for s in shifts:
-            assert s.working_h <= RHO
-            assert s.resting_h == 0 and s.travel_h == 0
 
 
 def test_combine_beats_plain_extraction_on_unit_demand():
@@ -131,7 +126,7 @@ def test_combine_beats_plain_extraction_on_unit_demand():
     for _ in range(500):
         x = [int(v) for v in rng.integers(0, 2, 16)]
         dwell = int(rng.integers(0, 3))
-        assert len(combine_within_hub(x, dwell, RHO)) <= len(init_max_shifts(x, RHO))
+        assert len(_runs(x, dwell)) <= len(kernels.part1_runs(x, RHO))
 
 
 def test_combine_reduces_shift_count_overall():
@@ -140,7 +135,7 @@ def test_combine_reduces_shift_count_overall():
     delta = 0
     for _ in range(500):
         x = [int(v) for v in rng.integers(0, 3, 16)]
-        delta += len(combine_within_hub(x, 1, RHO)) - len(init_max_shifts(x, RHO))
+        delta += len(_runs(x, 1)) - len(kernels.part1_runs(x, RHO))
     assert delta < -1000
 
 
@@ -148,7 +143,7 @@ def test_combine_deterministic():
     rng = np.random.default_rng(4)
     for _ in range(50):
         x = [int(v) for v in rng.integers(0, 4, 20)]
-        assert spans(combine_within_hub(x, 2, RHO)) == spans(combine_within_hub(x, 2, RHO))
+        assert combine_within_hub_detail(x, 2, RHO) == combine_within_hub_detail(x, 2, RHO)
 
 
 def _edf_trial_run(avail, t0, dwell, max_run, n):
@@ -335,7 +330,7 @@ def test_merge_never_increases_count_and_conserves_hours():
         per_hub = {}
         for hub in (0, 1):
             x = [int(v) for v in rng.integers(0, 3, 12)]
-            per_hub[hub] = combine_within_hub(x, 1, RHO, hub_id=hub)
+            per_hub[hub] = _combined(x, 1, hub)
         before = sum(len(v) for v in per_hub.values())
         hours = sum(s.working_h for v in per_hub.values() for s in v)
         out = merge_across_hubs(per_hub, pairs, RHO, 2, 50, moving_payment)
@@ -358,12 +353,12 @@ def test_merge_deterministic():
     for _ in range(30):
         _net, pairs = _two_hub_net(1500)
         per_hub = {
-            0: combine_within_hub([int(v) for v in rng.integers(0, 3, 10)], 1, RHO, hub_id=0),
-            1: combine_within_hub([int(v) for v in rng.integers(0, 3, 10)], 1, RHO, hub_id=1),
+            0: _combined([int(v) for v in rng.integers(0, 3, 10)], 1, hub=0),
+            1: _combined([int(v) for v in rng.integers(0, 3, 10)], 1, hub=1),
         }
         a = merge_across_hubs(per_hub, pairs, RHO, 2, 50, moving_payment)
         b = merge_across_hubs(per_hub, pairs, RHO, 2, 50, moving_payment)
-        assert [spans([s])[0] for s in a] == [spans([s])[0] for s in b]
+        assert [(s.start_h, s.end_h) for s in a] == [(s.start_h, s.end_h) for s in b]
 
 
 # ------------------------------------------------------- tiny-case optimum
@@ -378,7 +373,7 @@ def test_single_hub_heuristic_vs_exhaustive_spot():
         ([1, 2, 0, 2, 0, 1], 2),
     ]
     for x, dwell in cases:
-        got = len(combine_within_hub(x, dwell, RHO))
+        got = len(_runs(x, dwell))
         assert got >= min_workers_single_hub(x, dwell, RHO)
 
 
@@ -387,8 +382,8 @@ def test_two_hub_heuristic_vs_exhaustive_spot():
     travel = pairs[0].travel_time_h
     xa, xb = [1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0]
     per_hub = {
-        0: combine_within_hub(xa, 1, RHO, hub_id=0),
-        1: combine_within_hub(xb, 1, RHO, hub_id=1),
+        0: _combined(xa, 1, hub=0),
+        1: _combined(xb, 1, hub=1),
     }
     out = merge_across_hubs(per_hub, pairs, RHO, 2, 50, moving_payment)
     best = min_workers_two_hub(xa, xb, 1, RHO, travel, 2, merge_allowed=True)

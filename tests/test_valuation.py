@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hubroster.config import ScenarioParams
 from hubroster.shifts import Segment, Shift
 from hubroster.valuation import ValueWeights, shift_value, should_fix
 
@@ -81,3 +82,18 @@ def test_weight_validation():
         ValueWeights(fix_threshold=1.5)
     with pytest.raises(ValueError):
         ValueWeights(fix_lead_h=0)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"urgency_weight": 0.6}, "sum to 1, got 1.2"),
+        ({"urgency_weight": -0.2, "utilization_weight": 0.6, "continuity_weight": 0.6}, "non-negative"),
+        ({"fix_threshold": 1.5}, r"fix_threshold must lie in \[0, 1\]"),
+        ({"fix_lead_h": 0}, "fix_lead_h must be positive"),
+    ],
+    ids=["sum", "negative", "threshold", "fix-lead"],
+)
+def test_scenario_params_apply_the_value_weight_rules(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        ScenarioParams(**overrides)
