@@ -3,8 +3,10 @@
 of the workforce pool.
 
 Times each hot kernel, and pool assignment with hire simulation, on synthetic
-workloads and prints the fastest of three runs. End-to-end timings of the
-``hubroster`` command line come from ``perfbench/run.py``:
+workloads and prints the fastest of three runs. ``within_hub_runs`` is also
+timed with its search cut where the engine cuts it at hour 0 under the
+default parameters. End-to-end timings of the ``hubroster`` command line
+come from ``perfbench/run.py``:
 
     python benchmarks/bench_kernels.py [--quick]
 """
@@ -12,6 +14,7 @@ workloads and prints the fastest of three runs. End-to-end timings of the
 from __future__ import annotations
 
 import argparse
+import math
 import time
 
 import numpy as np
@@ -19,6 +22,7 @@ import numpy as np
 from hubroster import _kernels as kernels
 from hubroster.pool import WorkforcePool
 from hubroster.shifts import Segment, Shift
+from hubroster.valuation import ValueWeights
 
 
 def _time(fn, repeat=3):
@@ -30,10 +34,10 @@ def _time(fn, repeat=3):
     return best
 
 
-def bench_within_hub(rows, dwell):
+def bench_within_hub(rows, dwell, stop=None):
     def run():
         for x in rows:
-            kernels.within_hub_runs(x, dwell, 8, 0)
+            kernels.within_hub_runs(x, dwell, 8, 0, stop)
 
     return run
 
@@ -101,6 +105,8 @@ def main():
         for j in range(i + 1, 52):
             if rng.random() < 0.12:
                 pairs.append((i, j, float(rng.random())))
+    # the engine's stop at hour 0 with the default weights (reach 5.33 h > 1 h replan)
+    stop = math.ceil(ValueWeights().fix_reach) + 1
     arrival_rows = [[int(v) for v in rng.integers(0, 3000, 24)] for _ in range(500)]
     cap_rows = [[int(v) for v in rng.integers(0, 20, 24)] for _ in range(500)]
 
@@ -113,6 +119,7 @@ def main():
     results = {
         "within_hub_runs (dwell 1)": _time(bench_within_hub(rows, 1)),
         "within_hub_runs (dwell 3)": _time(bench_within_hub(rows, 3)),
+        "within_hub_runs (dwell 3, stop)": _time(bench_within_hub(rows, 3, stop)),
         "merge_runs": _time(bench_merge(runs_by_hub, pairs)),
         "fifo_match_units": _time(bench_match(rows[:500], cap_rows)),
         "fifo_replay": _time(bench_replay(arrival_rows, cap_rows)),

@@ -65,7 +65,7 @@ def _trial_run(avail, t0, dwell, max_run, n):
     return out
 
 
-def within_hub_runs(x, dwell, max_run, start_min=0):
+def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
     """Combine a hub's demand into few, long runs using dwell-time deferral.
 
     Full-length (= max_run) runs are extracted first at their on-time
@@ -76,6 +76,14 @@ def within_hub_runs(x, dwell, max_run, start_min=0):
     earliest-deadline-first, so no unit is served more than ``dwell`` slots
     after its origin. Units whose whole window lies before
     ``start_min`` cannot be scheduled and are reported as dropped.
+
+    A ``stop`` ends the one-run-at-a-time phase once the earliest unserved
+    origin reaches it. That phase emits runs in order of that origin, each
+    starting at or after it and consuming only units from it on, so every
+    run it emitted before ``stop`` is the full scan's; the runs left out all
+    start at or after ``stop``. A unit drops only when its origin lies
+    before ``start_min`` (or ``start_min`` is past the row), so for
+    ``stop > start_min`` the drops are the full scan's too.
 
     Returns (runs, served, dropped) where served is a sorted list of
     (origin_slot, served_slot, count) and dropped a list of (origin, count).
@@ -93,11 +101,12 @@ def within_hub_runs(x, dwell, max_run, start_min=0):
                 avail[t] -= 1
                 served[(t, t)] = served.get((t, t), 0) + 1
 
+    end = n if stop is None or stop > n else stop
     s0 = 0
     while True:
-        while s0 < n and avail[s0] == 0:
+        while s0 < end and avail[s0] == 0:
             s0 += 1
-        if s0 == n:
+        if s0 >= end:
             break
         lo = s0 if s0 > start_min else start_min
         hi = s0 + dwell

@@ -84,7 +84,9 @@ DEFAULT_CONFIG = {
 
 
 def load_config(path=None) -> dict:
-    """Read a config JSON file and fill in defaults for missing sections."""
+    """Read a config JSON file and fill in defaults for missing sections. A
+    section that should be an object but is not raises ``ValueError``
+    naming the file and the section."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         try:
@@ -96,7 +98,9 @@ def load_config(path=None) -> dict:
         if not isinstance(user, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         for key, value in user.items():
-            if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+            if isinstance(cfg.get(key), dict):
+                if not isinstance(value, dict):
+                    raise ValueError(f"{path}: config section {key!r} must be a JSON object")
                 cfg[key].update(value)
             else:
                 cfg[key] = value

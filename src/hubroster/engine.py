@@ -170,6 +170,12 @@ class RollingEngine:
         fixed now: everything when ``fix_all``, runs starting before the next
         replan, and runs whose value reaches the threshold.
 
+        Unless everything is fixed, candidates are built only for demand
+        before ``stop``, a slot at least one hour past both the next replan
+        and the weights' fix reach. A run left out starts at or after
+        ``stop``, so it is neither forced nor able to reach the threshold,
+        and the cut changes no selection.
+
         Candidates stay ``(start, hub, end)`` tuples until the decision, so a
         ``Shift`` is built only for a kept run; sorting the tuples gives the
         ``Shift.sort_key`` order.
@@ -180,9 +186,13 @@ class RollingEngine:
         threshold = weights.fix_threshold
         first_slot = math.ceil(now_h - 1e-9)
         horizon_edge = now_h + p.replan_h + 1e-9
+        reach = weights.fix_reach
+        stop = None if fix_all or reach is None else math.ceil(now_h + max(p.replan_h, reach)) + 1
         kept = []
         for h in self.hub_ids:
-            runs, _served, _dropped = combine_within_hub_detail(residual[h], p.dwell_h, cap, first_slot)
+            runs, _served, _dropped = combine_within_hub_detail(
+                residual[h], p.dwell_h, cap, first_slot, stop
+            )
             for start, end in runs:
                 if (
                     fix_all

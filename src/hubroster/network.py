@@ -72,9 +72,6 @@ class HubNetwork:
     def __len__(self):
         return len(self.hubs)
 
-    def hub(self, hub_id: int) -> Hub:
-        return self._by_id[hub_id]
-
     @property
     def hub_ids(self):
         return [h.id for h in self.hubs]

@@ -95,7 +95,9 @@ class Shift:
         return (self.start_h, self.segments[0].hub_id, self.end_h)
 
 
-def combine_within_hub_detail(x, dwell_h: int, max_work_h: int, start_min: int = 0):
+def combine_within_hub_detail(
+    x, dwell_h: int, max_work_h: int, start_min: int = 0, stop: int | None = None
+):
     """Combine a hub's demand into few, long working runs via dwell-time
     deferral (``kernels.within_hub_runs``), with service provenance.
 
@@ -103,13 +105,15 @@ def combine_within_hub_detail(x, dwell_h: int, max_work_h: int, start_min: int =
     working runs, ``served`` lists (origin_slot, served_slot, count) for
     every demand unit, ``dropped`` lists units whose dwell window closed
     before ``start_min``. No ``Shift`` is built, so the engine pays for one
-    only when it fixes the run.
+    only when it fixes the run. A ``stop`` leaves out runs for demand from
+    that slot on (see ``kernels.within_hub_runs``); every run starting
+    before it is still returned.
     """
     if min(x, default=0) < 0:
         raise ValueError("demand must be non-negative")
     if dwell_h < 0:
         raise ValueError("dwell_h must be >= 0")
-    return kernels.within_hub_runs(list(x), dwell_h, max_work_h, start_min)
+    return kernels.within_hub_runs(list(x), dwell_h, max_work_h, start_min, stop)
 
 
 def merge_across_hubs(

@@ -239,3 +239,24 @@ def test_run_rejects_value_weights_not_summing_to_one(tmp_path, capsys):
         lambda out: _edit_json(out / "config.json", lambda c: c["params"].update(urgency_weight=0.6)),
     )
     assert "value weights must sum to 1, got 1.2" in err
+
+
+def test_generate_rejects_a_section_that_is_not_an_object(tmp_path, capsys):
+    # a section must be an object: a string or a number used to end in a
+    # TypeError traceback, and a list of params was taken as no overrides
+    for section, value in (("network", "abc"), ("arrivals", 5), ("params", [])):
+        cfg = _write_cfg(tmp_path, {section: value})
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "config.json" in err[0] and f"section '{section}' must be a JSON object" in err[0]
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_rejects_a_section_that_is_not_an_object(tmp_path, capsys):
+    for section, value in (("params", []), ("network", None)):
+        err = _run_error(
+            tmp_path, capsys,
+            lambda out: _edit_json(out / "config.json", lambda c: c.update({section: value})),
+        )
+        assert "config.json" in err and f"section '{section}' must be a JSON object" in err

@@ -187,6 +187,22 @@ def test_generate_rejects_negative_volume():
         generate_arrivals(net, GeneratorConfig(daily_volume=-1), seed=0)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"daily_volume": -1}, "daily_volume must be >= 0"),
+        ({"horizon_h": 0}, "horizon_h must be >= 1"),
+        ({"gateway_weight": 0.0}, "gateway_weight must be positive"),
+        ({"hub_jitter": 1.0}, r"jitter fractions must lie in \[0, 1\)"),
+        ({"cell_jitter": -0.1}, r"jitter fractions must lie in \[0, 1\)"),
+    ],
+    ids=["volume", "horizon", "gateway-weight", "hub-jitter", "cell-jitter"],
+)
+def test_generator_config_validate_rejects_out_of_range(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        GeneratorConfig(**overrides).validate()
+
+
 def test_tier_peaks_are_phase_shifted():
     net = random_network(n_hubs=20, n_gateways=4, seed=3)
     series = generate_arrivals(net, GeneratorConfig(daily_volume=200_000), seed=3)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hubroster import engine as engine_module
 from hubroster.config import ScenarioParams
 from hubroster.demand import ArrivalSeries, GeneratorConfig, generate_arrivals
 from hubroster.engine import RollingEngine, ScenarioConfig, replay_execution, run_scenario
@@ -211,6 +212,23 @@ def test_engine_validates_config():
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"dwell_h": -1}, "dwell_h must be >= 0"),
+        ({"max_work_h": 0}, "max_work_h must be positive"),
+        ({"work_rate": 0}, "work_rate must be positive"),
+        ({"replan_min": 0}, "replan_min must be positive"),
+        ({"horizon_h": 0}, "horizon_h must be >= 1"),
+        ({"max_gap_h": -1}, "max_gap_h must be >= 0"),
+    ],
+    ids=["dwell", "max-work", "work-rate", "replan", "horizon", "max-gap"],
+)
+def test_scenario_params_reject_out_of_range(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        ScenarioParams(**overrides)
+
+
 def _merge_showcase_rows():
     # gateway fragment right before a nearby local hub's six-hour block:
     # both commit in the same pass, one worker covers both via relocation
@@ -295,6 +313,96 @@ def test_selection_matches_shift_based_reference():
         ]
         assert all(len(s.segments) == 1 and s.segments[0].kind == "working" for s in got)
     assert boundary_fixes > 300
+
+
+def _outputs(report):
+    roster = [
+        (e.shift_id, e.worker_id, e.lead_time_h, e.is_new_hire, e.shift.fixed_at_h, tuple(e.shift.segments))
+        for e in report.roster
+    ]
+    return roster, report.ledger.to_dict(), report.late_parcels, report.series, report.flows, report.hires
+
+
+def _candidates_with_and_without_cut(monkeypatch, cfg):
+    """Run one day with the fix-reach cut and once with it disabled, check
+    that every output agrees, and return the candidates each run built."""
+    built = []
+    combine = engine_module.combine_within_hub_detail
+
+    def counting(*args):
+        out = combine(*args)
+        built[-1] += len(out[0])
+        return out
+
+    outputs = []
+    with monkeypatch.context() as m:
+        m.setattr(engine_module, "combine_within_hub_detail", counting)
+        for disabled in (False, True):
+            if disabled:
+                m.setattr(ValueWeights, "fix_reach", property(lambda w: None))
+            built.append(0)
+            outputs.append(_outputs(run_scenario(cfg)))
+    assert outputs[0] == outputs[1]
+    return built
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"fix_threshold": 0.6},
+        {"urgency_weight": 0.0, "utilization_weight": 0.5, "continuity_weight": 0.5},
+        {"fix_threshold": 1.0},
+        {"replan_min": 45, "dwell_h": 3},
+        {"replan_min": 20, "fix_lead_h": 2.5, "fix_threshold": 0.8},
+    ],
+    ids=["defaults", "threshold-eq-util-cont", "no-urgency", "threshold-1", "replan-45", "replan-20"],
+)
+def test_fix_reach_cut_leaves_every_output_unchanged(monkeypatch, overrides):
+    # the same days with the candidate search cut at the fix reach and with
+    # the cut disabled: rosters, ledgers, lateness, series and flows agree,
+    # and the cut builds fewer candidates exactly when there is a reach
+    net = random_network(n_hubs=6, n_gateways=2, area_m=3000, seed=5)
+    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 5)
+    rows = {h: s.arrivals for h, s in arrivals.items()}
+    for scenario in (1, 2, 3):
+        cfg = _cfg(net, rows, scenario=scenario, noise="paper", seed=5, **overrides)
+        reach = ValueWeights.from_params(cfg.params).fix_reach
+        cut, full = _candidates_with_and_without_cut(monkeypatch, cfg)
+        assert cut <= full
+        assert (cut < full) == (reach is not None and scenario != 3)
+
+
+def test_fix_reach_cut_matches_full_scan_on_random_days(monkeypatch):
+    # random weights, thresholds, fix leads, dwell, caps and replan steps
+    rng = np.random.default_rng(21)
+    cut_days = 0
+    for i in range(40):
+        horizon = int(rng.choice([12, 24, 36]))
+        net = random_network(n_hubs=int(rng.integers(3, 9)), n_gateways=1, area_m=3000, seed=i)
+        arrivals = generate_arrivals(
+            net, GeneratorConfig(daily_volume=int(rng.integers(5_000, 60_000)), horizon_h=horizon), i
+        )
+        raw = rng.random(3) + 0.01
+        urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
+        cfg = _cfg(
+            net,
+            {h: s.arrivals for h, s in arrivals.items()},
+            scenario=int(rng.integers(1, 3)),
+            noise="paper",
+            seed=i,
+            dwell_h=int(rng.integers(0, 4)),
+            max_work_h=int(rng.integers(1, 9)),
+            replan_min=int(rng.choice([15, 20, 45, 60, 90])),
+            urgency_weight=urgency,
+            utilization_weight=utilization,
+            continuity_weight=continuity,
+            fix_lead_h=float(rng.uniform(0.5, 6.0)),
+            fix_threshold=float(rng.uniform(0.5, 1.0)),
+        )
+        cut, full = _candidates_with_and_without_cut(monkeypatch, cfg)
+        cut_days += cut < full
+    assert cut_days > 15
 
 
 def test_engine_rosters_pass_validate_shift():

@@ -1,5 +1,6 @@
 """Network model: distances, moving pairs, validation, file round trip."""
 
+import json
 import math
 
 import numpy as np
@@ -103,6 +104,28 @@ def test_json_round_trip(tmp_path):
     assert [(h.id, h.name, h.x_m, h.y_m, h.tier) for h in back.hubs] == [
         (h.id, h.name, h.x_m, h.y_m, h.tier) for h in net.hubs
     ]
+
+
+def test_load_network_rejects_a_document_that_is_not_an_object(tmp_path):
+    path = tmp_path / "network.json"
+    for text in ("[1, 2]", '"hubs"', "3"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="network.json: network must be a JSON object"):
+            load_network(path)
+
+
+def test_load_network_names_the_file_it_cannot_read_or_use(tmp_path):
+    path = tmp_path / "network.json"
+    with pytest.raises(ValueError, match="network.json: cannot read network"):
+        load_network(path)
+    hub = {"id": 0, "name": "A", "x_m": 0.0, "y_m": 0.0, "tier": "local"}
+    for doc in (
+        {"hubs": 5, "d_max_m": 3000, "speed_m_per_h": 15000},  # TypeError
+        {"hubs": [{**hub, "x_m": "east"}], "d_max_m": 3000, "speed_m_per_h": 15000},  # ValueError
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="network.json: "):
+            load_network(path)
 
 
 def test_random_network_tiers_and_determinism():

@@ -1,5 +1,7 @@
 """Shift construction: maximal runs, dwell smoothing, greedy cross-hub merge."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,28 @@ def test_combine_drops_expired_units():
     assert dropped == [(0, 1)]
 
 
+def test_within_hub_runs_stop_keeps_the_runs_and_drops_before_it():
+    # the cut must return the full scan's runs that start before stop and
+    # its drops; start_min reaches past the row's start so units do drop
+    rng = np.random.default_rng(13)
+    cut = drops = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 30))
+        x = [int(v) for v in rng.integers(0, 4, n)]
+        dwell = int(rng.integers(0, 4))
+        max_run = int(rng.integers(1, 9))
+        start_min = int(rng.integers(0, n + 1))
+        stop = int(rng.integers(start_min + 1, n + 3))
+        full, _served, full_dropped = reference_kernels.within_hub_runs(x, dwell, max_run, start_min)
+        runs, _served, dropped = kernels.within_hub_runs(x, dwell, max_run, start_min, stop)
+        assert [r for r in runs if r[0] < stop] == [r for r in full if r[0] < stop]
+        assert Counter(runs) <= Counter(full)
+        assert dropped == full_dropped
+        cut += len(full) - len(runs)
+        drops += bool(dropped)
+    assert cut > 1000 and drops > 300
+
+
 # ------------------------------------------------------------ cross-hub mix
 
 
@@ -389,3 +413,36 @@ def test_two_hub_heuristic_vs_exhaustive_spot():
     best = min_workers_two_hub(xa, xb, 1, RHO, travel, 2, merge_allowed=True)
     assert any(s.is_multi_hub for s in out)
     assert len(out) >= best
+
+
+# ------------------------------------------------------------ shift checks
+
+
+@pytest.mark.parametrize(
+    "start, end, kind, message",
+    [
+        (3, 3, "working", "positive length"),
+        (4, 2, "resting", "positive length"),
+        (0, 2, "idle", "unknown segment kind 'idle'"),
+    ],
+    ids=["empty", "reversed", "kind"],
+)
+def test_segment_rejects_bad_fields(start, end, kind, message):
+    with pytest.raises(ValueError, match=message):
+        Segment(0, start, end, kind)
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        ([], "no segments"),
+        ([Segment(0, 0, 2, "working"), Segment(0, 3, 5, "working")], "contiguous"),
+        ([Segment(0, 0, 2, "resting")], "no working hours"),
+        ([Segment(0, 0, 6, "working"), Segment(0, 6, 9, "working")], "working hours 9 exceed cap 8"),
+        ([Segment(0, 0, 2, "working"), Segment(1, 2, 4, "working")], "hub change without a travel"),
+    ],
+    ids=["empty", "gap", "no-work", "cap", "no-travel"],
+)
+def test_validate_shift_rejects_each_breach(segments, message):
+    with pytest.raises(ValueError, match=message):
+        validate_shift(Shift(segments), RHO)

@@ -67,6 +67,39 @@ def test_rest_free_shift_maximizes_continuity_term():
     assert continuous > rested
 
 
+def test_fix_reach_is_where_a_full_rest_free_run_meets_the_threshold():
+    # at the defaults the reach is 0.4 * 4 / (0.9 - 0.3 - 0.3) = 5.33 h; a
+    # full-cap rest-free run scores the threshold there and less past it
+    assert W.fix_reach == pytest.approx(16 / 3, abs=1e-12)
+    rng = np.random.default_rng(4)
+    checked = 0
+    for _ in range(2000):
+        raw = rng.random(3) + 0.01
+        urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
+        weights = ValueWeights(
+            urgency, utilization, continuity, float(rng.uniform(0.5, 6.0)), float(rng.random())
+        )
+        reach = weights.fix_reach
+        if reach is None:
+            assert weights.fix_threshold <= utilization + continuity + 1e-9
+            continue
+        cap = int(rng.integers(1, 9))
+        now = float(rng.uniform(0.0, 24.0))
+        at = shift_value(now + reach, cap, 0, now, weights, cap)
+        assert at == pytest.approx(weights.fix_threshold, abs=1e-12)
+        past = shift_value(now + reach * (1 + 1e-9) + 1e-9, cap, 0, now, weights, cap)
+        assert not should_fix(past, weights.fix_threshold)
+        checked += 1
+    assert checked > 500
+
+
+def test_fix_reach_none_when_any_lead_can_qualify():
+    assert ValueWeights(fix_threshold=0.6).fix_reach is None  # == utilization + continuity
+    assert ValueWeights(fix_threshold=0.3).fix_reach is None
+    assert ValueWeights(0.0, 0.5, 0.5, fix_threshold=1.0).fix_reach is None  # no urgency weight
+    assert ValueWeights(fix_threshold=1.0).fix_reach == pytest.approx(4.0)  # the target lead itself
+
+
 def test_zero_working_rejected():
     bad = Shift([Segment(0, 0, 2, "resting")])
     with pytest.raises(ValueError):
