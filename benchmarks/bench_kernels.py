@@ -78,7 +78,7 @@ def bench_pool(n_workers, batches):
             pool.assign(shift, 0, i)
         for now, batch in batches:
             pool.release_finished(now)
-            pool.simulate_hires(batch)
+            pool.simulate_hires([shift.working_h for shift in batch])
             for shift in batch:
                 pool.assign(shift, now, 0)
 

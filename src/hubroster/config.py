@@ -83,10 +83,25 @@ DEFAULT_CONFIG = {
 }
 
 
+def _check_number(name: str, value, default) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a JSON number
+    of the default's kind: an integer where the default is one, any number
+    where it is a float."""
+    if isinstance(default, int):
+        ok, kind = isinstance(value, int), "an integer"
+    else:
+        ok, kind = isinstance(value, (int, float)), "a number"
+    if not ok or isinstance(value, bool):
+        raise ValueError(f"config key {name!r} must be {kind}, got {json.dumps(value)}")
+
+
 def load_config(path=None) -> dict:
-    """Read a config JSON file and fill in defaults for missing sections. A
-    section that should be an object but is not raises ``ValueError``
-    naming the file and the section."""
+    """Read a config JSON file and fill in defaults for missing keys.
+
+    Raises ``ValueError`` naming the file and the key for a key that
+    ``DEFAULT_CONFIG`` lacks (``params`` keys are checked by
+    ``params_from_config``), a section that is not an object, or a value
+    outside a section that is not a number of the default's kind."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         try:
@@ -97,21 +112,35 @@ def load_config(path=None) -> dict:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(user, dict):
             raise ValueError(f"{path}: config must be a JSON object")
-        for key, value in user.items():
-            if isinstance(cfg.get(key), dict):
+        try:
+            for key, value in user.items():
+                if key not in cfg:
+                    raise ValueError(f"unknown config key {key!r}")
+                if not isinstance(cfg[key], dict):
+                    _check_number(key, value, cfg[key])
+                    cfg[key] = value
+                    continue
                 if not isinstance(value, dict):
-                    raise ValueError(f"{path}: config section {key!r} must be a JSON object")
+                    raise ValueError(f"config section {key!r} must be a JSON object")
+                if key != "params":
+                    for sub, v in value.items():
+                        if sub not in cfg[key]:
+                            raise ValueError(f"unknown config key '{key}.{sub}'")
+                        _check_number(f"{key}.{sub}", v, cfg[key][sub])
                 cfg[key].update(value)
-            else:
-                cfg[key] = value
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return cfg
 
 
 def params_from_config(cfg: dict, seed=None) -> ScenarioParams:
     kwargs = dict(cfg.get("params", {}))
-    unknown = sorted(set(kwargs) - {f.name for f in fields(ScenarioParams)})
+    defaults = {f.name: f.default for f in fields(ScenarioParams)}
+    unknown = sorted(set(kwargs) - set(defaults))
     if unknown:
         raise ValueError(f"unknown params key(s) in config: {', '.join(unknown)}")
+    for key, value in kwargs.items():
+        _check_number(f"params.{key}", value, defaults[key])
     kwargs["seed"] = cfg["seed"] if seed is None else seed
     return ScenarioParams(**kwargs)
 

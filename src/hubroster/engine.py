@@ -130,7 +130,15 @@ class RollingEngine:
         self.actual_matrix = np.array(
             [cfg.actuals[h].arrivals for h in self.hub_ids], dtype=np.int64
         )
-        self.pairs = build_moving_pairs(cfg.network) if cfg.allow_cross_hub else []
+        # pairs worth a merge, as (hub position, hub position, pair) in
+        # distance order: moving there costs less than a fresh hire
+        rates = cfg.rates
+        pos = {h: i for i, h in enumerate(self.hub_ids)}
+        self.pairs = [
+            (pos[pair.hub_a], pos[pair.hub_b], pair)
+            for pair in (build_moving_pairs(cfg.network) if cfg.allow_cross_hub else [])
+            if moving_payment(pair.distance_m, rates) < rates.hiring_per_day
+        ]
         self.rng = np.random.default_rng(p.seed)
         self.pool = WorkforcePool(daily_cap_h=p.max_work_h)
         self.ledger = CostLedger(rates=cfg.rates)
@@ -165,7 +173,9 @@ class RollingEngine:
             )
         return rows, full
 
-    def _select(self, residual: dict[int, list[int]], now_h: float, fix_all: bool = False) -> list[Shift]:
+    def _select(
+        self, residual: dict[int, list[int]], now_h: float, fix_all: bool = False
+    ) -> list[tuple[int, int, int]]:
         """Within-hub candidates for the residual demand, keeping only those
         fixed now: everything when ``fix_all``, runs starting before the next
         replan, and runs whose value reaches the threshold.
@@ -176,9 +186,8 @@ class RollingEngine:
         ``stop``, so it is neither forced nor able to reach the threshold,
         and the cut changes no selection.
 
-        Candidates stay ``(start, hub, end)`` tuples until the decision, so a
-        ``Shift`` is built only for a kept run; sorting the tuples gives the
-        ``Shift.sort_key`` order.
+        Returns the kept runs as sorted ``(start, hub, end)`` tuples; a
+        ``Shift`` is built only when the step fixes them (``_fixed_shifts``).
         """
         p = self.cfg.params
         cap = p.max_work_h
@@ -201,29 +210,25 @@ class RollingEngine:
                 ):
                     kept.append((start, h, end))
         kept.sort()
-        return [Shift([Segment(h, start, end, WORKING)]) for start, h, end in kept]
+        return kept
 
-    def _merge_selected(self, selected: list[Shift]) -> list[Shift]:
-        """Cross-hub merge within the shifts being fixed this step, capped by
-        the number of fresh hires they would otherwise require -- so every
-        merge stands in for a hire, never for a free pool reuse."""
-        budget = self.pool.simulate_hires(selected)
-        if budget == 0:
-            return selected
-        p = self.cfg.params
-        rates = self.cfg.rates
-        per_hub = {h: [] for h in self.hub_ids}
-        for s in selected:
-            per_hub[s.segments[0].hub_id].append(s)
-        return merge_across_hubs(
-            per_hub,
-            self.pairs,
-            p.max_work_h,
-            p.max_gap_h,
-            rates.hiring_per_day,
-            lambda d: moving_payment(d, rates),
-            max_merges=budget,
-        )
+    def _fixed_shifts(self, kept: list[tuple[int, int, int]]) -> list[Shift]:
+        """The shifts fixed this step for the sorted kept runs.
+
+        Runs merge across hubs only among themselves, capped by the number
+        of fresh hires they would otherwise require -- so every merge stands
+        in for a hire, never for a free pool reuse. Without an eligible pair,
+        a second run or a hire to save, each run is its own shift.
+        """
+        if self.pairs and len(kept) > 1:
+            budget = self.pool.simulate_hires([end - start for start, _h, end in kept])
+            if budget:
+                runs = {h: [] for h in self.hub_ids}
+                for start, h, end in kept:
+                    runs[h].append((start, end))
+                p = self.cfg.params
+                return merge_across_hubs(runs, self.pairs, p.max_work_h, p.max_gap_h, budget)
+        return [Shift([Segment(h, start, end, WORKING)]) for start, h, end in kept]
 
     def step(self, now_h: float, fix_all: bool = False) -> int:
         """One replan pass; returns the number of shifts fixed."""
@@ -235,9 +240,7 @@ class RollingEngine:
             h: kernels.fifo_match_units(demand[h], self.capacity[h], p.dwell_h)
             for h in self.hub_ids
         }
-        selected = self._select(residual, now_h, fix_all)
-        if self.cfg.allow_cross_hub and len(selected) > 1:
-            selected = self._merge_selected(selected)
+        selected = self._fixed_shifts(self._select(residual, now_h, fix_all))
 
         for cand in selected:
             shift_id = len(self.roster)
@@ -296,23 +299,19 @@ def replay_execution(
 ) -> tuple[int, dict[int, dict]]:
     """Replay actual arrivals against scheduled capacity, hub by hub.
 
-    Returns (total late parcels, per-hub series with arrivals / working /
-    served rows). Parcels are served first-in-first-out; one is late when
-    processed after origin + dwell, or never processed although its deadline
-    fell inside the horizon.
+    Returns (total late parcels, per-hub series with arrivals and working
+    rows). Parcels are served first-in-first-out; one is late when processed
+    after origin + dwell, or never processed although its deadline fell
+    inside the horizon.
     """
     total_late = 0
     series = {}
     for h in sorted(arrivals):
-        late, served, _leftover = kernels.fifo_replay(
+        late, _served, _leftover = kernels.fifo_replay(
             list(arrivals[h]), list(workers_working[h]), dwell_h, work_rate
         )
         total_late += late
-        series[h] = {
-            "arrivals": list(arrivals[h]),
-            "working": list(workers_working[h]),
-            "served": served,
-        }
+        series[h] = {"arrivals": list(arrivals[h]), "working": list(workers_working[h])}
     return total_late, series
 
 

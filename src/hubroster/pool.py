@@ -90,19 +90,20 @@ class WorkforcePool:
         worker.hours_worked += working_h
         return worker, shift.start_h - now_h, is_new_hire
 
-    def simulate_hires(self, shifts: list[Shift]) -> int:
-        """How many fresh hires assigning these shifts in order would need,
-        without touching the pool. Used to bound the cross-hub merge pass.
+    def simulate_hires(self, working_hours: list[int]) -> int:
+        """How many fresh hires assigning shifts with these working hours in
+        order would need, without touching the pool. Used to bound the
+        cross-hub merge pass.
 
         A simulated assignment uses each pooled worker at most once, so a
         read-only cursor per bucket stands for the workers still unused."""
         if not self._pooled:
-            return len(shifts)
+            return len(working_hours)
         cursors = [iter(q) for q in self._buckets]
         heads = [next(c, None) for c in cursors]
         hires = 0
-        for shift in shifts:
-            b = _oldest(heads, shift.working_h)
+        for working_h in working_hours:
+            b = _oldest(heads, working_h)
             if b < 0:
                 hires += 1
             else:

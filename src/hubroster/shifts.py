@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import _kernels as kernels
 from .network import MovingPair
@@ -63,10 +64,6 @@ class Shift:
         return sum(s.hours for s in self.segments if s.kind == RESTING)
 
     @property
-    def travel_h(self) -> int:
-        return sum(s.hours for s in self.segments if s.kind == TRAVEL)
-
-    @property
     def hub_ids(self) -> list[int]:
         seen = []
         for s in self.segments:
@@ -91,9 +88,6 @@ class Shift:
                 dst = next(s.hub_id for s in segs[i + 1 :] if s.kind == WORKING)
                 yield src, dst, seg
 
-    def sort_key(self):
-        return (self.start_h, self.segments[0].hub_id, self.end_h)
-
 
 def combine_within_hub_detail(
     x, dwell_h: int, max_work_h: int, start_min: int = 0, stop: int | None = None
@@ -117,85 +111,56 @@ def combine_within_hub_detail(
 
 
 def merge_across_hubs(
-    per_hub_shifts: dict[int, list[Shift]],
-    pairs: list[MovingPair],
+    runs_by_hub: dict[int, list[tuple[int, int]]],
+    pairs: list[tuple[int, int, MovingPair]],
     max_work_h: int,
     max_gap_h: int,
-    hiring_cost: float,
-    moving_cost_fn,
     max_merges: int = -1,
 ) -> list[Shift]:
-    """Greedily merge single-hub shifts across nearby hub pairs.
+    """Greedily merge single-hub working runs across nearby hub pairs.
 
-    Pairs are visited in the given (ascending-distance) order; a pair is
-    considered only while its moving payment is below ``hiring_cost``. Two
-    shifts merge when their hours do not overlap, the travel time fits the
-    gap, the gap is at most ``max_gap_h``, and combined working hours stay
-    within ``max_work_h``. The earlier shift is worked first; travel occupies
-    whole slots right after it and any remaining gap becomes rest at the
-    destination hub. Each shift merges at most once; a non-negative
-    ``max_merges`` caps how many merges are performed.
+    ``runs_by_hub`` maps each hub to its ``(start, end)`` runs sorted by
+    ``(start, end)``. ``pairs`` are ``(i, j, pair)`` with ``i`` and ``j`` the
+    positions of ``pair``'s two hubs in ``runs_by_hub``, in ascending-distance
+    order and already restricted to pairs worth merging over. Two runs merge
+    when their hours do not overlap, the travel time fits the gap, the gap is
+    at most ``max_gap_h``, and combined working hours stay within
+    ``max_work_h`` (``kernels.merge_runs``). The earlier run is worked first;
+    travel occupies whole slots right after it and any remaining gap becomes
+    rest at the destination hub. Each run merges at most once; a
+    non-negative ``max_merges`` caps how many merges are performed.
 
-    Returns merged shifts plus untouched leftovers, ordered by
-    (start, hub, end).
+    Returns one shift per merged pair and per untouched run, ordered by
+    (start, first hub, end); on a tie merged shifts come first, in merge
+    order, then untouched runs in hub and run order.
     """
-    hub_ids = sorted(per_hub_shifts)
-    runs_by_hub = []
-    shifts_by_hub = []
-    passthrough = []
-    for hid in hub_ids:
-        ordered = sorted(per_hub_shifts[hid], key=lambda s: (s.start_h, s.end_h))
-        mergeable = []
-        for s in ordered:
-            if len(s.segments) == 1 and s.segments[0].kind == WORKING:
-                mergeable.append(s)
-            else:
-                passthrough.append(s)  # multi-segment shifts never re-merge
-        shifts_by_hub.append(mergeable)
-        runs_by_hub.append([(s.start_h, s.end_h) for s in mergeable])
+    hub_ids = list(runs_by_hub)
+    runs = list(runs_by_hub.values())
+    merges, used = kernels.merge_runs(
+        runs, [(i, j, p.travel_time_h) for i, j, p in pairs], max_work_h, max_gap_h, max_merges
+    )
 
-    index = {hid: i for i, hid in enumerate(hub_ids)}
-    kernel_pairs = []
-    pair_refs = []
-    for p in pairs:
-        if p.hub_a not in index or p.hub_b not in index:
-            continue
-        if not moving_cost_fn(p.distance_m) < hiring_cost:
-            continue
-        kernel_pairs.append((index[p.hub_a], index[p.hub_b], p.travel_time_h))
-        pair_refs.append(p)
-
-    merges, used = kernels.merge_runs(runs_by_hub, kernel_pairs, max_work_h, max_gap_h, max_merges)
-
-    out = []
+    keyed = []
     for p_idx, i, j, a_first in merges:
-        pair = pair_refs[p_idx]
-        sa = shifts_by_hub[index[pair.hub_a]][i]
-        sb = shifts_by_hub[index[pair.hub_b]][j]
-        first, second = (sa, sb) if a_first else (sb, sa)
-        out.append(_build_merged(first, second, pair))
+        ia, ib, pair = pairs[p_idx]
+        a = (hub_ids[ia], *runs[ia][i])
+        b = (hub_ids[ib], *runs[ib][j])
+        (h1, s1, e1), (h2, s2, e2) = (a, b) if a_first else (b, a)
+        segs = [Segment(h1, s1, e1, WORKING)]
+        cursor = e1 + math.ceil(pair.travel_time_h)
+        if cursor > e1:
+            segs.append(Segment(h2, e1, cursor, TRAVEL))
+        if cursor < s2:
+            segs.append(Segment(h2, cursor, s2, RESTING))
+        segs.append(Segment(h2, s2, e2, WORKING))
+        keyed.append(((s1, h1, e2), Shift(segs, move_distance_m=pair.distance_m)))
 
-    for hub_pos, shifts in enumerate(shifts_by_hub):
-        for k, s in enumerate(shifts):
-            if not used[hub_pos][k]:
-                out.append(s)
-    out.extend(passthrough)
-    out.sort(key=Shift.sort_key)
-    return out
-
-
-def _build_merged(first: Shift, second: Shift, pair: MovingPair) -> Shift:
-    travel_slots = math.ceil(pair.travel_time_h)
-    dest = second.segments[0].hub_id
-    segs = list(first.segments)
-    cursor = first.end_h
-    if travel_slots > 0:
-        segs.append(Segment(dest, cursor, cursor + travel_slots, TRAVEL))
-        cursor += travel_slots
-    if cursor < second.start_h:
-        segs.append(Segment(dest, cursor, second.start_h, RESTING))
-    segs.extend(second.segments)
-    return Shift(segs, move_distance_m=pair.distance_m)
+    for h, hub_runs, hub_used in zip(hub_ids, runs, used):
+        for (s, e), merged in zip(hub_runs, hub_used):
+            if not merged:
+                keyed.append(((s, h, e), Shift([Segment(h, s, e, WORKING)])))
+    keyed.sort(key=itemgetter(0))
+    return [shift for _key, shift in keyed]
 
 
 def validate_shift(shift: Shift, max_work_h: int) -> None:

@@ -2,7 +2,7 @@
 must match.
 
 Every within-hub run becomes a single-segment ``Shift``; the whole list is
-sorted by ``Shift.sort_key`` and walked once, keeping a candidate when it
+sorted by (start, hub, end) and walked once, keeping a candidate when it
 starts before the next replan (or everything is forced) or when its value,
 read off the ``Shift``, reaches the threshold. The engine keeps candidates
 as ``(start, hub, end)`` tuples and builds a ``Shift`` only for kept ones.
@@ -36,7 +36,7 @@ def candidates(residual, hub_ids, dwell_h, max_work_h, start_min):
     for h in hub_ids:
         runs, _served, _dropped = within_hub_runs(list(residual[h]), dwell_h, max_work_h, start_min)
         out.extend(Shift([Segment(h, s, e, WORKING)]) for s, e in runs)
-    out.sort(key=Shift.sort_key)
+    out.sort(key=lambda s: (s.start_h, s.segments[0].hub_id, s.end_h))
     return out
 
 

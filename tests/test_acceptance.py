@@ -294,10 +294,11 @@ def test_criterion_06_small_instance_oracle():
         ]
         for xa, xb, dwell in two_hub_cases:
             per_hub = {
-                0: _combined(xa, dwell, RHO, hub=0),
-                1: _combined(xb, dwell, RHO, hub=1),
+                0: combine_within_hub_detail(xa, dwell, RHO)[0],
+                1: combine_within_hub_detail(xb, dwell, RHO)[0],
             }
-            out = merge_across_hubs(per_hub, pairs, RHO, MAX_GAP, 50, moving_payment)
+            # both hubs 2000 m apart: a 10-Yuan move under the 50-Yuan hire
+            out = merge_across_hubs(per_hub, [(p.hub_a, p.hub_b, p) for p in pairs], RHO, MAX_GAP)
             assert sum(s.working_h for s in out) == sum(xa) + sum(xb)
             best = min_workers_two_hub(xa, xb, dwell, RHO, travel, MAX_GAP, True)
             assert len(out) >= best, (xa, xb, len(out), best)

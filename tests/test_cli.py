@@ -260,3 +260,63 @@ def test_run_rejects_a_section_that_is_not_an_object(tmp_path, capsys):
             lambda out: _edit_json(out / "config.json", lambda c: c.update({section: value})),
         )
         assert "config.json" in err and f"section '{section}' must be a JSON object" in err
+
+
+WRONG_TYPES = (
+    ({"network": {"hubs": None}}, "'network.hubs' must be an integer, got null"),
+    ({"arrivals": {"daily_volume": [1]}}, "'arrivals.daily_volume' must be an integer, got [1]"),
+    ({"seed": "x"}, "'seed' must be an integer, got \"x\""),
+    ({"params": {"dwell_h": "2"}}, "'params.dwell_h' must be an integer, got \"2\""),
+    ({"network": {"area_km": True}}, "'network.area_km' must be a number, got true"),
+)
+MISSPELLED = (
+    ({"parms": {"dwell_h": 3}}, "unknown config key 'parms'"),
+    ({"network": {"hubz": 4}}, "unknown config key 'network.hubz'"),
+)
+
+
+def _generate_error(tmp_path, capsys, extra):
+    cfg = _write_cfg(tmp_path, extra)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "x").exists()
+    return err[0]
+
+
+def test_generate_rejects_a_value_of_the_wrong_type(tmp_path, capsys):
+    # each used to end in a TypeError traceback
+    for extra, message in WRONG_TYPES:
+        assert message in _generate_error(tmp_path, capsys, extra)
+
+
+def _add_to_frozen_config(extra):
+    """An edit of the generated config.json that merges ``extra`` into it,
+    section by section."""
+
+    def update(doc):
+        for key, value in extra.items():
+            if isinstance(value, dict) and key in doc:
+                doc[key].update(value)
+            else:
+                doc[key] = value
+
+    return lambda out: _edit_json(out / "config.json", update)
+
+
+def test_run_rejects_a_value_of_the_wrong_type(tmp_path, capsys):
+    for extra, message in WRONG_TYPES:
+        assert message in _run_error(tmp_path, capsys, _add_to_frozen_config(extra))
+
+
+def test_generate_rejects_a_misspelled_section_or_key(tmp_path, capsys):
+    # both used to generate with the defaults, copying the stray key into the
+    # frozen config.json
+    for extra, message in MISSPELLED:
+        err = _generate_error(tmp_path, capsys, extra)
+        assert message in err and "config.json" in err
+
+
+def test_run_rejects_a_misspelled_section_or_key(tmp_path, capsys):
+    for extra, message in MISSPELLED:
+        assert message in _run_error(tmp_path, capsys, _add_to_frozen_config(extra))

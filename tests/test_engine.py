@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from hubroster import _kernels as kernels
 from hubroster import engine as engine_module
 from hubroster.config import ScenarioParams
 from hubroster.demand import ArrivalSeries, GeneratorConfig, generate_arrivals
 from hubroster.engine import RollingEngine, ScenarioConfig, replay_execution, run_scenario
-from hubroster.network import Hub, HubNetwork, random_network
-from hubroster.shifts import validate_shift
+from hubroster.ledger import CostRates, moving_payment
+from hubroster.network import Hub, HubNetwork, build_moving_pairs, random_network
+from hubroster.shifts import WORKING, Segment, Shift, merge_across_hubs, validate_shift
 from hubroster.valuation import ValueWeights
+import reference_merge
 from reference_selection import select as reference_select
 from reference_selection import shift_value as reference_value
 
@@ -170,9 +173,10 @@ def test_noise_streams_differ_across_seeds():
 
 
 def test_replay_no_late_when_capacity_covers():
-    late, series = replay_execution({0: [150, 150]}, {0: [1, 1]}, 1, RATE)
+    late, served, _leftover = kernels.fifo_replay([150, 150], [1, 1], 1, RATE)
     assert late == 0
-    assert series[0]["served"] == [150, 150]
+    assert served == [150, 150]
+    assert replay_execution({0: [150, 150]}, {0: [1, 1]}, 1, RATE)[0] == 0
 
 
 def test_replay_all_late_when_capacity_too_late():
@@ -269,6 +273,101 @@ def test_flow_windows_aggregate_by_six_hours():
     assert (0, 1, 0) in report.flows
 
 
+def test_merged_shift_rests_end_to_end():
+    # hub 1's run starts two slots after hub 0's ends and the 800 m walk
+    # takes under an hour, so the merged shift travels one slot and rests one
+    net = _net(2, spread_m=800)
+    rows = {0: [150] * 4 + [0] * 8, 1: [0] * 6 + [150] * 3 + [0] * 3}
+    report = run_scenario(_cfg(net, rows, scenario=3, dwell_h=0))
+    assert report.merged_shift_count == 1 and len(report.roster) == 1
+    shift = report.roster[0].shift
+    assert [(s.kind, s.hub_id, s.start_h, s.end_h) for s in shift.segments] == [
+        ("working", 0, 0, 4),
+        ("travel", 1, 4, 5),
+        ("resting", 1, 5, 6),
+        ("working", 1, 6, 9),
+    ]
+    assert shift.resting_h == 1
+    assert report.series[0]["resting"] == [0] * 12
+    assert report.series[1]["resting"] == [0] * 5 + [1] + [0] * 6
+    assert report.ledger.waiting == 5 * shift.resting_h
+    assert report.flows == {(0, 1, 0): 1}
+    assert report.late_parcels == 0
+
+
+def _shapes(shifts):
+    return [(tuple(s.segments), s.move_distance_m) for s in shifts]
+
+
+def _random_merge_case(rng):
+    """A small network with fractional travel times, a cost filter that
+    drops some pairs, and sorted kept runs with repeated starts at a hub."""
+    n_hubs = int(rng.integers(2, 6))
+    ids = sorted(int(h) for h in rng.choice(20, n_hubs, replace=False))
+    hubs = [Hub(h, f"H{h}", float(rng.uniform(0, 5000)), float(rng.uniform(0, 2000)), "local") for h in ids]
+    net = HubNetwork(hubs, d_max_m=6000, speed_m_per_h=float(rng.choice([1800.0, 2500.0, 15000.0])))
+    horizon = int(rng.integers(6, 13))
+    params = ScenarioParams(
+        horizon_h=horizon, max_work_h=int(rng.integers(1, 9)), max_gap_h=int(rng.integers(0, 4))
+    )
+    # moving pays 10 up to 3000 m and 20 beyond: a 15- or 20-Yuan hire drops
+    # the far pairs, a 10-Yuan hire every pair
+    rates = CostRates(hiring_per_day=float(rng.choice([50.0, 50.0, 20.0, 15.0, 10.0])))
+    scenario = int(rng.choice([1, 1, 1, 2, 3]))
+    arrivals = {h: ArrivalSeries(h, [0] * horizon) for h in ids}
+    engine = RollingEngine(ScenarioConfig.for_scenario(scenario, net, arrivals, params, rates=rates))
+    kept = []
+    for _ in range(int(rng.integers(0, 24))):
+        h = ids[int(rng.integers(n_hubs))]
+        start = int(rng.integers(0, horizon - 1))
+        end = min(horizon, start + int(rng.integers(1, params.max_work_h + 1)))
+        kept.append((start, h, end))
+        if rng.random() < 0.5:  # another run from the same start at the same hub
+            kept.append((start, h, min(horizon, start + int(rng.integers(1, params.max_work_h + 1)))))
+    kept.sort()
+    return net, engine, kept
+
+
+def test_merge_on_runs_matches_shift_based_reference():
+    rng = np.random.default_rng(2024)
+    merged = ties = 0
+    for case in range(2400):
+        net, engine, kept = _random_merge_case(rng)
+        p, rates = engine.cfg.params, engine.cfg.rates
+        shifts = [Shift([Segment(h, s, e, WORKING)]) for s, h, e in kept]
+        pairs = build_moving_pairs(net) if engine.cfg.allow_cross_hub else []
+
+        # the merge itself, at every kind of cap
+        budget = int(rng.choice([-1, 0, 1, 3, 100]))
+        runs = {h: [(s, e) for s, hh, e in kept if hh == h] for h in engine.hub_ids}
+        got = merge_across_hubs(runs, engine.pairs, p.max_work_h, p.max_gap_h, budget)
+        expected = reference_merge.merge_across_hubs(
+            {h: [x for x in shifts if x.segments[0].hub_id == h] for h in engine.hub_ids},
+            pairs,
+            p.max_work_h,
+            p.max_gap_h,
+            rates.hiring_per_day,
+            lambda d: moving_payment(d, rates),
+            budget,
+        )
+        assert _shapes(got) == _shapes(expected), case
+        keys = [reference_merge.sort_key(x) for x in expected]
+        merged_keys = {k for k, x in zip(keys, expected) if x.is_multi_hub}
+        merged += sum(x.is_multi_hub for x in expected)
+        ties += any(k in merged_keys for k, x in zip(keys, expected) if not x.is_multi_hub)
+
+        # the engine's step, with the hire budget of a partly used pool
+        for i in range(int(rng.integers(0, 25))):
+            start = int(rng.integers(0, 3))
+            end = start + int(rng.integers(1, p.max_work_h + 1))
+            engine.pool.assign(Shift([Segment(engine.hub_ids[0], start, end, WORKING)]), 0, i)
+        engine.pool.release_finished(float(p.horizon_h))
+        got = engine._fixed_shifts(kept)
+        expected = reference_merge.merge_selected(engine, shifts, pairs)
+        assert _shapes(got) == _shapes(expected), case
+    assert merged > 1000 and ties > 100, (merged, ties)
+
+
 def test_selection_matches_shift_based_reference():
     # fractional replan times, fix_all, dwell 0-3, caps 1-8 and random
     # weights; half the thresholds equal a value some candidate attains, so
@@ -308,10 +407,7 @@ def test_selection_matches_shift_based_reference():
 
         expected = reference_select(residual, engine.hub_ids, now_h, p, engine.weights, fix_all)
         got = engine._select(residual, now_h, fix_all)
-        assert [(s.start_h, s.segments[0].hub_id, s.end_h) for s in got] == [
-            (s.start_h, s.segments[0].hub_id, s.end_h) for s in expected
-        ]
-        assert all(len(s.segments) == 1 and s.segments[0].kind == "working" for s in got)
+        assert got == [(s.start_h, s.segments[0].hub_id, s.end_h) for s in expected]
     assert boundary_fixes > 300
 
 

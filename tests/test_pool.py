@@ -122,7 +122,7 @@ def test_bucketed_pool_matches_linear_scan():
             ]
             assert fast.pooled == ref.pooled
             batch = [_random_shift(rng, now + rng.randint(0, 2), cap) for _ in range(rng.randint(0, 6))]
-            assert fast.simulate_hires(batch) == ref.simulate_hires(batch)
+            assert fast.simulate_hires([s.working_h for s in batch]) == ref.simulate_hires(batch)
             for s in batch:
                 wf, lead_f, new_f = fast.assign(s, now, shift_id)
                 wr, lead_r, new_r = ref.assign(s, now, shift_id)
@@ -146,7 +146,7 @@ def test_simulate_hires_equals_hires_of_assigning_in_order():
                 pool.assign(_random_shift(rng, now, 8), now, shift_id=0)
         pool.release_finished(12)
         batch = [_random_shift(rng, 12, 8) for _ in range(rng.randint(1, 10))]
-        predicted = pool.simulate_hires(batch)
+        predicted = pool.simulate_hires([s.working_h for s in batch])
         before = pool.hires
         for i, s in enumerate(batch):
             pool.assign(s, 12, shift_id=i)

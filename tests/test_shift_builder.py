@@ -8,7 +8,10 @@ import pytest
 import reference_kernels
 from hubroster import _kernels as kernels
 from hubroster._kernels import _trial_run
-from hubroster.ledger import moving_payment
+from hubroster.config import ScenarioParams
+from hubroster.demand import ArrivalSeries
+from hubroster.engine import RollingEngine, ScenarioConfig
+from hubroster.ledger import CostRates, moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs
 from hubroster.shifts import (
     Segment,
@@ -22,18 +25,15 @@ from oracle_enum import min_workers_single_hub, min_workers_two_hub
 RHO = 8
 
 
-def _working(hub, s, e):
-    return Shift([Segment(hub, s, e, "working")])
-
-
 def _runs(x, dwell):
     return combine_within_hub_detail(x, dwell, RHO)[0]
 
 
-def _combined(x, dwell, hub=0):
-    """A hub's within-hub runs as single-segment working shifts, the form
-    merge_across_hubs takes."""
-    return [_working(hub, s, e) for s, e in _runs(x, dwell)]
+def _merge(runs_by_hub, pairs):
+    """merge_across_hubs over hubs 0 and 1, whose positions are their ids;
+    every pair within the 3000 m radius pays 10 Yuan to move, under the
+    50-Yuan hire, so every pair is eligible."""
+    return merge_across_hubs(runs_by_hub, [(p.hub_a, p.hub_b, p) for p in pairs], RHO, 2)
 
 
 def _two_hub_net(dist_m, d_max_m=3000, speed=15000):
@@ -280,9 +280,7 @@ def test_within_hub_runs_stop_keeps_the_runs_and_drops_before_it():
 
 def test_merge_happy_path():
     _net, pairs = _two_hub_net(2000)
-    out = merge_across_hubs(
-        {0: [_working(0, 0, 4)], 1: [_working(1, 5, 9)]}, pairs, RHO, 2, 50, moving_payment
-    )
+    out = _merge({0: [(0, 4)], 1: [(5, 9)]}, pairs)
     assert len(out) == 1
     merged = out[0]
     assert [(seg.kind, seg.hub_id) for seg in merged.segments] == [
@@ -297,9 +295,7 @@ def test_merge_happy_path():
 
 def test_merge_leaves_rest_for_long_gap():
     _net, pairs = _two_hub_net(2000)
-    out = merge_across_hubs(
-        {0: [_working(0, 0, 4)], 1: [_working(1, 6, 9)]}, pairs, RHO, 2, 50, moving_payment
-    )
+    out = _merge({0: [(0, 4)], 1: [(6, 9)]}, pairs)
     assert len(out) == 1
     kinds = [seg.kind for seg in out[0].segments]
     assert kinds == ["working", "travel", "resting", "working"]
@@ -308,43 +304,42 @@ def test_merge_leaves_rest_for_long_gap():
 
 def test_merge_rejects_overlap():
     _net, pairs = _two_hub_net(2000)
-    out = merge_across_hubs(
-        {0: [_working(0, 0, 4)], 1: [_working(1, 0, 4)]}, pairs, RHO, 2, 50, moving_payment
-    )
+    out = _merge({0: [(0, 4)], 1: [(0, 4)]}, pairs)
     assert len(out) == 2 and not any(s.is_multi_hub for s in out)
 
 
 def test_merge_rejects_hour_cap():
     _net, pairs = _two_hub_net(2000)
-    out = merge_across_hubs(
-        {0: [_working(0, 0, 4)], 1: [_working(1, 5, 11)]}, pairs, RHO, 2, 50, moving_payment
-    )
+    out = _merge({0: [(0, 4)], 1: [(5, 11)]}, pairs)
     assert not any(s.is_multi_hub for s in out)
 
 
 def test_merge_rejects_gap_beyond_max():
     _net, pairs = _two_hub_net(2000)
-    out = merge_across_hubs(
-        {0: [_working(0, 0, 2)], 1: [_working(1, 7, 9)]}, pairs, RHO, 2, 50, moving_payment
-    )
+    out = _merge({0: [(0, 2)], 1: [(7, 9)]}, pairs)
     assert not any(s.is_multi_hub for s in out)
 
 
 def test_merge_rejects_travel_longer_than_gap():
     # 2800 m at 2000 m/h is a 1.4 h trip; a 1 h gap cannot absorb it
     _net, pairs = _two_hub_net(2800, speed=2000)
-    out = merge_across_hubs(
-        {0: [_working(0, 0, 4)], 1: [_working(1, 5, 8)]}, pairs, RHO, 2, 50, moving_payment
-    )
+    out = _merge({0: [(0, 4)], 1: [(5, 8)]}, pairs)
     assert not any(s.is_multi_hub for s in out)
 
 
 def test_merge_requires_saving_over_hire():
-    _net, pairs = _two_hub_net(2000)
-    out = merge_across_hubs(
-        {0: [_working(0, 0, 4)], 1: [_working(1, 5, 9)]}, pairs, RHO, 2, 5, moving_payment
-    )
-    assert not any(s.is_multi_hub for s in out)  # moving 10 >= hiring 5
+    # the engine keeps a pair only while moving undercuts a hire
+    net, _pairs = _two_hub_net(2000)
+    for hiring, merged in ((5, False), (50, True)):
+        cfg = ScenarioConfig.for_scenario(
+            1,
+            net,
+            {h: ArrivalSeries(h, [0] * 12) for h in (0, 1)},
+            ScenarioParams(horizon_h=12),
+            rates=CostRates(hiring_per_day=hiring),
+        )
+        out = RollingEngine(cfg)._fixed_shifts([(0, 0, 4), (5, 1, 9)])
+        assert any(s.is_multi_hub for s in out) == merged  # moving 10 >= hiring 5
 
 
 def test_merge_never_increases_count_and_conserves_hours():
@@ -354,10 +349,10 @@ def test_merge_never_increases_count_and_conserves_hours():
         per_hub = {}
         for hub in (0, 1):
             x = [int(v) for v in rng.integers(0, 3, 12)]
-            per_hub[hub] = _combined(x, 1, hub)
+            per_hub[hub] = _runs(x, 1)
         before = sum(len(v) for v in per_hub.values())
-        hours = sum(s.working_h for v in per_hub.values() for s in v)
-        out = merge_across_hubs(per_hub, pairs, RHO, 2, 50, moving_payment)
+        hours = sum(e - s for v in per_hub.values() for s, e in v)
+        out = _merge(per_hub, pairs)
         assert len(out) <= before
         assert sum(s.working_h for s in out) == hours
         for s in out:
@@ -377,11 +372,11 @@ def test_merge_deterministic():
     for _ in range(30):
         _net, pairs = _two_hub_net(1500)
         per_hub = {
-            0: _combined([int(v) for v in rng.integers(0, 3, 10)], 1, hub=0),
-            1: _combined([int(v) for v in rng.integers(0, 3, 10)], 1, hub=1),
+            0: _runs([int(v) for v in rng.integers(0, 3, 10)], 1),
+            1: _runs([int(v) for v in rng.integers(0, 3, 10)], 1),
         }
-        a = merge_across_hubs(per_hub, pairs, RHO, 2, 50, moving_payment)
-        b = merge_across_hubs(per_hub, pairs, RHO, 2, 50, moving_payment)
+        a = _merge(per_hub, pairs)
+        b = _merge(per_hub, pairs)
         assert [(s.start_h, s.end_h) for s in a] == [(s.start_h, s.end_h) for s in b]
 
 
@@ -406,10 +401,10 @@ def test_two_hub_heuristic_vs_exhaustive_spot():
     travel = pairs[0].travel_time_h
     xa, xb = [1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0]
     per_hub = {
-        0: _combined(xa, 1, hub=0),
-        1: _combined(xb, 1, hub=1),
+        0: _runs(xa, 1),
+        1: _runs(xb, 1),
     }
-    out = merge_across_hubs(per_hub, pairs, RHO, 2, 50, moving_payment)
+    out = _merge(per_hub, pairs)
     best = min_workers_two_hub(xa, xb, 1, RHO, travel, 2, merge_allowed=True)
     assert any(s.is_multi_hub for s in out)
     assert len(out) >= best
