@@ -5,8 +5,9 @@ of the workforce pool.
 Times each hot kernel, and pool assignment with hire simulation, on synthetic
 workloads and prints the fastest of three runs. ``within_hub_runs`` is also
 timed with its search cut where the engine cuts it at hour 0 under the
-default parameters. End-to-end timings of the ``hubroster`` command line
-come from ``perfbench/run.py``:
+default parameters, and ``fifo_match_units`` on the engine's rows, where
+capacity is zero ahead of the slots fixed so far. End-to-end timings of the
+``hubroster`` command line come from ``perfbench/run.py``:
 
     python benchmarks/bench_kernels.py [--quick]
 """
@@ -50,10 +51,10 @@ def bench_merge(runs_by_hub, pairs):
     return run
 
 
-def bench_match(demand_rows, cap_rows):
+def bench_match(demand_rows, cap_rows, dwell=1):
     def run():
         for demand, cap in zip(demand_rows, cap_rows):
-            kernels.fifo_match_units(demand, cap, 1)
+            kernels.fifo_match_units(demand, cap, dwell)
 
     return run
 
@@ -109,6 +110,9 @@ def main():
     stop = math.ceil(ValueWeights().fix_reach) + 1
     arrival_rows = [[int(v) for v in rng.integers(0, 3000, 24)] for _ in range(500)]
     cap_rows = [[int(v) for v in rng.integers(0, 20, 24)] for _ in range(500)]
+    # the engine's residual input: the fixed roster's capacity up to the
+    # step's slot and none ahead of it, one row per step of a 24 h day
+    engine_cap_rows = [row[: i % 25] + [0] * (24 - i % 25) for i, row in enumerate(cap_rows)]
 
     n_workers = 130 if args.quick else 1300
     batches = [
@@ -122,6 +126,9 @@ def main():
         "within_hub_runs (dwell 3, stop)": _time(bench_within_hub(rows, 3, stop)),
         "merge_runs": _time(bench_merge(runs_by_hub, pairs)),
         "fifo_match_units": _time(bench_match(rows[:500], cap_rows)),
+        "fifo_match_units (dwell 3, engine rows)": _time(
+            bench_match(rows[:500], engine_cap_rows, 3)
+        ),
         "fifo_replay": _time(bench_replay(arrival_rows, cap_rows)),
         f"pool assign + simulate_hires ({n_workers} pooled)": _time(bench_pool(n_workers, batches)),
     }

@@ -207,21 +207,32 @@ def fifo_match_units(demand, capacity, dwell):
     [t - dwell, t]; capacity can never be credited to a unit it could only
     reach late. Returns the unserved units per origin slot -- the residual a
     re-planning pass still has to cover (expired origins included).
+
+    One forward pass: ``oldest`` is the first origin that may still hold a
+    reachable unit. Every origin before it is empty or older than the
+    current window, and stays so (units only ever leave), so it moves up to
+    ``t - dwell`` when it falls behind and past each origin it empties.
+    Slots without capacity are skipped.
     """
-    n = len(demand)
     rem = list(demand)
-    for t in range(n):
+    oldest = 0
+    for t in range(len(rem)):
         cap = capacity[t]
-        lo = t - dwell
-        if lo < 0:
-            lo = 0
-        for origin in range(lo, t + 1):
+        if cap == 0:
+            continue
+        if oldest < t - dwell:
+            oldest = t - dwell
+        while oldest <= t:
+            left = rem[oldest]
+            if left > 0:
+                if cap < left:
+                    rem[oldest] = left - cap
+                    break
+                rem[oldest] = 0
+                cap -= left
+            oldest += 1
             if cap == 0:
                 break
-            if rem[origin] > 0:
-                take = cap if cap < rem[origin] else rem[origin]
-                rem[origin] -= take
-                cap -= take
     return rem
 
 

@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from .config import config_hash, file_header, load_config, params_from_config
+from .config import check_network, config_hash, file_header, load_config, params_from_config
 from .demand import (
     GeneratorConfig,
     generate_arrivals,
@@ -36,7 +36,9 @@ from .network import load_network, random_network, save_network
 
 
 def _build_instance(cfg: dict, seed: int):
+    params = params_from_config(cfg, seed)
     net_cfg = cfg["network"]
+    check_network(net_cfg)
     net = random_network(
         n_hubs=int(net_cfg["hubs"]),
         n_gateways=int(net_cfg["gateways"]),
@@ -48,7 +50,7 @@ def _build_instance(cfg: dict, seed: int):
     arr_cfg = cfg["arrivals"]
     profile = GeneratorConfig(
         daily_volume=int(arr_cfg["daily_volume"]),
-        horizon_h=params_from_config(cfg, seed).horizon_h,
+        horizon_h=params.horizon_h,
         gateway_weight=float(arr_cfg["gateway_weight"]),
         hub_jitter=float(arr_cfg["hub_jitter"]),
         cell_jitter=float(arr_cfg["cell_jitter"]),

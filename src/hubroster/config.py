@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -56,6 +57,8 @@ class ScenarioParams:
             raise ValueError("horizon_h must be >= 1")
         if self.max_gap_h < 0:
             raise ValueError("max_gap_h must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def replan_h(self) -> float:
@@ -143,6 +146,21 @@ def params_from_config(cfg: dict, seed=None) -> ScenarioParams:
         _check_number(f"params.{key}", value, defaults[key])
     kwargs["seed"] = cfg["seed"] if seed is None else seed
     return ScenarioParams(**kwargs)
+
+
+def check_network(net: dict) -> None:
+    """Raise ``ValueError`` naming the key for a ``network`` section that no
+    network can be generated from: fewer than one hub, gateways outside
+    ``[0, hubs]``, or an area that is not a positive finite number."""
+    hubs, gateways, area = net["hubs"], net["gateways"], net["area_km"]
+    if hubs < 1:
+        raise ValueError(f"config key 'network.hubs' must be >= 1, got {hubs}")
+    if not 0 <= gateways <= hubs:
+        raise ValueError(
+            f"config key 'network.gateways' must lie in [0, {hubs}] (network.hubs), got {gateways}"
+        )
+    if not 0 < area < math.inf:
+        raise ValueError(f"config key 'network.area_km' must be positive and finite, got {area}")
 
 
 def config_hash(cfg: dict) -> str:

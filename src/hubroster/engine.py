@@ -180,11 +180,15 @@ class RollingEngine:
         fixed now: everything when ``fix_all``, runs starting before the next
         replan, and runs whose value reaches the threshold.
 
-        Unless everything is fixed, candidates are built only for demand
-        before ``stop``, a slot at least one hour past both the next replan
-        and the weights' fix reach. A run left out starts at or after
-        ``stop``, so it is neither forced nor able to reach the threshold,
-        and the cut changes no selection.
+        Candidates are built only for demand before ``stop``. Unless
+        everything is fixed or any lead can reach the threshold, that is a
+        slot at least one hour past both the next replan and the weights' fix
+        reach; otherwise it is the horizon end. A run starting at or after
+        ``stop`` is neither forced nor able to reach the threshold, so it is
+        left unbuilt (or, if it is a full-length run, which is extracted
+        first, unvalued), and a hub whose residual holds no unit before
+        ``stop`` is skipped: every run it could build starts at or after
+        ``stop``. None of this changes the selection.
 
         Returns the kept runs as sorted ``(start, hub, end)`` tuples; a
         ``Shift`` is built only when the step fixes them (``_fixed_shifts``).
@@ -196,17 +200,23 @@ class RollingEngine:
         first_slot = math.ceil(now_h - 1e-9)
         horizon_edge = now_h + p.replan_h + 1e-9
         reach = weights.fix_reach
-        stop = None if fix_all or reach is None else math.ceil(now_h + max(p.replan_h, reach)) + 1
+        stop = self.n if fix_all or reach is None else math.ceil(now_h + max(p.replan_h, reach)) + 1
         kept = []
         for h in self.hub_ids:
+            row = residual[h]
+            if not any(row[:stop]):
+                continue
             runs, _served, _dropped = combine_within_hub_detail(
-                residual[h], p.dwell_h, cap, first_slot, stop
+                row, p.dwell_h, cap, first_slot, stop
             )
             for start, end in runs:
                 if (
                     fix_all
                     or start <= horizon_edge
-                    or should_fix(shift_value(start, end - start, 0, now_h, weights, cap), threshold)
+                    or (
+                        start < stop
+                        and should_fix(shift_value(start, end - start, 0, now_h, weights, cap), threshold)
+                    )
                 ):
                     kept.append((start, h, end))
         kept.sort()

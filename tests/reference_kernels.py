@@ -1,10 +1,11 @@
 """Full-scan kernels: the references the engine's kernels must match.
 
 ``within_hub_runs`` tries every start in the dwell window of the earliest
-unserved unit, and ``merge_runs`` tests every pair of runs of a hub pair.
-The kernels in ``hubroster._kernels`` end the start search at the first
-full-length run and look only at the runs whose start can give a feasible
-gap; both must return exactly what these do.
+unserved unit, ``merge_runs`` tests every pair of runs of a hub pair, and
+``fifo_match_units`` walks every origin of every slot's dwell window. The
+kernels in ``hubroster._kernels`` end the start search at the first
+full-length run, look only at the runs whose start can give a feasible gap,
+and walk each origin once; all three must return exactly what these do.
 """
 
 from hubroster._kernels import _trial_run, part1_runs
@@ -95,3 +96,21 @@ def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
             used[ib][j] = True
             merges.append((p_idx, i, j, a_first))
     return merges, used
+
+
+def fifo_match_units(demand, capacity, dwell):
+    n = len(demand)
+    rem = list(demand)
+    for t in range(n):
+        cap = capacity[t]
+        lo = t - dwell
+        if lo < 0:
+            lo = 0
+        for origin in range(lo, t + 1):
+            if cap == 0:
+                break
+            if rem[origin] > 0:
+                take = cap if cap < rem[origin] else rem[origin]
+                rem[origin] -= take
+                cap -= take
+    return rem

@@ -320,3 +320,35 @@ def test_generate_rejects_a_misspelled_section_or_key(tmp_path, capsys):
 def test_run_rejects_a_misspelled_section_or_key(tmp_path, capsys):
     for extra, message in MISSPELLED:
         assert message in _run_error(tmp_path, capsys, _add_to_frozen_config(extra))
+
+
+OUT_OF_RANGE = (
+    ({"network": {"area_km": -1}}, "'network.area_km' must be positive and finite, got -1"),
+    ({"network": {"area_km": 0.0}}, "'network.area_km' must be positive and finite, got 0.0"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"network": {"hubs": 0}}, "'network.hubs' must be >= 1, got 0"),
+    ({"network": {"gateways": -1}}, "'network.gateways' must lie in [0, 52] (network.hubs), got -1"),
+    ({"network": {"hubs": 2, "gateways": 3}}, "'network.gateways' must lie in [0, 2] (network.hubs), got 3"),
+)
+
+
+def test_generate_rejects_a_value_out_of_range(tmp_path, capsys):
+    # the first two printed numpy's "high - low < 0" and "expected
+    # non-negative integer", hubs 0 the misleading "n_gateways cannot exceed
+    # n_hubs", and gateways -1 generated a network without gateways
+    for extra, message in OUT_OF_RANGE:
+        assert message in _generate_error(tmp_path, capsys, extra)
+
+
+def test_generate_and_run_reject_a_negative_seed_flag(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    assert main(["generate", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "x").exists()
+    # run used to end in numpy's "expected non-negative integer" traceback
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--out", str(out), "--seed", "-1", "--scenario", "1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (out / "ledger_s1.json").exists()

@@ -17,6 +17,7 @@ from hubroster.demand import (
     write_arrivals_csv,
 )
 from hubroster.network import random_network
+import reference_kernels
 
 # ---------------------------------------------------------------- forecast
 
@@ -155,6 +156,39 @@ def test_fifo_match_units_matches_unit_scan():
         assert out == _unit_scan(demand, capacity, dwell), (demand, capacity, dwell)
         partial += 0 < sum(out) < sum(demand)
     assert partial > 1000
+
+
+def test_fifo_match_units_matches_window_scan_on_engine_rows():
+    # the engine's input: demand over a 24-36 h horizon and the fixed
+    # roster's capacity, which is zero ahead of the steps fixed so far.
+    # Sparse capacity leaves units behind that a later slot must jump past
+    # (the oldest-origin reset); capacity far above demand empties origins
+    # the pass then never walks again
+    rng = np.random.default_rng(31)
+    paths = {"reset": 0, "sparse": 0, "surplus": 0}
+    for case in range(6000):
+        n = int(rng.integers(24, 37))
+        dwell = int(rng.integers(0, 7))
+        demand = [int(v) for v in rng.integers(0, 9, n) * (rng.random(n) < 0.7)]
+        fixed_to = int(rng.integers(0, n + 1))
+        shape = case % 3
+        if shape == 0:  # mostly zero
+            capacity = [int(v) for v in rng.integers(1, 6, n) * (rng.random(n) < 0.2)]
+        elif shape == 1:  # far above demand
+            capacity = [d + int(v) for d, v in zip(demand, rng.integers(5, 30, n))]
+        else:
+            capacity = [int(v) for v in rng.integers(0, 9, n)]
+        capacity[fixed_to:] = [0] * (n - fixed_to)
+        out = fifo_match_units(demand, capacity, dwell)
+        assert out == reference_kernels.fifo_match_units(demand, capacity, dwell), (demand, capacity, dwell)
+        # an origin still holding units that a later slot with capacity
+        # could not reach: the pass moved its oldest origin past it
+        paths["reset"] += any(
+            left and any(capacity[o + dwell + 1 :]) for o, left in enumerate(out)
+        )
+        paths["sparse"] += 2 * capacity.count(0) > n and any(capacity)
+        paths["surplus"] += sum(capacity) > 2 * sum(demand) > 0 and not any(out[:fixed_to])
+    assert paths["reset"] > 1500 and paths["sparse"] > 3000 and paths["surplus"] > 1000, paths
 
 
 # ------------------------------------------------------------- generation

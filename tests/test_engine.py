@@ -518,3 +518,92 @@ def test_engine_rosters_pass_validate_shift():
                 validate_shift(entry.shift, cfg.params.max_work_h)
             merged += report.merged_shift_count
     assert merged >= 3
+
+
+def test_rolling_steps_skip_the_hubs_and_runs_they_cannot_fix(monkeypatch):
+    # a step builds no candidates for a hub whose residual is empty before
+    # the stop, and values no run starting at or after the stop; the days
+    # are those of the fix-reach test, replanned every 15 and 60 minutes
+    net = random_network(n_hubs=6, n_gateways=2, area_m=3000, seed=5)
+    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 5)
+    rows = {h: s.arrivals for h, s in arrivals.items()}
+    combine = engine_module.combine_within_hub_detail
+    value = engine_module.shift_value
+    stops, valued = [], []
+    at_stop = 0
+
+    def counting_combine(*args):
+        nonlocal at_stop
+        out = combine(*args)
+        stop = args[4]
+        stops.append(stop)
+        at_stop += sum(start == stop for start, _end in out[0])
+        return out
+
+    def counting_value(start, working, resting, now_h, weights, cap):
+        valued.append((start, now_h))
+        return value(start, working, resting, now_h, weights, cap)
+
+    for replan_min in (15, 60):
+        for scenario in (1, 2):
+            cfg = _cfg(net, rows, scenario=scenario, noise="paper", seed=5, replan_min=replan_min)
+            p = cfg.params
+            reach = ValueWeights.from_params(p).fix_reach
+            stops.clear()
+            valued.clear()
+            with monkeypatch.context() as m:
+                m.setattr(engine_module, "combine_within_hub_detail", counting_combine)
+                m.setattr(engine_module, "shift_value", counting_value)
+                run_scenario(cfg)
+            steps = math.ceil(p.horizon_h / p.replan_h)
+            assert 0 < len(stops) < len(net) * steps
+            assert valued
+            for start, now_h in valued:
+                assert start < math.ceil(now_h + max(p.replan_h, reach)) + 1, (start, now_h)
+            cut, full = _candidates_with_and_without_cut(monkeypatch, cfg)
+            assert cut < full
+    assert at_stop > 0  # runs at the stop exist, so the valuation guard decides some
+
+
+def test_select_skips_agree_with_full_scan_at_the_stop():
+    # residuals empty before a slot next to the stop. A hub whose first unit
+    # lies at stop - 1 can still give a kept run (forced when the next
+    # replan reaches that slot), one whose first unit lies at the stop
+    # cannot, and with fix_all every hub's runs are kept
+    rng = np.random.default_rng(12)
+    edge_runs = fix_all_late = 0
+    for _ in range(1500):
+        n_hubs = int(rng.integers(1, 5))
+        horizon = int(rng.integers(12, 37))
+        params = dict(
+            horizon_h=horizon,
+            dwell_h=int(rng.integers(0, 4)),
+            max_work_h=int(rng.integers(1, 9)),
+            replan_min=int(rng.choice([15, 60, 90, 180, 360])),
+        )
+        engine = RollingEngine(_cfg(_net(n_hubs), {h: [0] * horizon for h in range(n_hubs)}, **params))
+        p = engine.cfg.params
+        raw = rng.random(3) + 0.01
+        urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
+        threshold = utilization + continuity + float(rng.uniform(0.01, 0.99)) * urgency
+        engine.weights = ValueWeights(urgency, utilization, continuity, float(rng.uniform(0.25, 6.0)), threshold)
+        now_h = int(rng.integers(0, math.ceil(horizon / p.replan_h))) * p.replan_h
+        stop = math.ceil(now_h + max(p.replan_h, engine.weights.fix_reach)) + 1
+        fix_all = bool(rng.random() < 0.2)
+        residual = {}
+        for h in range(n_hubs):
+            first = min(max(0, stop + int(rng.integers(-2, 2))), horizon)
+            row = [0] * first + [int(v) for v in rng.integers(0, 4, horizon - first)]
+            if first < horizon:
+                row[first] = max(row[first], 1)
+            residual[h] = row
+
+        expected = reference_select(residual, engine.hub_ids, now_h, p, engine.weights, fix_all)
+        got = engine._select(residual, now_h, fix_all)
+        assert got == [(s.start_h, s.segments[0].hub_id, s.end_h) for s in expected]
+        for start, h, _end in got:
+            if not any(residual[h][:stop]):
+                fix_all_late += fix_all
+            elif not any(residual[h][: stop - 1]):
+                edge_runs += start == stop - 1 and not fix_all
+    assert edge_runs > 80 and fix_all_late > 800, (edge_runs, fix_all_late)
