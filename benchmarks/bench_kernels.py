@@ -5,9 +5,10 @@ of the workforce pool.
 Times each hot kernel, and pool assignment with hire simulation, on synthetic
 workloads and prints the fastest of three runs. ``within_hub_runs`` is also
 timed with its search cut where the engine cuts it at hour 0 under the
-default parameters, and ``fifo_match_units`` on the engine's rows, where
-capacity is zero ahead of the slots fixed so far. End-to-end timings of the
-``hubroster`` command line come from ``perfbench/run.py``:
+default parameters and on gateway-sized rows, and ``fifo_match_units`` on
+the engine's rows, where capacity is zero ahead of the slots fixed so far.
+End-to-end timings of the ``hubroster`` command line come from
+``perfbench/run.py``:
 
     python benchmarks/bench_kernels.py [--quick]
 """
@@ -119,11 +120,14 @@ def main():
         (now, [Shift([Segment(0, now, now + int(w), "working")]) for w in rng.integers(1, 4, 60)])
         for now in range(12, 22)
     ]
+    # gateway hubs hold 30-60 units per slot, so most demand forms stacked full-length runs
+    gateway_rows = [[int(v) for v in rng.integers(30, 61, 24)] for _ in range(n_rows)]
 
     results = {
         "within_hub_runs (dwell 1)": _time(bench_within_hub(rows, 1)),
         "within_hub_runs (dwell 3)": _time(bench_within_hub(rows, 3)),
         "within_hub_runs (dwell 3, stop)": _time(bench_within_hub(rows, 3, stop)),
+        "within_hub_runs (dwell 3, gateway rows)": _time(bench_within_hub(gateway_rows, 3)),
         "merge_runs": _time(bench_merge(runs_by_hub, pairs)),
         "fifo_match_units": _time(bench_match(rows[:500], cap_rows)),
         "fifo_match_units (dwell 3, engine rows)": _time(

@@ -12,57 +12,40 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 
 
-def part1_runs(x, max_run, start_min=0):
-    """Extract maximal-length runs from a demand row, left to right.
-
-    Repeatedly takes the first slot with positive demand at or after
-    ``start_min`` and extends while demand stays positive, capped at
-    ``max_run`` hours, decrementing demand along the way. The residual row
-    is identically zero on return, so total run hours equal total demand.
-    """
-    x = list(x)
-    n = len(x)
-    runs = []
-    start = start_min
-    while start < n:
-        if x[start] == 0:
-            start += 1
-            continue
-        x[start] -= 1
-        end = start + 1
-        while end < n and x[end] > 0 and end - start < max_run:
-            x[end] -= 1
-            end += 1
-        runs.append((start, end))
-    return runs
-
-
-def _trial_run(avail, t0, dwell, max_run, n):
+def _trial(avail, t0, dwell, max_run, n):
     """Simulate one run starting at t0: serve one unit per slot, earliest
     effective deadline first (ties to the freshest origin), until no unit
-    within its dwell window remains. Returns the (origin, slot) services.
+    within its dwell window remains. Returns the origin served at each of
+    the run's slots, and leaves ``avail`` as it found it.
 
     An origin's deadline ``min(s + dwell, n - 1)`` rises strictly with ``s``
     until it clamps at the horizon end, so the pick is the oldest open origin
     in ``[t - dwell, t]``; when that one's deadline is clamped, every open
-    origin ties and the freshest wins.
+    origin ties and the freshest wins. The walk takes units from ``avail``
+    as it goes: ``oldest`` moves up to ``t - dwell`` and past each empty
+    origin and never moves back, since units only leave. The picks are
+    put back before returning.
     """
-    out = []
-    left = list(avail)
+    picks = []
     clamped = n - 1 - dwell  # origins from here on share the deadline n - 1
+    oldest = t0 - dwell if t0 > dwell else 0
     for t in range(t0, min(n, t0 + max_run)):
-        pick = t - dwell if t > dwell else 0
-        while pick <= t and left[pick] <= 0:
-            pick += 1
-        if pick > t:
+        if oldest < t - dwell:
+            oldest = t - dwell
+        while oldest <= t and avail[oldest] <= 0:
+            oldest += 1
+        if oldest > t:
             break
+        pick = oldest
         if pick >= clamped:
             pick = t
-            while left[pick] <= 0:
+            while avail[pick] <= 0:
                 pick -= 1
-        left[pick] -= 1
-        out.append((pick, t))
-    return out
+        avail[pick] -= 1
+        picks.append(pick)
+    for pick in picks:
+        avail[pick] += 1
+    return picks
 
 
 def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
@@ -77,6 +60,15 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
     after its origin. Units whose whole window lies before
     ``start_min`` cannot be scheduled and are reported as dropped.
 
+    The full-length runs are those of a greedy left-to-right extraction
+    from ``start_min`` on, which starts ``rest[s]`` runs at slot ``s`` (the
+    demand earlier starts left there); its ``i``-th run from ``s`` covers
+    slot ``t`` while ``i <= min(rest[s..t])``. So one pass over
+    ``[s, s + max_run)`` subtracts the running minimum, and the last
+    minimum counts the full-length runs from ``s``. A start after
+    ``n - max_run`` yields no full-length run and only touches later slots,
+    so those starts are skipped.
+
     A ``stop`` ends the one-run-at-a-time phase once the earliest unserved
     origin reaches it. That phase emits runs in order of that origin, each
     starting at or after it and consuming only units from it on, so every
@@ -85,21 +77,31 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
     before ``start_min`` (or ``start_min`` is past the row), so for
     ``stop > start_min`` the drops are the full scan's too.
 
-    Returns (runs, served, dropped) where served is a sorted list of
-    (origin_slot, served_slot, count) and dropped a list of (origin, count).
+    Returns (runs, left, dropped): sorted runs, the units per origin slot
+    that no returned run serves (all zero before ``min(stop, n)``, and all
+    zero without a ``stop``) and a list of dropped (origin, count).
     """
     n = len(x)
     avail = list(x)
-    served = {}
     runs = []
     dropped = []
 
-    for s, e in part1_runs(avail, max_run, start_min):
-        if e - s == max_run:
-            runs.append((s, e))
-            for t in range(s, e):
-                avail[t] -= 1
-                served[(t, t)] = served.get((t, t), 0) + 1
+    rest = list(x)
+    for s in range(start_min, n - max_run + 1):
+        low = rest[s]
+        if low == 0:
+            continue
+        for t in range(s, s + max_run):
+            r = rest[t]
+            if r < low:
+                low = r
+                if low == 0:
+                    break
+            rest[t] = r - low
+        if low:
+            runs.extend([(s, s + max_run)] * low)
+            for t in range(s, s + max_run):
+                avail[t] -= low
 
     end = n if stop is None or stop > n else stop
     s0 = 0
@@ -118,19 +120,17 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
             continue
         best = None
         for t0 in range(lo, hi + 1):
-            trial = _trial_run(avail, t0, dwell, max_run, n)
-            if best is None or len(trial) > len(best):
-                best = trial
+            picks = _trial(avail, t0, dwell, max_run, n)
+            if best is None or len(picks) > len(best):
+                best, first = picks, t0
                 if len(best) == max_run:
                     break  # no later start can run longer, and ties keep the earliest
-        for origin, slot in best:
+        for origin in best:
             avail[origin] -= 1
-            served[(origin, slot)] = served.get((origin, slot), 0) + 1
-        runs.append((best[0][1], best[-1][1] + 1))
+        runs.append((first, first + len(best)))
 
     runs.sort()
-    served_list = sorted((o, t, c) for (o, t), c in served.items())
-    return runs, served_list, dropped
+    return runs, avail, dropped
 
 
 def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):

@@ -206,7 +206,7 @@ class RollingEngine:
             row = residual[h]
             if not any(row[:stop]):
                 continue
-            runs, _served, _dropped = combine_within_hub_detail(
+            runs, _left, _dropped = combine_within_hub_detail(
                 row, p.dwell_h, cap, first_slot, stop
             )
             for start, end in runs:

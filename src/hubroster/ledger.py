@@ -117,10 +117,21 @@ def write_ledger_json(path, ledger: CostLedger, meta: dict | None = None) -> Non
 
 
 def read_ledger_json(path) -> dict:
+    """Read a ledger file; raises ``ValueError`` naming the file (and the
+    key) unless it is a JSON object whose categories and total are numbers."""
     doc = json.loads(Path(path).read_text())
-    missing = [k for k in (*CATEGORIES, "total") if k not in doc]
+    if not isinstance(doc, dict):
+        raise ValueError(f"ledger file {path} must hold a JSON object, got {json.dumps(doc)}")
+    keys = (*CATEGORIES, "total")
+    missing = [k for k in keys if k not in doc]
     if missing:
         raise ValueError(f"ledger file {path} is missing keys: {missing}")
+    for key in keys:
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(
+                f"ledger file {path}: key {key!r} must be a number, got {json.dumps(value)}"
+            )
     return doc
 
 

@@ -93,15 +93,16 @@ def combine_within_hub_detail(
     x, dwell_h: int, max_work_h: int, start_min: int = 0, stop: int | None = None
 ):
     """Combine a hub's demand into few, long working runs via dwell-time
-    deferral (``kernels.within_hub_runs``), with service provenance.
+    deferral (``kernels.within_hub_runs``).
 
-    Returns (runs, served, dropped): ``runs`` are sorted ``(start, end)``
-    working runs, ``served`` lists (origin_slot, served_slot, count) for
-    every demand unit, ``dropped`` lists units whose dwell window closed
-    before ``start_min``. No ``Shift`` is built, so the engine pays for one
-    only when it fixes the run. A ``stop`` leaves out runs for demand from
-    that slot on (see ``kernels.within_hub_runs``); every run starting
-    before it is still returned.
+    Returns (runs, left, dropped): ``runs`` are sorted ``(start, end)``
+    working runs, ``left`` holds the units per origin slot that no returned
+    run serves, ``dropped`` lists units whose dwell window closed before
+    ``start_min``. No ``Shift`` is built, so the engine pays for one only
+    when it fixes the run. A ``stop`` leaves out runs for demand from that
+    slot on (see ``kernels.within_hub_runs``); every run starting before it
+    is still returned, and ``left`` is zero before it (all zero without a
+    ``stop``).
     """
     if min(x, default=0) < 0:
         raise ValueError("demand must be non-negative")

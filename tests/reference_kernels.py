@@ -1,17 +1,70 @@
 """Full-scan kernels: the references the engine's kernels must match.
 
-``within_hub_runs`` tries every start in the dwell window of the earliest
-unserved unit, ``merge_runs`` tests every pair of runs of a hub pair, and
-``fifo_match_units`` walks every origin of every slot's dwell window. The
-kernels in ``hubroster._kernels`` end the start search at the first
-full-length run, look only at the runs whose start can give a feasible gap,
-and walk each origin once; all three must return exactly what these do.
+``within_hub_runs`` extracts full-length runs one demand unit at a time
+(``part1_runs``) and tries every start in the dwell window of the earliest
+unserved unit on a fresh copy of the row (``_trial_run``), ``merge_runs``
+tests every pair of runs of a hub pair, and ``fifo_match_units`` walks
+every origin of every slot's dwell window. The kernels in
+``hubroster._kernels`` count full-length runs by level, walk each trial in
+place, end the start search at the first full-length run, look only at the
+runs whose start can give a feasible gap, and walk each origin once; all
+three must return exactly what these do.
 """
 
-from hubroster._kernels import _trial_run, part1_runs
+
+def part1_runs(x, max_run, start_min=0):
+    """Extract maximal-length runs from a demand row, left to right.
+
+    Repeatedly takes the first slot with positive demand at or after
+    ``start_min`` and extends while demand stays positive, capped at
+    ``max_run`` hours, decrementing demand along the way. The residual row
+    is identically zero on return, so total run hours equal total demand.
+    """
+    x = list(x)
+    n = len(x)
+    runs = []
+    start = start_min
+    while start < n:
+        if x[start] == 0:
+            start += 1
+            continue
+        x[start] -= 1
+        end = start + 1
+        while end < n and x[end] > 0 and end - start < max_run:
+            x[end] -= 1
+            end += 1
+        runs.append((start, end))
+    return runs
 
 
-def within_hub_runs(x, dwell, max_run, start_min=0):
+def _trial_run(avail, t0, dwell, max_run, n):
+    """Simulate one run starting at t0 on a copy of ``avail``: serve one unit
+    per slot, earliest effective deadline first (ties to the freshest
+    origin), until no unit within its dwell window remains. Returns the
+    (origin, slot) services."""
+    out = []
+    left = list(avail)
+    clamped = n - 1 - dwell  # origins from here on share the deadline n - 1
+    for t in range(t0, min(n, t0 + max_run)):
+        pick = t - dwell if t > dwell else 0
+        while pick <= t and left[pick] <= 0:
+            pick += 1
+        if pick > t:
+            break
+        if pick >= clamped:
+            pick = t
+            while left[pick] <= 0:
+                pick -= 1
+        left[pick] -= 1
+        out.append((pick, t))
+    return out
+
+
+def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
+    """Returns (runs, served, dropped): served is a sorted list of
+    (origin_slot, served_slot, count) for every unit a returned run serves.
+    A ``stop`` ends the one-run-at-a-time phase once the earliest unserved
+    origin reaches it."""
     n = len(x)
     avail = list(x)
     served = {}
@@ -25,11 +78,12 @@ def within_hub_runs(x, dwell, max_run, start_min=0):
                 avail[t] -= 1
                 served[(t, t)] = served.get((t, t), 0) + 1
 
+    end = n if stop is None or stop > n else stop
     s0 = 0
     while True:
-        while s0 < n and avail[s0] == 0:
+        while s0 < end and avail[s0] == 0:
             s0 += 1
-        if s0 == n:
+        if s0 >= end:
             break
         lo = s0 if s0 > start_min else start_min
         hi = s0 + dwell

@@ -36,7 +36,7 @@ MAX_GAP = 2
 
 def _combined(x, dwell, rho, hub=0):
     """A hub's within-hub runs as single-segment working shifts."""
-    runs, _served, _dropped = combine_within_hub_detail(x, dwell, rho)
+    runs, _left, _dropped = combine_within_hub_detail(x, dwell, rho)
     return [Shift([Segment(hub, s, e, "working")]) for s, e in runs]
 
 

@@ -120,6 +120,27 @@ def test_compare_usage_and_schema_errors(tmp_path, capsys):
     assert main(["compare", str(only), str(bad)]) == 1
 
 
+LEDGER = {"hiring": 50, "hourly": 160, "waiting": 0, "moving": 0, "lateness": 5, "emergency": 0, "total": 215}
+
+
+def test_compare_rejects_a_ledger_of_the_wrong_shape(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(LEDGER))
+    for text, message in (
+        ("5", "must hold a JSON object, got 5"),
+        ("[1]", "must hold a JSON object, got [1]"),
+        (json.dumps({**LEDGER, "hiring": "x"}), "key 'hiring' must be a number, got \"x\""),
+        (json.dumps({**LEDGER, "total": True}), "key 'total' must be a number, got true"),
+        (json.dumps({**LEDGER, "moving": None}), "key 'moving' must be a number, got null"),
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["compare", str(good), str(bad)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ledger file ")
+        assert str(bad) in err[0] and message in err[0]
+
+
 def test_debug_dumps(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "run"

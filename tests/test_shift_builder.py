@@ -7,7 +7,7 @@ import pytest
 
 import reference_kernels
 from hubroster import _kernels as kernels
-from hubroster._kernels import _trial_run
+from hubroster._kernels import _trial
 from hubroster.config import ScenarioParams
 from hubroster.demand import ArrivalSeries
 from hubroster.engine import RollingEngine, ScenarioConfig
@@ -49,22 +49,22 @@ def _two_hub_net(dist_m, d_max_m=3000, speed=15000):
 
 
 def test_part1_runs_hand_trace():
-    assert kernels.part1_runs([2, 1, 0, 1], RHO) == [(0, 2), (0, 1), (3, 4)]
+    assert reference_kernels.part1_runs([2, 1, 0, 1], RHO) == [(0, 2), (0, 1), (3, 4)]
 
 
 def test_part1_runs_empty():
-    assert kernels.part1_runs([0, 0, 0], RHO) == []
+    assert reference_kernels.part1_runs([0, 0, 0], RHO) == []
 
 
 def test_part1_runs_length_cap():
-    assert kernels.part1_runs([1] * 10, RHO) == [(0, 8), (8, 10)]
+    assert reference_kernels.part1_runs([1] * 10, RHO) == [(0, 8), (8, 10)]
 
 
 def test_part1_runs_conserves_demand():
     rng = np.random.default_rng(0)
     for _ in range(300):
         x = [int(v) for v in rng.integers(0, 5, int(rng.integers(1, 30)))]
-        runs = kernels.part1_runs(x, RHO)
+        runs = reference_kernels.part1_runs(x, RHO)
         assert sum(e - s for s, e in runs) == sum(x)
         assert all(0 < e - s <= RHO for s, e in runs)
 
@@ -102,7 +102,7 @@ def test_combine_dwell_zero_equals_max_shifts():
     rng = np.random.default_rng(1)
     for _ in range(100):
         x = [int(v) for v in rng.integers(0, 4, 12)]
-        assert _runs(x, 0) == sorted(kernels.part1_runs(x, RHO))
+        assert _runs(x, 0) == sorted(reference_kernels.part1_runs(x, RHO))
 
 
 def test_combine_conservation_dwell_bound_and_cap():
@@ -111,12 +111,16 @@ def test_combine_conservation_dwell_bound_and_cap():
         n = int(rng.integers(1, 30))
         x = [int(v) for v in rng.integers(0, 4, n)]
         dwell = int(rng.integers(0, 4))
-        runs, served, dropped = combine_within_hub_detail(x, dwell, RHO)
+        runs, left, dropped = combine_within_hub_detail(x, dwell, RHO)
         assert dropped == []
-        assert sum(e - s for s, e in runs) == sum(x)
-        assert sum(c for _, _, c in served) == sum(x)
-        for origin, slot, _count in served:
-            assert origin <= slot <= origin + dwell
+        assert left == [0] * n
+        assert sum(e - s for s, e in runs) + sum(left) == sum(x)
+        # the runs' capacity serves every unit within its dwell window
+        cap = [0] * n
+        for s, e in runs:
+            for t in range(s, e):
+                cap[t] += 1
+        assert kernels.fifo_match_units(x, cap, dwell) == [0] * n
         assert runs == sorted(runs)
         for s, e in runs:
             assert 0 < e - s <= RHO
@@ -128,7 +132,7 @@ def test_combine_beats_plain_extraction_on_unit_demand():
     for _ in range(500):
         x = [int(v) for v in rng.integers(0, 2, 16)]
         dwell = int(rng.integers(0, 3))
-        assert len(_runs(x, dwell)) <= len(kernels.part1_runs(x, RHO))
+        assert len(_runs(x, dwell)) <= len(reference_kernels.part1_runs(x, RHO))
 
 
 def test_combine_reduces_shift_count_overall():
@@ -137,7 +141,7 @@ def test_combine_reduces_shift_count_overall():
     delta = 0
     for _ in range(500):
         x = [int(v) for v in rng.integers(0, 3, 16)]
-        delta += len(_runs(x, 1)) - len(kernels.part1_runs(x, RHO))
+        delta += len(_runs(x, 1)) - len(reference_kernels.part1_runs(x, RHO))
     assert delta < -1000
 
 
@@ -178,39 +182,65 @@ def test_trial_run_matches_earliest_deadline_scan():
         max_run = int(rng.integers(1, 9))
         t0 = int(rng.integers(0, n))
         expected, k = _edf_trial_run(avail, t0, dwell, max_run, n)
-        assert _trial_run(avail, t0, dwell, max_run, n) == expected
+        row = list(avail)
+        assert _trial(avail, t0, dwell, max_run, n) == [origin for origin, _slot in expected]
+        assert avail == row
         ties += k
     assert ties > 500
 
 
 def _counting(fn, calls):
-    def wrapper(*args):
+    """Count the calls of a trial function, which must leave its row unchanged."""
+
+    def wrapper(avail, *args):
         calls[0] += 1
-        return fn(*args)
+        row = list(avail)
+        picks = fn(avail, *args)
+        assert avail == row
+        return picks
 
     return wrapper
 
 
+def _left_of(x, served, dropped):
+    """The units per origin that no served entry and no drop accounts for."""
+    left = list(x)
+    for origin, _slot, count in served:
+        left[origin] -= count
+    for origin, count in dropped:
+        left[origin] -= count
+    return left
+
+
 def test_within_hub_runs_matches_full_scan(monkeypatch):
     # the start search ends at the first full-length run; the full scan tries
-    # every start of the window, so fewer trials show the early exit fired
+    # every start of the window, so fewer trials show the early exit fired.
+    # Half the cases cut the search at a stop, so left holds units.
     new_calls, ref_calls = [0], [0]
-    monkeypatch.setattr(kernels, "_trial_run", _counting(_trial_run, new_calls))
-    monkeypatch.setattr(reference_kernels, "_trial_run", _counting(_trial_run, ref_calls))
+    monkeypatch.setattr(kernels, "_trial", _counting(_trial, new_calls))
+    monkeypatch.setattr(
+        reference_kernels, "_trial_run", _counting(reference_kernels._trial_run, ref_calls)
+    )
     rng = np.random.default_rng(6)
-    early = 0
+    stops = np.random.default_rng(16)  # its own stream keeps rng's cases as they were
+    early = cut = 0
     for _ in range(3000):
         n = int(rng.integers(1, 30))
         x = [int(v) for v in rng.integers(0, 4, n)]
         dwell = int(rng.integers(0, 5))
         max_run = int(rng.integers(1, 9))
         start_min = int(rng.integers(0, 4))
+        stop = int(stops.integers(start_min + 1, n + 4)) if stops.random() < 0.5 else None
         new_calls[0] = ref_calls[0] = 0
-        assert kernels.within_hub_runs(x, dwell, max_run, start_min) == reference_kernels.within_hub_runs(
-            x, dwell, max_run, start_min
+        runs, left, dropped = kernels.within_hub_runs(x, dwell, max_run, start_min, stop)
+        ref_runs, ref_served, ref_dropped = reference_kernels.within_hub_runs(
+            x, dwell, max_run, start_min, stop
         )
+        assert (runs, dropped) == (ref_runs, ref_dropped)
+        assert left == _left_of(x, ref_served, ref_dropped)
         early += new_calls[0] < ref_calls[0]
-    assert early > 1000
+        cut += any(left)
+    assert early > 1000 and cut > 500
 
 
 def _sorted_runs(rng, n_runs, horizon):
@@ -242,14 +272,14 @@ def test_merge_runs_matches_all_pairs_scan():
 
 
 def test_combine_respects_start_min():
-    runs, _served, dropped = combine_within_hub_detail([1, 1, 0, 0], 1, RHO, start_min=1)
+    runs, _left, dropped = combine_within_hub_detail([1, 1, 0, 0], 1, RHO, start_min=1)
     # slot-0 demand can still be served at slot 1; nothing starts before 1
     assert all(s >= 1 for s, _e in runs)
     assert sum(e - s for s, e in runs) + sum(c for _, c in dropped) == 2
 
 
 def test_combine_drops_expired_units():
-    _runs, _served, dropped = combine_within_hub_detail([1, 0, 0, 1], 1, RHO, start_min=3)
+    _runs, _left, dropped = combine_within_hub_detail([1, 0, 0, 1], 1, RHO, start_min=3)
     assert dropped == [(0, 1)]
 
 
@@ -266,13 +296,40 @@ def test_within_hub_runs_stop_keeps_the_runs_and_drops_before_it():
         start_min = int(rng.integers(0, n + 1))
         stop = int(rng.integers(start_min + 1, n + 3))
         full, _served, full_dropped = reference_kernels.within_hub_runs(x, dwell, max_run, start_min)
-        runs, _served, dropped = kernels.within_hub_runs(x, dwell, max_run, start_min, stop)
+        runs, left, dropped = kernels.within_hub_runs(x, dwell, max_run, start_min, stop)
         assert [r for r in runs if r[0] < stop] == [r for r in full if r[0] < stop]
         assert Counter(runs) <= Counter(full)
         assert dropped == full_dropped
+        assert not any(left[:stop])
         cut += len(full) - len(runs)
         drops += bool(dropped)
     assert cut > 1000 and drops > 300
+
+
+def test_within_hub_runs_matches_full_scan_on_gateway_rows():
+    # engine-shaped rows: a day of 24-36 slots, a gateway's 0-60 units per
+    # slot (some slots empty or light), a replan's start_min and a stop past
+    # it. Many starts hold more than one full-length run.
+    rng = np.random.default_rng(17)
+    stacked = cut = 0
+    for _ in range(300):
+        n = int(rng.integers(24, 37))
+        top = rng.choice([0, 4, 61], n, p=[0.15, 0.25, 0.6])
+        x = [int(rng.integers(0, t)) if t else 0 for t in top]
+        dwell = int(rng.integers(0, 7))
+        max_run = int(rng.integers(4, 9))
+        start_min = int(rng.integers(0, n))
+        stop = int(rng.integers(start_min + 1, n + 2))
+        runs, left, dropped = kernels.within_hub_runs(x, dwell, max_run, start_min, stop)
+        ref_runs, ref_served, ref_dropped = reference_kernels.within_hub_runs(
+            x, dwell, max_run, start_min, stop
+        )
+        assert (runs, dropped) == (ref_runs, ref_dropped)
+        assert left == _left_of(x, ref_served, ref_dropped)
+        full = Counter(r for r in runs if r[1] - r[0] == max_run)
+        stacked += max(full.values(), default=0) > 1
+        cut += any(left)
+    assert stacked > 150 and cut > 150
 
 
 # ------------------------------------------------------------ cross-hub mix
