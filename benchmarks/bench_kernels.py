@@ -76,13 +76,13 @@ def bench_pool(n_workers, batches):
 
     def run():
         pool = WorkforcePool(daily_cap_h=8)
-        for i, shift in enumerate(morning):
-            pool.assign(shift, 0, i)
+        for shift in morning:
+            pool.assign(shift, 0)
         for now, batch in batches:
             pool.release_finished(now)
             pool.simulate_hires([shift.working_h for shift in batch])
             for shift in batch:
-                pool.assign(shift, now, 0)
+                pool.assign(shift, now)
 
     return run
 

@@ -242,11 +242,10 @@ def fifo_replay(arrivals, workers, dwell, rate):
     Parcels queue first-in-first-out; capacity at slot t is workers[t] * rate.
     A parcel is late when served after origin + dwell, or never served while
     its deadline fell inside the horizon (later deadlines roll to the next
-    day). Returns (late_count, served_per_slot, leftover_unserved).
+    day). Returns the late count.
     """
     n = len(arrivals)
     late = 0
-    served_per_slot = [0] * n
     queue = deque()
     for t in range(n):
         if arrivals[t] > 0:
@@ -259,12 +258,9 @@ def fifo_replay(arrivals, workers, dwell, rate):
                 late += take
             head[1] -= take
             cap -= take
-            served_per_slot[t] += take
             if head[1] == 0:
                 queue.popleft()
-    leftover = 0
     for origin, count in queue:
-        leftover += count
         if origin + dwell < n:
             late += count
-    return late, served_per_slot, leftover
+    return late

@@ -111,11 +111,7 @@ def cmd_run(args) -> int:
     header = file_header(seed, config_hash(cfg))
     reports = []
     for num, sc in zip(scenarios, configs):
-        report = run_scenario(
-            sc,
-            collect_forecasts=args.debug_forecasts,
-            collect_worker_states=args.debug_workers,
-        )
+        report = run_scenario(sc, collect_forecasts=args.debug_forecasts)
         reports.append(report)
         meta = {"seed": seed, "config": config_hash(cfg), "scenario": num, "noise": args.noise}
         write_ledger_json(out / f"ledger_s{num}.json", report.ledger, meta)
@@ -125,8 +121,6 @@ def cmd_run(args) -> int:
         write_flows_csv(out / f"flows_s{num}.csv", report, header)
         if args.debug_forecasts:
             write_forecast_csv(out / f"forecasts_s{num}.csv", report.forecast_snapshots, header)
-        if args.debug_workers:
-            _write_worker_states(out / f"workers_s{num}.csv", report, header)
         moving_share = 100.0 * report.merged_shift_count / max(1, len(report.roster))
         print(
             f"scenario {num}: {len(report.roster)} shifts, {report.hires} workers, "
@@ -139,17 +133,6 @@ def cmd_run(args) -> int:
         print()
         print(_comparison_table({f"scenario {r.label[-1]}": r.ledger.to_dict() for r in reports}))
     return 0
-
-
-def _write_worker_states(path, report, header: str) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        writer = csv.writer(fh)
-        writer.writerow(["step_h", "worker_id", "state", "shift_id"])
-        for row in report.worker_states:
-            writer.writerow([f"{row[0]:g}", row[1], row[2], "" if row[3] is None else row[3]])
 
 
 def _comparison_table(ledgers: dict[str, dict]) -> str:
@@ -195,7 +178,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--scenario", choices=["1", "2", "3", "all"], default="all")
     p_run.add_argument("--noise", choices=["paper", "perfect"], default="paper")
     p_run.add_argument("--debug-forecasts", action="store_true")
-    p_run.add_argument("--debug-workers", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="side-by-side cost comparison of ledger files")

@@ -92,7 +92,6 @@ class SimReport:
     runtime_s: float
     hires: int
     forecast_snapshots: list[ForecastSnapshot] = field(default_factory=list)
-    worker_states: list[tuple] = field(default_factory=list)
 
     @property
     def merged_shift_count(self) -> int:
@@ -121,7 +120,7 @@ def tally(shifts, working, resting, flows) -> None:
 
 
 class RollingEngine:
-    def __init__(self, cfg: ScenarioConfig, collect_forecasts=False, collect_worker_states=False):
+    def __init__(self, cfg: ScenarioConfig, collect_forecasts=False):
         cfg.validate()
         self.cfg = cfg
         p = cfg.params
@@ -150,9 +149,7 @@ class RollingEngine:
         self.now_h = 0.0
         self.weights = ValueWeights.from_params(p)
         self.collect_forecasts = collect_forecasts
-        self.collect_worker_states = collect_worker_states
         self.forecast_snapshots: list[ForecastSnapshot] = []
-        self.worker_states: list[tuple] = []
 
     def _demand_units(self, now_h: float) -> tuple[dict[int, list[int]], np.ndarray]:
         """Predicted arrivals for the whole horizon (actuals up to now, noisy
@@ -253,17 +250,13 @@ class RollingEngine:
         selected = self._fixed_shifts(self._select(residual, now_h, fix_all))
 
         for cand in selected:
-            shift_id = len(self.roster)
-            worker, lead, new_hire = self.pool.assign(cand, now_h, shift_id)
+            worker, lead, new_hire = self.pool.assign(cand, now_h)
             cand.fixed_at_h = now_h
             accrue_shift(cand, lead, new_hire, self.ledger, distance_fn=self.cfg.network.distance_m)
-            self.roster.append(RosterEntry(shift_id, cand, worker.id, lead, new_hire))
+            self.roster.append(RosterEntry(len(self.roster), cand, worker.id, lead, new_hire))
         tally(selected, self.capacity, self.resting, self.flows)
 
         self.now_h = now_h + p.replan_h
-        if self.collect_worker_states:
-            for w in self.pool.workers:
-                self.worker_states.append((now_h, w.id, w.state, w.assigned_shift))
         return len(selected)
 
     def run(self) -> SimReport:
@@ -276,16 +269,13 @@ class RollingEngine:
         else:
             self.step(0.0, fix_all=True)
 
-        late, series = replay_execution(
-            {h: self.cfg.actuals[h].arrivals for h in self.hub_ids},
-            self.capacity,
-            p.dwell_h,
-            p.work_rate,
-        )
-        for h, row in self.resting.items():
-            series[h]["resting"] = row
+        arrivals = {h: self.cfg.actuals[h].arrivals for h in self.hub_ids}
+        late = replay_execution(arrivals, self.capacity, p.dwell_h, p.work_rate)
         lateness_penalty(late, self.ledger)
-        self.pool.end_of_day()
+        series = {
+            h: {"arrivals": arrivals[h], "working": self.capacity[h], "resting": self.resting[h]}
+            for h in self.hub_ids
+        }
 
         return SimReport(
             label=self.cfg.label,
@@ -297,7 +287,6 @@ class RollingEngine:
             runtime_s=time.perf_counter() - t0,
             hires=self.pool.hires,
             forecast_snapshots=self.forecast_snapshots,
-            worker_states=self.worker_states,
         )
 
 
@@ -306,23 +295,17 @@ def replay_execution(
     workers_working: dict[int, list[int]],
     dwell_h: int,
     work_rate: int,
-) -> tuple[int, dict[int, dict]]:
+) -> int:
     """Replay actual arrivals against scheduled capacity, hub by hub.
 
-    Returns (total late parcels, per-hub series with arrivals and working
-    rows). Parcels are served first-in-first-out; one is late when processed
-    after origin + dwell, or never processed although its deadline fell
-    inside the horizon.
+    Returns the total late parcels. Parcels are served first-in-first-out;
+    one is late when processed after origin + dwell, or never processed
+    although its deadline fell inside the horizon.
     """
-    total_late = 0
-    series = {}
-    for h in sorted(arrivals):
-        late, _served, _leftover = kernels.fifo_replay(
-            list(arrivals[h]), list(workers_working[h]), dwell_h, work_rate
-        )
-        total_late += late
-        series[h] = {"arrivals": list(arrivals[h]), "working": list(workers_working[h])}
-    return total_late, series
+    return sum(
+        kernels.fifo_replay(arrivals[h], workers_working[h], dwell_h, work_rate)
+        for h in arrivals
+    )
 
 
 def run_scenario(cfg: ScenarioConfig, **engine_kwargs) -> SimReport:

@@ -135,23 +135,33 @@ def read_ledger_json(path) -> dict:
     return doc
 
 
-_UNIT_PRICES = {
-    "hiring": "50/person/day",
-    "hourly": "20/person/hour",
-    "waiting": "5/person/hour",
-    "moving": "10-20/person",
-    "lateness": "5/parcel",
-    "emergency": "5-20/person",
-}
+def _unit_prices(rates: CostRates) -> dict[str, str]:
+    """Each category's unit price as the ledger CSV prints it (a range for
+    the tiered categories)."""
+
+    def span(prices):
+        low, high = min(prices), max(prices)
+        return f"{low:g}" if low == high else f"{low:g}-{high:g}"
+
+    return {
+        "hiring": f"{rates.hiring_per_day:g}/person/day",
+        "hourly": f"{rates.hourly:g}/person/hour",
+        "waiting": f"{rates.waiting_hourly:g}/person/hour",
+        "moving": f"{span((rates.moving_near, rates.moving_far))}/person",
+        "lateness": f"{rates.lateness_per_parcel:g}/parcel",
+        "emergency": f"{span([p for _bound, p in rates.emergency_tiers] or [0.0])}/person",
+    }
 
 
 def write_ledger_csv(path, ledger: CostLedger, header: str = "") -> None:
-    """CSV twin of the ledger with one row per cost category."""
+    """CSV twin of the ledger with one row per cost category, unit prices
+    from ``ledger.rates``."""
+    prices = _unit_prices(ledger.rates)
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(header)
         writer = csv.writer(fh)
         writer.writerow(["cost_type", "unit_price_yuan", "cost_yuan"])
         for name in CATEGORIES:
-            writer.writerow([name, _UNIT_PRICES[name], f"{getattr(ledger, name):.2f}"])
+            writer.writerow([name, prices[name], f"{getattr(ledger, name):.2f}"])
         writer.writerow(["total", "-", f"{ledger.total:.2f}"])

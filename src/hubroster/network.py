@@ -55,11 +55,18 @@ class HubNetwork:
         ids = [h.id for h in hubs]
         if len(set(ids)) != len(ids):
             raise ValueError("hub ids must be unique")
+        # a move between hubs at one place would be a hub change without travel
+        at = {}
         for h in hubs:
             if not (math.isfinite(h.x_m) and math.isfinite(h.y_m)):
                 raise ValueError(f"hub {h.id} has non-finite coordinates")
             if h.tier not in HUB_TIERS:
                 raise ValueError(f"hub {h.id} has unknown tier {h.tier!r}")
+            other = at.setdefault((h.x_m, h.y_m), h.id)
+            if other != h.id:
+                raise ValueError(
+                    f"hubs {other} and {h.id} share coordinates ({h.x_m:g}, {h.y_m:g})"
+                )
         if not d_max_m > 0:
             raise ValueError("d_max_m must be positive")
         if not speed_m_per_h > 0:

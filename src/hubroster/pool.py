@@ -24,17 +24,11 @@ from dataclasses import dataclass
 
 from .shifts import Shift
 
-IN_POOL = "in_pool"
-ASSIGNED = "assigned"
-RELEASED_FOR_DAY = "released_for_day"
-
 
 @dataclass
 class Worker:
     id: int
-    state: str = IN_POOL
-    assigned_shift: int | None = None
-    notified_at_h: float | None = None
+    pooled: bool = False  # False from an assignment until the worker's release
     busy_until_h: float = 0.0
     hours_worked: float = 0.0
 
@@ -61,9 +55,8 @@ class WorkforcePool:
         self._buckets: list[deque[tuple[int, int]]] = [deque() for _ in range(n_buckets)]
         self._released = 0
         self._pooled = 0
-        self.hires = 0
 
-    def assign(self, shift: Shift, now_h: float, shift_id: int) -> tuple[Worker, float, bool]:
+    def assign(self, shift: Shift, now_h: float) -> tuple[Worker, float, bool]:
         """Assign a worker to a fixed shift.
 
         Returns (worker, lead_time_h, is_new_hire). Reuses the longest-idle
@@ -82,10 +75,7 @@ class WorkforcePool:
         if is_new_hire:
             worker = Worker(id=len(self.workers))
             self.workers.append(worker)
-            self.hires += 1
-        worker.state = ASSIGNED
-        worker.assigned_shift = shift_id
-        worker.notified_at_h = now_h
+        worker.pooled = False
         worker.busy_until_h = shift.end_h
         worker.hours_worked += working_h
         return worker, shift.start_h - now_h, is_new_hire
@@ -112,12 +102,11 @@ class WorkforcePool:
 
     def release(self, worker: Worker, now_h: float) -> None:
         """Return a worker to the pool once the assigned shift has ended."""
-        if worker.state != ASSIGNED:
+        if worker.pooled:
             raise ValueError(f"worker {worker.id} is not assigned")
         if now_h < worker.busy_until_h:
             raise ValueError(f"worker {worker.id} is busy until h={worker.busy_until_h}")
-        worker.state = IN_POOL
-        worker.assigned_shift = None
+        worker.pooled = True
         budget = math.floor(self.daily_cap_h - worker.hours_worked)
         if budget >= 0:  # a worker hired past the cap never fits again
             self._buckets[budget].append((self._released, worker.id))
@@ -125,24 +114,17 @@ class WorkforcePool:
         self._pooled += 1
 
     def release_finished(self, now_h: float) -> list[Worker]:
-        """Release every assigned worker whose shift has ended by now."""
-        done = [w for w in self.workers if w.state == ASSIGNED and w.busy_until_h <= now_h]
+        """Release every busy worker whose shift has ended by now, in
+        worker-id order."""
+        done = [w for w in self.workers if not w.pooled and w.busy_until_h <= now_h]
         for w in done:
             self.release(w, now_h)
         return done
-
-    def end_of_day(self) -> None:
-        for w in self.workers:
-            w.state = RELEASED_FOR_DAY
-            w.assigned_shift = None
-        for q in self._buckets:
-            q.clear()
-        self._pooled = 0
 
     @property
     def pooled(self) -> int:
         return self._pooled
 
     @property
-    def assigned(self) -> int:
-        return sum(1 for w in self.workers if w.state == ASSIGNED)
+    def hires(self) -> int:
+        return len(self.workers)

@@ -1,14 +1,16 @@
 """Linear-scan workforce pool: the reference the bucketed pool must match.
 
 One queue of pooled worker ids in release order; assignment takes the first
-worker whose hours still fit the cap, so every call scans the queue.
+worker whose hours still fit the cap, so every call scans the queue. It
+keeps its own set of busy workers and its own hire count instead of reading
+``Worker.pooled``, so it stays independent of the pool under test.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from hubroster.pool import ASSIGNED, IN_POOL, RELEASED_FOR_DAY, Worker
+from hubroster.pool import Worker
 
 
 class ScanPool:
@@ -16,9 +18,10 @@ class ScanPool:
         self.daily_cap_h = daily_cap_h
         self.workers: list[Worker] = []
         self._queue: deque[int] = deque()  # pooled worker ids, longest idle first
+        self.busy: set[int] = set()  # ids of the workers whose shift runs
         self.hires = 0
 
-    def assign(self, shift, now_h: float, shift_id: int):
+    def assign(self, shift, now_h: float):
         if shift.start_h < now_h:
             raise ValueError("cannot assign a shift that starts in the past")
         worker = None
@@ -33,9 +36,7 @@ class ScanPool:
             worker = Worker(id=len(self.workers))
             self.workers.append(worker)
             self.hires += 1
-        worker.state = ASSIGNED
-        worker.assigned_shift = shift_id
-        worker.notified_at_h = now_h
+        self.busy.add(worker.id)
         worker.busy_until_h = shift.end_h
         worker.hours_worked += shift.working_h
         return worker, shift.start_h - now_h, is_new_hire
@@ -55,25 +56,18 @@ class ScanPool:
         return hires
 
     def release(self, worker: Worker, now_h: float) -> None:
-        if worker.state != ASSIGNED:
+        if worker.id not in self.busy:
             raise ValueError(f"worker {worker.id} is not assigned")
         if now_h < worker.busy_until_h:
             raise ValueError(f"worker {worker.id} is busy until h={worker.busy_until_h}")
-        worker.state = IN_POOL
-        worker.assigned_shift = None
+        self.busy.remove(worker.id)
         self._queue.append(worker.id)
 
     def release_finished(self, now_h: float):
-        done = [w for w in self.workers if w.state == ASSIGNED and w.busy_until_h <= now_h]
+        done = [w for w in self.workers if w.id in self.busy and w.busy_until_h <= now_h]
         for w in done:
             self.release(w, now_h)
         return done
-
-    def end_of_day(self) -> None:
-        for w in self.workers:
-            w.state = RELEASED_FOR_DAY
-            w.assigned_shift = None
-        self._queue.clear()
 
     @property
     def pooled(self) -> int:

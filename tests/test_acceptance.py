@@ -413,7 +413,7 @@ def _audit_ledger(net, report, rates=None):
                 for t in range(seg.start_h, seg.end_h):
                     capacity[seg.hub_id][t] += 1
     arrivals = {h: report.series[h]["arrivals"] for h in report.series}
-    late, _series = replay_execution(arrivals, capacity, DWELL, RATE)
+    late = replay_execution(arrivals, capacity, DWELL, RATE)
     lateness_penalty(late, ledger)
     return ledger
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hubroster.cli import main
 
 TINY = {
@@ -141,15 +143,20 @@ def test_compare_rejects_a_ledger_of_the_wrong_shape(tmp_path, capsys):
         assert str(bad) in err[0] and message in err[0]
 
 
-def test_debug_dumps(tmp_path):
+def test_debug_dumps(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "run"
     main(["generate", "--config", str(cfg), "--out", str(out)])
-    main(["run", "--out", str(out), "--scenario", "2", "--debug-forecasts", "--debug-workers"])
+    assert main(["run", "--out", str(out), "--scenario", "2", "--debug-forecasts"]) == 0
     forecasts = (out / "forecasts_s2.csv").read_text().splitlines()
     assert forecasts[1] == "made_at_h,hub_id,slot_h,arrivals"
-    workers = (out / "workers_s2.csv").read_text().splitlines()
-    assert workers[1] == "step_h,worker_id,state,shift_id"
+    # a worker's pool state is read from roster_s*.csv; there is no worker dump
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out", str(out), "--scenario", "2", "--debug-workers"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --debug-workers" in capsys.readouterr().err
+    assert not (out / "workers_s2.csv").exists()
 
 
 def _run_error(tmp_path, capsys, edit):
@@ -252,6 +259,18 @@ def test_run_rejects_malformed_network(tmp_path, capsys):
     err = _run_error(tmp_path, capsys, drop_d_max)
     assert "network.json" in err and "'d_max_m'" in err
     assert "network.json" in _run_error(tmp_path, capsys, not_json)
+
+
+def test_run_rejects_hubs_that_share_coordinates(tmp_path, capsys):
+    def stack_hubs(out):
+        def update(doc):
+            a, b = doc["hubs"][1], doc["hubs"][3]
+            b["x_m"], b["y_m"] = a["x_m"], a["y_m"]
+
+        _edit_json(out / "network.json", update)
+
+    err = _run_error(tmp_path, capsys, stack_hubs)
+    assert "network.json: hubs 1 and 3 share coordinates" in err
 
 
 def test_run_rejects_value_weights_not_summing_to_one(tmp_path, capsys):

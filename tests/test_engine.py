@@ -173,16 +173,14 @@ def test_noise_streams_differ_across_seeds():
 
 
 def test_replay_no_late_when_capacity_covers():
-    late, served, _leftover = kernels.fifo_replay([150, 150], [1, 1], 1, RATE)
-    assert late == 0
-    assert served == [150, 150]
-    assert replay_execution({0: [150, 150]}, {0: [1, 1]}, 1, RATE)[0] == 0
+    assert kernels.fifo_replay([150, 150], [1, 1], 1, RATE) == 0
+    assert replay_execution({0: [150, 150]}, {0: [1, 1]}, 1, RATE) == 0
 
 
 def test_replay_all_late_when_capacity_too_late():
     arrivals = {0: [0, 0, 0, 150, 0, 0]}
     workers = {0: [0, 0, 0, 0, 0, 1]}
-    late, _ = replay_execution(arrivals, workers, 1, RATE)
+    late = replay_execution(arrivals, workers, 1, RATE)
     assert late == 150
 
 
@@ -190,17 +188,17 @@ def test_replay_dwell_window_service_is_on_time():
     # arrivals split across the dwell window with exactly matching deferred capacity
     arrivals = {0: [150, 150, 0]}
     workers = {0: [0, 1, 1]}
-    late, _ = replay_execution(arrivals, workers, 1, RATE)
+    late = replay_execution(arrivals, workers, 1, RATE)
     assert late == 0
 
 
 def test_replay_unserved_past_deadline_counts_late():
-    late, _ = replay_execution({0: [100, 0, 0]}, {0: [0, 0, 0]}, 1, RATE)
+    late = replay_execution({0: [100, 0, 0]}, {0: [0, 0, 0]}, 1, RATE)
     assert late == 100
 
 
 def test_replay_unserved_with_deadline_beyond_horizon_rolls_over():
-    late, _ = replay_execution({0: [0, 0, 100]}, {0: [0, 0, 0]}, 1, RATE)
+    late = replay_execution({0: [0, 0, 100]}, {0: [0, 0, 0]}, 1, RATE)
     assert late == 0  # deadline falls after the horizon: next day's problem
 
 
@@ -357,10 +355,10 @@ def test_merge_on_runs_matches_shift_based_reference():
         ties += any(k in merged_keys for k, x in zip(keys, expected) if not x.is_multi_hub)
 
         # the engine's step, with the hire budget of a partly used pool
-        for i in range(int(rng.integers(0, 25))):
+        for _ in range(int(rng.integers(0, 25))):
             start = int(rng.integers(0, 3))
             end = start + int(rng.integers(1, p.max_work_h + 1))
-            engine.pool.assign(Shift([Segment(engine.hub_ids[0], start, end, WORKING)]), 0, i)
+            engine.pool.assign(Shift([Segment(engine.hub_ids[0], start, end, WORKING)]), 0)
         engine.pool.release_finished(float(p.horizon_h))
         got = engine._fixed_shifts(kept)
         expected = reference_merge.merge_selected(engine, shifts, pairs)

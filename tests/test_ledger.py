@@ -146,3 +146,36 @@ def test_csv_report_layout(tmp_path):
     assert lines[1] == "cost_type,unit_price_yuan,cost_yuan"
     assert lines[2] == "hiring,50/person/day,50.00"
     assert lines[-1].startswith("total,-,")
+
+
+def test_csv_unit_prices_follow_the_ledger_rates(tmp_path):
+    path = tmp_path / "ledger.csv"
+    rates = CostRates(
+        hiring_per_day=60,
+        hourly=22.5,
+        waiting_hourly=4,
+        moving_near=12,
+        moving_far=12,
+        lateness_per_parcel=7,
+        emergency_tiers=((1.0, 30.0), (8.0, 2.5)),
+    )
+    write_ledger_csv(path, CostLedger(hiring=60, rates=rates))
+    assert path.read_text().splitlines()[1:7] == [
+        "hiring,60/person/day,60.00",
+        "hourly,22.5/person/hour,0.00",
+        "waiting,4/person/hour,0.00",
+        "moving,12/person,0.00",
+        "lateness,7/parcel,0.00",
+        "emergency,2.5-30/person,0.00",
+    ]
+    write_ledger_csv(path, CostLedger(rates=CostRates(emergency_tiers=())))
+    assert path.read_text().splitlines()[6] == "emergency,0/person,0.00"
+    write_ledger_csv(path, CostLedger())
+    assert [line.split(",")[1] for line in path.read_text().splitlines()[1:7]] == [
+        "50/person/day",
+        "20/person/hour",
+        "5/person/hour",
+        "10-20/person",
+        "5/parcel",
+        "5-20/person",
+    ]

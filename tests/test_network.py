@@ -94,6 +94,18 @@ def test_network_validation():
         HubNetwork([_hub(0, 0, 0)], 3000, 0)
 
 
+def test_network_rejects_hubs_that_share_coordinates():
+    # a merge between them would change hubs with no travel segment or move payment
+    for hubs, first, second in (
+        ([_hub(0, 0, 0), _hub(1, 0, 0)], 0, 1),
+        ([_hub(3, 500, 250), _hub(7, 900, 0), _hub(5, 500, 250)], 3, 5),
+        ([_hub(0, -0.0, 0), _hub(1, 0.0, 0)], 0, 1),
+    ):
+        with pytest.raises(ValueError, match=f"hubs {first} and {second} share coordinates"):
+            HubNetwork(hubs, 3000, 15000)
+    HubNetwork([_hub(0, 0, 0), _hub(1, 0, 1e-9)], 3000, 15000)  # distinct, however close
+
+
 def test_json_round_trip(tmp_path):
     net = random_network(n_hubs=10, n_gateways=2, seed=5)
     path = tmp_path / "network.json"
