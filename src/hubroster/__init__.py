@@ -2,7 +2,7 @@
 
 from .config import ScenarioParams
 from .demand import ArrivalSeries, GeneratorConfig, forecast_matrix, generate_arrivals, labor_demand
-from .engine import ScenarioConfig, SimReport, replay_execution, run_scenario
+from .engine import RollingPlan, ScenarioConfig, SimReport, replay_execution, run_scenario
 from .ledger import CostLedger, CostRates, emergency_penalty, moving_payment
 from .network import Hub, HubNetwork, MovingPair, build_moving_pairs, distance, random_network
 from .pool import Worker, WorkforcePool
@@ -25,6 +25,7 @@ __all__ = [
     "Hub",
     "HubNetwork",
     "MovingPair",
+    "RollingPlan",
     "ScenarioConfig",
     "ScenarioParams",
     "Segment",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -25,6 +26,7 @@ from .demand import (
     write_forecast_csv,
 )
 from .engine import (
+    RollingPlan,
     ScenarioConfig,
     run_scenario,
     write_flows_csv,
@@ -109,9 +111,13 @@ def cmd_run(args) -> int:
         return 1
 
     header = file_header(seed, config_hash(cfg))
-    reports = []
+    reports, lines = [], []
+    # scenarios 1 and 2 fix the same runs at every step: plan them once
+    plans: dict[bool, RollingPlan] = {}
     for num, sc in zip(scenarios, configs):
-        report = run_scenario(sc, collect_forecasts=args.debug_forecasts)
+        if sc.rolling not in plans:
+            plans[sc.rolling] = RollingPlan(sc, collect_forecasts=args.debug_forecasts)
+        report = run_scenario(sc, plans[sc.rolling], collect_forecasts=args.debug_forecasts)
         reports.append(report)
         meta = {"seed": seed, "config": config_hash(cfg), "scenario": num, "noise": args.noise}
         write_ledger_json(out / f"ledger_s{num}.json", report.ledger, meta)
@@ -122,7 +128,7 @@ def cmd_run(args) -> int:
         if args.debug_forecasts:
             write_forecast_csv(out / f"forecasts_s{num}.csv", report.forecast_snapshots, header)
         moving_share = 100.0 * report.merged_shift_count / max(1, len(report.roster))
-        print(
+        lines.append(
             f"scenario {num}: {len(report.roster)} shifts, {report.hires} workers, "
             f"{report.merged_shift_count} cross-hub ({moving_share:.1f}%), "
             f"{report.late_parcels} late parcels, total {report.ledger.total:.0f} Yuan "
@@ -130,8 +136,10 @@ def cmd_run(args) -> int:
         )
 
     if len(reports) > 1:
-        print()
-        print(_comparison_table({f"scenario {r.label[-1]}": r.ledger.to_dict() for r in reports}))
+        lines += ["", _comparison_table({f"scenario {r.label[-1]}": r.ledger.to_dict() for r in reports})]
+    # printed once every file is written, so a reader that stops early
+    # (``| head``) cannot cut the run short
+    print("\n".join(lines))
     return 0
 
 
@@ -186,9 +194,17 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    code = args.func(args)
-    if code == 0 and args.command == "run":
-        print(f"\ntotal wall time {time.perf_counter() - started:.2f}s")
+    try:
+        code = args.func(args)
+        if code == 0 and args.command == "run":
+            print(f"\ntotal wall time {time.perf_counter() - started:.2f}s")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``) after every output
+        # file was written; drop what is left unprinted instead of failing
+        # again when it is flushed at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -3,11 +3,12 @@
 Every replan interval the engine refreshes arrival forecasts, converts them
 to integer labor demand, subtracts what the already-fixed roster covers
 (first-in-first-out, so dwell-deferred coverage is not double-booked),
-rebuilds candidate runs from the residual, fixes the high-value ones plus
-everything starting before the next replan (building a ``Shift`` only for
-those), assigns pooled workers, and books all payments. After the last step
-the roster is replayed against the actual arrivals to count parcels that
-missed their dwell deadline.
+rebuilds candidate runs from the residual and keeps the high-value ones plus
+everything starting before the next replan: that is the step's plan
+(``RollingPlan``). The booking half (``RollingEngine``) merges the kept runs
+across hubs, builds their ``Shift``s, assigns pooled workers and books all
+payments. After the last step the roster is replayed against the actual
+arrivals to count parcels that missed their dwell deadline.
 """
 
 from __future__ import annotations
@@ -98,28 +99,39 @@ class SimReport:
         return sum(1 for e in self.roster if e.shift.is_multi_hub)
 
 
-def tally(shifts, working, resting, flows) -> None:
-    """Add shifts to the roster-derived tables, in place.
+def tally(shifts, resting, flows) -> None:
+    """Add shifts' resting slots and moves to the roster-derived tables, in
+    place. Working slots come from the plan (``RollingPlan.capacity``):
+    a shift keeps exactly the working segments of the runs it was built from.
 
-    ``working`` and ``resting`` map hub -> per-slot worker counts; ``flows``
-    maps (from hub, to hub, six-hour window of the travel start) -> moves.
+    ``resting`` maps hub -> per-slot worker counts; ``flows`` maps
+    (from hub, to hub, six-hour window of the travel start) -> moves.
     """
     for shift in shifts:
         for seg in shift.segments:
-            if seg.kind == WORKING:
-                row = working[seg.hub_id]
-            elif seg.kind == RESTING:
+            if seg.kind == RESTING:
                 row = resting[seg.hub_id]
-            else:
-                continue
-            for t in range(seg.start_h, seg.end_h):
-                row[t] += 1
+                for t in range(seg.start_h, seg.end_h):
+                    row[t] += 1
         for src, dst, seg in shift.moves():
             key = (src, dst, (seg.start_h // 6) * 6)
             flows[key] = flows.get(key, 0) + 1
 
 
-class RollingEngine:
+class RollingPlan:
+    """The plan half of every replan step: the runs each step fixes.
+
+    A step's plan is its forecast and demand units, the FIFO residual
+    against the capacity fixed so far, and the within-hub selection. It
+    reads the network, the arrivals, the parameters, the noise mode and the
+    step's time, never the pool, the rates or the merge; and a merged shift
+    keeps exactly the working segments of its two runs, so the capacity
+    that feeds the next step's residual is the sum of the kept runs whatever
+    the booking half does with them. Scenarios 1 and 2 differ only in that
+    half and can share one plan. Step ``k`` is computed the first time an
+    engine asks for it (``kept``) and recorded for the next.
+    """
+
     def __init__(self, cfg: ScenarioConfig, collect_forecasts=False):
         cfg.validate()
         self.cfg = cfg
@@ -129,29 +141,52 @@ class RollingEngine:
         self.actual_matrix = np.array(
             [cfg.actuals[h].arrivals for h in self.hub_ids], dtype=np.int64
         )
-        # pairs worth a merge, as (hub position, hub position, pair) in
-        # distance order: moving there costs less than a fresh hire
-        rates = cfg.rates
-        pos = {h: i for i, h in enumerate(self.hub_ids)}
-        self.pairs = [
-            (pos[pair.hub_a], pos[pair.hub_b], pair)
-            for pair in (build_moving_pairs(cfg.network) if cfg.allow_cross_hub else [])
-            if moving_payment(pair.distance_m, rates) < rates.hiring_per_day
-        ]
         self.rng = np.random.default_rng(p.seed)
-        self.pool = WorkforcePool(daily_cap_h=p.max_work_h)
-        self.ledger = CostLedger(rates=cfg.rates)
-        self.roster: list[RosterEntry] = []
-        # roster-derived tables, added to by tally() as shifts are fixed
-        self.capacity = {h: [0] * self.n for h in self.hub_ids}  # workers working
-        self.resting = {h: [0] * self.n for h in self.hub_ids}
-        self.flows: dict[tuple[int, int, int], int] = {}
-        self.now_h = 0.0
         self.weights = ValueWeights.from_params(p)
+        # workers working per hub and slot, summed over the kept runs
+        self.capacity = {h: [0] * self.n for h in self.hub_ids}
+        self.steps: list[tuple[float, bool, list[tuple[int, int, int]]]] = []  # (now_h, fix_all, kept)
         self.collect_forecasts = collect_forecasts
         self.forecast_snapshots: list[ForecastSnapshot] = []
 
-    def _demand_units(self, now_h: float) -> tuple[dict[int, list[int]], np.ndarray]:
+    def check(self, cfg: ScenarioConfig) -> None:
+        """Raise ``ValueError`` unless ``cfg`` plans the same steps as the
+        config this plan was built for; rates, label and cross-hub moves
+        may differ."""
+        own = self.cfg
+        for name in ("network", "actuals"):
+            if getattr(cfg, name) is not getattr(own, name):
+                raise ValueError(f"the plan was built for another {name} object")
+        for name in ("params", "noise", "rolling"):
+            if getattr(cfg, name) != getattr(own, name):
+                raise ValueError(f"the plan was built with other {name}")
+
+    def kept(self, k: int, now_h: float, fix_all: bool = False) -> list[tuple[int, int, int]]:
+        """The sorted ``(start, hub, end)`` runs step ``k`` (at ``now_h``)
+        fixes; steps are planned in order."""
+        if k < len(self.steps):
+            at_h, at_fix_all, kept = self.steps[k]
+            if at_h != now_h:
+                raise ValueError(f"step {k} was planned at now_h={at_h:g}, not at now_h={now_h:g}")
+            if at_fix_all != fix_all:
+                raise ValueError(f"step {k} was planned with fix_all={at_fix_all}, not fix_all={fix_all}")
+            return kept
+        if k != len(self.steps):
+            raise ValueError(f"step {k} asked for before step {len(self.steps)} was planned")
+        dwell = self.cfg.params.dwell_h
+        demand = self._demand_units(now_h)
+        residual = {
+            h: kernels.fifo_match_units(demand[h], self.capacity[h], dwell) for h in self.hub_ids
+        }
+        kept = self._select(residual, now_h, fix_all)
+        for start, h, end in kept:
+            row = self.capacity[h]
+            for t in range(start, end):
+                row[t] += 1
+        self.steps.append((now_h, fix_all, kept))
+        return kept
+
+    def _demand_units(self, now_h: float) -> dict[int, list[int]]:
         """Predicted arrivals for the whole horizon (actuals up to now, noisy
         forecast beyond) converted to integer worker demand per slot."""
         first_slot = math.ceil(now_h - 1e-9)
@@ -163,12 +198,11 @@ class RollingEngine:
         full = np.concatenate(
             [self.actual_matrix[:, :first_slot].astype(np.float64), pred_tail], axis=1
         )
-        rows = dict(zip(self.hub_ids, labor_demand(full, self.cfg.params.work_rate).tolist()))
         if self.collect_forecasts:
             self.forecast_snapshots.append(
                 ForecastSnapshot(now_h, {h: [float(v) for v in full[i]] for i, h in enumerate(self.hub_ids)})
             )
-        return rows, full
+        return dict(zip(self.hub_ids, labor_demand(full, self.cfg.params.work_rate).tolist()))
 
     def _select(
         self, residual: dict[int, list[int]], now_h: float, fix_all: bool = False
@@ -219,6 +253,45 @@ class RollingEngine:
         kept.sort()
         return kept
 
+
+class RollingEngine:
+    """The booking half of every replan step: merge the plan's kept runs
+    within the hire budget, assign pooled workers, and book the payments.
+
+    Without a ``plan`` the engine builds its own; a plan shared with another
+    engine must plan the same steps (``RollingPlan.check``).
+    """
+
+    def __init__(self, cfg: ScenarioConfig, collect_forecasts=False, plan: RollingPlan | None = None):
+        if plan is None:
+            plan = RollingPlan(cfg, collect_forecasts)  # validates cfg
+        else:
+            plan.check(cfg)  # cfg plans like the plan's own, validated config
+            if collect_forecasts and not plan.collect_forecasts:
+                raise ValueError("the plan does not collect forecasts")
+        self.cfg = cfg
+        self.plan = plan
+        p = cfg.params
+        self.hub_ids = plan.hub_ids
+        self.n = p.horizon_h
+        # pairs worth a merge, as (hub position, hub position, pair) in
+        # distance order: moving there costs less than a fresh hire
+        rates = cfg.rates
+        pos = {h: i for i, h in enumerate(self.hub_ids)}
+        self.pairs = [
+            (pos[pair.hub_a], pos[pair.hub_b], pair)
+            for pair in (build_moving_pairs(cfg.network) if cfg.allow_cross_hub else [])
+            if moving_payment(pair.distance_m, rates) < rates.hiring_per_day
+        ]
+        self.pool = WorkforcePool(daily_cap_h=p.max_work_h)
+        self.ledger = CostLedger(rates=cfg.rates)
+        self.roster: list[RosterEntry] = []
+        # roster-derived tables, added to by tally() as shifts are fixed
+        self.resting = {h: [0] * self.n for h in self.hub_ids}
+        self.flows: dict[tuple[int, int, int], int] = {}
+        self.steps_taken = 0
+        self.collect_forecasts = collect_forecasts
+
     def _fixed_shifts(self, kept: list[tuple[int, int, int]]) -> list[Shift]:
         """The shifts fixed this step for the sorted kept runs.
 
@@ -239,24 +312,17 @@ class RollingEngine:
 
     def step(self, now_h: float, fix_all: bool = False) -> int:
         """One replan pass; returns the number of shifts fixed."""
-        p = self.cfg.params
         self.pool.release_finished(now_h)
-        demand, _full = self._demand_units(now_h)
-
-        residual = {
-            h: kernels.fifo_match_units(demand[h], self.capacity[h], p.dwell_h)
-            for h in self.hub_ids
-        }
-        selected = self._fixed_shifts(self._select(residual, now_h, fix_all))
+        kept = self.plan.kept(self.steps_taken, now_h, fix_all)
+        self.steps_taken += 1
+        selected = self._fixed_shifts(kept)
 
         for cand in selected:
             worker, lead, new_hire = self.pool.assign(cand, now_h)
             cand.fixed_at_h = now_h
             accrue_shift(cand, lead, new_hire, self.ledger, distance_fn=self.cfg.network.distance_m)
             self.roster.append(RosterEntry(len(self.roster), cand, worker.id, lead, new_hire))
-        tally(selected, self.capacity, self.resting, self.flows)
-
-        self.now_h = now_h + p.replan_h
+        tally(selected, self.resting, self.flows)
         return len(selected)
 
     def run(self) -> SimReport:
@@ -270,12 +336,14 @@ class RollingEngine:
             self.step(0.0, fix_all=True)
 
         arrivals = {h: self.cfg.actuals[h].arrivals for h in self.hub_ids}
-        late = replay_execution(arrivals, self.capacity, p.dwell_h, p.work_rate)
+        capacity = self.plan.capacity
+        late = replay_execution(arrivals, capacity, p.dwell_h, p.work_rate)
         lateness_penalty(late, self.ledger)
         series = {
-            h: {"arrivals": arrivals[h], "working": self.capacity[h], "resting": self.resting[h]}
+            h: {"arrivals": arrivals[h], "working": list(capacity[h]), "resting": self.resting[h]}
             for h in self.hub_ids
         }
+        snapshots = self.plan.forecast_snapshots[: self.steps_taken] if self.collect_forecasts else []
 
         return SimReport(
             label=self.cfg.label,
@@ -286,7 +354,7 @@ class RollingEngine:
             flows=self.flows,
             runtime_s=time.perf_counter() - t0,
             hires=self.pool.hires,
-            forecast_snapshots=self.forecast_snapshots,
+            forecast_snapshots=snapshots,
         )
 
 
@@ -308,9 +376,10 @@ def replay_execution(
     )
 
 
-def run_scenario(cfg: ScenarioConfig, **engine_kwargs) -> SimReport:
-    """Validate the config and execute one full scenario run."""
-    return RollingEngine(cfg, **engine_kwargs).run()
+def run_scenario(cfg: ScenarioConfig, plan: RollingPlan | None = None, **engine_kwargs) -> SimReport:
+    """Validate the config and execute one full scenario run, on ``plan``
+    if one is given (see ``RollingPlan``)."""
+    return RollingEngine(cfg, plan=plan, **engine_kwargs).run()
 
 
 # ---------------------------------------------------------------- reporting

@@ -14,10 +14,13 @@ working hours; the longest-idle fitting worker is the smallest-sequence head
 among those buckets. That is the worker a scan of one release-ordered queue
 would find first, but each assignment looks at ``daily_cap_h + 1`` bucket
 heads instead of every pooled worker, most of whom have used up their day.
+Busy workers sit in a heap by shift end, so a release pops only the workers
+whose shift has ended instead of walking every worker hired so far.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -55,6 +58,8 @@ class WorkforcePool:
         self._buckets: list[deque[tuple[int, int]]] = [deque() for _ in range(n_buckets)]
         self._released = 0
         self._pooled = 0
+        # (busy_until_h, worker id) of each assignment, until release_finished pops it
+        self._busy: list[tuple[float, int]] = []
 
     def assign(self, shift: Shift, now_h: float) -> tuple[Worker, float, bool]:
         """Assign a worker to a fixed shift.
@@ -78,6 +83,7 @@ class WorkforcePool:
         worker.pooled = False
         worker.busy_until_h = shift.end_h
         worker.hours_worked += working_h
+        heapq.heappush(self._busy, (shift.end_h, worker.id))
         return worker, shift.start_h - now_h, is_new_hire
 
     def simulate_hires(self, working_hours: list[int]) -> int:
@@ -116,7 +122,13 @@ class WorkforcePool:
     def release_finished(self, now_h: float) -> list[Worker]:
         """Release every busy worker whose shift has ended by now, in
         worker-id order."""
-        done = [w for w in self.workers if not w.pooled and w.busy_until_h <= now_h]
+        busy = self._busy
+        ids = set()
+        while busy and busy[0][0] <= now_h:
+            ids.add(heapq.heappop(busy)[1])
+        workers = self.workers
+        # an entry is stale if its worker was released by a direct call
+        done = [w for w in (workers[i] for i in sorted(ids)) if not w.pooled and w.busy_until_h <= now_h]
         for w in done:
             self.release(w, now_h)
         return done

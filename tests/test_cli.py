@@ -1,6 +1,10 @@
 """End-to-end command-line harness tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -392,3 +396,50 @@ def test_generate_and_run_reject_a_negative_seed_flag(tmp_path, capsys):
     assert main(["run", "--out", str(out), "--seed", "-1", "--scenario", "1"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not (out / "ledger_s1.json").exists()
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug-forecasts"])
+def test_run_all_equals_the_three_single_scenario_runs(tmp_path, debug):
+    # scenarios 1 and 2 share one plan under `--scenario all`; every file
+    # is the one its scenario writes when run alone
+    cfg = _write_cfg(tmp_path)
+    together, apart = tmp_path / "all", tmp_path / "apart"
+    flag = ["--debug-forecasts"] if debug else []
+    for out in (together, apart):
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["run", "--out", str(together), "--scenario", "all", *flag]) == 0
+    for k in ("1", "2", "3"):
+        assert main(["run", "--out", str(apart), "--scenario", k, *flag]) == 0
+    names = sorted(p.name for p in together.iterdir())
+    assert names == sorted(p.name for p in apart.iterdir())
+    assert len(names) == 3 + (18 if debug else 15)  # the instance, then 5 or 6 files per scenario
+    for name in names:
+        assert (together / name).read_bytes() == (apart / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("scenario", ["3", "all"])
+def test_run_into_a_closed_pipe_exits_1_quietly(tmp_path, scenario):
+    # `hubroster run ... | head`: the reader is gone before the summary is
+    # printed; the run still writes every file, says nothing on stderr and
+    # exits 1
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hubroster", "run", "--out", str(out), "--scenario", scenario],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+    for k in ("1", "2", "3") if scenario == "all" else (scenario,):
+        assert (out / f"flows_s{k}.csv").exists()

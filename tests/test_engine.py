@@ -1,5 +1,6 @@
 """Rolling engine: stepping, fixing, scenarios, execution replay."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hubroster import _kernels as kernels
 from hubroster import engine as engine_module
 from hubroster.config import ScenarioParams
 from hubroster.demand import ArrivalSeries, GeneratorConfig, generate_arrivals
-from hubroster.engine import RollingEngine, ScenarioConfig, replay_execution, run_scenario
+from hubroster.engine import RollingEngine, RollingPlan, ScenarioConfig, replay_execution, run_scenario
 from hubroster.ledger import CostRates, moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs, random_network
 from hubroster.shifts import WORKING, Segment, Shift, merge_across_hubs, validate_shift
@@ -381,8 +382,8 @@ def test_selection_matches_shift_based_reference():
             max_work_h=int(rng.integers(1, 9)),
             replan_min=int(rng.choice([15, 45, 60])),
         )
-        engine = RollingEngine(_cfg(_net(n_hubs), {h: [0] * horizon for h in range(n_hubs)}, **params))
-        p = engine.cfg.params
+        plan = RollingPlan(_cfg(_net(n_hubs), {h: [0] * horizon for h in range(n_hubs)}, **params))
+        p = plan.cfg.params
         raw = rng.random(3) + 0.01
         urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
         lead = float(rng.choice([4.0, float(rng.uniform(0.5, 6.0))]))
@@ -395,16 +396,16 @@ def test_selection_matches_shift_based_reference():
         edge = now_h + p.replan_h + 1e-9
         deferrable = [
             v
-            for c in reference_select(residual, engine.hub_ids, now_h, p, weights, fix_all=True)
+            for c in reference_select(residual, plan.hub_ids, now_h, p, weights, fix_all=True)
             if c.start_h > edge and (v := reference_value(c, now_h, weights, p.max_work_h)) <= 1.0
         ]
         if deferrable and rng.random() < 0.5:
             threshold = deferrable[int(rng.integers(len(deferrable)))]
             boundary_fixes += not fix_all
-        engine.weights = ValueWeights(urgency, utilization, continuity, lead, threshold)
+        plan.weights = ValueWeights(urgency, utilization, continuity, lead, threshold)
 
-        expected = reference_select(residual, engine.hub_ids, now_h, p, engine.weights, fix_all)
-        got = engine._select(residual, now_h, fix_all)
+        expected = reference_select(residual, plan.hub_ids, now_h, p, plan.weights, fix_all)
+        got = plan._select(residual, now_h, fix_all)
         assert got == [(s.start_h, s.segments[0].hub_id, s.end_h) for s in expected]
     assert boundary_fixes > 300
 
@@ -414,7 +415,15 @@ def _outputs(report):
         (e.shift_id, e.worker_id, e.lead_time_h, e.is_new_hire, e.shift.fixed_at_h, tuple(e.shift.segments))
         for e in report.roster
     ]
-    return roster, report.ledger.to_dict(), report.late_parcels, report.series, report.flows, report.hires
+    return (
+        roster,
+        report.ledger.to_dict(),
+        report.late_parcels,
+        report.series,
+        report.flows,
+        report.hires,
+        report.forecast_snapshots,
+    )
 
 
 def _candidates_with_and_without_cut(monkeypatch, cfg):
@@ -579,14 +588,14 @@ def test_select_skips_agree_with_full_scan_at_the_stop():
             max_work_h=int(rng.integers(1, 9)),
             replan_min=int(rng.choice([15, 60, 90, 180, 360])),
         )
-        engine = RollingEngine(_cfg(_net(n_hubs), {h: [0] * horizon for h in range(n_hubs)}, **params))
-        p = engine.cfg.params
+        plan = RollingPlan(_cfg(_net(n_hubs), {h: [0] * horizon for h in range(n_hubs)}, **params))
+        p = plan.cfg.params
         raw = rng.random(3) + 0.01
         urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
         threshold = utilization + continuity + float(rng.uniform(0.01, 0.99)) * urgency
-        engine.weights = ValueWeights(urgency, utilization, continuity, float(rng.uniform(0.25, 6.0)), threshold)
+        plan.weights = ValueWeights(urgency, utilization, continuity, float(rng.uniform(0.25, 6.0)), threshold)
         now_h = int(rng.integers(0, math.ceil(horizon / p.replan_h))) * p.replan_h
-        stop = math.ceil(now_h + max(p.replan_h, engine.weights.fix_reach)) + 1
+        stop = math.ceil(now_h + max(p.replan_h, plan.weights.fix_reach)) + 1
         fix_all = bool(rng.random() < 0.2)
         residual = {}
         for h in range(n_hubs):
@@ -596,8 +605,8 @@ def test_select_skips_agree_with_full_scan_at_the_stop():
                 row[first] = max(row[first], 1)
             residual[h] = row
 
-        expected = reference_select(residual, engine.hub_ids, now_h, p, engine.weights, fix_all)
-        got = engine._select(residual, now_h, fix_all)
+        expected = reference_select(residual, plan.hub_ids, now_h, p, plan.weights, fix_all)
+        got = plan._select(residual, now_h, fix_all)
         assert got == [(s.start_h, s.segments[0].hub_id, s.end_h) for s in expected]
         for start, h, _end in got:
             if not any(residual[h][:stop]):
@@ -605,3 +614,107 @@ def test_select_skips_agree_with_full_scan_at_the_stop():
             elif not any(residual[h][: stop - 1]):
                 edge_runs += start == stop - 1 and not fix_all
     assert edge_runs > 80 and fix_all_late > 800, (edge_runs, fix_all_late)
+
+
+# ------------------------------------------------------------ shared plans
+
+
+def _working_from_roster(report, n):
+    rows = {h: [0] * n for h in report.series}
+    for entry in report.roster:
+        for seg in entry.shift.segments:
+            if seg.kind == WORKING:
+                for t in range(seg.start_h, seg.end_h):
+                    rows[seg.hub_id][t] += 1
+    return rows
+
+
+def test_scenarios_on_a_shared_plan_equal_their_runs_alone():
+    # scenarios 1 and 2, run one after the other on one plan in either
+    # order, give the outputs of each run alone, forecast snapshots
+    # included; each report's working rows are its own roster's working slots
+    rng = np.random.default_rng(31)
+    merged = snapshots = 0
+    for i in range(50):
+        horizon = int(rng.integers(6, 37))
+        net = random_network(
+            n_hubs=int(rng.integers(2, 9)), n_gateways=1, area_m=float(rng.uniform(1000, 6000)), seed=i
+        )
+        # sparse rows leave gaps that a merge can bridge
+        arrivals = {
+            h: ArrivalSeries(h, [int(v) for v in rng.integers(0, 600, horizon) * (rng.random(horizon) < 0.3)])
+            for h in net.hub_ids
+        }
+        params = ScenarioParams(
+            horizon_h=horizon,
+            dwell_h=int(rng.integers(0, 4)),
+            max_work_h=int(rng.integers(1, 9)),
+            max_gap_h=int(rng.integers(0, 3)),
+            replan_min=int(rng.choice([15, 20, 45, 60, 90, 180, 360, 1440])),
+            seed=i,
+        )
+        noise = str(rng.choice(["paper", "perfect"]))
+        collect = bool(rng.random() < 0.5)
+        cfgs = [ScenarioConfig.for_scenario(n, net, arrivals, params, noise=noise) for n in (1, 2)]
+        plan = RollingPlan(cfgs[0], collect_forecasts=collect)
+        order = cfgs if rng.random() < 0.5 else cfgs[::-1]
+        shared = {cfg.label: run_scenario(cfg, plan, collect_forecasts=collect) for cfg in order}
+        for cfg in cfgs:
+            report = shared[cfg.label]
+            assert _outputs(report) == _outputs(run_scenario(cfg, collect_forecasts=collect)), (i, cfg.label)
+            working = {h: rows["working"] for h, rows in report.series.items()}
+            assert working == _working_from_roster(report, horizon), (i, cfg.label)
+            merged += report.merged_shift_count
+            snapshots += len(report.forecast_snapshots)
+        s1, s2 = (shared[cfg.label].series for cfg in cfgs)
+        assert all(s1[h]["working"] is not s2[h]["working"] for h in s1)
+    assert merged > 30 and snapshots > 0, (merged, snapshots)
+
+
+def _plan_case():
+    net = random_network(n_hubs=4, n_gateways=1, area_m=3000, seed=4)
+    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=20_000), 4)
+    params = ScenarioParams(seed=4)
+    return net, arrivals, params, RollingPlan(ScenarioConfig.for_scenario(1, net, arrivals, params, noise="paper"))
+
+
+@pytest.mark.parametrize("field", ["network", "actuals", "params", "noise", "rolling"])
+def test_a_plan_refuses_an_engine_that_plans_other_steps(field):
+    net, arrivals, params, plan = _plan_case()
+    other = {
+        "network": dict(network=random_network(n_hubs=4, n_gateways=1, area_m=3000, seed=4)),
+        "actuals": dict(actuals=dict(arrivals)),
+        "params": dict(params=ScenarioParams(seed=4, dwell_h=2)),
+        "noise": dict(noise="perfect"),
+        "rolling": dict(rolling=False),
+    }[field]
+    cfg = ScenarioConfig.for_scenario(2, net, arrivals, params, noise="paper")
+    with pytest.raises(ValueError, match=field):
+        RollingEngine(dataclasses.replace(cfg, **other), plan=plan)
+
+
+def test_a_plan_serves_other_rates_labels_and_moves():
+    net, arrivals, params, plan = _plan_case()
+    cfg = ScenarioConfig.for_scenario(1, net, arrivals, params, noise="paper")
+    for other in (
+        dict(rates=CostRates(hiring_per_day=20.0)),
+        dict(label="another"),
+        dict(allow_cross_hub=False),
+        dict(params=ScenarioParams(seed=4)),  # an equal copy
+    ):
+        run_scenario(dataclasses.replace(cfg, **other), plan)
+    assert len(plan.steps) == 24
+
+
+def test_a_plan_refuses_a_step_it_planned_otherwise():
+    net, arrivals, params, plan = _plan_case()
+    cfg = ScenarioConfig.for_scenario(1, net, arrivals, params, noise="paper")
+    RollingEngine(cfg, plan=plan).step(0.0)
+    with pytest.raises(ValueError, match="now_h=0.5"):
+        RollingEngine(cfg, plan=plan).step(0.5)
+    with pytest.raises(ValueError, match="fix_all=True"):
+        RollingEngine(cfg, plan=plan).step(0.0, fix_all=True)
+    with pytest.raises(ValueError, match="before step 1"):
+        plan.kept(2, 2.0)
+    with pytest.raises(ValueError, match="forecasts"):
+        RollingEngine(cfg, collect_forecasts=True, plan=plan)

@@ -1,5 +1,6 @@
 """Workforce pool: FIFO assignment, hiring, release rules."""
 
+import itertools
 import random
 
 import pytest
@@ -81,6 +82,18 @@ def test_release_finished_and_states():
     assert c.id == a.id and not new and not a.pooled and b.pooled
 
 
+def test_release_finished_skips_workers_released_directly():
+    pool = WorkforcePool(daily_cap_h=8)
+    a, _, _ = pool.assign(_shift(0, 2), 0)
+    b, _, _ = pool.assign(_shift(0, 2), 0)
+    pool.release(a, 2)
+    pool.release(b, 2)
+    again, _, new = pool.assign(_shift(2, 3), 2)  # a's second shift, ending at 5
+    assert again is a and not new
+    assert pool.release_finished(3) == [] and not a.pooled and b.pooled
+    assert pool.release_finished(5) == [a] and a.pooled
+
+
 def test_accounting_identity():
     pool = WorkforcePool(daily_cap_h=8)
     shifts = [_shift(t, 2) for t in (0, 0, 1, 5, 6)]
@@ -114,27 +127,36 @@ def _random_shift(rng, start, cap):
 
 def test_bucketed_pool_matches_linear_scan():
     rng = random.Random(20260)
-    exhausted = 0
+    exhausted = out_of_order = 0
     for _ in range(1200):
         cap = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 7.5, 8.5])
         fast, ref = WorkforcePool(daily_cap_h=cap), ScanPool(daily_cap_h=cap)
+        assigned = {}  # worker id -> when the worker's last shift was assigned
+        order = itertools.count()
         for now in range(0, 24, rng.choice([1, 1, 2, 3])):
-            assert [w.id for w in fast.release_finished(now)] == [
-                w.id for w in ref.release_finished(now)
-            ]
+            released = [w.id for w in fast.release_finished(now)]
+            assert released == [w.id for w in ref.release_finished(now)]
+            # released together in id order, though assigned in another order
+            out_of_order += [assigned[i] for i in released] != sorted(assigned[i] for i in released)
             assert fast.pooled == ref.pooled
             assert {w.id for w in fast.workers if not w.pooled} == ref.busy
-            batch = [_random_shift(rng, now + rng.randint(0, 2), cap) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.3:  # shifts that all end together
+                end = now + rng.randint(1, 4)
+                batch = [_shift(end - w, w) for w in (rng.randint(1, end - now) for _ in range(rng.randint(2, 6)))]
+            else:
+                batch = [_random_shift(rng, now + rng.randint(0, 2), cap) for _ in range(rng.randint(0, 6))]
             assert fast.simulate_hires([s.working_h for s in batch]) == ref.simulate_hires(batch)
             for s in batch:
                 wf, lead_f, new_f = fast.assign(s, now)
                 wr, lead_r, new_r = ref.assign(s, now)
                 assert (wf.id, lead_f, new_f) == (wr.id, lead_r, new_r)
+                assigned[wf.id] = next(order)
                 exhausted += not new_f and wf.hours_worked == cap
             assert fast.hires == ref.hires
         assert [w.id for w in fast.release_finished(99)] == [w.id for w in ref.release_finished(99)]
         assert fast.pooled == ref.pooled == len(fast.workers)
     assert exhausted > 1000  # reuses that use up the rest of a budget were exercised
+    assert out_of_order > 500, out_of_order
 
 
 def test_simulate_hires_equals_hires_of_assigning_in_order():

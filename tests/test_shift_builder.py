@@ -74,6 +74,11 @@ def test_combine_rejects_negative_demand():
         combine_within_hub_detail([1, -1], 1, RHO)
 
 
+def test_combine_rejects_negative_dwell():
+    with pytest.raises(ValueError, match="dwell_h must be >= 0"):
+        combine_within_hub_detail([1, 1], -1, RHO)
+
+
 # ---------------------------------------------------------- within-hub mix
 
 
