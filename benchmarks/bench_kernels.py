@@ -16,7 +16,6 @@ End-to-end timings of the ``hubroster`` command line come from
 from __future__ import annotations
 
 import argparse
-import math
 import time
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from hubroster import _kernels as kernels
 from hubroster.pool import WorkforcePool
 from hubroster.shifts import Segment, Shift
-from hubroster.valuation import ValueWeights
+from hubroster.valuation import ValueWeights, shift_value, should_fix
 
 
 def _time(fn, repeat=3):
@@ -107,8 +106,15 @@ def main():
         for j in range(i + 1, 52):
             if rng.random() < 0.12:
                 pairs.append((i, j, float(rng.random())))
-    # the engine's stop at hour 0 with the default weights (reach 5.33 h > 1 h replan)
-    stop = math.ceil(ValueWeights().fix_reach) + 1
+    # the engine's stop at hour 0 with the default weights and 1 h replan:
+    # the first slot past the replan where a full-length run scores below
+    # the threshold (slot 6)
+    weights = ValueWeights()
+    stop = next(
+        s
+        for s in range(2, 24)
+        if not should_fix(shift_value(s, 8, 0, 0.0, weights, 8), weights.fix_threshold)
+    )
     arrival_rows = [[int(v) for v in rng.integers(0, 3000, 24)] for _ in range(500)]
     cap_rows = [[int(v) for v in rng.integers(0, 20, 24)] for _ in range(500)]
     # the engine's residual input: the fixed roster's capacity up to the

@@ -69,6 +69,13 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
     ``n - max_run`` yields no full-length run and only touches later slots,
     so those starts are skipped.
 
+    A trial from a start can only get shorter as units leave ``avail``: it
+    is the longest earliest-deadline-first prefix of its slots, and fewer
+    units cannot lengthen that. So each start keeps the length of its last
+    trial as a bound for the rest of the phase, and a start whose bound is
+    no longer than the best run of the window is not tried: it could only
+    tie, and ties keep the earlier start.
+
     A ``stop`` ends the one-run-at-a-time phase once the earliest unserved
     origin reaches it. That phase emits runs in order of that origin, each
     starting at or after it and consuming only units from it on, so every
@@ -104,6 +111,7 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
                 avail[t] -= low
 
     end = n if stop is None or stop > n else stop
+    bound = [max_run] * n  # the length of the last trial from each start
     s0 = 0
     while True:
         while s0 < end and avail[s0] == 0:
@@ -118,12 +126,15 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
             dropped.append((s0, avail[s0]))
             avail[s0] = 0
             continue
-        best = None
+        longest = 0
         for t0 in range(lo, hi + 1):
+            if bound[t0] <= longest:
+                continue  # this start can no longer beat the best run
             picks = _trial(avail, t0, dwell, max_run, n)
-            if best is None or len(picks) > len(best):
-                best, first = picks, t0
-                if len(best) == max_run:
+            bound[t0] = len(picks)
+            if len(picks) > longest:
+                best, first, longest = picks, t0, len(picks)
+                if longest == max_run:
                     break  # no later start can run longer, and ties keep the earliest
         for origin in best:
             avail[origin] -= 1

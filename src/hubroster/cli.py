@@ -136,22 +136,24 @@ def cmd_run(args) -> int:
         )
 
     if len(reports) > 1:
-        lines += ["", _comparison_table({f"scenario {r.label[-1]}": r.ledger.to_dict() for r in reports})]
+        lines += ["", _comparison_table([(f"scenario {r.label[-1]}", r.ledger.to_dict()) for r in reports])]
     # printed once every file is written, so a reader that stops early
     # (``| head``) cannot cut the run short
     print("\n".join(lines))
     return 0
 
 
-def _comparison_table(ledgers: dict[str, dict]) -> str:
-    names = list(ledgers)
-    cells = [len(f"{ledgers[n][cat]:.0f}") for n in names for cat in (*CATEGORIES, "total")]
+def _comparison_table(columns: list[tuple[str, dict]]) -> str:
+    """One column per ``(label, ledger)``, in order, and each total's delta
+    from the first."""
+    names = [name for name, _ledger in columns]
+    ledgers = [ledger for _name, ledger in columns]
+    cells = [len(f"{ledger[cat]:.0f}") for ledger in ledgers for cat in (*CATEGORIES, "total")]
     width = max(max(len(n) for n in names), max(cells)) + 2
     lines = [f"{'cost type':<12}" + "".join(f"{n:>{width}}" for n in names)]
     for cat in (*CATEGORIES, "total"):
-        lines.append(f"{cat:<12}" + "".join(f"{ledgers[n][cat]:>{width}.0f}" for n in names))
-    base = names[0]
-    deltas = [ledgers[n]["total"] - ledgers[base]["total"] for n in names]
+        lines.append(f"{cat:<12}" + "".join(f"{ledger[cat]:>{width}.0f}" for ledger in ledgers))
+    deltas = [ledger["total"] - ledgers[0]["total"] for ledger in ledgers]
     lines.append(f"{'delta':<12}" + "".join(f"{d:>{width}.0f}" for d in deltas))
     return "\n".join(lines)
 
@@ -161,11 +163,14 @@ def cmd_compare(args) -> int:
         print("error: compare needs at least two ledger files", file=sys.stderr)
         return 2
     try:
-        ledgers = {Path(p).stem: read_ledger_json(p) for p in args.ledgers}
+        ledgers = [read_ledger_json(p) for p in args.ledgers]
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(_comparison_table(ledgers))
+    # a column is labelled by its file's stem unless another file shares it
+    stems = [Path(p).stem for p in args.ledgers]
+    labels = [p if stems.count(stem) > 1 else stem for p, stem in zip(args.ledgers, stems)]
+    print(_comparison_table(list(zip(labels, ledgers))))
     return 0
 
 

@@ -204,6 +204,33 @@ class RollingPlan:
             )
         return dict(zip(self.hub_ids, labor_demand(full, self.cfg.params.work_rate).tolist()))
 
+    def _stop(self, now_h: float, fix_all: bool = False) -> int:
+        """The first slot from which no run starting there is fixed at
+        ``now_h``: the horizon end when everything is fixed, otherwise the
+        first slot past the next replan where a full-length rest-free run
+        scores below the threshold.
+
+        That run's value is the largest any run starting at a slot can
+        score, and it never rises with the start: the urgency term only
+        falls as the lead grows, and float division and addition are
+        monotone. So every later start scores below the threshold too. The
+        bound is read off the very ``shift_value`` that decides the fix, so
+        float rounding cannot disagree with it.
+        """
+        if fix_all:
+            return self.n
+        p = self.cfg.params
+        cap = p.max_work_h
+        weights = self.weights
+        horizon_edge = now_h + p.replan_h + 1e-9
+        s = math.ceil(now_h - 1e-9)
+        while s < self.n and (
+            s <= horizon_edge
+            or should_fix(shift_value(s, cap, 0, now_h, weights, cap), weights.fix_threshold)
+        ):
+            s += 1
+        return s
+
     def _select(
         self, residual: dict[int, list[int]], now_h: float, fix_all: bool = False
     ) -> list[tuple[int, int, int]]:
@@ -211,15 +238,12 @@ class RollingPlan:
         fixed now: everything when ``fix_all``, runs starting before the next
         replan, and runs whose value reaches the threshold.
 
-        Candidates are built only for demand before ``stop``. Unless
-        everything is fixed or any lead can reach the threshold, that is a
-        slot at least one hour past both the next replan and the weights' fix
-        reach; otherwise it is the horizon end. A run starting at or after
-        ``stop`` is neither forced nor able to reach the threshold, so it is
+        Candidates are built only for demand before ``_stop``, the first
+        start at which no run can be fixed. A run starting at or after it is
         left unbuilt (or, if it is a full-length run, which is extracted
-        first, unvalued), and a hub whose residual holds no unit before
-        ``stop`` is skipped: every run it could build starts at or after
-        ``stop``. None of this changes the selection.
+        first, unvalued), and a hub whose residual holds no unit before it
+        is skipped: every run the hub could build starts at or after it.
+        None of this changes the selection.
 
         Returns the kept runs as sorted ``(start, hub, end)`` tuples; a
         ``Shift`` is built only when the step fixes them (``_fixed_shifts``).
@@ -230,8 +254,7 @@ class RollingPlan:
         threshold = weights.fix_threshold
         first_slot = math.ceil(now_h - 1e-9)
         horizon_edge = now_h + p.replan_h + 1e-9
-        reach = weights.fix_reach
-        stop = self.n if fix_all or reach is None else math.ceil(now_h + max(p.replan_h, reach)) + 1
+        stop = self._stop(now_h, fix_all)
         kept = []
         for h in self.hub_ids:
             row = residual[h]

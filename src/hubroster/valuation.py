@@ -49,30 +49,6 @@ class ValueWeights:
             fix_threshold=params.fix_threshold,
         )
 
-    @property
-    def fix_reach(self) -> float | None:
-        """The largest lead (hours ahead of now) at which a run can still
-        reach the threshold; no run starting further ahead is fixed by value.
-
-        The utilization and continuity terms are at most 1 (continuity is
-        exactly 1 for a within-hub run, which rests 0 h), and past the target
-        lead the urgency term is ``fix_lead_h / lead``. A shift's value is
-        therefore at most
-        ``urgency * fix_lead_h / lead + utilization + continuity``, which
-        reaches ``fix_threshold`` only while
-
-            lead <= urgency * fix_lead_h / (fix_threshold - utilization - continuity).
-
-        At the defaults that is 0.4 * 4 / 0.3 = 5.33 h. None when the
-        threshold is at most ``utilization + continuity`` (any lead can
-        qualify), or within 1e-9 of it, so that float rounding of the value
-        never decides a run past the reach.
-        """
-        gap = self.fix_threshold - self.utilization - self.continuity
-        if gap <= 1e-9:
-            return None
-        return self.urgency * self.fix_lead_h / gap
-
 
 def shift_value(
     start_h: float,

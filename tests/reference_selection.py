@@ -6,6 +6,10 @@ sorted by (start, hub, end) and walked once, keeping a candidate when it
 starts before the next replan (or everything is forced) or when its value,
 read off the ``Shift``, reaches the threshold. The engine keeps candidates
 as ``(start, hub, end)`` tuples and builds a ``Shift`` only for kept ones.
+
+``fix_reach`` is the closed-form lead past which no run reaches the
+threshold; the engine's step stop (``RollingPlan._stop``) must never lie
+past the slot it gives.
 """
 
 import math
@@ -29,6 +33,30 @@ def shift_value(shift, now_h, weights, max_work_h):
         + weights.utilization * utilization
         + weights.continuity * continuity
     )
+
+
+def fix_reach(weights):
+    """The largest lead (hours ahead of now) at which a run can still reach
+    the threshold; no run starting further ahead is fixed by value.
+
+    The utilization and continuity terms are at most 1 (continuity is
+    exactly 1 for a within-hub run, which rests 0 h), and past the target
+    lead the urgency term is ``fix_lead_h / lead``. A shift's value is
+    therefore at most
+    ``urgency * fix_lead_h / lead + utilization + continuity``, which
+    reaches ``fix_threshold`` only while
+
+        lead <= urgency * fix_lead_h / (fix_threshold - utilization - continuity).
+
+    At the defaults that is 0.4 * 4 / 0.3 = 5.33 h. None when the threshold
+    is at most ``utilization + continuity`` (any lead can qualify), or within
+    1e-9 of it, so that float rounding of the value never decides a run past
+    the reach.
+    """
+    gap = weights.fix_threshold - weights.utilization - weights.continuity
+    if gap <= 1e-9:
+        return None
+    return weights.urgency * weights.fix_lead_h / gap
 
 
 def candidates(residual, hub_ids, dwell_h, max_work_h, start_min):

@@ -129,6 +129,24 @@ def test_compare_usage_and_schema_errors(tmp_path, capsys):
 LEDGER = {"hiring": 50, "hourly": 160, "waiting": 0, "moving": 0, "lateness": 5, "emergency": 0, "total": 215}
 
 
+def test_compare_prints_one_column_per_file_when_stems_collide(tmp_path, capsys):
+    # two runs' ledger_s1.json share a stem: each keeps its column, labelled
+    # with the path as given, while a file with a stem of its own keeps it
+    paths = []
+    for name, hiring in (("a", 50), ("b", 100)):
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "ledger_s1.json"
+        path.write_text(json.dumps({**LEDGER, "hiring": hiring, "total": 165 + hiring}))
+        paths.append(str(path))
+    other = tmp_path / "ledger_s3.json"
+    other.write_text(json.dumps(LEDGER))
+    assert main(["compare", *paths, str(other)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].split()[2:] == [*paths, "ledger_s3"]
+    assert lines[1].split() == ["hiring", "50", "100", "50"]
+    assert lines[-1].split() == ["delta", "0", "50", "0"]
+
+
 def test_compare_rejects_a_ledger_of_the_wrong_shape(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(LEDGER))

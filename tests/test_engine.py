@@ -16,6 +16,7 @@ from hubroster.network import Hub, HubNetwork, build_moving_pairs, random_networ
 from hubroster.shifts import WORKING, Segment, Shift, merge_across_hubs, validate_shift
 from hubroster.valuation import ValueWeights
 import reference_merge
+from reference_selection import fix_reach
 from reference_selection import select as reference_select
 from reference_selection import shift_value as reference_value
 
@@ -427,8 +428,9 @@ def _outputs(report):
 
 
 def _candidates_with_and_without_cut(monkeypatch, cfg):
-    """Run one day with the fix-reach cut and once with it disabled, check
-    that every output agrees, and return the candidates each run built."""
+    """Run one day with each step cut at its stop and once with the stop at
+    the horizon end, check that every output agrees, and return the
+    candidates each run built."""
     built = []
     combine = engine_module.combine_within_hub_detail
 
@@ -442,7 +444,7 @@ def _candidates_with_and_without_cut(monkeypatch, cfg):
         m.setattr(engine_module, "combine_within_hub_detail", counting)
         for disabled in (False, True):
             if disabled:
-                m.setattr(ValueWeights, "fix_reach", property(lambda w: None))
+                m.setattr(RollingPlan, "_stop", lambda plan, now_h, fix_all=False: plan.n)
             built.append(0)
             outputs.append(_outputs(run_scenario(cfg)))
     assert outputs[0] == outputs[1]
@@ -462,15 +464,15 @@ def _candidates_with_and_without_cut(monkeypatch, cfg):
     ids=["defaults", "threshold-eq-util-cont", "no-urgency", "threshold-1", "replan-45", "replan-20"],
 )
 def test_fix_reach_cut_leaves_every_output_unchanged(monkeypatch, overrides):
-    # the same days with the candidate search cut at the fix reach and with
-    # the cut disabled: rosters, ledgers, lateness, series and flows agree,
+    # the same days with the candidate search cut at each step's stop and
+    # with the cut disabled: rosters, ledgers, lateness, series and flows agree,
     # and the cut builds fewer candidates exactly when there is a reach
     net = random_network(n_hubs=6, n_gateways=2, area_m=3000, seed=5)
     arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 5)
     rows = {h: s.arrivals for h, s in arrivals.items()}
     for scenario in (1, 2, 3):
         cfg = _cfg(net, rows, scenario=scenario, noise="paper", seed=5, **overrides)
-        reach = ValueWeights.from_params(cfg.params).fix_reach
+        reach = fix_reach(ValueWeights.from_params(cfg.params))
         cut, full = _candidates_with_and_without_cut(monkeypatch, cfg)
         assert cut <= full
         assert (cut < full) == (reach is not None and scenario != 3)
@@ -529,8 +531,10 @@ def test_engine_rosters_pass_validate_shift():
 
 def test_rolling_steps_skip_the_hubs_and_runs_they_cannot_fix(monkeypatch):
     # a step builds no candidates for a hub whose residual is empty before
-    # the stop, and values no run starting at or after the stop; the days
-    # are those of the fix-reach test, replanned every 15 and 60 minutes
+    # the stop, and values no run starting at or after the stop (the stop
+    # itself values one full-length run per slot up to it, all before the
+    # padded reach here); the days are those of the fix-reach test,
+    # replanned every 15 and 60 minutes
     net = random_network(n_hubs=6, n_gateways=2, area_m=3000, seed=5)
     arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 5)
     rows = {h: s.arrivals for h, s in arrivals.items()}
@@ -555,7 +559,7 @@ def test_rolling_steps_skip_the_hubs_and_runs_they_cannot_fix(monkeypatch):
         for scenario in (1, 2):
             cfg = _cfg(net, rows, scenario=scenario, noise="paper", seed=5, replan_min=replan_min)
             p = cfg.params
-            reach = ValueWeights.from_params(p).fix_reach
+            reach = fix_reach(ValueWeights.from_params(p))
             stops.clear()
             valued.clear()
             with monkeypatch.context() as m:
@@ -574,8 +578,8 @@ def test_rolling_steps_skip_the_hubs_and_runs_they_cannot_fix(monkeypatch):
 
 def test_select_skips_agree_with_full_scan_at_the_stop():
     # residuals empty before a slot next to the stop. A hub whose first unit
-    # lies at stop - 1 can still give a kept run (forced when the next
-    # replan reaches that slot), one whose first unit lies at the stop
+    # lies at stop - 1 can still give a kept run (forced, or a full-length
+    # run that reaches the threshold), one whose first unit lies at the stop
     # cannot, and with fix_all every hub's runs are kept
     rng = np.random.default_rng(12)
     edge_runs = fix_all_late = 0
@@ -595,7 +599,7 @@ def test_select_skips_agree_with_full_scan_at_the_stop():
         threshold = utilization + continuity + float(rng.uniform(0.01, 0.99)) * urgency
         plan.weights = ValueWeights(urgency, utilization, continuity, float(rng.uniform(0.25, 6.0)), threshold)
         now_h = int(rng.integers(0, math.ceil(horizon / p.replan_h))) * p.replan_h
-        stop = math.ceil(now_h + max(p.replan_h, plan.weights.fix_reach)) + 1
+        stop = plan._stop(now_h)
         fix_all = bool(rng.random() < 0.2)
         residual = {}
         for h in range(n_hubs):

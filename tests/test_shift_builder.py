@@ -248,6 +248,62 @@ def test_within_hub_runs_matches_full_scan(monkeypatch):
     assert early > 1000 and cut > 500
 
 
+def _early_exit_trials(trials, max_run):
+    """The trials a start search that ends only at the first full-length run
+    makes, given the reference's ``(row, start, length)`` trials in order. A
+    window's trials all see the same row, and each window takes units off
+    it (or drops them), so a changed row starts the next window."""
+    count = 0
+    window = None
+    for row, _t0, length in trials:
+        if row != window:
+            window, done = row, False
+        if not done:
+            count += 1
+            done = length == max_run
+    return count
+
+
+def test_within_hub_runs_trial_bounds_match_full_scan(monkeypatch):
+    # short rows and long dwell windows, so windows clamp at the horizon end
+    # and one window's starts come back in the next. A start whose last trial
+    # is no longer than the window's best run is not tried again: the runs
+    # stay the full scan's, and the bounds save trials on many rows
+    new_calls = [0]
+    monkeypatch.setattr(kernels, "_trial", _counting(_trial, new_calls))
+    trials = []
+    ref_trial = reference_kernels._trial_run
+
+    def recording(avail, t0, *args):
+        out = ref_trial(avail, t0, *args)
+        trials.append((tuple(avail), t0, len(out)))
+        return out
+
+    monkeypatch.setattr(reference_kernels, "_trial_run", recording)
+    rng = np.random.default_rng(23)
+    rows = cut = 0
+    for _ in range(4000):
+        n = int(rng.integers(1, 15))
+        x = [int(v) for v in rng.integers(0, 4, n)]
+        dwell = int(rng.integers(0, 10))
+        max_run = int(rng.integers(1, 10))
+        start_min = int(rng.integers(0, n + 1))
+        stop = int(rng.integers(start_min + 1, n + 3)) if rng.random() < 0.5 else None
+        new_calls[0] = 0
+        trials.clear()
+        runs, left, dropped = kernels.within_hub_runs(x, dwell, max_run, start_min, stop)
+        ref_runs, ref_served, ref_dropped = reference_kernels.within_hub_runs(
+            x, dwell, max_run, start_min, stop
+        )
+        assert (runs, dropped) == (ref_runs, ref_dropped)
+        assert left == _left_of(x, ref_served, ref_dropped)
+        early = _early_exit_trials(trials, max_run)
+        assert new_calls[0] <= early
+        rows += early > 0
+        cut += new_calls[0] < early
+    assert cut > 0.2 * rows, (cut, rows)
+
+
 def _sorted_runs(rng, n_runs, horizon):
     runs = []
     for _ in range(n_runs):

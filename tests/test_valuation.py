@@ -1,11 +1,17 @@
 """Value function scoring and the fix/defer decision."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hubroster.config import ScenarioParams
+from hubroster.demand import ArrivalSeries
+from hubroster.engine import RollingPlan, ScenarioConfig
+from hubroster.network import Hub, HubNetwork
 from hubroster.shifts import Segment, Shift
 from hubroster.valuation import ValueWeights, shift_value, should_fix
+from reference_selection import fix_reach
 
 W = ValueWeights()  # 0.4 / 0.3 / 0.3, fix lead 4 h, threshold 0.9
 RHO = 8
@@ -70,7 +76,7 @@ def test_rest_free_shift_maximizes_continuity_term():
 def test_fix_reach_is_where_a_full_rest_free_run_meets_the_threshold():
     # at the defaults the reach is 0.4 * 4 / (0.9 - 0.3 - 0.3) = 5.33 h; a
     # full-cap rest-free run scores the threshold there and less past it
-    assert W.fix_reach == pytest.approx(16 / 3, abs=1e-12)
+    assert fix_reach(W) == pytest.approx(16 / 3, abs=1e-12)
     rng = np.random.default_rng(4)
     checked = 0
     for _ in range(2000):
@@ -79,7 +85,7 @@ def test_fix_reach_is_where_a_full_rest_free_run_meets_the_threshold():
         weights = ValueWeights(
             urgency, utilization, continuity, float(rng.uniform(0.5, 6.0)), float(rng.random())
         )
-        reach = weights.fix_reach
+        reach = fix_reach(weights)
         if reach is None:
             assert weights.fix_threshold <= utilization + continuity + 1e-9
             continue
@@ -94,10 +100,54 @@ def test_fix_reach_is_where_a_full_rest_free_run_meets_the_threshold():
 
 
 def test_fix_reach_none_when_any_lead_can_qualify():
-    assert ValueWeights(fix_threshold=0.6).fix_reach is None  # == utilization + continuity
-    assert ValueWeights(fix_threshold=0.3).fix_reach is None
-    assert ValueWeights(0.0, 0.5, 0.5, fix_threshold=1.0).fix_reach is None  # no urgency weight
-    assert ValueWeights(fix_threshold=1.0).fix_reach == pytest.approx(4.0)  # the target lead itself
+    assert fix_reach(ValueWeights(fix_threshold=0.6)) is None  # == utilization + continuity
+    assert fix_reach(ValueWeights(fix_threshold=0.3)) is None
+    assert fix_reach(ValueWeights(0.0, 0.5, 0.5, fix_threshold=1.0)) is None  # no urgency weight
+    assert fix_reach(ValueWeights(fix_threshold=1.0)) == pytest.approx(4.0)  # the target lead itself
+
+
+def _plan(horizon=24, **params):
+    net = HubNetwork([Hub(0, "H0", 0.0, 0.0, "local")], d_max_m=3000, speed_m_per_h=15000)
+    cfg = ScenarioConfig.for_scenario(
+        1, net, {0: ArrivalSeries(0, [0] * horizon)}, ScenarioParams(horizon_h=horizon, **params)
+    )
+    return RollingPlan(cfg)
+
+
+def test_step_stop_is_never_past_the_fix_reach():
+    # a step builds and values runs only before its stop: the first slot past
+    # the next replan where a full-length rest-free run scores below the
+    # threshold. At hour 0 with the defaults a run at slot 5 scores 0.92 and
+    # one at slot 6 0.87, one slot before the padded reach ceil(5.33) + 1
+    assert _plan()._stop(0.0) == 6
+    assert _plan()._stop(0.0, fix_all=True) == 24
+    rng = np.random.default_rng(8)
+    below = 0
+    for _ in range(2000):
+        horizon = int(rng.integers(1, 37))
+        cap = int(rng.integers(1, 9))
+        plan = _plan(horizon, max_work_h=cap, replan_min=int(rng.choice([15, 20, 45, 60, 90, 360])))
+        raw = rng.random(3) + 0.01
+        urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
+        weights = ValueWeights(
+            urgency, utilization, continuity, float(rng.uniform(0.5, 6.0)), float(rng.random())
+        )
+        plan.weights = weights
+        replan_h = plan.cfg.params.replan_h
+        now_h = int(rng.integers(0, math.ceil(horizon / replan_h))) * replan_h
+        stop = plan._stop(now_h)
+        first_slot = math.ceil(now_h - 1e-9)
+        for s in range(first_slot, min(stop + 1, horizon)):
+            fixable = s <= now_h + replan_h + 1e-9 or should_fix(
+                shift_value(s, cap, 0, now_h, weights, cap), weights.fix_threshold
+            )
+            assert fixable == (s < stop), (s, stop)
+        reach = fix_reach(weights)
+        if reach is not None:
+            padded = math.ceil(now_h + max(replan_h, reach)) + 1
+            assert stop <= padded
+            below += stop < min(padded, horizon)
+    assert below > 150
 
 
 def test_zero_working_rejected():
