@@ -123,18 +123,12 @@ def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
     return floors
 
 
-def forecast_with_u(actual_count: float, made_at_h: float, target_h: float, u: float) -> float:
-    """Scalar form of the forecast model for one (hub, slot) and one draw u;
-    the elementwise reference for ``forecast_matrix``."""
-    lead = target_h - made_at_h
-    return max(0.0, actual_count * (u * lead + 100.0) / 100.0)
-
-
 def forecast_matrix(actuals: np.ndarray, made_at_h: float, first_slot: int, u: np.ndarray | None) -> np.ndarray:
     """Vectorized forecast for all hubs and slots >= first_slot.
 
     ``actuals`` is (hubs, n); ``u`` is (hubs, n - first_slot) or None for a
-    perfect (noise-free) forecast. Matches forecast_with_u elementwise.
+    perfect (noise-free) forecast. Each (hub, slot) follows the forecast
+    model of this module's docstring with its own draw from ``u``.
     """
     tail = actuals[:, first_slot:].astype(np.float64)
     if u is None:
@@ -166,6 +160,17 @@ def write_arrivals_csv(path, series: dict[int, ArrivalSeries], header: str = "")
                 writer.writerow([hub_id, t, count])
 
 
+def _row_text(rec: dict) -> str:
+    """A ``csv.DictReader`` record's fields in file order."""
+    fields = []
+    for value in rec.values():
+        if isinstance(value, list):  # fields past the header's, under the key None
+            fields.extend(value)
+        elif value is not None:  # None stands for a field the row lacks
+            fields.append(value)
+    return ",".join(fields)
+
+
 def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
     """Read ``hub_id,slot_h,arrivals`` rows. Every hub must have exactly one
     row for each slot from 0 to the last slot in the file."""
@@ -178,15 +183,20 @@ def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
         raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
     for rec in reader:
         if any(rec[c] is None for c in ARRIVAL_COLUMNS):
-            fields = ",".join(v for v in rec.values() if v is not None)
-            raise ValueError(f"{path}: row {fields!r} lacks a field")
-        hub_id, slot = int(rec["hub_id"]), int(rec["slot_h"])
+            raise ValueError(f"{path}: row {_row_text(rec)!r} lacks a field")
+        values = []
+        for c in ARRIVAL_COLUMNS:
+            try:
+                values.append(int(rec[c]))
+            except ValueError:
+                raise ValueError(f"{path}: row {_row_text(rec)!r}: {c} must be an integer") from None
+        hub_id, slot, count = values
         by_slot = rows.setdefault(hub_id, {})
         if slot < 0:
             raise ValueError(f"{path}: negative slot for hub {hub_id} slot {slot}")
         if slot in by_slot:
             raise ValueError(f"{path}: duplicate row for hub {hub_id} slot {slot}")
-        by_slot[slot] = int(rec["arrivals"])
+        by_slot[slot] = count
     n = 1 + max((max(by_slot) for by_slot in rows.values()), default=-1)
     out = {}
     for hub_id, by_slot in rows.items():

@@ -78,8 +78,12 @@ class RosterEntry:
     shift_id: int
     shift: Shift
     worker_id: int
-    lead_time_h: float
+    fixed_at_h: float
     is_new_hire: bool
+
+    @property
+    def lead_time_h(self) -> float:
+        return self.shift.start_h - self.fixed_at_h
 
 
 @dataclass
@@ -96,7 +100,7 @@ class SimReport:
 
     @property
     def merged_shift_count(self) -> int:
-        return sum(1 for e in self.roster if e.shift.is_multi_hub)
+        return sum(1 for e in self.roster if e.shift.move_distance_m > 0)
 
 
 def tally(shifts, resting, flows) -> None:
@@ -331,7 +335,7 @@ class RollingEngine:
                     runs[h].append((start, end))
                 p = self.cfg.params
                 return merge_across_hubs(runs, self.pairs, p.max_work_h, p.max_gap_h, budget)
-        return [Shift([Segment(h, start, end, WORKING)]) for start, h, end in kept]
+        return [Shift((Segment(h, start, end, WORKING),)) for start, h, end in kept]
 
     def step(self, now_h: float, fix_all: bool = False) -> int:
         """One replan pass; returns the number of shifts fixed."""
@@ -342,9 +346,8 @@ class RollingEngine:
 
         for cand in selected:
             worker, lead, new_hire = self.pool.assign(cand, now_h)
-            cand.fixed_at_h = now_h
-            accrue_shift(cand, lead, new_hire, self.ledger, distance_fn=self.cfg.network.distance_m)
-            self.roster.append(RosterEntry(len(self.roster), cand, worker.id, lead, new_hire))
+            accrue_shift(cand, lead, new_hire, self.ledger)
+            self.roster.append(RosterEntry(len(self.roster), cand, worker.id, now_h, new_hire))
         tally(selected, self.resting, self.flows)
         return len(selected)
 
@@ -427,7 +430,7 @@ def write_roster_csv(path, report: SimReport, header: str = "") -> None:
                         seg.kind,
                         seg.start_h,
                         seg.end_h,
-                        f"{entry.shift.fixed_at_h:g}",
+                        f"{entry.fixed_at_h:g}",
                     ]
                 )
 

@@ -74,18 +74,9 @@ class CostLedger:
         return out
 
 
-def accrue_shift(
-    shift: Shift,
-    lead_time_h: float,
-    is_new_hire: bool,
-    ledger: CostLedger,
-    distance_fn=None,
-) -> CostLedger:
-    """Book all payments for one fixed-and-assigned shift.
-
-    ``distance_fn(hub_a, hub_b)`` resolves relocation distances for travel
-    segments; it may be omitted for single-hub shifts.
-    """
+def accrue_shift(shift: Shift, lead_time_h: float, is_new_hire: bool, ledger: CostLedger) -> CostLedger:
+    """Book all payments for one fixed-and-assigned shift: a shift with a
+    move (``move_distance_m > 0``) pays one relocation at that distance."""
     if shift.working_h == 0:
         raise ValueError("cannot accrue a shift with no working hours")
     rates = ledger.rates
@@ -93,10 +84,8 @@ def accrue_shift(
         ledger.hiring += rates.hiring_per_day
     ledger.hourly += rates.hourly * shift.working_h
     ledger.waiting += rates.waiting_hourly * shift.resting_h
-    for src, dst, _seg in shift.moves():
-        if distance_fn is None:
-            raise ValueError("distance_fn required for shifts with travel segments")
-        ledger.moving += moving_payment(distance_fn(src, dst), rates)
+    if shift.move_distance_m > 0:
+        ledger.moving += moving_payment(shift.move_distance_m, rates)
     ledger.emergency += emergency_penalty(lead_time_h, rates)
     return ledger
 

@@ -1,6 +1,6 @@
 """Shift construction: maximal runs, within-hub combination, cross-hub merging.
 
-A shift is an ordered list of segments (working / resting / travel) assigned
+A shift is an ordered tuple of segments (working / resting / travel) assigned
 to one worker. Within-hub construction produces single-segment working
 shifts; the cross-hub merge pass may join two of them with a travel segment
 and, if the gap is longer than the travel, a resting segment at the
@@ -10,7 +10,7 @@ destination hub.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import _kernels as kernels
@@ -39,13 +39,23 @@ class Segment:
         return self.end_h - self.start_h
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Shift:
-    """One worker's plan: contiguous segments from first start to last end."""
+    """One worker's plan: contiguous segments from first start to last end.
 
-    segments: list[Segment]
-    fixed_at_h: float | None = None
-    move_distance_m: float = 0.0  # total relocation distance, 0 for one-hub shifts
+    A value: its hours are summed once, when it is built, and a merged
+    shift carries the distance of its one move (0 for a one-hub shift)."""
+
+    segments: tuple[Segment, ...]
+    move_distance_m: float = 0.0
+    working_h: int = field(init=False)
+    resting_h: int = field(init=False)
+
+    def __post_init__(self):
+        segments = tuple(self.segments)
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "working_h", sum(s.hours for s in segments if s.kind == WORKING))
+        object.__setattr__(self, "resting_h", sum(s.hours for s in segments if s.kind == RESTING))
 
     @property
     def start_h(self) -> int:
@@ -54,29 +64,6 @@ class Shift:
     @property
     def end_h(self) -> int:
         return self.segments[-1].end_h
-
-    @property
-    def working_h(self) -> int:
-        return sum(s.hours for s in self.segments if s.kind == WORKING)
-
-    @property
-    def resting_h(self) -> int:
-        return sum(s.hours for s in self.segments if s.kind == RESTING)
-
-    @property
-    def hub_ids(self) -> list[int]:
-        seen = []
-        for s in self.segments:
-            if s.kind == WORKING and s.hub_id not in seen:
-                seen.append(s.hub_id)
-        return seen
-
-    @property
-    def is_multi_hub(self) -> bool:
-        return len(self.hub_ids) > 1
-
-    def working_segments(self):
-        return [s for s in self.segments if s.kind == WORKING]
 
     def moves(self):
         """Yield ``(from_hub, to_hub, travel_segment)`` for each relocation:
@@ -159,7 +146,7 @@ def merge_across_hubs(
     for h, hub_runs, hub_used in zip(hub_ids, runs, used):
         for (s, e), merged in zip(hub_runs, hub_used):
             if not merged:
-                keyed.append(((s, h, e), Shift([Segment(h, s, e, WORKING)])))
+                keyed.append(((s, h, e), Shift((Segment(h, s, e, WORKING),))))
     keyed.sort(key=itemgetter(0))
     return [shift for _key, shift in keyed]
 

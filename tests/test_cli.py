@@ -271,6 +271,28 @@ def test_run_rejects_arrivals_missing_a_column(tmp_path, capsys):
     assert "lacks a field" in _run_error(tmp_path, capsys, truncate_row)
 
 
+def test_run_rejects_a_malformed_arrivals_field(tmp_path, capsys):
+    """A field that is not an integer names the file, the row and the column."""
+    cases = [
+        (2, "12.5", "arrivals"), (2, "", "arrivals"), (2, "abc", "arrivals"),
+        (2, "12.5,x", "arrivals"), (1, "2.0", "slot_h"), (0, "a", "hub_id"),
+    ]
+    for col, value, name in cases:
+        row = {}
+
+        def edit(out):
+            path = out / "arrivals.csv"
+            lines = path.read_text().splitlines(keepends=True)
+            fields = lines[-1].rstrip("\n").split(",")
+            fields[col] = value
+            row.update(path=path, text=",".join(fields))
+            lines[-1] = row["text"] + "\n"
+            path.write_text("".join(lines))
+
+        err = _run_error(tmp_path, capsys, edit)
+        assert err == f"error: {row['path']}: row {row['text']!r}: {name} must be an integer"
+
+
 def test_run_rejects_malformed_network(tmp_path, capsys):
     def drop_d_max(out):
         _edit_json(out / "network.json", lambda doc: doc.pop("d_max_m"))

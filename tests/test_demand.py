@@ -10,7 +10,6 @@ from hubroster.demand import (
     ArrivalSeries,
     GeneratorConfig,
     forecast_matrix,
-    forecast_with_u,
     generate_arrivals,
     labor_demand,
     read_arrivals_csv,
@@ -20,6 +19,13 @@ from hubroster.network import random_network
 import reference_kernels
 
 # ---------------------------------------------------------------- forecast
+
+
+def forecast_with_u(actual_count: float, made_at_h: float, target_h: float, u: float) -> float:
+    """Scalar form of the forecast model for one (hub, slot) and one draw u;
+    the elementwise reference for ``forecast_matrix``."""
+    lead = target_h - made_at_h
+    return max(0.0, actual_count * (u * lead + 100.0) / 100.0)
 
 
 def _snapshot(actuals, made_at_h, rng):
@@ -40,6 +46,7 @@ def test_forecast_exact_at_zero_lead():
 
 def test_forecast_lead_ten_u_minus_one():
     assert forecast_with_u(100, 0, 10, -1.0) == 90.0
+    assert forecast_matrix(np.full((1, 11), 100), 0.0, 10, np.array([[-1.0]]))[0, 0] == 90.0
 
 
 def test_forecast_zero_actual():
@@ -52,6 +59,8 @@ def test_forecast_u_zero_is_exact_any_lead():
     for c in (0, 1, 331, 150, 987654):
         for lead in range(0, 25):
             assert forecast_with_u(c, 0, lead, 0.0) == c
+        row = np.full((1, 25), c)
+        assert (forecast_matrix(row, 0.0, 0, np.zeros((1, 25))) == c).all()
 
 
 def test_forecast_band_and_clamp():

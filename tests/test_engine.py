@@ -82,7 +82,7 @@ def test_low_value_shift_waits_for_forced_window():
     report = run_scenario(_cfg(net, rows))
     assert len(report.roster) == 1
     assert report.roster[0].lead_time_h == 1
-    assert report.roster[0].shift.fixed_at_h == 9.0
+    assert report.roster[0].fixed_at_h == 9.0
 
 
 def test_perfect_prediction_zero_lateness_and_conservation():
@@ -133,7 +133,7 @@ def test_scenario2_never_moves_workers():
     rows = {h: s.arrivals for h, s in arrivals.items()}
     report = run_scenario(_cfg(net, rows, scenario=2, noise="paper", seed=7))
     assert report.ledger.moving == 0
-    assert not any(e.shift.is_multi_hub for e in report.roster)
+    assert not any(any(e.shift.moves()) for e in report.roster)
     assert report.flows == {}
 
 
@@ -141,7 +141,7 @@ def test_scenario3_fixes_everything_at_day_start():
     net = _net()
     rows = {0: [150] * 6 + [0] * 6 + [150] * 6 + [0] * 6}
     report = run_scenario(_cfg(net, rows, scenario=3))
-    assert all(e.shift.fixed_at_h == 0.0 for e in report.roster)
+    assert all(e.fixed_at_h == 0.0 for e in report.roster)
 
 
 def test_determinism_same_seed_same_report():
@@ -248,7 +248,7 @@ def test_merge_replaces_hire_and_beats_split_scenario():
     assert r1.hires == r2.hires - 1  # the merge stood in for a hire
     assert r1.ledger.moving == 10
     assert r1.ledger.total < r2.ledger.total
-    merged = next(e.shift for e in r1.roster if e.shift.is_multi_hub)
+    merged = next(e.shift for e in r1.roster if any(e.shift.moves()))
     assert [s.kind for s in merged.segments] == ["working", "travel", "working"]
 
 
@@ -352,9 +352,9 @@ def test_merge_on_runs_matches_shift_based_reference():
         )
         assert _shapes(got) == _shapes(expected), case
         keys = [reference_merge.sort_key(x) for x in expected]
-        merged_keys = {k for k, x in zip(keys, expected) if x.is_multi_hub}
-        merged += sum(x.is_multi_hub for x in expected)
-        ties += any(k in merged_keys for k, x in zip(keys, expected) if not x.is_multi_hub)
+        merged_keys = {k for k, x in zip(keys, expected) if any(x.moves())}
+        merged += sum(any(x.moves()) for x in expected)
+        ties += any(k in merged_keys for k, x in zip(keys, expected) if not any(x.moves()))
 
         # the engine's step, with the hire budget of a partly used pool
         for _ in range(int(rng.integers(0, 25))):
@@ -413,7 +413,7 @@ def test_selection_matches_shift_based_reference():
 
 def _outputs(report):
     roster = [
-        (e.shift_id, e.worker_id, e.lead_time_h, e.is_new_hire, e.shift.fixed_at_h, tuple(e.shift.segments))
+        (e.shift_id, e.worker_id, e.lead_time_h, e.is_new_hire, e.fixed_at_h, tuple(e.shift.segments))
         for e in report.roster
     ]
     return (

@@ -73,40 +73,32 @@ def test_accrue_new_hire_full_shift():
 
 
 def test_accrue_reused_worker_with_move():
-    # reused worker, 3 h work, 1 h rest, one 2 km move, 9 h lead
-    ledger = CostLedger()
-    shift = Shift(
-        [
-            Segment(0, 10, 12, "working"),
-            Segment(1, 12, 13, "travel"),
-            Segment(1, 13, 14, "resting"),
-            Segment(1, 14, 15, "working"),
-        ]
+    # reused worker, 3 h work, 1 h rest, one move booked at the shift's own
+    # distance (the 3000 m tier boundary pays 10), 9 h lead
+    segments = (
+        Segment(0, 10, 12, "working"),
+        Segment(1, 12, 13, "travel"),
+        Segment(1, 13, 14, "resting"),
+        Segment(1, 14, 15, "working"),
     )
-    accrue_shift(shift, 9, False, ledger, distance_fn=lambda a, b: 2000.0)
-    assert ledger.to_dict() == {
-        "hiring": 0,
-        "hourly": 60,
-        "waiting": 5,
-        "moving": 10,
-        "lateness": 0,
-        "emergency": 0,
-        "total": 75,
-    }
+    for distance, moving in ((2000.0, 10), (3000.0, 10), (3000.5, 20)):
+        ledger = CostLedger()
+        accrue_shift(Shift(segments, move_distance_m=distance), 9, False, ledger)
+        assert ledger.to_dict() == {
+            "hiring": 0,
+            "hourly": 60,
+            "waiting": 5,
+            "moving": moving,
+            "lateness": 0,
+            "emergency": 0,
+            "total": 65 + moving,
+        }
 
 
 def test_accrue_rejects_zero_working():
     ledger = CostLedger()
     with pytest.raises(ValueError):
         accrue_shift(Shift([Segment(0, 0, 1, "resting")]), 0, False, ledger)
-
-
-def test_travel_needs_distance_fn():
-    shift = Shift(
-        [Segment(0, 0, 2, "working"), Segment(1, 2, 3, "travel"), Segment(1, 3, 5, "working")]
-    )
-    with pytest.raises(ValueError):
-        accrue_shift(shift, 9, False, CostLedger())
 
 
 def test_lateness_accrual():

@@ -1,5 +1,6 @@
 """Shift construction: maximal runs, dwell smoothing, greedy cross-hub merge."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,10 @@ from hubroster.shifts import (
 from oracle_enum import min_workers_single_hub, min_workers_two_hub
 
 RHO = 8
+
+
+def _has_move(shift):
+    return any(shift.moves())
 
 
 def _runs(x, dwell):
@@ -423,26 +428,26 @@ def test_merge_leaves_rest_for_long_gap():
 def test_merge_rejects_overlap():
     _net, pairs = _two_hub_net(2000)
     out = _merge({0: [(0, 4)], 1: [(0, 4)]}, pairs)
-    assert len(out) == 2 and not any(s.is_multi_hub for s in out)
+    assert len(out) == 2 and not any(_has_move(s) for s in out)
 
 
 def test_merge_rejects_hour_cap():
     _net, pairs = _two_hub_net(2000)
     out = _merge({0: [(0, 4)], 1: [(5, 11)]}, pairs)
-    assert not any(s.is_multi_hub for s in out)
+    assert not any(_has_move(s) for s in out)
 
 
 def test_merge_rejects_gap_beyond_max():
     _net, pairs = _two_hub_net(2000)
     out = _merge({0: [(0, 2)], 1: [(7, 9)]}, pairs)
-    assert not any(s.is_multi_hub for s in out)
+    assert not any(_has_move(s) for s in out)
 
 
 def test_merge_rejects_travel_longer_than_gap():
     # 2800 m at 2000 m/h is a 1.4 h trip; a 1 h gap cannot absorb it
     _net, pairs = _two_hub_net(2800, speed=2000)
     out = _merge({0: [(0, 4)], 1: [(5, 8)]}, pairs)
-    assert not any(s.is_multi_hub for s in out)
+    assert not any(_has_move(s) for s in out)
 
 
 def test_merge_requires_saving_over_hire():
@@ -457,7 +462,7 @@ def test_merge_requires_saving_over_hire():
             rates=CostRates(hiring_per_day=hiring),
         )
         out = RollingEngine(cfg)._fixed_shifts([(0, 0, 4), (5, 1, 9)])
-        assert any(s.is_multi_hub for s in out) == merged  # moving 10 >= hiring 5
+        assert any(_has_move(s) for s in out) == merged  # moving 10 >= hiring 5
 
 
 def test_merge_never_increases_count_and_conserves_hours():
@@ -475,8 +480,11 @@ def test_merge_never_increases_count_and_conserves_hours():
         assert sum(s.working_h for s in out) == hours
         for s in out:
             validate_shift(s, RHO)
-            if s.is_multi_hub:
-                w1, w2 = s.working_segments()
+            if _has_move(s):
+                w1, w2 = [seg for seg in s.segments if seg.kind == "working"]
+                rest = [seg for seg in s.segments if seg.kind == "resting"]
+                assert s.working_h == w1.hours + w2.hours
+                assert s.resting_h == sum(seg.hours for seg in rest)
                 gap = w2.start_h - w1.end_h
                 travel = next(p for p in pairs).travel_time_h
                 assert travel <= gap <= 2
@@ -524,7 +532,7 @@ def test_two_hub_heuristic_vs_exhaustive_spot():
     }
     out = _merge(per_hub, pairs)
     best = min_workers_two_hub(xa, xb, 1, RHO, travel, 2, merge_allowed=True)
-    assert any(s.is_multi_hub for s in out)
+    assert any(_has_move(s) for s in out)
     assert len(out) >= best
 
 
@@ -559,3 +567,12 @@ def test_segment_rejects_bad_fields(start, end, kind, message):
 def test_validate_shift_rejects_each_breach(segments, message):
     with pytest.raises(ValueError, match=message):
         validate_shift(Shift(segments), RHO)
+
+
+def test_shift_rejects_assignment():
+    shift = Shift([Segment(0, 0, 2, "working")])
+    assert shift.segments == (Segment(0, 0, 2, "working"),)
+    for name, value in (("segments", ()), ("move_distance_m", 1.0), ("working_h", 3), ("resting_h", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(shift, name, value)
+    assert (shift.working_h, shift.resting_h, shift.move_distance_m) == (2, 0, 0.0)
