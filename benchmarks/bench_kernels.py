@@ -6,7 +6,8 @@ Times each hot kernel, and pool assignment with hire simulation, on synthetic
 workloads and prints the fastest of three runs. ``within_hub_runs`` is also
 timed with its search cut where the engine cuts it at hour 0 under the
 default parameters and on gateway-sized rows, and ``fifo_match_units`` on
-the engine's rows, where capacity is zero ahead of the slots fixed so far.
+the engine's rows, where capacity is zero ahead of the slots fixed so far,
+and resumed from a settled slot as the engine walks it each step.
 End-to-end timings of the ``hubroster`` command line come from
 ``perfbench/run.py``:
 
@@ -55,6 +56,14 @@ def bench_match(demand_rows, cap_rows, dwell=1):
     def run():
         for demand, cap in zip(demand_rows, cap_rows):
             kernels.fifo_match_units(demand, cap, dwell)
+
+    return run
+
+
+def bench_resumed_match(settled_rows, cap_rows, starts, ends, dwell=3):
+    def run():
+        for settled, cap, start, end in zip(settled_rows, cap_rows, starts, ends):
+            kernels.fifo_match_units(settled, cap, dwell, start, end)
 
     return run
 
@@ -120,6 +129,16 @@ def main():
     # the engine's residual input: the fixed roster's capacity up to the
     # step's slot and none ahead of it, one row per step of a 24 h day
     engine_cap_rows = [row[: i % 25] + [0] * (24 - i % 25) for i, row in enumerate(cap_rows)]
+    # the engine's resumed walk: the residual is settled before the step's
+    # slot, fixed runs reach at most 8 h past it, and the walk goes on from
+    # the slot to the stop (6 slots on) plus the dwell
+    starts = [i % 24 for i in range(500)]
+    resumed_cap_rows = [row[: at + 8] + [0] * (24 - len(row[: at + 8])) for at, row in zip(starts, cap_rows)]
+    settled_rows = [
+        kernels.fifo_match_units(demand, cap, 3, 0, at)
+        for demand, cap, at in zip(rows[:500], resumed_cap_rows, starts)
+    ]
+    ends = [at + 6 + 3 for at in starts]
 
     n_workers = 130 if args.quick else 1300
     batches = [
@@ -138,6 +157,9 @@ def main():
         "fifo_match_units": _time(bench_match(rows[:500], cap_rows)),
         "fifo_match_units (dwell 3, engine rows)": _time(
             bench_match(rows[:500], engine_cap_rows, 3)
+        ),
+        "fifo_match_units (dwell 3, resumed)": _time(
+            bench_resumed_match(settled_rows, resumed_cap_rows, starts, ends)
         ),
         "fifo_replay": _time(bench_replay(arrival_rows, cap_rows)),
         f"pool assign + simulate_hires ({n_workers} pooled)": _time(bench_pool(n_workers, batches)),

@@ -76,6 +76,21 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
     no longer than the best run of the window is not tried: it could only
     tie, and ties keep the earlier start.
 
+    A run found this way is emitted as often as it can repeat. While every
+    origin it picks still holds a unit, the window's search returns it
+    unchanged: ``s0`` does not move, since it keeps a unit; earlier starts
+    of the window were strictly shorter and trials only get shorter; later
+    starts were no longer, or not tried because their bound or a
+    full-length run already ruled them out. When the picks are distinct
+    origins, the trial from ``first`` makes the same picks on the row
+    without them: the row only lost units, so at each slot the origins
+    its pick was chosen over for being empty are still empty and the
+    oldest open origin stays on the same side of the clamp, while the
+    pick, taken once so far, keeps a unit; and the trial ends where it
+    ended before. So such a run is emitted ``k = min(avail[o] for o in
+    picks)`` times at once, which leaves the row ``k`` single emissions
+    would.
+
     A ``stop`` ends the one-run-at-a-time phase once the earliest unserved
     origin reaches it. That phase emits runs in order of that origin, each
     starting at or after it and consuming only units from it on, so every
@@ -138,7 +153,14 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
                     break  # no later start can run longer, and ties keep the earliest
         for origin in best:
             avail[origin] -= 1
-        runs.append((first, first + len(best)))
+        run = (first, first + len(best))
+        runs.append(run)
+        if avail[best[0]] and len(set(best)) == len(best):
+            more = min(map(avail.__getitem__, best))  # the copies after this one
+            if more:
+                for origin in best:
+                    avail[origin] -= more
+                runs.extend([run] * more)
 
     runs.sort()
     return runs, avail, dropped
@@ -211,7 +233,7 @@ def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
     return merges, used
 
 
-def fifo_match_units(demand, capacity, dwell):
+def fifo_match_units(demand, capacity, dwell, start=0, end=None):
     """Credit per-slot capacity against unit demand within dwell windows.
 
     Capacity at slot t serves the oldest unserved units whose origin lies in
@@ -224,10 +246,21 @@ def fifo_match_units(demand, capacity, dwell):
     current window, and stays so (units only ever leave), so it moves up to
     ``t - dwell`` when it falls behind and past each origin it empties.
     Slots without capacity are skipped.
+
+    The walk covers the slots ``[start, end)`` (``end`` clamped to the row,
+    none meaning its end), so it can resume where an earlier one stopped:
+    pass that one's result as ``demand``, with the demand from ``start`` on
+    in place of its own if that has changed. Slots before ``start`` only
+    took units from origins before it, and ``oldest`` starting at 0 is
+    exact at any slot, since it only skips origins that are empty or out
+    of the window. An origin is served only by the slots of its window, so
+    a walk that ends at ``end`` has left every origin before
+    ``end - dwell`` as a full walk would.
     """
     rem = list(demand)
+    n = len(rem)
     oldest = 0
-    for t in range(len(rem)):
+    for t in range(start, n if end is None or end > n else end):
         cap = capacity[t]
         if cap == 0:
             continue

@@ -190,6 +190,9 @@ def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
                 values.append(int(rec[c]))
             except ValueError:
                 raise ValueError(f"{path}: row {_row_text(rec)!r}: {c} must be an integer") from None
+        if None in rec:  # csv.DictReader files the fields past the header's under None
+            width = len(reader.fieldnames)
+            raise ValueError(f"{path}: row {_row_text(rec)!r} has more fields than the header's {width}")
         hub_id, slot, count = values
         by_slot = rows.setdefault(hub_id, {})
         if slot < 0:

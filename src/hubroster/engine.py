@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,6 +150,10 @@ class RollingPlan:
         self.weights = ValueWeights.from_params(p)
         # workers working per hub and slot, summed over the kept runs
         self.capacity = {h: [0] * self.n for h in self.hub_ids}
+        # the FIFO residual per hub of the slots before ``settled_at``: their
+        # capacity is final and their demand the actual arrivals
+        self.settled_at = 0
+        self.settled = {h: [] for h in self.hub_ids}
         self.steps: list[tuple[float, bool, list[tuple[int, int, int]]]] = []  # (now_h, fix_all, kept)
         self.collect_forecasts = collect_forecasts
         self.forecast_snapshots: list[ForecastSnapshot] = []
@@ -167,7 +172,7 @@ class RollingPlan:
 
     def kept(self, k: int, now_h: float, fix_all: bool = False) -> list[tuple[int, int, int]]:
         """The sorted ``(start, hub, end)`` runs step ``k`` (at ``now_h``)
-        fixes; steps are planned in order."""
+        fixes; steps are planned in order, and never back in time."""
         if k < len(self.steps):
             at_h, at_fix_all, kept = self.steps[k]
             if at_h != now_h:
@@ -177,12 +182,12 @@ class RollingPlan:
             return kept
         if k != len(self.steps):
             raise ValueError(f"step {k} asked for before step {len(self.steps)} was planned")
-        dwell = self.cfg.params.dwell_h
+        if self.steps and now_h < self.steps[-1][0]:
+            last_h = self.steps[-1][0]
+            raise ValueError(f"step {k} at now_h={now_h:g} comes before step {k - 1} at now_h={last_h:g}")
         demand = self._demand_units(now_h)
-        residual = {
-            h: kernels.fifo_match_units(demand[h], self.capacity[h], dwell) for h in self.hub_ids
-        }
-        kept = self._select(residual, now_h, fix_all)
+        stop = self._stop(now_h, fix_all)
+        kept = self._select(self._residual(demand, now_h, stop), now_h, fix_all, stop)
         for start, h, end in kept:
             row = self.capacity[h]
             for t in range(start, end):
@@ -207,6 +212,36 @@ class RollingPlan:
                 ForecastSnapshot(now_h, {h: [float(v) for v in full[i]] for i, h in enumerate(self.hub_ids)})
             )
         return dict(zip(self.hub_ids, labor_demand(full, self.cfg.params.work_rate).tolist()))
+
+    def _residual(self, demand: dict[int, list[int]], now_h: float, stop: int) -> dict[int, list[int]]:
+        """The FIFO residual of ``demand`` against the capacity fixed so far
+        (``kernels.fifo_match_units``), for the hubs that hold a unit before
+        ``stop``; the others can fix no run.
+
+        Every run fixed from now on starts at or after ``first_slot``, and
+        the demand before it is the actual arrivals, so the walk's state
+        there is final: it is kept per hub, and the next step walks on from
+        it. The residual before ``stop`` is final once the walk has passed
+        ``stop + dwell``, so a hub's row is finished only if that part
+        holds a unit.
+        """
+        dwell = self.cfg.params.dwell_h
+        first_slot = math.ceil(now_h - 1e-9)
+        settled_at = self.settled_at
+        decided = stop + dwell
+        residual = {}
+        for h in self.hub_ids:
+            row = demand[h]
+            cap = self.capacity[h]
+            settled = self.settled[h]
+            if first_slot > settled_at:
+                settled = kernels.fifo_match_units(settled + row[settled_at:first_slot], cap, dwell, settled_at)
+                self.settled[h] = settled
+            rem = kernels.fifo_match_units(settled + row[first_slot:], cap, dwell, first_slot, decided)
+            if any(rem[:stop]):
+                residual[h] = kernels.fifo_match_units(rem, cap, dwell, decided)
+        self.settled_at = first_slot
+        return residual
 
     def _stop(self, now_h: float, fix_all: bool = False) -> int:
         """The first slot from which no run starting there is fixed at
@@ -235,47 +270,63 @@ class RollingPlan:
             s += 1
         return s
 
-    def _select(
-        self, residual: dict[int, list[int]], now_h: float, fix_all: bool = False
-    ) -> list[tuple[int, int, int]]:
-        """Within-hub candidates for the residual demand, keeping only those
-        fixed now: everything when ``fix_all``, runs starting before the next
-        replan, and runs whose value reaches the threshold.
+    def _fix_lengths(self, now_h: float, fix_all: bool, stop: int) -> list[int]:
+        """The shortest run each start before ``stop`` is fixed with at
+        ``now_h`` (``max_work_h + 1`` if none is); starts past the list fix
+        nothing. Runs starting before the next replan, and every run when
+        ``fix_all``, are fixed whatever their length.
 
-        Candidates are built only for demand before ``_stop``, the first
-        start at which no run can be fixed. A run starting at or after it is
-        left unbuilt (or, if it is a full-length run, which is extracted
-        first, unvalued), and a hub whose residual holds no unit before it
-        is skipped: every run the hub could build starts at or after it.
-        None of this changes the selection.
+        A rest-free run's value never falls as it gets longer (utilization
+        rises, float division and addition are monotone and the weights are
+        not negative), so the lengths a start fixes are those from the first
+        one ``should_fix`` accepts, found by bisection on the very
+        ``shift_value`` that decides.
+        """
+        if fix_all:
+            return [0] * self.n
+        cap = self.cfg.params.max_work_h
+        weights = self.weights
+        threshold = weights.fix_threshold
+        lengths = range(1, cap + 1)
+        need = [0] * (math.floor(now_h + self.cfg.params.replan_h + 1e-9) + 1)
+        for start in range(len(need), stop):
+            first = bisect_left(
+                lengths,
+                True,
+                key=lambda length: should_fix(shift_value(start, length, 0, now_h, weights, cap), threshold),
+            )
+            need.append(1 + first)
+        return need
+
+    def _select(
+        self, residual: dict[int, list[int]], now_h: float, fix_all: bool = False, stop: int | None = None
+    ) -> list[tuple[int, int, int]]:
+        """Within-hub candidates for the residual demand of each hub given,
+        keeping only those fixed now: everything when ``fix_all``, runs
+        starting before the next replan, and runs whose value reaches the
+        threshold (``_fix_lengths``).
+
+        Candidates are built only for demand before ``stop``
+        (``_stop``, by default), the first start at which no run can be
+        fixed; a run starting at or after it is left unbuilt (or, if it is
+        a full-length run, which is extracted first, not kept). None of
+        this changes the selection, and a hub whose residual holds no unit
+        before the stop gives no kept run.
 
         Returns the kept runs as sorted ``(start, hub, end)`` tuples; a
         ``Shift`` is built only when the step fixes them (``_fixed_shifts``).
         """
         p = self.cfg.params
-        cap = p.max_work_h
-        weights = self.weights
-        threshold = weights.fix_threshold
+        if stop is None:
+            stop = self._stop(now_h, fix_all)
+        need = self._fix_lengths(now_h, fix_all, stop)
+        reach = len(need)
         first_slot = math.ceil(now_h - 1e-9)
-        horizon_edge = now_h + p.replan_h + 1e-9
-        stop = self._stop(now_h, fix_all)
         kept = []
-        for h in self.hub_ids:
-            row = residual[h]
-            if not any(row[:stop]):
-                continue
-            runs, _left, _dropped = combine_within_hub_detail(
-                row, p.dwell_h, cap, first_slot, stop
-            )
+        for h, row in residual.items():
+            runs, _left, _dropped = combine_within_hub_detail(row, p.dwell_h, p.max_work_h, first_slot, stop)
             for start, end in runs:
-                if (
-                    fix_all
-                    or start <= horizon_edge
-                    or (
-                        start < stop
-                        and should_fix(shift_value(start, end - start, 0, now_h, weights, cap), threshold)
-                    )
-                ):
+                if start < reach and end - start >= need[start]:
                     kept.append((start, h, end))
         kept.sort()
         return kept

@@ -15,6 +15,7 @@ ROWS = [
     "merge_runs",
     "fifo_match_units",
     "fifo_match_units (dwell 3, engine rows)",
+    "fifo_match_units (dwell 3, resumed)",
     "fifo_replay",
     "pool assign + simulate_hires (130 pooled)",
 ]

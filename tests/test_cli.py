@@ -293,6 +293,23 @@ def test_run_rejects_a_malformed_arrivals_field(tmp_path, capsys):
         assert err == f"error: {row['path']}: row {row['text']!r}: {name} must be an integer"
 
 
+def test_run_rejects_an_arrivals_row_with_fields_past_the_header(tmp_path, capsys):
+    """A field past the header's three (a shifted or misjoined column) names
+    the file and the row; the row keeps the file's CRLF line ending."""
+    row = {}
+
+    def edit(out):
+        path = out / "arrivals.csv"
+        lines = path.read_bytes().decode().splitlines(keepends=True)
+        assert lines[-1].endswith("\r\n")
+        row.update(path=path, text=lines[-1][:-2] + ",999")
+        lines[-1] = row["text"] + "\r\n"
+        path.write_bytes("".join(lines).encode())
+
+    err = _run_error(tmp_path, capsys, edit)
+    assert err == f"error: {row['path']}: row {row['text']!r} has more fields than the header's 3"
+
+
 def test_run_rejects_malformed_network(tmp_path, capsys):
     def drop_d_max(out):
         _edit_json(out / "network.json", lambda doc: doc.pop("d_max_m"))

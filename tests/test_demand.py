@@ -200,6 +200,39 @@ def test_fifo_match_units_matches_window_scan_on_engine_rows():
     assert paths["reset"] > 1500 and paths["sparse"] > 3000 and paths["surplus"] > 1000, paths
 
 
+def test_fifo_match_units_resumed_from_a_settled_prefix_matches_the_full_walk():
+    # the engine's steps: the walk's state at a split slot is kept, then
+    # demand and capacity change from the split on (a new forecast, newly
+    # fixed runs) and the walk resumes there, first only to stop + dwell,
+    # where the residual before stop and so the hub's skip are decided,
+    # then on to the row's end
+    rng = np.random.default_rng(41)
+    ends = {"before": 0, "at": 0, "past": 0}
+    skips = [0, 0]
+    for _ in range(4000):
+        n = int(rng.integers(1, 30))
+        dwell = int(rng.integers(0, 4))
+        split = int(rng.integers(0, n + 1))
+        old_demand = [int(v) for v in rng.integers(0, 6, n) * (rng.random(n) < 0.7)]
+        old_capacity = [int(v) for v in rng.integers(0, 5, n) * (rng.random(n) < 0.5)]
+        demand = old_demand[:split] + [int(v) for v in rng.integers(0, 6, n - split)]
+        capacity = old_capacity[:split] + [
+            c + int(v) for c, v in zip(old_capacity[split:], rng.integers(0, 4, n - split))
+        ]
+        settled = fifo_match_units(old_demand, old_capacity, dwell, 0, split)
+        assert settled[split:] == old_demand[split:]
+        stop = int(rng.integers(split, n + 2))
+        decided = stop + dwell
+        rem = fifo_match_units(settled[:split] + demand[split:], capacity, dwell, split, decided)
+        full = reference_kernels.fifo_match_units(demand, capacity, dwell)
+        assert rem[:stop] == full[:stop], (demand, capacity, dwell, split, stop)
+        assert any(rem[:stop]) == any(full[:stop])
+        assert fifo_match_units(rem, capacity, dwell, decided) == full
+        ends["before" if decided < n else "at" if decided == n else "past"] += 1
+        skips[any(full[:stop])] += 1
+    assert min(ends.values()) > 400 and min(skips) > 400, (ends, skips)
+
+
 # ------------------------------------------------------------- generation
 
 

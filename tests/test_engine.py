@@ -14,7 +14,8 @@ from hubroster.engine import RollingEngine, RollingPlan, ScenarioConfig, replay_
 from hubroster.ledger import CostRates, moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs, random_network
 from hubroster.shifts import WORKING, Segment, Shift, merge_across_hubs, validate_shift
-from hubroster.valuation import ValueWeights
+from hubroster.valuation import ValueWeights, shift_value, should_fix
+import reference_kernels
 import reference_merge
 from reference_selection import fix_reach
 from reference_selection import select as reference_select
@@ -411,6 +412,96 @@ def test_selection_matches_shift_based_reference():
     assert boundary_fixes > 300
 
 
+def test_fix_lengths_keep_exactly_the_runs_whose_value_reaches_the_threshold(monkeypatch):
+    # every (start, length) under random weights: the table keeps a run
+    # exactly when it starts before the next replan, or before the stop with
+    # a value that reaches the threshold. Some thresholds equal a value a
+    # run attains, some (1.0) only urgent full-length runs meet, and half the
+    # cases patch the stop to the horizon end, so the table holds starts
+    # that no length fixes
+    rng = np.random.default_rng(19)
+    boundary = unfixable = 0
+    for case in range(1200):
+        horizon = int(rng.integers(6, 25))
+        params = dict(
+            horizon_h=horizon,
+            max_work_h=int(rng.integers(1, 9)),
+            replan_min=int(rng.choice([15, 45, 60, 90])),
+        )
+        plan = RollingPlan(_cfg(_net(1), {0: [0] * horizon}, **params))
+        p = plan.cfg.params
+        cap = p.max_work_h
+        raw = rng.random(3) + 0.01
+        urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
+        lead = float(rng.uniform(0.5, 6.0))
+        now_h = int(rng.integers(0, math.ceil(horizon / p.replan_h))) * p.replan_h
+        fix_all = bool(rng.random() < 0.1)
+        kind = case % 3
+        if kind == 0:
+            threshold = float(rng.random())
+        elif kind == 1:  # a value some run attains
+            start = int(rng.integers(math.floor(now_h), horizon))
+            length = int(rng.integers(1, cap + 1))
+            weights = ValueWeights(urgency, utilization, continuity, lead, 0.5)
+            threshold = min(1.0, shift_value(start, length, 0, now_h, weights, cap))
+        else:
+            threshold = 1.0
+        plan.weights = weights = ValueWeights(urgency, utilization, continuity, lead, threshold)
+        with monkeypatch.context() as m:
+            if rng.random() < 0.5:
+                m.setattr(RollingPlan, "_stop", lambda plan, now_h, fix_all=False: plan.n)
+            stop = plan._stop(now_h, fix_all)
+        need = plan._fix_lengths(now_h, fix_all, stop)
+        edge = now_h + p.replan_h + 1e-9
+        for start in range(math.ceil(now_h), horizon):
+            for length in range(1, cap + 1):
+                value = shift_value(start, length, 0, now_h, weights, cap)
+                expected = fix_all or start <= edge or (start < stop and should_fix(value, threshold))
+                assert (start < len(need) and length >= need[start]) == expected, (case, start, length)
+                boundary += start > edge and value == threshold and not fix_all
+        unfixable += cap + 1 in need
+    assert boundary > 100 and unfixable > 200, (boundary, unfixable)
+
+
+def test_plan_residual_walks_on_from_the_last_step(monkeypatch):
+    # each step walks the FIFO residual on from the state the last step
+    # settled: for every hub it returns, the row equals the full walk over
+    # the step's demand and the capacity fixed so far, and it leaves out
+    # exactly the hubs whose full residual holds no unit before the stop
+    residual = RollingPlan._residual
+    returned = left_out = 0
+
+    def checking(plan, demand, now_h, stop):
+        nonlocal returned, left_out
+        got = residual(plan, demand, now_h, stop)
+        for h in plan.hub_ids:
+            full = reference_kernels.fifo_match_units(demand[h], plan.capacity[h], plan.cfg.params.dwell_h)
+            assert (h in got) == any(full[:stop])
+            if h in got:
+                assert got[h] == full
+                returned += 1
+            else:
+                left_out += 1
+        return got
+
+    monkeypatch.setattr(RollingPlan, "_residual", checking)
+    rng = np.random.default_rng(29)
+    for i in range(12):
+        net = random_network(n_hubs=int(rng.integers(3, 9)), n_gateways=1, area_m=3000, seed=i)
+        arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=int(rng.integers(5_000, 60_000))), i)
+        cfg = _cfg(
+            net,
+            {h: s.arrivals for h, s in arrivals.items()},
+            scenario=int(rng.choice([1, 3])),
+            noise="paper",
+            seed=i,
+            dwell_h=int(rng.integers(0, 4)),
+            replan_min=int(rng.choice([15, 20, 45, 60, 90])),
+        )
+        run_scenario(cfg)
+    assert returned > 200 and left_out > 200, (returned, left_out)
+
+
 def _outputs(report):
     roster = [
         (e.shift_id, e.worker_id, e.lead_time_h, e.is_new_hire, e.fixed_at_h, tuple(e.shift.segments))
@@ -720,5 +811,8 @@ def test_a_plan_refuses_a_step_it_planned_otherwise():
         RollingEngine(cfg, plan=plan).step(0.0, fix_all=True)
     with pytest.raises(ValueError, match="before step 1"):
         plan.kept(2, 2.0)
+    plan.kept(1, 1.0)
+    with pytest.raises(ValueError, match="now_h=0.5 comes before step 1 at now_h=1"):
+        plan.kept(2, 0.5)
     with pytest.raises(ValueError, match="forecasts"):
         RollingEngine(cfg, collect_forecasts=True, plan=plan)

@@ -309,6 +309,35 @@ def test_within_hub_runs_trial_bounds_match_full_scan(monkeypatch):
     assert cut > 0.2 * rows, (cut, rows)
 
 
+def test_within_hub_runs_emits_repeated_runs_at_once(monkeypatch):
+    # rows of 5-40 units per slot leave several units per origin after the
+    # full-length runs, so the same shorter run repeats. Fewer trials than
+    # runs left to the one-run-at-a-time phase (each of its searches tries
+    # at least one start) show that many runs were emitted more than once
+    # per search; runs, left and drops stay the full scan's
+    calls = [0]
+    monkeypatch.setattr(kernels, "_trial", _counting(_trial, calls))
+    rng = np.random.default_rng(37)
+    repeated = 0
+    for _ in range(1500):
+        n = int(rng.integers(1, 30))
+        x = [int(v) for v in rng.integers(5, 41, n)]
+        dwell = int(rng.integers(0, 4))
+        max_run = int(rng.integers(1, 9))
+        start_min = int(rng.integers(0, n + 1))
+        stop = int(rng.integers(start_min + 1, n + 3)) if rng.random() < 0.5 else None
+        calls[0] = 0
+        runs, left, dropped = kernels.within_hub_runs(x, dwell, max_run, start_min, stop)
+        ref_runs, ref_served, ref_dropped = reference_kernels.within_hub_runs(
+            x, dwell, max_run, start_min, stop
+        )
+        assert (runs, dropped) == (ref_runs, ref_dropped)
+        assert left == _left_of(x, ref_served, ref_dropped)
+        level = [r for r in reference_kernels.part1_runs(x, max_run, start_min) if r[1] - r[0] == max_run]
+        repeated += calls[0] < len(ref_runs) - len(level)
+    assert repeated > 500, repeated
+
+
 def _sorted_runs(rng, n_runs, horizon):
     runs = []
     for _ in range(n_runs):
