@@ -117,7 +117,7 @@ def cmd_run(args) -> int:
     for num, sc in zip(scenarios, configs):
         if sc.rolling not in plans:
             plans[sc.rolling] = RollingPlan(sc, collect_forecasts=args.debug_forecasts)
-        report = run_scenario(sc, plans[sc.rolling], collect_forecasts=args.debug_forecasts)
+        report = run_scenario(sc, plans[sc.rolling])
         reports.append(report)
         meta = {"seed": seed, "config": config_hash(cfg), "scenario": num, "noise": args.noise}
         write_ledger_json(out / f"ledger_s{num}.json", report.ledger, meta)
@@ -164,7 +164,7 @@ def cmd_compare(args) -> int:
         return 2
     try:
         ledgers = [read_ledger_json(p) for p in args.ledgers]
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # a column is labelled by its file's stem unless another file shares it

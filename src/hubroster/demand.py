@@ -173,10 +173,16 @@ def _row_text(rec: dict) -> str:
 
 def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
     """Read ``hub_id,slot_h,arrivals`` rows. Every hub must have exactly one
-    row for each slot from 0 to the last slot in the file."""
+    row for each slot from 0 to the last slot in the file. A file that
+    cannot be read raises ``ValueError`` naming it."""
     rows = {}
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
+    try:
+        with open(path, newline="") as fh:
+            lines = [ln for ln in fh if not ln.startswith("#")]
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read arrivals ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: arrivals are not UTF-8 text ({exc})") from exc
     reader = csv.DictReader(lines)
     missing = [c for c in ARRIVAL_COLUMNS if c not in (reader.fieldnames or [])]
     if missing:

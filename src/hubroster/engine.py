@@ -126,6 +126,8 @@ def tally(shifts, resting, flows) -> None:
 class RollingPlan:
     """The plan half of every replan step: the runs each step fixes.
 
+    The steps run at ``times``: every replan interval when the config is
+    rolling, otherwise once at hour 0 with everything fixed (``fix_all``).
     A step's plan is its forecast and demand units, the FIFO residual
     against the capacity fixed so far, and the within-hub selection. It
     reads the network, the arrivals, the parameters, the noise mode and the
@@ -135,6 +137,9 @@ class RollingPlan:
     the booking half does with them. Scenarios 1 and 2 differ only in that
     half and can share one plan. Step ``k`` is computed the first time an
     engine asks for it (``kept``) and recorded for the next.
+
+    With ``collect_forecasts`` every step records its ``ForecastSnapshot``
+    in ``forecast_snapshots``.
     """
 
     def __init__(self, cfg: ScenarioConfig, collect_forecasts=False):
@@ -143,6 +148,11 @@ class RollingPlan:
         p = cfg.params
         self.hub_ids = sorted(cfg.network.hub_ids)
         self.n = p.horizon_h
+        self.fix_all = not cfg.rolling
+        if cfg.rolling:
+            self.times = [k * p.replan_h for k in range(math.ceil(self.n / p.replan_h))]
+        else:
+            self.times = [0.0]
         self.actual_matrix = np.array(
             [cfg.actuals[h].arrivals for h in self.hub_ids], dtype=np.int64
         )
@@ -154,7 +164,7 @@ class RollingPlan:
         # capacity is final and their demand the actual arrivals
         self.settled_at = 0
         self.settled = {h: [] for h in self.hub_ids}
-        self.steps: list[tuple[float, bool, list[tuple[int, int, int]]]] = []  # (now_h, fix_all, kept)
+        self.steps: list[list[tuple[int, int, int]]] = []  # the kept runs of each planned step
         self.collect_forecasts = collect_forecasts
         self.forecast_snapshots: list[ForecastSnapshot] = []
 
@@ -170,35 +180,26 @@ class RollingPlan:
             if getattr(cfg, name) != getattr(own, name):
                 raise ValueError(f"the plan was built with other {name}")
 
-    def kept(self, k: int, now_h: float, fix_all: bool = False) -> list[tuple[int, int, int]]:
-        """The sorted ``(start, hub, end)`` runs step ``k`` (at ``now_h``)
-        fixes; steps are planned in order, and never back in time."""
-        if k < len(self.steps):
-            at_h, at_fix_all, kept = self.steps[k]
-            if at_h != now_h:
-                raise ValueError(f"step {k} was planned at now_h={at_h:g}, not at now_h={now_h:g}")
-            if at_fix_all != fix_all:
-                raise ValueError(f"step {k} was planned with fix_all={at_fix_all}, not fix_all={fix_all}")
-            return kept
-        if k != len(self.steps):
-            raise ValueError(f"step {k} asked for before step {len(self.steps)} was planned")
-        if self.steps and now_h < self.steps[-1][0]:
-            last_h = self.steps[-1][0]
-            raise ValueError(f"step {k} at now_h={now_h:g} comes before step {k - 1} at now_h={last_h:g}")
-        demand = self._demand_units(now_h)
-        stop = self._stop(now_h, fix_all)
-        kept = self._select(self._residual(demand, now_h, stop), now_h, fix_all, stop)
-        for start, h, end in kept:
-            row = self.capacity[h]
-            for t in range(start, end):
-                row[t] += 1
-        self.steps.append((now_h, fix_all, kept))
-        return kept
+    def kept(self, k: int) -> list[tuple[int, int, int]]:
+        """The sorted ``(start, hub, end)`` runs step ``k`` (at
+        ``times[k]``) fixes; the steps up to ``k`` are planned in order."""
+        while len(self.steps) <= k:
+            now_h = self.times[len(self.steps)]
+            first_slot = math.ceil(now_h - 1e-9)
+            demand = self._demand_units(now_h, first_slot)
+            need = self._fix_lengths(now_h, first_slot)
+            kept = self._select(self._residual(demand, first_slot, len(need)), first_slot, need)
+            for start, h, end in kept:
+                row = self.capacity[h]
+                for t in range(start, end):
+                    row[t] += 1
+            self.steps.append(kept)
+        return self.steps[k]
 
-    def _demand_units(self, now_h: float) -> dict[int, list[int]]:
-        """Predicted arrivals for the whole horizon (actuals up to now, noisy
-        forecast beyond) converted to integer worker demand per slot."""
-        first_slot = math.ceil(now_h - 1e-9)
+    def _demand_units(self, now_h: float, first_slot: int) -> dict[int, list[int]]:
+        """Predicted arrivals for the whole horizon (actuals before
+        ``first_slot``, noisy forecast from it) converted to integer worker
+        demand per slot."""
         if first_slot < self.n and self.cfg.noise == "paper":
             u = self.rng.uniform(-1.0, 1.0, size=(len(self.hub_ids), self.n - first_slot))
         else:
@@ -213,7 +214,7 @@ class RollingPlan:
             )
         return dict(zip(self.hub_ids, labor_demand(full, self.cfg.params.work_rate).tolist()))
 
-    def _residual(self, demand: dict[int, list[int]], now_h: float, stop: int) -> dict[int, list[int]]:
+    def _residual(self, demand: dict[int, list[int]], first_slot: int, stop: int) -> dict[int, list[int]]:
         """The FIFO residual of ``demand`` against the capacity fixed so far
         (``kernels.fifo_match_units``), for the hubs that hold a unit before
         ``stop``; the others can fix no run.
@@ -226,7 +227,6 @@ class RollingPlan:
         holds a unit.
         """
         dwell = self.cfg.params.dwell_h
-        first_slot = math.ceil(now_h - 1e-9)
         settled_at = self.settled_at
         decided = stop + dwell
         residual = {}
@@ -243,53 +243,34 @@ class RollingPlan:
         self.settled_at = first_slot
         return residual
 
-    def _stop(self, now_h: float, fix_all: bool = False) -> int:
-        """The first slot from which no run starting there is fixed at
-        ``now_h``: the horizon end when everything is fixed, otherwise the
-        first slot past the next replan where a full-length rest-free run
-        scores below the threshold.
+    def _fix_lengths(self, now_h: float, first_slot: int) -> list[int]:
+        """The shortest run each start is fixed with at ``now_h``; a run
+        starting at or past the table's end is not fixed, so its length is
+        the step's stop. Runs starting before the next replan, and every run
+        when ``fix_all``, are fixed whatever their length.
 
-        That run's value is the largest any run starting at a slot can
-        score, and it never rises with the start: the urgency term only
-        falls as the lead grows, and float division and addition are
-        monotone. So every later start scores below the threshold too. The
-        bound is read off the very ``shift_value`` that decides the fix, so
-        float rounding cannot disagree with it.
+        Past the next replan the table ends at the first start whose
+        full-length rest-free run scores below the threshold. That run's
+        value is the largest any run starting there can score, and it never
+        rises with the start: the urgency term only falls as the lead grows,
+        and float division and addition are monotone. Before that start a
+        rest-free run's value never falls as it gets longer (utilization
+        rises and the weights are not negative), so the lengths a start fixes
+        are those from the first one ``should_fix`` accepts, found by
+        bisection. Both bounds are read off the very ``shift_value`` that
+        decides the fix, so float rounding cannot disagree with them.
         """
-        if fix_all:
-            return self.n
-        p = self.cfg.params
-        cap = p.max_work_h
-        weights = self.weights
-        horizon_edge = now_h + p.replan_h + 1e-9
-        s = math.ceil(now_h - 1e-9)
-        while s < self.n and (
-            s <= horizon_edge
-            or should_fix(shift_value(s, cap, 0, now_h, weights, cap), weights.fix_threshold)
-        ):
-            s += 1
-        return s
-
-    def _fix_lengths(self, now_h: float, fix_all: bool, stop: int) -> list[int]:
-        """The shortest run each start before ``stop`` is fixed with at
-        ``now_h`` (``max_work_h + 1`` if none is); starts past the list fix
-        nothing. Runs starting before the next replan, and every run when
-        ``fix_all``, are fixed whatever their length.
-
-        A rest-free run's value never falls as it gets longer (utilization
-        rises, float division and addition are monotone and the weights are
-        not negative), so the lengths a start fixes are those from the first
-        one ``should_fix`` accepts, found by bisection on the very
-        ``shift_value`` that decides.
-        """
-        if fix_all:
+        if self.fix_all:
             return [0] * self.n
         cap = self.cfg.params.max_work_h
         weights = self.weights
         threshold = weights.fix_threshold
         lengths = range(1, cap + 1)
-        need = [0] * (math.floor(now_h + self.cfg.params.replan_h + 1e-9) + 1)
-        for start in range(len(need), stop):
+        edge = now_h + self.cfg.params.replan_h + 1e-9
+        need = [0] * min(self.n, math.floor(edge) + 1)
+        for start in range(len(need), self.n):
+            if not should_fix(shift_value(start, cap, 0, now_h, weights, cap), threshold):
+                break
             first = bisect_left(
                 lengths,
                 True,
@@ -299,34 +280,29 @@ class RollingPlan:
         return need
 
     def _select(
-        self, residual: dict[int, list[int]], now_h: float, fix_all: bool = False, stop: int | None = None
+        self, residual: dict[int, list[int]], first_slot: int, need: list[int]
     ) -> list[tuple[int, int, int]]:
         """Within-hub candidates for the residual demand of each hub given,
-        keeping only those fixed now: everything when ``fix_all``, runs
-        starting before the next replan, and runs whose value reaches the
-        threshold (``_fix_lengths``).
+        keeping only those the fix-length table ``need`` fixes
+        (``_fix_lengths``): a run is kept when it starts before the table's
+        end and is at least as long as its start's entry.
 
-        Candidates are built only for demand before ``stop``
-        (``_stop``, by default), the first start at which no run can be
-        fixed; a run starting at or after it is left unbuilt (or, if it is
-        a full-length run, which is extracted first, not kept). None of
-        this changes the selection, and a hub whose residual holds no unit
+        Candidates are built only for demand before that end, the stop; a
+        run starting at or after it is left unbuilt (or, if it is a
+        full-length run, which is extracted first, not kept). None of this
+        changes the selection, and a hub whose residual holds no unit
         before the stop gives no kept run.
 
         Returns the kept runs as sorted ``(start, hub, end)`` tuples; a
         ``Shift`` is built only when the step fixes them (``_fixed_shifts``).
         """
         p = self.cfg.params
-        if stop is None:
-            stop = self._stop(now_h, fix_all)
-        need = self._fix_lengths(now_h, fix_all, stop)
-        reach = len(need)
-        first_slot = math.ceil(now_h - 1e-9)
+        stop = len(need)
         kept = []
         for h, row in residual.items():
             runs, _left, _dropped = combine_within_hub_detail(row, p.dwell_h, p.max_work_h, first_slot, stop)
             for start, end in runs:
-                if start < reach and end - start >= need[start]:
+                if start < stop and end - start >= need[start]:
                     kept.append((start, h, end))
         kept.sort()
         return kept
@@ -340,13 +316,11 @@ class RollingEngine:
     engine must plan the same steps (``RollingPlan.check``).
     """
 
-    def __init__(self, cfg: ScenarioConfig, collect_forecasts=False, plan: RollingPlan | None = None):
+    def __init__(self, cfg: ScenarioConfig, plan: RollingPlan | None = None):
         if plan is None:
-            plan = RollingPlan(cfg, collect_forecasts)  # validates cfg
+            plan = RollingPlan(cfg)  # validates cfg
         else:
             plan.check(cfg)  # cfg plans like the plan's own, validated config
-            if collect_forecasts and not plan.collect_forecasts:
-                raise ValueError("the plan does not collect forecasts")
         self.cfg = cfg
         self.plan = plan
         p = cfg.params
@@ -368,7 +342,6 @@ class RollingEngine:
         self.resting = {h: [0] * self.n for h in self.hub_ids}
         self.flows: dict[tuple[int, int, int], int] = {}
         self.steps_taken = 0
-        self.collect_forecasts = collect_forecasts
 
     def _fixed_shifts(self, kept: list[tuple[int, int, int]]) -> list[Shift]:
         """The shifts fixed this step for the sorted kept runs.
@@ -388,10 +361,12 @@ class RollingEngine:
                 return merge_across_hubs(runs, self.pairs, p.max_work_h, p.max_gap_h, budget)
         return [Shift((Segment(h, start, end, WORKING),)) for start, h, end in kept]
 
-    def step(self, now_h: float, fix_all: bool = False) -> int:
-        """One replan pass; returns the number of shifts fixed."""
+    def step(self) -> int:
+        """The next replan pass, at the plan's next step time; returns the
+        number of shifts fixed."""
+        now_h = self.plan.times[self.steps_taken]
         self.pool.release_finished(now_h)
-        kept = self.plan.kept(self.steps_taken, now_h, fix_all)
+        kept = self.plan.kept(self.steps_taken)
         self.steps_taken += 1
         selected = self._fixed_shifts(kept)
 
@@ -405,12 +380,8 @@ class RollingEngine:
     def run(self) -> SimReport:
         t0 = time.perf_counter()
         p = self.cfg.params
-        if self.cfg.rolling:
-            steps = math.ceil(self.n / p.replan_h)
-            for k in range(steps):
-                self.step(k * p.replan_h)
-        else:
-            self.step(0.0, fix_all=True)
+        for _ in self.plan.times:
+            self.step()
 
         arrivals = {h: self.cfg.actuals[h].arrivals for h in self.hub_ids}
         capacity = self.plan.capacity
@@ -420,7 +391,6 @@ class RollingEngine:
             h: {"arrivals": arrivals[h], "working": list(capacity[h]), "resting": self.resting[h]}
             for h in self.hub_ids
         }
-        snapshots = self.plan.forecast_snapshots[: self.steps_taken] if self.collect_forecasts else []
 
         return SimReport(
             label=self.cfg.label,
@@ -431,7 +401,7 @@ class RollingEngine:
             flows=self.flows,
             runtime_s=time.perf_counter() - t0,
             hires=self.pool.hires,
-            forecast_snapshots=snapshots,
+            forecast_snapshots=self.plan.forecast_snapshots[: self.steps_taken],
         )
 
 
@@ -453,10 +423,10 @@ def replay_execution(
     )
 
 
-def run_scenario(cfg: ScenarioConfig, plan: RollingPlan | None = None, **engine_kwargs) -> SimReport:
+def run_scenario(cfg: ScenarioConfig, plan: RollingPlan | None = None) -> SimReport:
     """Validate the config and execute one full scenario run, on ``plan``
     if one is given (see ``RollingPlan``)."""
-    return RollingEngine(cfg, plan=plan, **engine_kwargs).run()
+    return RollingEngine(cfg, plan).run()
 
 
 # ---------------------------------------------------------------- reporting

@@ -107,8 +107,14 @@ def write_ledger_json(path, ledger: CostLedger, meta: dict | None = None) -> Non
 
 def read_ledger_json(path) -> dict:
     """Read a ledger file; raises ``ValueError`` naming the file (and the
-    key) unless it is a JSON object whose categories and total are numbers."""
-    doc = json.loads(Path(path).read_text())
+    key) unless it can be read and is a JSON object whose categories and
+    total are numbers."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"ledger file {path}: cannot read it ({exc.strerror})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"ledger file {path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"ledger file {path} must hold a JSON object, got {json.dumps(doc)}")
     keys = (*CATEGORIES, "total")

@@ -47,7 +47,7 @@ class HubNetwork:
     d_max_m : float
         Largest distance (meters) over which workers may be moved.
     speed_m_per_h : float
-        Worker travel speed in meters per hour.
+        Worker travel speed in meters per hour (finite).
     """
 
     def __init__(self, hubs, d_max_m, speed_m_per_h):
@@ -69,8 +69,10 @@ class HubNetwork:
                 )
         if not d_max_m > 0:
             raise ValueError("d_max_m must be positive")
-        if not speed_m_per_h > 0:
-            raise ValueError("speed_m_per_h must be positive")
+        # an infinite speed makes every move take no time: a hub change
+        # without a travel segment
+        if not 0 < speed_m_per_h < math.inf:
+            raise ValueError("speed_m_per_h must be positive and finite")
         self.hubs = hubs
         self.d_max_m = float(d_max_m)
         self.speed_m_per_h = float(speed_m_per_h)

@@ -8,8 +8,8 @@ read off the ``Shift``, reaches the threshold. The engine keeps candidates
 as ``(start, hub, end)`` tuples and builds a ``Shift`` only for kept ones.
 
 ``fix_reach`` is the closed-form lead past which no run reaches the
-threshold; the engine's step stop (``RollingPlan._stop``) must never lie
-past the slot it gives.
+threshold; the engine's step stop, the length of its fix-length table
+(``RollingPlan._fix_lengths``), must never lie past the slot it gives.
 """
 
 import math

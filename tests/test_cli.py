@@ -1,6 +1,7 @@
 """End-to-end command-line harness tests."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,6 +128,26 @@ def test_compare_usage_and_schema_errors(tmp_path, capsys):
 
 
 LEDGER = {"hiring": 50, "hourly": 160, "waiting": 0, "moving": 0, "lateness": 5, "emergency": 0, "total": 215}
+
+
+def test_compare_names_a_ledger_file_it_cannot_read(tmp_path, capsys):
+    # a directory ended in an IsADirectoryError traceback, and a file that
+    # is not JSON printed the decoder's message without the file's name
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(LEDGER))
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "text.json").write_text("not json\n")
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
+    for name, message in (
+        ("a_dir", "cannot read it (Is a directory)"),
+        ("missing.json", "cannot read it (No such file or directory)"),
+        ("text.json", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+        ("bytes.json", "not valid JSON ('utf-8' codec can't decode byte 0xff in position 0"),
+    ):
+        bad = tmp_path / name
+        assert main(["compare", str(good), str(bad)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ledger file {bad}: {message}")
 
 
 def test_compare_prints_one_column_per_file_when_stems_collide(tmp_path, capsys):
@@ -322,6 +343,23 @@ def test_run_rejects_malformed_network(tmp_path, capsys):
     assert "network.json" in _run_error(tmp_path, capsys, not_json)
 
 
+def test_run_names_an_arrivals_file_it_cannot_read(tmp_path, capsys):
+    # a directory in its place ended in an IsADirectoryError traceback, and
+    # bytes that are not UTF-8 printed the codec's message without the file
+    def replace_with_a_directory(out):
+        (out / "arrivals.csv").unlink()
+        (out / "arrivals.csv").mkdir()
+
+    def write_bytes(out):
+        (out / "arrivals.csv").write_bytes(b"hub_id,slot_h,arrivals\n\xff\n")
+
+    err = _run_error(tmp_path, capsys, replace_with_a_directory)
+    assert err.endswith("arrivals.csv: cannot read arrivals (Is a directory)")
+    (tmp_path / "bytes").mkdir()
+    err = _run_error(tmp_path / "bytes", capsys, write_bytes)
+    assert "arrivals.csv: arrivals are not UTF-8 text ('utf-8' codec can't decode byte 0xff" in err
+
+
 def test_run_rejects_hubs_that_share_coordinates(tmp_path, capsys):
     def stack_hubs(out):
         def update(doc):
@@ -332,6 +370,14 @@ def test_run_rejects_hubs_that_share_coordinates(tmp_path, capsys):
 
     err = _run_error(tmp_path, capsys, stack_hubs)
     assert "network.json: hubs 1 and 3 share coordinates" in err
+
+
+def test_run_rejects_a_network_with_an_infinite_walk_speed(tmp_path, capsys):
+    # scenario 3 used to book moves between hubs with no travel segment
+    err = _run_error(
+        tmp_path, capsys, lambda out: _edit_json(out / "network.json", lambda doc: doc.update(speed_m_per_h=math.inf))
+    )
+    assert "network.json: speed_m_per_h must be positive and finite" in err
 
 
 def test_run_rejects_value_weights_not_summing_to_one(tmp_path, capsys):
@@ -430,13 +476,17 @@ OUT_OF_RANGE = (
     ({"network": {"hubs": 0}}, "'network.hubs' must be >= 1, got 0"),
     ({"network": {"gateways": -1}}, "'network.gateways' must lie in [0, 52] (network.hubs), got -1"),
     ({"network": {"hubs": 2, "gateways": 3}}, "'network.gateways' must lie in [0, 2] (network.hubs), got 3"),
+    ({"network": {"move_radius_m": 0}}, "'network.move_radius_m' must be positive, got 0"),
+    ({"network": {"walk_speed_m_per_h": math.inf}}, "'network.walk_speed_m_per_h' must be positive and finite, got inf"),
 )
 
 
 def test_generate_rejects_a_value_out_of_range(tmp_path, capsys):
     # the first two printed numpy's "high - low < 0" and "expected
     # non-negative integer", hubs 0 the misleading "n_gateways cannot exceed
-    # n_hubs", and gateways -1 generated a network without gateways
+    # n_hubs", gateways -1 generated a network without gateways, a move
+    # radius of 0 printed "d_max_m must be positive", and an infinite walk
+    # speed (JSON's Infinity) generated moves without a travel segment
     for extra, message in OUT_OF_RANGE:
         assert message in _generate_error(tmp_path, capsys, extra)
 

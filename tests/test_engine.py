@@ -57,7 +57,7 @@ def test_forced_fix_books_emergency_tier():
     net = _net()
     rows = {0: [0, 150] + [0] * 22}
     engine = RollingEngine(_cfg(net, rows))
-    engine.step(0.0)
+    engine.step()
     assert len(engine.roster) == 1
     entry = engine.roster[0]
     assert entry.lead_time_h == 1
@@ -70,7 +70,7 @@ def test_value_fix_happens_before_forced_window():
     net = _net()
     rows = {0: [0] * 5 + [1200] * 8 + [0] * 11}
     engine = RollingEngine(_cfg(net, rows))
-    engine.step(0.0)
+    engine.step()
     leads = {e.lead_time_h for e in engine.roster}
     assert leads == {5.0}
     assert engine.ledger.emergency == 5 * len(engine.roster)
@@ -369,6 +369,13 @@ def test_merge_on_runs_matches_shift_based_reference():
     assert merged > 1000 and ties > 100, (merged, ties)
 
 
+def _plan_select(plan, residual, now_h, fix_all):
+    """The plan's selection of ``residual`` at ``now_h``, all fixed or not."""
+    plan.fix_all = fix_all
+    first_slot = math.ceil(now_h - 1e-9)
+    return plan._select(residual, first_slot, plan._fix_lengths(now_h, first_slot))
+
+
 def test_selection_matches_shift_based_reference():
     # fractional replan times, fix_all, dwell 0-3, caps 1-8 and random
     # weights; half the thresholds equal a value some candidate attains, so
@@ -407,18 +414,19 @@ def test_selection_matches_shift_based_reference():
         plan.weights = ValueWeights(urgency, utilization, continuity, lead, threshold)
 
         expected = reference_select(residual, plan.hub_ids, now_h, p, plan.weights, fix_all)
-        got = plan._select(residual, now_h, fix_all)
+        got = _plan_select(plan, residual, now_h, fix_all)
         assert got == [(s.start_h, s.segments[0].hub_id, s.end_h) for s in expected]
     assert boundary_fixes > 300
 
 
-def test_fix_lengths_keep_exactly_the_runs_whose_value_reaches_the_threshold(monkeypatch):
+def test_fix_lengths_keep_exactly_the_runs_whose_value_reaches_the_threshold():
     # every (start, length) under random weights: the table keeps a run
-    # exactly when it starts before the next replan, or before the stop with
-    # a value that reaches the threshold. Some thresholds equal a value a
-    # run attains, some (1.0) only urgent full-length runs meet, and half the
-    # cases patch the stop to the horizon end, so the table holds starts
-    # that no length fixes
+    # exactly when it starts before the next replan or its value reaches
+    # the threshold, so the table's end (the step's stop) cuts off no run
+    # that would be fixed. Some thresholds equal a value a run attains, some
+    # (1.0) only urgent full-length runs meet, and half the cases pad the
+    # table to the horizon end with a length no run has, as a step with its
+    # cut turned off would
     rng = np.random.default_rng(19)
     boundary = unfixable = 0
     for case in range(1200):
@@ -447,16 +455,15 @@ def test_fix_lengths_keep_exactly_the_runs_whose_value_reaches_the_threshold(mon
         else:
             threshold = 1.0
         plan.weights = weights = ValueWeights(urgency, utilization, continuity, lead, threshold)
-        with monkeypatch.context() as m:
-            if rng.random() < 0.5:
-                m.setattr(RollingPlan, "_stop", lambda plan, now_h, fix_all=False: plan.n)
-            stop = plan._stop(now_h, fix_all)
-        need = plan._fix_lengths(now_h, fix_all, stop)
+        plan.fix_all = fix_all
+        need = plan._fix_lengths(now_h, math.ceil(now_h - 1e-9))
+        if rng.random() < 0.5:
+            need += [cap + 1] * (plan.n - len(need))
         edge = now_h + p.replan_h + 1e-9
         for start in range(math.ceil(now_h), horizon):
             for length in range(1, cap + 1):
                 value = shift_value(start, length, 0, now_h, weights, cap)
-                expected = fix_all or start <= edge or (start < stop and should_fix(value, threshold))
+                expected = fix_all or start <= edge or should_fix(value, threshold)
                 assert (start < len(need) and length >= need[start]) == expected, (case, start, length)
                 boundary += start > edge and value == threshold and not fix_all
         unfixable += cap + 1 in need
@@ -471,9 +478,9 @@ def test_plan_residual_walks_on_from_the_last_step(monkeypatch):
     residual = RollingPlan._residual
     returned = left_out = 0
 
-    def checking(plan, demand, now_h, stop):
+    def checking(plan, demand, first_slot, stop):
         nonlocal returned, left_out
-        got = residual(plan, demand, now_h, stop)
+        got = residual(plan, demand, first_slot, stop)
         for h in plan.hub_ids:
             full = reference_kernels.fifo_match_units(demand[h], plan.capacity[h], plan.cfg.params.dwell_h)
             assert (h in got) == any(full[:stop])
@@ -520,10 +527,16 @@ def _outputs(report):
 
 def _candidates_with_and_without_cut(monkeypatch, cfg):
     """Run one day with each step cut at its stop and once with the stop at
-    the horizon end, check that every output agrees, and return the
-    candidates each run built."""
+    the horizon end (the fix-length table padded with a length no run has),
+    check that every output agrees, and return the candidates each run
+    built."""
     built = []
     combine = engine_module.combine_within_hub_detail
+    fix_lengths = RollingPlan._fix_lengths
+
+    def padded(plan, now_h, first_slot):
+        need = fix_lengths(plan, now_h, first_slot)
+        return need + [plan.cfg.params.max_work_h + 1] * (plan.n - len(need))
 
     def counting(*args):
         out = combine(*args)
@@ -535,7 +548,7 @@ def _candidates_with_and_without_cut(monkeypatch, cfg):
         m.setattr(engine_module, "combine_within_hub_detail", counting)
         for disabled in (False, True):
             if disabled:
-                m.setattr(RollingPlan, "_stop", lambda plan, now_h, fix_all=False: plan.n)
+                m.setattr(RollingPlan, "_fix_lengths", padded)
             built.append(0)
             outputs.append(_outputs(run_scenario(cfg)))
     assert outputs[0] == outputs[1]
@@ -622,8 +635,8 @@ def test_engine_rosters_pass_validate_shift():
 
 def test_rolling_steps_skip_the_hubs_and_runs_they_cannot_fix(monkeypatch):
     # a step builds no candidates for a hub whose residual is empty before
-    # the stop, and values no run starting at or after the stop (the stop
-    # itself values one full-length run per slot up to it, all before the
+    # the stop, and values no run starting at or after the stop (the table
+    # values one full-length run per slot up to the stop, all before the
     # padded reach here); the days are those of the fix-reach test,
     # replanned every 15 and 60 minutes
     net = random_network(n_hubs=6, n_gateways=2, area_m=3000, seed=5)
@@ -690,7 +703,7 @@ def test_select_skips_agree_with_full_scan_at_the_stop():
         threshold = utilization + continuity + float(rng.uniform(0.01, 0.99)) * urgency
         plan.weights = ValueWeights(urgency, utilization, continuity, float(rng.uniform(0.25, 6.0)), threshold)
         now_h = int(rng.integers(0, math.ceil(horizon / p.replan_h))) * p.replan_h
-        stop = plan._stop(now_h)
+        stop = len(plan._fix_lengths(now_h, math.ceil(now_h - 1e-9)))
         fix_all = bool(rng.random() < 0.2)
         residual = {}
         for h in range(n_hubs):
@@ -701,7 +714,7 @@ def test_select_skips_agree_with_full_scan_at_the_stop():
             residual[h] = row
 
         expected = reference_select(residual, plan.hub_ids, now_h, p, plan.weights, fix_all)
-        got = plan._select(residual, now_h, fix_all)
+        got = _plan_select(plan, residual, now_h, fix_all)
         assert got == [(s.start_h, s.segments[0].hub_id, s.end_h) for s in expected]
         for start, h, _end in got:
             if not any(residual[h][:stop]):
@@ -753,10 +766,11 @@ def test_scenarios_on_a_shared_plan_equal_their_runs_alone():
         cfgs = [ScenarioConfig.for_scenario(n, net, arrivals, params, noise=noise) for n in (1, 2)]
         plan = RollingPlan(cfgs[0], collect_forecasts=collect)
         order = cfgs if rng.random() < 0.5 else cfgs[::-1]
-        shared = {cfg.label: run_scenario(cfg, plan, collect_forecasts=collect) for cfg in order}
+        shared = {cfg.label: run_scenario(cfg, plan) for cfg in order}
         for cfg in cfgs:
             report = shared[cfg.label]
-            assert _outputs(report) == _outputs(run_scenario(cfg, collect_forecasts=collect)), (i, cfg.label)
+            alone = run_scenario(cfg, RollingPlan(cfg, collect_forecasts=collect))
+            assert _outputs(report) == _outputs(alone), (i, cfg.label)
             working = {h: rows["working"] for h, rows in report.series.items()}
             assert working == _working_from_roster(report, horizon), (i, cfg.label)
             merged += report.merged_shift_count
@@ -788,6 +802,37 @@ def test_a_plan_refuses_an_engine_that_plans_other_steps(field):
         RollingEngine(dataclasses.replace(cfg, **other), plan=plan)
 
 
+@pytest.mark.parametrize("replan_min", [15, 45, 60, 1440])
+def test_a_plan_steps_every_replan_interval_or_once_fixing_everything(monkeypatch, replan_min):
+    # scenarios 1 and 2 replan at every multiple of the interval inside the
+    # horizon, also when the horizon is not a multiple of it; scenario 3
+    # plans once at hour 0 and fixes every run. An engine takes one step per
+    # planned time
+    step = RollingEngine.step
+    steps = 0
+
+    def counting(engine):
+        nonlocal steps
+        steps += 1
+        return step(engine)
+
+    monkeypatch.setattr(RollingEngine, "step", counting)
+    rng = np.random.default_rng(replan_min)
+    net = _net(3)
+    for horizon in (6, 7, 13, 24, 25, 36):
+        rows = {h: [int(v) for v in rng.integers(0, 400, horizon)] for h in net.hub_ids}
+        for scenario in (1, 2, 3):
+            plan = RollingPlan(_cfg(net, rows, scenario=scenario, replan_min=replan_min))
+            if scenario == 3:
+                assert plan.times == [0.0]
+                assert plan._fix_lengths(0.0, 0) == [0] * horizon
+            else:
+                assert plan.times == [m / 60 for m in range(0, horizon * 60, replan_min)], horizon
+            steps = 0
+            run_scenario(plan.cfg, plan)
+            assert steps == len(plan.times) == len(plan.steps), (horizon, scenario)
+
+
 def test_a_plan_serves_other_rates_labels_and_moves():
     net, arrivals, params, plan = _plan_case()
     cfg = ScenarioConfig.for_scenario(1, net, arrivals, params, noise="paper")
@@ -799,20 +844,3 @@ def test_a_plan_serves_other_rates_labels_and_moves():
     ):
         run_scenario(dataclasses.replace(cfg, **other), plan)
     assert len(plan.steps) == 24
-
-
-def test_a_plan_refuses_a_step_it_planned_otherwise():
-    net, arrivals, params, plan = _plan_case()
-    cfg = ScenarioConfig.for_scenario(1, net, arrivals, params, noise="paper")
-    RollingEngine(cfg, plan=plan).step(0.0)
-    with pytest.raises(ValueError, match="now_h=0.5"):
-        RollingEngine(cfg, plan=plan).step(0.5)
-    with pytest.raises(ValueError, match="fix_all=True"):
-        RollingEngine(cfg, plan=plan).step(0.0, fix_all=True)
-    with pytest.raises(ValueError, match="before step 1"):
-        plan.kept(2, 2.0)
-    plan.kept(1, 1.0)
-    with pytest.raises(ValueError, match="now_h=0.5 comes before step 1 at now_h=1"):
-        plan.kept(2, 0.5)
-    with pytest.raises(ValueError, match="forecasts"):
-        RollingEngine(cfg, collect_forecasts=True, plan=plan)

@@ -106,21 +106,22 @@ def test_fix_reach_none_when_any_lead_can_qualify():
     assert fix_reach(ValueWeights(fix_threshold=1.0)) == pytest.approx(4.0)  # the target lead itself
 
 
-def _plan(horizon=24, **params):
+def _plan(horizon=24, scenario=1, **params):
     net = HubNetwork([Hub(0, "H0", 0.0, 0.0, "local")], d_max_m=3000, speed_m_per_h=15000)
     cfg = ScenarioConfig.for_scenario(
-        1, net, {0: ArrivalSeries(0, [0] * horizon)}, ScenarioParams(horizon_h=horizon, **params)
+        scenario, net, {0: ArrivalSeries(0, [0] * horizon)}, ScenarioParams(horizon_h=horizon, **params)
     )
     return RollingPlan(cfg)
 
 
 def test_step_stop_is_never_past_the_fix_reach():
-    # a step builds and values runs only before its stop: the first slot past
-    # the next replan where a full-length rest-free run scores below the
-    # threshold. At hour 0 with the defaults a run at slot 5 scores 0.92 and
-    # one at slot 6 0.87, one slot before the padded reach ceil(5.33) + 1
-    assert _plan()._stop(0.0) == 6
-    assert _plan()._stop(0.0, fix_all=True) == 24
+    # a step builds and values runs only before its stop, the length of its
+    # fix-length table: the first slot past the next replan where a
+    # full-length rest-free run scores below the threshold. At hour 0 with
+    # the defaults a run at slot 5 scores 0.92 and one at slot 6 0.87, one
+    # slot before the padded reach ceil(5.33) + 1
+    assert len(_plan()._fix_lengths(0.0, 0)) == 6
+    assert len(_plan(scenario=3)._fix_lengths(0.0, 0)) == 24
     rng = np.random.default_rng(8)
     below = 0
     for _ in range(2000):
@@ -135,8 +136,8 @@ def test_step_stop_is_never_past_the_fix_reach():
         plan.weights = weights
         replan_h = plan.cfg.params.replan_h
         now_h = int(rng.integers(0, math.ceil(horizon / replan_h))) * replan_h
-        stop = plan._stop(now_h)
         first_slot = math.ceil(now_h - 1e-9)
+        stop = len(plan._fix_lengths(now_h, first_slot))
         for s in range(first_slot, min(stop + 1, horizon)):
             fixable = s <= now_h + replan_h + 1e-9 or should_fix(
                 shift_value(s, cap, 0, now_h, weights, cap), weights.fix_threshold
