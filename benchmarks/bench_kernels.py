@@ -2,12 +2,13 @@
 """Micro-benchmarks of the scheduling kernels in ``hubroster._kernels`` and
 of the workforce pool.
 
-Times each hot kernel, and pool assignment with hire simulation, on synthetic
-workloads and prints the fastest of three runs. ``within_hub_runs`` is also
-timed with its search cut where the engine cuts it at hour 0 under the
-default parameters and on gateway-sized rows, and ``fifo_match_units`` on
-the engine's rows, where capacity is zero ahead of the slots fixed so far,
-and resumed from a settled slot as the engine walks it each step.
+Times each hot kernel, pool assignment with hire simulation, and the booking
+of roster entries (build each ``Shift``, assign it, accrue its payments) on
+synthetic workloads and prints the fastest of three runs. ``within_hub_runs``
+is also timed with its search cut where the engine cuts it at hour 0 under
+the default parameters and on gateway-sized rows, and ``fifo_match_units``
+on the engine's rows, where capacity is zero ahead of the slots fixed so
+far, and resumed from a settled slot as the engine walks it each step.
 End-to-end timings of the ``hubroster`` command line come from
 ``perfbench/run.py``:
 
@@ -22,8 +23,9 @@ import time
 import numpy as np
 
 from hubroster import _kernels as kernels
+from hubroster.ledger import CostLedger, accrue_shift
 from hubroster.pool import WorkforcePool
-from hubroster.shifts import Segment, Shift
+from hubroster.shifts import WORKING, Segment, Shift
 from hubroster.valuation import ValueWeights, shift_value, should_fix
 
 
@@ -95,6 +97,25 @@ def bench_pool(n_workers, batches):
     return run
 
 
+def bench_book(steps):
+    """Booking roster entries as ``RollingEngine.step`` does, one replan
+    step per ``(now, runs)``: release the finished workers, then for each
+    ``(start, hub, end)`` run build its one-hub ``Shift``, assign it a
+    pooled worker or a hire, and book its payments."""
+
+    def run():
+        pool = WorkforcePool(daily_cap_h=8)
+        ledger = CostLedger()
+        for now, runs in steps:
+            pool.release_finished(now)
+            for start, hub, end in runs:
+                shift = Shift((Segment(hub, start, end, WORKING),))
+                _worker, lead, new_hire = pool.assign(shift, now)
+                accrue_shift(shift, lead, new_hire, ledger)
+
+    return run
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
@@ -145,6 +166,13 @@ def main():
         (now, [Shift([Segment(0, now, now + int(w), "working")]) for w in rng.integers(1, 4, 60)])
         for now in range(12, 22)
     ]
+    # a day's roster: 24 hourly steps, each fixing runs of 1-8 h that start
+    # within 4 h of it at one of 52 hubs
+    per_step = 16 if args.quick else 160
+    book_steps = []
+    for now in range(24):
+        draws = rng.integers((0, 0, 1), (4, 52, 9), (per_step, 3)).tolist()
+        book_steps.append((now, sorted((now + s, h, now + s + length) for s, h, length in draws)))
     # gateway hubs hold 30-60 units per slot, so most demand forms stacked full-length runs
     gateway_rows = [[int(v) for v in rng.integers(30, 61, 24)] for _ in range(n_rows)]
 
@@ -163,6 +191,7 @@ def main():
         ),
         "fifo_replay": _time(bench_replay(arrival_rows, cap_rows)),
         f"pool assign + simulate_hires ({n_workers} pooled)": _time(bench_pool(n_workers, batches)),
+        f"book {24 * per_step} roster entries: Shift + assign + accrue_shift": _time(bench_book(book_steps)),
     }
     width = max(len(k) for k in results)
     for key, seconds in results.items():

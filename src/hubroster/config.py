@@ -111,6 +111,8 @@ def load_config(path=None) -> dict:
             user = json.loads(Path(path).read_text())
         except OSError as exc:
             raise ValueError(f"{path}: cannot read config ({exc.strerror})") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: config is not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(user, dict):

@@ -160,20 +160,11 @@ def write_arrivals_csv(path, series: dict[int, ArrivalSeries], header: str = "")
                 writer.writerow([hub_id, t, count])
 
 
-def _row_text(rec: dict) -> str:
-    """A ``csv.DictReader`` record's fields in file order."""
-    fields = []
-    for value in rec.values():
-        if isinstance(value, list):  # fields past the header's, under the key None
-            fields.extend(value)
-        elif value is not None:  # None stands for a field the row lacks
-            fields.append(value)
-    return ",".join(fields)
-
-
 def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
     """Read ``hub_id,slot_h,arrivals`` rows. Every hub must have exactly one
-    row for each slot from 0 to the last slot in the file. A file that
+    row for each slot from 0 to the last slot in the file. The columns are
+    found by the header's names, in any order and beside other columns;
+    lines starting with ``#`` and blank lines are skipped. A file that
     cannot be read raises ``ValueError`` naming it."""
     rows = {}
     try:
@@ -183,23 +174,27 @@ def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
         raise ValueError(f"{path}: cannot read arrivals ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: arrivals are not UTF-8 text ({exc})") from exc
-    reader = csv.DictReader(lines)
-    missing = [c for c in ARRIVAL_COLUMNS if c not in (reader.fieldnames or [])]
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    pos = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+    missing = [c for c in ARRIVAL_COLUMNS if c not in pos]
     if missing:
         raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-    for rec in reader:
-        if any(rec[c] is None for c in ARRIVAL_COLUMNS):
-            raise ValueError(f"{path}: row {_row_text(rec)!r} lacks a field")
-        values = []
-        for c in ARRIVAL_COLUMNS:
-            try:
-                values.append(int(rec[c]))
-            except ValueError:
-                raise ValueError(f"{path}: row {_row_text(rec)!r}: {c} must be an integer") from None
-        if None in rec:  # csv.DictReader files the fields past the header's under None
-            width = len(reader.fieldnames)
-            raise ValueError(f"{path}: row {_row_text(rec)!r} has more fields than the header's {width}")
-        hub_id, slot, count = values
+    cols = [pos[c] for c in ARRIVAL_COLUMNS]
+    i_hub, i_slot, i_count = cols
+    needed, width = 1 + max(cols), len(header)
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < needed:
+            raise ValueError(f"{path}: row {','.join(row)!r} lacks a field")
+        try:
+            hub_id, slot, count = int(row[i_hub]), int(row[i_slot]), int(row[i_count])
+        except ValueError:
+            bad = next(c for c, i in zip(ARRIVAL_COLUMNS, cols) if not _is_int(row[i]))
+            raise ValueError(f"{path}: row {','.join(row)!r}: {bad} must be an integer") from None
+        if len(row) > width:
+            raise ValueError(f"{path}: row {','.join(row)!r} has more fields than the header's {width}")
         by_slot = rows.setdefault(hub_id, {})
         if slot < 0:
             raise ValueError(f"{path}: negative slot for hub {hub_id} slot {slot}")
@@ -214,6 +209,14 @@ def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
                 raise ValueError(f"{path}: missing row for hub {hub_id} slot {t}")
         out[hub_id] = ArrivalSeries(hub_id, [by_slot[t] for t in range(n)])
     return out
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
 
 
 def write_forecast_csv(path, snapshots: list[ForecastSnapshot], header: str = "") -> None:

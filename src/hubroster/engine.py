@@ -5,8 +5,9 @@ to integer labor demand, subtracts what the already-fixed roster covers
 (first-in-first-out, so dwell-deferred coverage is not double-booked),
 rebuilds candidate runs from the residual and keeps the high-value ones plus
 everything starting before the next replan: that is the step's plan
-(``RollingPlan``). The booking half (``RollingEngine``) merges the kept runs
-across hubs, builds their ``Shift``s, assigns pooled workers and books all
+(``RollingPlan``), which builds each kept run's one-hub ``Shift`` once. The
+booking half (``RollingEngine``) merges those shifts across hubs, building a
+``Shift`` only for each merged pair, assigns pooled workers and books all
 payments. After the last step the roster is replayed against the actual
 arrivals to count parcels that missed their dwell deadline.
 """
@@ -74,7 +75,7 @@ class ScenarioConfig:
                 raise ValueError(f"arrival series length must equal horizon {n}")
 
 
-@dataclass
+@dataclass(slots=True)
 class RosterEntry:
     shift_id: int
     shift: Shift
@@ -113,6 +114,8 @@ def tally(shifts, resting, flows) -> None:
     (from hub, to hub, six-hour window of the travel start) -> moves.
     """
     for shift in shifts:
+        if len(shift.segments) == 1 and shift.resting_h == 0:
+            continue  # a one-hub working shift: no rest, no move
         for seg in shift.segments:
             if seg.kind == RESTING:
                 row = resting[seg.hub_id]
@@ -137,6 +140,11 @@ class RollingPlan:
     the booking half does with them. Scenarios 1 and 2 differ only in that
     half and can share one plan. Step ``k`` is computed the first time an
     engine asks for it (``kept``) and recorded for the next.
+
+    The plan builds one ``Shift`` per kept run, a single working segment at
+    its hub, when it plans the step; every engine on the plan books those
+    same objects unless it merges them (``RollingEngine._fixed_shifts``).
+    ``Shift`` and ``Segment`` are frozen values, so engines can share them.
 
     With ``collect_forecasts`` every step records its ``ForecastSnapshot``
     in ``forecast_snapshots``.
@@ -164,7 +172,7 @@ class RollingPlan:
         # capacity is final and their demand the actual arrivals
         self.settled_at = 0
         self.settled = {h: [] for h in self.hub_ids}
-        self.steps: list[list[tuple[int, int, int]]] = []  # the kept runs of each planned step
+        self.steps: list[list[Shift]] = []  # the kept runs' shifts of each planned step
         self.collect_forecasts = collect_forecasts
         self.forecast_snapshots: list[ForecastSnapshot] = []
 
@@ -180,9 +188,11 @@ class RollingPlan:
             if getattr(cfg, name) != getattr(own, name):
                 raise ValueError(f"the plan was built with other {name}")
 
-    def kept(self, k: int) -> list[tuple[int, int, int]]:
-        """The sorted ``(start, hub, end)`` runs step ``k`` (at
-        ``times[k]``) fixes; the steps up to ``k`` are planned in order."""
+    def kept(self, k: int) -> list[Shift]:
+        """The one-hub working shifts of the runs step ``k`` (at
+        ``times[k]``) fixes, sorted by ``(start, hub, end)``; the steps up
+        to ``k`` are planned in order. Each run's ``Shift`` is built here,
+        once, and every engine on this plan books that same object."""
         while len(self.steps) <= k:
             now_h = self.times[len(self.steps)]
             first_slot = math.ceil(now_h - 1e-9)
@@ -193,7 +203,7 @@ class RollingPlan:
                 row = self.capacity[h]
                 for t in range(start, end):
                     row[t] += 1
-            self.steps.append(kept)
+            self.steps.append([Shift((Segment(h, start, end, WORKING),)) for start, h, end in kept])
         return self.steps[k]
 
     def _demand_units(self, now_h: float, first_slot: int) -> dict[int, list[int]]:
@@ -294,7 +304,7 @@ class RollingPlan:
         before the stop gives no kept run.
 
         Returns the kept runs as sorted ``(start, hub, end)`` tuples; a
-        ``Shift`` is built only when the step fixes them (``_fixed_shifts``).
+        ``Shift`` is built only for them (``kept``).
         """
         p = self.cfg.params
         stop = len(need)
@@ -343,23 +353,26 @@ class RollingEngine:
         self.flows: dict[tuple[int, int, int], int] = {}
         self.steps_taken = 0
 
-    def _fixed_shifts(self, kept: list[tuple[int, int, int]]) -> list[Shift]:
-        """The shifts fixed this step for the sorted kept runs.
+    def _fixed_shifts(self, kept: list[Shift]) -> list[Shift]:
+        """The shifts fixed this step for the plan's kept one-hub shifts
+        (``RollingPlan.kept``).
 
         Runs merge across hubs only among themselves, capped by the number
         of fresh hires they would otherwise require -- so every merge stands
-        in for a hire, never for a free pool reuse. Without an eligible pair,
-        a second run or a hire to save, each run is its own shift.
+        in for a hire, never for a free pool reuse. ``merge_across_hubs``
+        builds a ``Shift`` only for each merged pair; every other run, and
+        every run without an eligible pair, a second run or a hire to save,
+        is fixed as the plan's own ``Shift``.
         """
         if self.pairs and len(kept) > 1:
-            budget = self.pool.simulate_hires([end - start for start, _h, end in kept])
+            budget = self.pool.simulate_hires([shift.working_h for shift in kept])
             if budget:
-                runs = {h: [] for h in self.hub_ids}
-                for start, h, end in kept:
-                    runs[h].append((start, end))
+                by_hub = {h: [] for h in self.hub_ids}
+                for shift in kept:
+                    by_hub[shift.segments[0].hub_id].append(shift)
                 p = self.cfg.params
-                return merge_across_hubs(runs, self.pairs, p.max_work_h, p.max_gap_h, budget)
-        return [Shift((Segment(h, start, end, WORKING),)) for start, h, end in kept]
+                return merge_across_hubs(by_hub, self.pairs, p.max_work_h, p.max_gap_h, budget)
+        return kept
 
     def step(self) -> int:
         """The next replan pass, at the plan's next step time; returns the
@@ -370,10 +383,11 @@ class RollingEngine:
         self.steps_taken += 1
         selected = self._fixed_shifts(kept)
 
+        assign, ledger, roster = self.pool.assign, self.ledger, self.roster
         for cand in selected:
-            worker, lead, new_hire = self.pool.assign(cand, now_h)
-            accrue_shift(cand, lead, new_hire, self.ledger)
-            self.roster.append(RosterEntry(len(self.roster), cand, worker.id, now_h, new_hire))
+            worker, lead, new_hire = assign(cand, now_h)
+            accrue_shift(cand, lead, new_hire, ledger)
+            roster.append(RosterEntry(len(roster), cand, worker.id, now_h, new_hire))
         tally(selected, self.resting, self.flows)
         return len(selected)
 

@@ -131,6 +131,8 @@ def load_network(path) -> HubNetwork:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValueError(f"{path}: cannot read network ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: network is not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .shifts import Shift
 
 
-@dataclass
+@dataclass(slots=True)
 class Worker:
     id: int
     pooled: bool = False  # False from an assignment until the worker's release
@@ -67,24 +67,28 @@ class WorkforcePool:
         Returns (worker, lead_time_h, is_new_hire). Reuses the longest-idle
         pooled worker whose daily hours allow the shift, else hires.
         """
-        if shift.start_h < now_h:
+        start_h, end_h = shift.start_h, shift.end_h
+        if start_h < now_h:
             raise ValueError("cannot assign a shift that starts in the past")
         working_h = shift.working_h
         worker = None
         if self._pooled:
-            b = _oldest([q[0] if q else None for q in self._buckets], working_h)
-            if b >= 0:
-                worker = self.workers[self._buckets[b].popleft()[1]]
+            oldest = None  # the fitting bucket with the longest-idle head
+            for q in self._buckets[working_h:]:
+                if q and (oldest is None or q[0] < oldest[0]):
+                    oldest = q
+            if oldest is not None:
+                worker = self.workers[oldest.popleft()[1]]
                 self._pooled -= 1
         is_new_hire = worker is None
         if is_new_hire:
-            worker = Worker(id=len(self.workers))
+            worker = Worker(len(self.workers))
             self.workers.append(worker)
         worker.pooled = False
-        worker.busy_until_h = shift.end_h
+        worker.busy_until_h = end_h
         worker.hours_worked += working_h
-        heapq.heappush(self._busy, (shift.end_h, worker.id))
-        return worker, shift.start_h - now_h, is_new_hire
+        heapq.heappush(self._busy, (end_h, worker.id))
+        return worker, start_h - now_h, is_new_hire
 
     def simulate_hires(self, working_hours: list[int]) -> int:
         """How many fresh hires assigning shifts with these working hours in

@@ -21,7 +21,7 @@ RESTING = "resting"
 TRAVEL = "travel"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     hub_id: int
     start_h: int
@@ -53,9 +53,15 @@ class Shift:
 
     def __post_init__(self):
         segments = tuple(self.segments)
+        working_h = resting_h = 0
+        for seg in segments:
+            if seg.kind == WORKING:
+                working_h += seg.end_h - seg.start_h
+            elif seg.kind == RESTING:
+                resting_h += seg.end_h - seg.start_h
         object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "working_h", sum(s.hours for s in segments if s.kind == WORKING))
-        object.__setattr__(self, "resting_h", sum(s.hours for s in segments if s.kind == RESTING))
+        object.__setattr__(self, "working_h", working_h)
+        object.__setattr__(self, "resting_h", resting_h)
 
     @property
     def start_h(self) -> int:
@@ -99,31 +105,34 @@ def combine_within_hub_detail(
 
 
 def merge_across_hubs(
-    runs_by_hub: dict[int, list[tuple[int, int]]],
+    shifts_by_hub: dict[int, list[Shift]],
     pairs: list[tuple[int, int, MovingPair]],
     max_work_h: int,
     max_gap_h: int,
     max_merges: int = -1,
 ) -> list[Shift]:
-    """Greedily merge single-hub working runs across nearby hub pairs.
+    """Greedily merge one-hub working shifts across nearby hub pairs.
 
-    ``runs_by_hub`` maps each hub to its ``(start, end)`` runs sorted by
-    ``(start, end)``. ``pairs`` are ``(i, j, pair)`` with ``i`` and ``j`` the
-    positions of ``pair``'s two hubs in ``runs_by_hub``, in ascending-distance
-    order and already restricted to pairs worth merging over. Two runs merge
-    when their hours do not overlap, the travel time fits the gap, the gap is
-    at most ``max_gap_h``, and combined working hours stay within
-    ``max_work_h`` (``kernels.merge_runs``). The earlier run is worked first;
-    travel occupies whole slots right after it and any remaining gap becomes
-    rest at the destination hub. Each run merges at most once; a
-    non-negative ``max_merges`` caps how many merges are performed.
+    ``shifts_by_hub`` maps each hub to its one-hub working shifts (a single
+    ``WORKING`` segment at that hub) sorted by ``(start, end)``. ``pairs``
+    are ``(i, j, pair)`` with ``i`` and ``j`` the positions of ``pair``'s two
+    hubs in ``shifts_by_hub``, in ascending-distance order and already
+    restricted to pairs worth merging over. Two shifts merge when their
+    hours do not overlap, the travel time fits the gap, the gap is at most
+    ``max_gap_h``, and combined working hours stay within ``max_work_h``
+    (``kernels.merge_runs``). The earlier one is worked first; travel
+    occupies whole slots right after it and any remaining gap becomes rest
+    at the destination hub. Each shift merges at most once; a non-negative
+    ``max_merges`` caps how many merges are performed.
 
-    Returns one shift per merged pair and per untouched run, ordered by
+    A new ``Shift`` is built only for each merged pair; every untouched
+    input shift is returned as the same object. The output is ordered by
     (start, first hub, end); on a tie merged shifts come first, in merge
-    order, then untouched runs in hub and run order.
+    order, then untouched shifts in hub and input order.
     """
-    hub_ids = list(runs_by_hub)
-    runs = list(runs_by_hub.values())
+    hub_ids = list(shifts_by_hub)
+    shifts = list(shifts_by_hub.values())
+    runs = [[(shift.start_h, shift.end_h) for shift in hub_shifts] for hub_shifts in shifts]
     merges, used = kernels.merge_runs(
         runs, [(i, j, p.travel_time_h) for i, j, p in pairs], max_work_h, max_gap_h, max_merges
     )
@@ -143,10 +152,10 @@ def merge_across_hubs(
         segs.append(Segment(h2, s2, e2, WORKING))
         keyed.append(((s1, h1, e2), Shift(segs, move_distance_m=pair.distance_m)))
 
-    for h, hub_runs, hub_used in zip(hub_ids, runs, used):
-        for (s, e), merged in zip(hub_runs, hub_used):
+    for h, hub_runs, hub_shifts, hub_used in zip(hub_ids, runs, shifts, used):
+        for (s, e), shift, merged in zip(hub_runs, hub_shifts, hub_used):
             if not merged:
-                keyed.append(((s, h, e), Shift((Segment(h, s, e, WORKING),))))
+                keyed.append(((s, h, e), shift))
     keyed.sort(key=itemgetter(0))
     return [shift for _key, shift in keyed]
 

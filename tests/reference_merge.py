@@ -4,8 +4,9 @@ Every kept run is a single-segment ``Shift``; the merge regroups them by
 hub, re-sorts each hub's shifts, filters the moving pairs by cost on every
 call, copies the runs out for ``merge_runs``, builds the merged shifts from
 the input ``Shift``s and sorts the output by ``(start, first hub, end)``.
-The engine keeps runs as ``(start, hub, end)`` tuples, filters the pairs
-once and builds each output ``Shift`` once.
+The engine filters the pairs once, takes the plan's one-hub shifts already
+sorted, builds a ``Shift`` only for each merged pair and returns every
+other input shift as itself.
 """
 
 import math

@@ -294,8 +294,8 @@ def test_criterion_06_small_instance_oracle():
         ]
         for xa, xb, dwell in two_hub_cases:
             per_hub = {
-                0: combine_within_hub_detail(xa, dwell, RHO)[0],
-                1: combine_within_hub_detail(xb, dwell, RHO)[0],
+                h: [Shift([Segment(h, s, e, "working")]) for s, e in combine_within_hub_detail(x, dwell, RHO)[0]]
+                for h, x in ((0, xa), (1, xb))
             }
             # both hubs 2000 m apart: a 10-Yuan move under the 50-Yuan hire
             out = merge_across_hubs(per_hub, [(p.hub_a, p.hub_b, p) for p in pairs], RHO, MAX_GAP)

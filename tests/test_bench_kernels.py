@@ -18,6 +18,7 @@ ROWS = [
     "fifo_match_units (dwell 3, resumed)",
     "fifo_replay",
     "pool assign + simulate_hires (130 pooled)",
+    "book 384 roster entries: Shift + assign + accrue_shift",
 ]
 
 

@@ -276,6 +276,27 @@ def test_generate_rejects_malformed_or_missing_config(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_generate_names_a_config_that_is_not_utf8(tmp_path, capsys):
+    # the codec's message used to be printed without the file
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"seed": 7, "label": "\xff"}\n')
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {cfg}: config is not UTF-8 text ('utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_names_a_network_that_is_not_utf8(tmp_path, capsys):
+    # the codec's message used to be printed without the file
+    def write_bytes(out):
+        (out / "network.json").write_bytes(b'{"hubs": [], "name": "\xff"}\n')
+
+    err = _run_error(tmp_path, capsys, write_bytes)
+    path = tmp_path / "run" / "network.json"
+    assert err.startswith(f"error: {path}: network is not UTF-8 text ('utf-8' codec can't decode byte 0xff")
+
+
 def test_run_rejects_arrivals_missing_a_column(tmp_path, capsys):
     def drop_column(out):
         path = out / "arrivals.csv"

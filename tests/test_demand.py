@@ -1,5 +1,6 @@
 """Forecast model, labor conversion, residual demand, and arrival synthesis."""
 
+import csv
 import math
 
 import numpy as np
@@ -320,6 +321,123 @@ def test_arrivals_csv_rejects_missing_and_duplicate_rows(tmp_path, edit, message
     path.write_text(header + "".join(edit(rows)))
     with pytest.raises(ValueError, match=message):
         read_arrivals_csv(path)
+
+
+def _dict_reader_arrivals(path):
+    """The arrivals reader on ``csv.DictReader`` that ``read_arrivals_csv``
+    replaced."""
+    with open(path, newline="") as fh:
+        lines = [ln for ln in fh if not ln.startswith("#")]
+    reader = csv.DictReader(lines)
+    cols = ("hub_id", "slot_h", "arrivals")
+    missing = [c for c in cols if c not in (reader.fieldnames or [])]
+    if missing:
+        raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+    rows = {}
+    for rec in reader:
+        text = ",".join(
+            v for value in rec.values() for v in (value if isinstance(value, list) else [value]) if v is not None
+        )
+        if any(rec[c] is None for c in cols):
+            raise ValueError(f"{path}: row {text!r} lacks a field")
+        values = []
+        for c in cols:
+            try:
+                values.append(int(rec[c]))
+            except ValueError:
+                raise ValueError(f"{path}: row {text!r}: {c} must be an integer") from None
+        if None in rec:
+            raise ValueError(f"{path}: row {text!r} has more fields than the header's {len(reader.fieldnames)}")
+        hub_id, slot, count = values
+        by_slot = rows.setdefault(hub_id, {})
+        if slot < 0:
+            raise ValueError(f"{path}: negative slot for hub {hub_id} slot {slot}")
+        if slot in by_slot:
+            raise ValueError(f"{path}: duplicate row for hub {hub_id} slot {slot}")
+        by_slot[slot] = count
+    n = 1 + max((max(by_slot) for by_slot in rows.values()), default=-1)
+    out = {}
+    for hub_id, by_slot in rows.items():
+        for t in range(n):
+            if t not in by_slot:
+                raise ValueError(f"{path}: missing row for hub {hub_id} slot {t}")
+        out[hub_id] = ArrivalSeries(hub_id, [by_slot[t] for t in range(n)])
+    return out
+
+
+def _read_or_message(path, reader=read_arrivals_csv):
+    """The arrivals ``reader`` reads from ``path``, or its error message."""
+    try:
+        return {h: series.arrivals for h, series in reader(path).items()}
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_arrivals_csv_reads_columns_in_any_order_beside_others(tmp_path):
+    net = random_network(n_hubs=3, n_gateways=1, seed=2)
+    series = generate_arrivals(net, GeneratorConfig(daily_volume=900), seed=2)
+    expected = {h: s.arrivals for h, s in series.items()}
+    path = tmp_path / "arrivals.csv"
+    rows = [(h, t, c) for h in sorted(series) for t, c in enumerate(series[h].arrivals)]
+    # another order, a column the reader does not use, comments and blank lines
+    lines = ["# made by hand\n", "arrivals,note,slot_h,hub_id\n", "\n"]
+    lines += [f"{c},x{h},{t},{h}\r\n" for h, t, c in rows]
+    path.write_text("".join(lines[:40] + ["\n", "# halfway\n"] + lines[40:] + ["\r\n"]))
+    assert _read_or_message(path) == expected
+    # a bad field is named by its column, and the row quoted as written
+    lines[10] = "5,x0,1.5,0\n"
+    path.write_text("".join(lines))
+    assert _read_or_message(path) == f"{path}: row '5,x0,1.5,0': slot_h must be an integer"
+    lines[10] = "5,x0,1\n"
+    path.write_text("".join(lines))
+    assert _read_or_message(path) == f"{path}: row '5,x0,1' lacks a field"
+    lines[10] = "5,x0,1,0,7\n"
+    path.write_text("".join(lines))
+    assert _read_or_message(path) == f"{path}: row '5,x0,1,0,7' has more fields than the header's 4"
+    # a column named twice reads its last one, as csv.DictReader does
+    path.write_text("hub_id,arrivals,slot_h,arrivals\n" + "".join(f"{h},-1,{t},{c}\n" for h, t, c in rows))
+    assert _read_or_message(path) == expected == _read_or_message(path, _dict_reader_arrivals)
+
+
+def test_arrivals_csv_matches_the_dict_reader_on_edited_files(tmp_path):
+    # random headers (orders, extra and missing columns) and rows (blank,
+    # short, long, non-integer, negative, repeated or left out): the same
+    # arrivals or the same message as the DictReader-based reader
+    rng = np.random.default_rng(11)
+    path = tmp_path / "arrivals.csv"
+    outcomes = set()
+    for _ in range(400):
+        names = ["hub_id", "slot_h", "arrivals"] + ["note", "extra"][: int(rng.integers(0, 3))]
+        names = [names[i] for i in rng.permutation(len(names))]
+        if rng.random() < 0.05:
+            names.remove(str(rng.choice(["hub_id", "slot_h", "arrivals"])))
+        n_hubs, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        lines = [",".join(names) + "\n"]
+        for h in range(n_hubs):
+            for t in range(n):
+                value = {"hub_id": str(h), "slot_h": str(t), "arrivals": str(int(rng.integers(0, 50)))}
+                fields = [value.get(name, "z") for name in names]
+                r = rng.random()
+                if r < 0.04:
+                    fields = fields[: int(rng.integers(0, len(fields)))]
+                elif r < 0.08:
+                    fields.append("9")
+                elif r < 0.12:
+                    fields[int(rng.integers(len(fields)))] = str(rng.choice(["1.5", "", "abc", " 7 ", "-2"]))
+                elif r < 0.14:
+                    continue
+                lines.append(",".join(fields) + str(rng.choice(["\n", "\r\n"])))
+                if rng.random() < 0.05:
+                    lines.append(str(rng.choice(["\n", "\r\n", "# note\n"])))
+        if rng.random() < 0.05:
+            lines.append(lines[-1])
+        path.write_text("".join(lines))
+        got = _read_or_message(path)
+        assert got == _read_or_message(path, _dict_reader_arrivals), "".join(lines)
+        kinds = ("missing column", "lacks a field", "must be an integer", "more fields", "negative slot",
+                 "duplicate row", "missing row", "non-negative")
+        outcomes.add(next(k for k in kinds if k in got) if isinstance(got, str) else "read")
+    assert len(outcomes) == 9, outcomes
 
 
 def test_arrival_series_rejects_negative():

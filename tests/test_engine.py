@@ -340,10 +340,10 @@ def test_merge_on_runs_matches_shift_based_reference():
 
         # the merge itself, at every kind of cap
         budget = int(rng.choice([-1, 0, 1, 3, 100]))
-        runs = {h: [(s, e) for s, hh, e in kept if hh == h] for h in engine.hub_ids}
-        got = merge_across_hubs(runs, engine.pairs, p.max_work_h, p.max_gap_h, budget)
+        by_hub = {h: [x for x in shifts if x.segments[0].hub_id == h] for h in engine.hub_ids}
+        got = merge_across_hubs(by_hub, engine.pairs, p.max_work_h, p.max_gap_h, budget)
         expected = reference_merge.merge_across_hubs(
-            {h: [x for x in shifts if x.segments[0].hub_id == h] for h in engine.hub_ids},
+            by_hub,
             pairs,
             p.max_work_h,
             p.max_gap_h,
@@ -363,10 +363,52 @@ def test_merge_on_runs_matches_shift_based_reference():
             end = start + int(rng.integers(1, p.max_work_h + 1))
             engine.pool.assign(Shift([Segment(engine.hub_ids[0], start, end, WORKING)]), 0)
         engine.pool.release_finished(float(p.horizon_h))
-        got = engine._fixed_shifts(kept)
+        got = engine._fixed_shifts(shifts)
         expected = reference_merge.merge_selected(engine, shifts, pairs)
         assert _shapes(got) == _shapes(expected), case
     assert merged > 1000 and ties > 100, (merged, ties)
+
+
+def test_merge_returns_untouched_shifts_by_identity_in_order():
+    # the merge builds a Shift only for a merged pair: every other input
+    # shift comes back as itself, where the shift-based reference puts it,
+    # in (start, first hub, end) order with merged shifts first on a tie
+    rng = np.random.default_rng(16)
+    seen = dict.fromkeys(("empty", "full", "short", "equal runs", "tie with a merge"), 0)
+    for case in range(1500):
+        net, engine, kept = _random_merge_case(rng)
+        p, rates = engine.cfg.params, engine.cfg.rates
+        shifts = [Shift([Segment(h, s, e, WORKING)]) for s, h, e in kept]
+        by_hub = {h: [x for x in shifts if x.segments[0].hub_id == h] for h in engine.hub_ids}
+        budget = int(rng.choice([-1, 0, 1, 3, 100]))
+        got = merge_across_hubs(by_hub, engine.pairs, p.max_work_h, p.max_gap_h, budget)
+        expected = reference_merge.merge_across_hubs(
+            by_hub,
+            build_moving_pairs(net) if engine.cfg.allow_cross_hub else [],
+            p.max_work_h,
+            p.max_gap_h,
+            rates.hiring_per_day,
+            lambda d: moving_payment(d, rates),
+            budget,
+        )
+        inputs = {id(x) for x in shifts}
+
+        def identities(out):
+            return [id(x) if id(x) in inputs else _shapes([x]) for x in out]
+
+        assert identities(got) == identities(expected), case
+        assert all((id(x) in inputs) == (len(x.segments) == 1) for x in got), case
+        keys = [reference_merge.sort_key(x) for x in got]
+        assert keys == sorted(keys), case
+        for a, b, key_a, key_b in zip(got, got[1:], keys, keys[1:]):
+            if key_a == key_b:
+                assert len(a.segments) > 1 or len(b.segments) == 1, case
+                seen["tie with a merge"] += len(a.segments) > 1 and len(b.segments) == 1
+        seen["empty"] += not kept
+        seen["full"] += any(e - s == p.max_work_h for s, _h, e in kept)
+        seen["short"] += any(e - s < p.max_work_h for s, _h, e in kept)
+        seen["equal runs"] += len(set(kept)) < len(kept)
+    assert min(seen.values()) > 20, seen
 
 
 def _plan_select(plan, residual, now_h, fix_all):
@@ -778,6 +820,49 @@ def test_scenarios_on_a_shared_plan_equal_their_runs_alone():
         s1, s2 = (shared[cfg.label].series for cfg in cfgs)
         assert all(s1[h]["working"] is not s2[h]["working"] for h in s1)
     assert merged > 30 and snapshots > 0, (merged, snapshots)
+
+
+def test_engines_on_one_plan_book_its_shifts():
+    # every engine on a plan books the one-hub Shift the plan built for each
+    # kept run it does not merge, in the plan's order: scenario 2 books
+    # nothing else, scenarios 1 and 3 build a Shift only per merged pair;
+    # and each gives the outputs of an engine that builds its own plan
+    rng = np.random.default_rng(16)
+    merged = shared = 0
+    for i in range(60):
+        horizon = int(rng.integers(6, 25))
+        net = random_network(
+            n_hubs=int(rng.integers(2, 9)), n_gateways=1, area_m=float(rng.uniform(1000, 6000)), seed=i
+        )
+        arrivals = {
+            h: ArrivalSeries(h, [int(v) for v in rng.integers(0, 600, horizon) * (rng.random(horizon) < 0.4)])
+            for h in net.hub_ids
+        }
+        params = ScenarioParams(
+            horizon_h=horizon,
+            dwell_h=int(rng.integers(0, 4)),
+            max_work_h=int(rng.integers(1, 9)),
+            max_gap_h=int(rng.integers(0, 3)),
+            replan_min=int(rng.choice([15, 45, 60])),
+            seed=i,
+        )
+        noise = str(rng.choice(["paper", "perfect"]))
+        cfgs = {n: ScenarioConfig.for_scenario(n, net, arrivals, params, noise=noise) for n in (1, 2, 3)}
+        for group in ((cfgs[1], cfgs[2]), (cfgs[3], dataclasses.replace(cfgs[3], label="again"))):
+            plan = RollingPlan(group[0])
+            reports = [run_scenario(cfg, plan) for cfg in group]
+            built = {id(shift): k for k, shift in enumerate(shift for step in plan.steps for shift in step)}
+            for cfg, report in zip(group, reports):
+                assert _outputs(report) == _outputs(run_scenario(cfg)), (i, cfg.label)
+                unmerged = [e.shift for e in report.roster if len(e.shift.segments) == 1]
+                positions = [built[id(shift)] for shift in unmerged]
+                assert positions == sorted(set(positions)), (i, cfg.label)
+                if not cfg.allow_cross_hub:
+                    assert len(unmerged) == len(report.roster), (i, cfg.label)
+                    assert positions == list(range(len(built))), (i, cfg.label)
+                merged += report.merged_shift_count
+                shared += len(unmerged)
+    assert merged > 30 and shared > 1000, (merged, shared)
 
 
 def _plan_case():

@@ -35,10 +35,12 @@ def _runs(x, dwell):
 
 
 def _merge(runs_by_hub, pairs):
-    """merge_across_hubs over hubs 0 and 1, whose positions are their ids;
-    every pair within the 3000 m radius pays 10 Yuan to move, under the
+    """merge_across_hubs of each hub's sorted ``(start, end)`` runs as
+    one-hub working shifts, over hubs 0 and 1, whose positions are their
+    ids; every pair within the 3000 m radius pays 10 Yuan to move, under the
     50-Yuan hire, so every pair is eligible."""
-    return merge_across_hubs(runs_by_hub, [(p.hub_a, p.hub_b, p) for p in pairs], RHO, 2)
+    shifts = {h: [Shift([Segment(h, s, e, "working")]) for s, e in runs] for h, runs in runs_by_hub.items()}
+    return merge_across_hubs(shifts, [(p.hub_a, p.hub_b, p) for p in pairs], RHO, 2)
 
 
 def _two_hub_net(dist_m, d_max_m=3000, speed=15000):
@@ -490,7 +492,8 @@ def test_merge_requires_saving_over_hire():
             ScenarioParams(horizon_h=12),
             rates=CostRates(hiring_per_day=hiring),
         )
-        out = RollingEngine(cfg)._fixed_shifts([(0, 0, 4), (5, 1, 9)])
+        kept = [Shift([Segment(0, 0, 4, "working")]), Shift([Segment(1, 5, 9, "working")])]
+        out = RollingEngine(cfg)._fixed_shifts(kept)
         assert any(_has_move(s) for s in out) == merged  # moving 10 >= hiring 5
 
 
@@ -605,3 +608,9 @@ def test_shift_rejects_assignment():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(shift, name, value)
     assert (shift.working_h, shift.resting_h, shift.move_distance_m) == (2, 0, 0.0)
+    # engines on one plan share its segments too
+    segment = shift.segments[0]
+    for name, value in (("hub_id", 1), ("start_h", 1), ("end_h", 3), ("kind", "resting")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(segment, name, value)
+    assert segment == Segment(0, 0, 2, "working")
