@@ -3,7 +3,8 @@
 of the workforce pool.
 
 Times each hot kernel, pool assignment with hire simulation, and the booking
-of roster entries (build each ``Shift``, assign it, accrue its payments) on
+of roster entries (build each ``Shift``, assign it, append its
+``RosterEntry``, then derive the ledger and tables from the whole roster) on
 synthetic workloads and prints the fastest of three runs. ``within_hub_runs``
 is also timed with its search cut where the engine cuts it at hour 0 under
 the default parameters and on gateway-sized rows, and ``fifo_match_units``
@@ -23,7 +24,8 @@ import time
 import numpy as np
 
 from hubroster import _kernels as kernels
-from hubroster.ledger import CostLedger, accrue_shift
+from hubroster.engine import RosterEntry, roster_tables
+from hubroster.ledger import CostRates
 from hubroster.pool import WorkforcePool
 from hubroster.shifts import WORKING, Segment, Shift
 from hubroster.valuation import ValueWeights, shift_value, should_fix
@@ -97,21 +99,23 @@ def bench_pool(n_workers, batches):
     return run
 
 
-def bench_book(steps):
-    """Booking roster entries as ``RollingEngine.step`` does, one replan
-    step per ``(now, runs)``: release the finished workers, then for each
-    ``(start, hub, end)`` run build its one-hub ``Shift``, assign it a
-    pooled worker or a hire, and book its payments."""
+def bench_book(steps, hub_ids, horizon_h):
+    """Booking roster entries as ``RollingEngine`` does: one replan step per
+    ``(now, runs)`` releases the finished workers, then for each
+    ``(start, hub, end)`` run builds its one-hub ``Shift``, assigns it a
+    pooled worker or a hire and appends its ``RosterEntry``; after the last
+    step ``roster_tables`` derives the ledger, resting rows and flows."""
 
     def run():
         pool = WorkforcePool(daily_cap_h=8)
-        ledger = CostLedger()
+        roster = []
         for now, runs in steps:
             pool.release_finished(now)
             for start, hub, end in runs:
                 shift = Shift((Segment(hub, start, end, WORKING),))
-                _worker, lead, new_hire = pool.assign(shift, now)
-                accrue_shift(shift, lead, new_hire, ledger)
+                worker, _lead, new_hire = pool.assign(shift, now)
+                roster.append(RosterEntry(len(roster), shift, worker.id, now, new_hire))
+        roster_tables(roster, hub_ids, horizon_h, CostRates())
 
     return run
 
@@ -167,7 +171,7 @@ def main():
         for now in range(12, 22)
     ]
     # a day's roster: 24 hourly steps, each fixing runs of 1-8 h that start
-    # within 4 h of it at one of 52 hubs
+    # within 4 h of it at one of 52 hubs, so every run ends by hour 23 + 3 + 8
     per_step = 16 if args.quick else 160
     book_steps = []
     for now in range(24):
@@ -191,7 +195,9 @@ def main():
         ),
         "fifo_replay": _time(bench_replay(arrival_rows, cap_rows)),
         f"pool assign + simulate_hires ({n_workers} pooled)": _time(bench_pool(n_workers, batches)),
-        f"book {24 * per_step} roster entries: Shift + assign + accrue_shift": _time(bench_book(book_steps)),
+        f"book {24 * per_step} roster entries: Shift + assign + RosterEntry, then roster_tables": _time(
+            bench_book(book_steps, range(52), 24 + 3 + 8)
+        ),
     }
     width = max(len(k) for k in results)
     for key, seconds in results.items():

@@ -7,9 +7,11 @@ rebuilds candidate runs from the residual and keeps the high-value ones plus
 everything starting before the next replan: that is the step's plan
 (``RollingPlan``), which builds each kept run's one-hub ``Shift`` once. The
 booking half (``RollingEngine``) merges those shifts across hubs, building a
-``Shift`` only for each merged pair, assigns pooled workers and books all
-payments. After the last step the roster is replayed against the actual
-arrivals to count parcels that missed their dwell deadline.
+``Shift`` only for each merged pair, assigns pooled workers and appends
+the roster entries. After the last step the ledger, the resting rows and the
+flows are derived from the finished roster in one pass (``roster_tables``),
+and the roster is replayed against the actual arrivals to count parcels that
+missed their dwell deadline.
 """
 
 from __future__ import annotations
@@ -105,15 +107,25 @@ class SimReport:
         return sum(1 for e in self.roster if e.shift.move_distance_m > 0)
 
 
-def tally(shifts, resting, flows) -> None:
-    """Add shifts' resting slots and moves to the roster-derived tables, in
-    place. Working slots come from the plan (``RollingPlan.capacity``):
-    a shift keeps exactly the working segments of the runs it was built from.
+def roster_tables(
+    roster: list[RosterEntry], hub_ids: list[int], horizon_h: int, rates: CostRates
+) -> tuple[CostLedger, dict[int, list[int]], dict[tuple[int, int, int], int]]:
+    """The ledger, resting rows and flows of a roster, in one pass in roster
+    order: returns ``(ledger, resting, flows)``.
 
+    Each entry's shift is booked (``accrue_shift``) with its lead time and
+    hire flag; lateness is not, as only the replay of the whole day counts
+    it. Working slots come from the plan (``RollingPlan.capacity``): a shift
+    keeps exactly the working segments of the runs it was built from.
     ``resting`` maps hub -> per-slot worker counts; ``flows`` maps
     (from hub, to hub, six-hour window of the travel start) -> moves.
     """
-    for shift in shifts:
+    ledger = CostLedger(rates=rates)
+    resting = {h: [0] * horizon_h for h in hub_ids}
+    flows: dict[tuple[int, int, int], int] = {}
+    for entry in roster:
+        shift = entry.shift
+        accrue_shift(shift, entry.lead_time_h, entry.is_new_hire, ledger)
         if len(shift.segments) == 1 and shift.resting_h == 0:
             continue  # a one-hub working shift: no rest, no move
         for seg in shift.segments:
@@ -124,6 +136,7 @@ def tally(shifts, resting, flows) -> None:
         for src, dst, seg in shift.moves():
             key = (src, dst, (seg.start_h // 6) * 6)
             flows[key] = flows.get(key, 0) + 1
+    return ledger, resting, flows
 
 
 class RollingPlan:
@@ -320,7 +333,8 @@ class RollingPlan:
 
 class RollingEngine:
     """The booking half of every replan step: merge the plan's kept runs
-    within the hire budget, assign pooled workers, and book the payments.
+    within the hire budget, assign pooled workers and append the roster
+    entries. The payments are booked from the finished roster (``run``).
 
     Without a ``plan`` the engine builds its own; a plan shared with another
     engine must plan the same steps (``RollingPlan.check``).
@@ -346,11 +360,7 @@ class RollingEngine:
             if moving_payment(pair.distance_m, rates) < rates.hiring_per_day
         ]
         self.pool = WorkforcePool(daily_cap_h=p.max_work_h)
-        self.ledger = CostLedger(rates=cfg.rates)
         self.roster: list[RosterEntry] = []
-        # roster-derived tables, added to by tally() as shifts are fixed
-        self.resting = {h: [0] * self.n for h in self.hub_ids}
-        self.flows: dict[tuple[int, int, int], int] = {}
         self.steps_taken = 0
 
     def _fixed_shifts(self, kept: list[Shift]) -> list[Shift]:
@@ -383,12 +393,10 @@ class RollingEngine:
         self.steps_taken += 1
         selected = self._fixed_shifts(kept)
 
-        assign, ledger, roster = self.pool.assign, self.ledger, self.roster
+        assign, roster = self.pool.assign, self.roster
         for cand in selected:
-            worker, lead, new_hire = assign(cand, now_h)
-            accrue_shift(cand, lead, new_hire, ledger)
+            worker, _lead, new_hire = assign(cand, now_h)
             roster.append(RosterEntry(len(roster), cand, worker.id, now_h, new_hire))
-        tally(selected, self.resting, self.flows)
         return len(selected)
 
     def run(self) -> SimReport:
@@ -397,22 +405,23 @@ class RollingEngine:
         for _ in self.plan.times:
             self.step()
 
+        ledger, resting, flows = roster_tables(self.roster, self.hub_ids, self.n, self.cfg.rates)
         arrivals = {h: self.cfg.actuals[h].arrivals for h in self.hub_ids}
         capacity = self.plan.capacity
         late = replay_execution(arrivals, capacity, p.dwell_h, p.work_rate)
-        lateness_penalty(late, self.ledger)
+        lateness_penalty(late, ledger)
         series = {
-            h: {"arrivals": arrivals[h], "working": list(capacity[h]), "resting": self.resting[h]}
+            h: {"arrivals": arrivals[h], "working": list(capacity[h]), "resting": resting[h]}
             for h in self.hub_ids
         }
 
         return SimReport(
             label=self.cfg.label,
-            ledger=self.ledger,
+            ledger=ledger,
             roster=self.roster,
             late_parcels=late,
             series=series,
-            flows=self.flows,
+            flows=flows,
             runtime_s=time.perf_counter() - t0,
             hires=self.pool.hires,
             forecast_snapshots=self.plan.forecast_snapshots[: self.steps_taken],

@@ -32,7 +32,6 @@ from .shifts import Shift
 class Worker:
     id: int
     pooled: bool = False  # False from an assignment until the worker's release
-    busy_until_h: float = 0.0
     hours_worked: float = 0.0
 
 
@@ -58,7 +57,7 @@ class WorkforcePool:
         self._buckets: list[deque[tuple[int, int]]] = [deque() for _ in range(n_buckets)]
         self._released = 0
         self._pooled = 0
-        # (busy_until_h, worker id) of each assignment, until release_finished pops it
+        # (shift end, worker id) of each assignment, until release_finished pops it
         self._busy: list[tuple[float, int]] = []
 
     def assign(self, shift: Shift, now_h: float) -> tuple[Worker, float, bool]:
@@ -85,7 +84,6 @@ class WorkforcePool:
             worker = Worker(len(self.workers))
             self.workers.append(worker)
         worker.pooled = False
-        worker.busy_until_h = end_h
         worker.hours_worked += working_h
         heapq.heappush(self._busy, (end_h, worker.id))
         return worker, start_h - now_h, is_new_hire
@@ -110,31 +108,23 @@ class WorkforcePool:
                 heads[b] = next(cursors[b], None)
         return hires
 
-    def release(self, worker: Worker, now_h: float) -> None:
-        """Return a worker to the pool once the assigned shift has ended."""
-        if worker.pooled:
-            raise ValueError(f"worker {worker.id} is not assigned")
-        if now_h < worker.busy_until_h:
-            raise ValueError(f"worker {worker.id} is busy until h={worker.busy_until_h}")
-        worker.pooled = True
-        budget = math.floor(self.daily_cap_h - worker.hours_worked)
-        if budget >= 0:  # a worker hired past the cap never fits again
-            self._buckets[budget].append((self._released, worker.id))
-        self._released += 1
-        self._pooled += 1
-
     def release_finished(self, now_h: float) -> list[Worker]:
-        """Release every busy worker whose shift has ended by now, in
-        worker-id order."""
+        """Return to the pool every busy worker whose shift has ended by
+        now, in worker-id order. Each busy worker has exactly one heap entry,
+        pushed when it was assigned, so every popped entry is a release."""
         busy = self._busy
-        ids = set()
+        ids = []
         while busy and busy[0][0] <= now_h:
-            ids.add(heapq.heappop(busy)[1])
-        workers = self.workers
-        # an entry is stale if its worker was released by a direct call
-        done = [w for w in (workers[i] for i in sorted(ids)) if not w.pooled and w.busy_until_h <= now_h]
+            ids.append(heapq.heappop(busy)[1])
+        ids.sort()
+        done = [self.workers[i] for i in ids]
         for w in done:
-            self.release(w, now_h)
+            w.pooled = True
+            budget = math.floor(self.daily_cap_h - w.hours_worked)
+            if budget >= 0:  # a worker hired past the cap never fits again
+                self._buckets[budget].append((self._released, w.id))
+            self._released += 1
+        self._pooled += len(done)
         return done
 
     @property

@@ -95,13 +95,13 @@ def combine_within_hub_detail(
     when it fixes the run. A ``stop`` leaves out runs for demand from that
     slot on (see ``kernels.within_hub_runs``); every run starting before it
     is still returned, and ``left`` is zero before it (all zero without a
-    ``stop``).
+    ``stop``). ``x`` is read, never written: ``left`` is a new list.
     """
     if min(x, default=0) < 0:
         raise ValueError("demand must be non-negative")
     if dwell_h < 0:
         raise ValueError("dwell_h must be >= 0")
-    return kernels.within_hub_runs(list(x), dwell_h, max_work_h, start_min, stop)
+    return kernels.within_hub_runs(x, dwell_h, max_work_h, start_min, stop)
 
 
 def merge_across_hubs(
@@ -159,19 +159,3 @@ def merge_across_hubs(
     keyed.sort(key=itemgetter(0))
     return [shift for _key, shift in keyed]
 
-
-def validate_shift(shift: Shift, max_work_h: int) -> None:
-    """Assert the structural shift invariants; raises ValueError on breach."""
-    segs = shift.segments
-    if not segs:
-        raise ValueError("shift has no segments")
-    for a, b in zip(segs, segs[1:]):
-        if a.end_h != b.start_h:
-            raise ValueError("segments must be contiguous")
-    if shift.working_h == 0:
-        raise ValueError("shift has no working hours")
-    if shift.working_h > max_work_h:
-        raise ValueError(f"working hours {shift.working_h} exceed cap {max_work_h}")
-    for a, b in zip(segs, segs[1:]):
-        if a.kind == WORKING and b.kind == WORKING and a.hub_id != b.hub_id:
-            raise ValueError("hub change without a travel segment")

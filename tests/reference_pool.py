@@ -2,8 +2,9 @@
 
 One queue of pooled worker ids in release order; assignment takes the first
 worker whose hours still fit the cap, so every call scans the queue. It
-keeps its own set of busy workers and its own hire count instead of reading
-``Worker.pooled``, so it stays independent of the pool under test.
+keeps its own set of busy workers, their shift ends and its own hire count
+instead of reading ``Worker.pooled``, so it stays independent of the pool
+under test.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ class ScanPool:
         self.workers: list[Worker] = []
         self._queue: deque[int] = deque()  # pooled worker ids, longest idle first
         self.busy: set[int] = set()  # ids of the workers whose shift runs
+        self.busy_until: dict[int, float] = {}  # worker id -> end of its last shift
         self.hires = 0
 
     def assign(self, shift, now_h: float):
@@ -37,7 +39,7 @@ class ScanPool:
             self.workers.append(worker)
             self.hires += 1
         self.busy.add(worker.id)
-        worker.busy_until_h = shift.end_h
+        self.busy_until[worker.id] = shift.end_h
         worker.hours_worked += shift.working_h
         return worker, shift.start_h - now_h, is_new_hire
 
@@ -58,13 +60,13 @@ class ScanPool:
     def release(self, worker: Worker, now_h: float) -> None:
         if worker.id not in self.busy:
             raise ValueError(f"worker {worker.id} is not assigned")
-        if now_h < worker.busy_until_h:
-            raise ValueError(f"worker {worker.id} is busy until h={worker.busy_until_h}")
+        if now_h < self.busy_until[worker.id]:
+            raise ValueError(f"worker {worker.id} is busy until h={self.busy_until[worker.id]}")
         self.busy.remove(worker.id)
         self._queue.append(worker.id)
 
     def release_finished(self, now_h: float):
-        done = [w for w in self.workers if w.id in self.busy and w.busy_until_h <= now_h]
+        done = [w for w in self.workers if w.id in self.busy and self.busy_until[w.id] <= now_h]
         for w in done:
             self.release(w, now_h)
         return done

@@ -448,7 +448,7 @@ def test_criterion_11_ledger_audit(suite200, showcase):
 def test_series_and_flows_match_roster_rewalk(suite200, showcase):
     """The working and resting rows of ``series`` and the relocation
     ``flows`` equal a slot-by-slot re-walk of the roster done here, without
-    the engine's derivation."""
+    the engine's derivation, and the hires are the roster's workers."""
     reports = [(net, rep) for net, _a, rep in suite200]
     reports += [(net, r) for net, _a, r1, r2 in showcase for r in (r1, r2)]
     rested = moved = 0
@@ -478,6 +478,9 @@ def test_series_and_flows_match_roster_rewalk(suite200, showcase):
             assert report.series[h]["working"] == working[h]
             assert report.series[h]["resting"] == resting[h]
         assert report.flows == flows
+        # hiring is charged once per worker: one new-hire entry per distinct worker
+        roster = report.roster
+        assert report.hires == sum(e.is_new_hire for e in roster) == len({e.worker_id for e in roster})
         rested += sum(sum(row) for row in resting.values())
         moved += sum(flows.values())
     assert rested > 0 and moved >= 5

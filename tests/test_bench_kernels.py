@@ -18,7 +18,7 @@ ROWS = [
     "fifo_match_units (dwell 3, resumed)",
     "fifo_replay",
     "pool assign + simulate_hires (130 pooled)",
-    "book 384 roster entries: Shift + assign + accrue_shift",
+    "book 384 roster entries: Shift + assign + RosterEntry, then roster_tables",
 ]
 
 

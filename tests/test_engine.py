@@ -10,16 +10,24 @@ from hubroster import _kernels as kernels
 from hubroster import engine as engine_module
 from hubroster.config import ScenarioParams
 from hubroster.demand import ArrivalSeries, GeneratorConfig, generate_arrivals
-from hubroster.engine import RollingEngine, RollingPlan, ScenarioConfig, replay_execution, run_scenario
+from hubroster.engine import (
+    RollingEngine,
+    RollingPlan,
+    ScenarioConfig,
+    replay_execution,
+    roster_tables,
+    run_scenario,
+)
 from hubroster.ledger import CostRates, moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs, random_network
-from hubroster.shifts import WORKING, Segment, Shift, merge_across_hubs, validate_shift
+from hubroster.shifts import WORKING, Segment, Shift, merge_across_hubs
 from hubroster.valuation import ValueWeights, shift_value, should_fix
 import reference_kernels
 import reference_merge
 from reference_selection import fix_reach
 from reference_selection import select as reference_select
 from reference_selection import shift_value as reference_value
+from shift_checks import validate_shift
 
 RATE = 150
 
@@ -44,6 +52,11 @@ def _needed(rows):
     return sum(math.ceil(a / RATE) for row in rows.values() for a in row)
 
 
+def _ledger(engine):
+    """The ledger of the roster an engine has fixed so far."""
+    return roster_tables(engine.roster, engine.hub_ids, engine.n, engine.cfg.rates)[0]
+
+
 def test_zero_demand_is_noop():
     net = _net()
     report = run_scenario(_cfg(net, {0: [0] * 24}))
@@ -61,7 +74,7 @@ def test_forced_fix_books_emergency_tier():
     assert len(engine.roster) == 1
     entry = engine.roster[0]
     assert entry.lead_time_h == 1
-    assert engine.ledger.emergency == 15
+    assert _ledger(engine).emergency == 15
     assert entry.shift.start_h == 1 and entry.shift.working_h == 1
 
 
@@ -73,7 +86,7 @@ def test_value_fix_happens_before_forced_window():
     engine.step()
     leads = {e.lead_time_h for e in engine.roster}
     assert leads == {5.0}
-    assert engine.ledger.emergency == 5 * len(engine.roster)
+    assert _ledger(engine).emergency == 5 * len(engine.roster)
 
 
 def test_low_value_shift_waits_for_forced_window():

@@ -18,7 +18,7 @@ def test_assign_reuses_idle_worker():
     pool = WorkforcePool(daily_cap_h=8)
     w, lead, new = pool.assign(_shift(2, 3), 0)
     assert new and lead == 2
-    pool.release(w, 5)
+    assert pool.release_finished(5) == [w]
     w2, lead2, new2 = pool.assign(_shift(10, 3), 5)
     assert w2.id == w.id and not new2 and lead2 == 5
     assert pool.hires == 1  # reassignment costs no second hire
@@ -42,8 +42,8 @@ def test_fifo_longest_idle_first():
     pool = WorkforcePool(daily_cap_h=8)
     a, _, _ = pool.assign(_shift(1, 2), 0)
     b, _, _ = pool.assign(_shift(2, 2), 0)
-    pool.release(a, 3)
-    pool.release(b, 4)
+    assert pool.release_finished(3) == [a]
+    assert pool.release_finished(4) == [b]
     c, _, _ = pool.assign(_shift(6, 2), 4)
     assert c.id == a.id  # released first, longest idle
 
@@ -51,7 +51,7 @@ def test_fifo_longest_idle_first():
 def test_daily_hours_cap_forces_new_hire():
     pool = WorkforcePool(daily_cap_h=8)
     w, _, _ = pool.assign(_shift(0, 6), 0)
-    pool.release(w, 6)
+    assert pool.release_finished(6) == [w]
     w2, _, new = pool.assign(_shift(7, 4), 6)
     assert new and w2.id != w.id  # 6 + 4 would breach the cap
     w3, _, new3 = pool.assign(_shift(7, 2), 6)
@@ -61,11 +61,9 @@ def test_daily_hours_cap_forces_new_hire():
 def test_release_contract_violations():
     pool = WorkforcePool(daily_cap_h=8)
     w, _, _ = pool.assign(_shift(0, 4), 0)
-    with pytest.raises(ValueError):
-        pool.release(w, 3)  # before shift end
-    pool.release(w, 4)
-    with pytest.raises(ValueError):
-        pool.release(w, 5)  # already pooled
+    assert pool.release_finished(3) == [] and not w.pooled  # before shift end: still busy
+    assert pool.release_finished(4) == [w] and w.pooled
+    assert pool.release_finished(5) == []  # already pooled: not released again
 
 
 def test_release_finished_and_states():
@@ -82,12 +80,11 @@ def test_release_finished_and_states():
     assert c.id == a.id and not new and not a.pooled and b.pooled
 
 
-def test_release_finished_skips_workers_released_directly():
+def test_release_finished_waits_for_a_reassigned_workers_new_end():
     pool = WorkforcePool(daily_cap_h=8)
     a, _, _ = pool.assign(_shift(0, 2), 0)
     b, _, _ = pool.assign(_shift(0, 2), 0)
-    pool.release(a, 2)
-    pool.release(b, 2)
+    assert pool.release_finished(2) == [a, b]
     again, _, new = pool.assign(_shift(2, 3), 2)  # a's second shift, ending at 5
     assert again is a and not new
     assert pool.release_finished(3) == [] and not a.pooled and b.pooled

@@ -14,14 +14,9 @@ from hubroster.demand import ArrivalSeries
 from hubroster.engine import RollingEngine, ScenarioConfig
 from hubroster.ledger import CostRates, moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs
-from hubroster.shifts import (
-    Segment,
-    Shift,
-    combine_within_hub_detail,
-    merge_across_hubs,
-    validate_shift,
-)
+from hubroster.shifts import Segment, Shift, combine_within_hub_detail, merge_across_hubs
 from oracle_enum import min_workers_single_hub, min_workers_two_hub
+from shift_checks import validate_shift
 
 RHO = 8
 
@@ -84,6 +79,18 @@ def test_combine_rejects_negative_demand():
 def test_combine_rejects_negative_dwell():
     with pytest.raises(ValueError, match="dwell_h must be >= 0"):
         combine_within_hub_detail([1, 1], -1, RHO)
+
+
+def test_combine_leaves_its_row_unchanged():
+    # full-length runs, shorter runs, expired units and a stop all touch the row's units
+    values = [3, 0, 2, 5, 5, 5, 5, 5, 5, 5, 5, 1, 0, 4, 2, 0, 0, 1]
+    expected = combine_within_hub_detail(list(values), 1, RHO, 2, 15)
+    assert expected[0] and expected[2] and any(expected[1])
+    for row in (list(values), tuple(values), np.array(values, dtype=np.int64)):
+        runs, left, dropped = combine_within_hub_detail(row, 1, RHO, 2, 15)
+        assert list(row) == values
+        assert (runs, list(left), dropped) == expected
+        assert left is not row
 
 
 # ---------------------------------------------------------- within-hub mix
