@@ -5,18 +5,17 @@ to integer labor demand, subtracts what the already-fixed roster covers
 (first-in-first-out, so dwell-deferred coverage is not double-booked),
 rebuilds candidate runs from the residual and keeps the high-value ones plus
 everything starting before the next replan: that is the step's plan
-(``RollingPlan``), which builds each kept run's one-hub ``Shift`` once. The
-booking half (``RollingEngine``) merges those shifts across hubs, building a
-``Shift`` only for each merged pair, assigns pooled workers and appends
-the roster entries. After the last step the ledger, the resting rows and the
-flows are derived from the finished roster in one pass (``roster_tables``),
-and the roster is replayed against the actual arrivals to count parcels that
-missed their dwell deadline.
+(``RollingPlan``), which builds one one-hub ``Shift`` per distinct kept run.
+The booking half (``RollingEngine``) merges the short ones across hubs,
+building a ``Shift`` only for each merged pair, assigns pooled workers and
+appends the roster entries. After the last step the ledger, the resting
+rows and the flows are derived from the finished roster in one pass
+(``roster_tables``), and the roster is replayed against the actual arrivals
+to count parcels that missed their dwell deadline.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from bisect import bisect_left
@@ -154,10 +153,14 @@ class RollingPlan:
     half and can share one plan. Step ``k`` is computed the first time an
     engine asks for it (``kept``) and recorded for the next.
 
-    The plan builds one ``Shift`` per kept run, a single working segment at
-    its hub, when it plans the step; every engine on the plan books those
-    same objects unless it merges them (``RollingEngine._fixed_shifts``).
-    ``Shift`` and ``Segment`` are frozen values, so engines can share them.
+    The plan builds one ``Shift`` per distinct kept run, a single working
+    segment at its hub, when it plans the step: equal runs (copies of one
+    run, adjacent in the sorted step) share it. Every engine on the plan
+    books those same objects unless it merges them
+    (``RollingEngine._fixed_shifts``). ``Shift`` and ``Segment`` are frozen
+    values, so runs and engines can share them. The step's ``(start, hub,
+    end)`` run tuples are kept beside the shifts, so the merge reads them
+    rather than the shifts' properties.
 
     With ``collect_forecasts`` every step records its ``ForecastSnapshot``
     in ``forecast_snapshots``.
@@ -185,7 +188,8 @@ class RollingPlan:
         # capacity is final and their demand the actual arrivals
         self.settled_at = 0
         self.settled = {h: [] for h in self.hub_ids}
-        self.steps: list[list[Shift]] = []  # the kept runs' shifts of each planned step
+        # the kept runs of each planned step, and their shifts
+        self.steps: list[tuple[list[tuple[int, int, int]], list[Shift]]] = []
         self.collect_forecasts = collect_forecasts
         self.forecast_snapshots: list[ForecastSnapshot] = []
 
@@ -201,11 +205,12 @@ class RollingPlan:
             if getattr(cfg, name) != getattr(own, name):
                 raise ValueError(f"the plan was built with other {name}")
 
-    def kept(self, k: int) -> list[Shift]:
-        """The one-hub working shifts of the runs step ``k`` (at
-        ``times[k]``) fixes, sorted by ``(start, hub, end)``; the steps up
-        to ``k`` are planned in order. Each run's ``Shift`` is built here,
-        once, and every engine on this plan books that same object."""
+    def kept(self, k: int) -> tuple[list[tuple[int, int, int]], list[Shift]]:
+        """The runs step ``k`` (at ``times[k]``) fixes, as sorted ``(start,
+        hub, end)`` tuples, and their one-hub working shifts in the same
+        order; the steps up to ``k`` are planned in order. One ``Shift`` is
+        built here per distinct run, shared by its copies, and every engine
+        on this plan books that same object."""
         while len(self.steps) <= k:
             now_h = self.times[len(self.steps)]
             first_slot = math.ceil(now_h - 1e-9)
@@ -216,7 +221,14 @@ class RollingPlan:
                 row = self.capacity[h]
                 for t in range(start, end):
                     row[t] += 1
-            self.steps.append([Shift((Segment(h, start, end, WORKING),)) for start, h, end in kept])
+            shifts = []
+            last = None
+            for run in kept:
+                if run != last:
+                    start, h, end = last = run
+                    shift = Shift((Segment(h, start, end, WORKING),))
+                shifts.append(shift)
+            self.steps.append((kept, shifts))
         return self.steps[k]
 
     def _demand_units(self, now_h: float, first_slot: int) -> dict[int, list[int]]:
@@ -350,12 +362,11 @@ class RollingEngine:
         p = cfg.params
         self.hub_ids = plan.hub_ids
         self.n = p.horizon_h
-        # pairs worth a merge, as (hub position, hub position, pair) in
-        # distance order: moving there costs less than a fresh hire
+        # pairs worth a merge, in distance order: moving there costs less
+        # than a fresh hire
         rates = cfg.rates
-        pos = {h: i for i, h in enumerate(self.hub_ids)}
         self.pairs = [
-            (pos[pair.hub_a], pos[pair.hub_b], pair)
+            pair
             for pair in (build_moving_pairs(cfg.network) if cfg.allow_cross_hub else [])
             if moving_payment(pair.distance_m, rates) < rates.hiring_per_day
         ]
@@ -363,35 +374,40 @@ class RollingEngine:
         self.roster: list[RosterEntry] = []
         self.steps_taken = 0
 
-    def _fixed_shifts(self, kept: list[Shift]) -> list[Shift]:
-        """The shifts fixed this step for the plan's kept one-hub shifts
-        (``RollingPlan.kept``).
+    def _fixed_shifts(self, runs: list[tuple[int, int, int]], kept: list[Shift]) -> list[Shift]:
+        """The shifts fixed this step for the plan's kept runs and their
+        one-hub shifts (``RollingPlan.kept``).
 
         Runs merge across hubs only among themselves, capped by the number
         of fresh hires they would otherwise require -- so every merge stands
-        in for a hire, never for a free pool reuse. ``merge_across_hubs``
-        builds a ``Shift`` only for each merged pair; every other run, and
-        every run without an eligible pair, a second run or a hire to save,
-        is fixed as the plan's own ``Shift``.
+        in for a hire, never for a free pool reuse. Only a run shorter than
+        ``max_work_h`` can merge (``merge_across_hubs``), so unless an
+        eligible pair has such a run at both hubs the hire budget is not
+        even counted. ``merge_across_hubs`` builds a ``Shift`` only for each
+        merged pair; every other run is fixed as the plan's own ``Shift``,
+        and a step that merges nothing fixes the plan's list itself.
         """
-        if self.pairs and len(kept) > 1:
-            budget = self.pool.simulate_hires([shift.working_h for shift in kept])
-            if budget:
-                by_hub = {h: [] for h in self.hub_ids}
-                for shift in kept:
-                    by_hub[shift.segments[0].hub_id].append(shift)
-                p = self.cfg.params
-                return merge_across_hubs(by_hub, self.pairs, p.max_work_h, p.max_gap_h, budget)
-        return kept
+        if not self.pairs:
+            return kept
+        p = self.cfg.params
+        max_work = p.max_work_h
+        short = {h for start, h, end in runs if end - start < max_work}
+        pairs = [pair for pair in self.pairs if pair.hub_a in short and pair.hub_b in short]
+        if not pairs:
+            return kept
+        budget = self.pool.simulate_hires([end - start for start, _h, end in runs])
+        if not budget:
+            return kept
+        return merge_across_hubs(runs, kept, pairs, max_work, p.max_gap_h, budget)
 
     def step(self) -> int:
         """The next replan pass, at the plan's next step time; returns the
         number of shifts fixed."""
         now_h = self.plan.times[self.steps_taken]
         self.pool.release_finished(now_h)
-        kept = self.plan.kept(self.steps_taken)
+        runs, kept = self.plan.kept(self.steps_taken)
         self.steps_taken += 1
-        selected = self._fixed_shifts(kept)
+        selected = self._fixed_shifts(runs, kept)
 
         assign, roster = self.pool.assign, self.roster
         for cand in selected:
@@ -455,47 +471,42 @@ def run_scenario(cfg: ScenarioConfig, plan: RollingPlan | None = None) -> SimRep
 # ---------------------------------------------------------------- reporting
 
 
+# The writers render the rows ``csv.writer`` would (excel dialect: ``\r\n``
+# line ends; no field here is ever quoted) one f-string at a time, straight
+# to the file.
+
+
 def write_roster_csv(path, report: SimReport, header: str = "") -> None:
     with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(header)
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["shift_id", "worker_id", "segment_idx", "hub_id", "kind", "start_h", "end_h", "fixed_at_h"]
-        )
+        write = fh.write
+        write(header)
+        write("shift_id,worker_id,segment_idx,hub_id,kind,start_h,end_h,fixed_at_h\r\n")
         for entry in report.roster:
+            tail = f"{entry.fixed_at_h:g}\r\n"
             for idx, seg in enumerate(entry.shift.segments):
-                writer.writerow(
-                    [
-                        entry.shift_id,
-                        entry.worker_id,
-                        idx,
-                        seg.hub_id,
-                        seg.kind,
-                        seg.start_h,
-                        seg.end_h,
-                        f"{entry.fixed_at_h:g}",
-                    ]
+                write(
+                    f"{entry.shift_id},{entry.worker_id},{idx},{seg.hub_id},{seg.kind},"
+                    f"{seg.start_h},{seg.end_h},{tail}"
                 )
 
 
 def write_series_csv(path, report: SimReport, header: str = "") -> None:
     with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(header)
-        writer = csv.writer(fh)
-        writer.writerow(["hub_id", "slot_h", "arrivals", "workers_working", "workers_resting"])
+        write = fh.write
+        write(header)
+        write("hub_id,slot_h,arrivals,workers_working,workers_resting\r\n")
         for h in sorted(report.series):
             rows = report.series[h]
-            for t in range(len(rows["arrivals"])):
-                writer.writerow([h, t, rows["arrivals"][t], rows["working"][t], rows["resting"][t]])
+            for t, (arrived, working, resting) in enumerate(
+                zip(rows["arrivals"], rows["working"], rows["resting"])
+            ):
+                write(f"{h},{t},{arrived},{working},{resting}\r\n")
 
 
 def write_flows_csv(path, report: SimReport, header: str = "") -> None:
     with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(header)
-        writer = csv.writer(fh)
-        writer.writerow(["from_hub", "to_hub", "window_start_h", "worker_moves"])
+        write = fh.write
+        write(header)
+        write("from_hub,to_hub,window_start_h,worker_moves\r\n")
         for (src, dst, window), count in sorted(report.flows.items()):
-            writer.writerow([src, dst, window, count])
+            write(f"{src},{dst},{window},{count}\r\n")

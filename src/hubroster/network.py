@@ -77,6 +77,7 @@ class HubNetwork:
         self.d_max_m = float(d_max_m)
         self.speed_m_per_h = float(speed_m_per_h)
         self._by_id = {h.id: h for h in hubs}
+        self._moving_pairs: list[MovingPair] | None = None  # built on first use
 
     def __len__(self):
         return len(self.hubs)
@@ -99,16 +100,24 @@ def build_moving_pairs(net: HubNetwork) -> list[MovingPair]:
 
     Ties are broken by (min id, max id) so downstream greedy passes are
     deterministic. Travel time is distance / speed.
+
+    The pairs are computed once per network, on the first call, and kept on
+    it: a network is immutable, so every engine on it (scenarios 1 and 3 of
+    one ``hubroster run``) reads the same pairs. Each call returns a new
+    list of the shared, frozen ``MovingPair`` values.
     """
-    pairs = []
-    hubs = sorted(net.hubs, key=lambda h: h.id)
-    for i, a in enumerate(hubs):
-        for b in hubs[i + 1 :]:
-            d = distance(a, b)
-            if d <= net.d_max_m:
-                pairs.append(MovingPair(a.id, b.id, d, d / net.speed_m_per_h))
-    pairs.sort(key=lambda p: (p.distance_m, p.hub_a, p.hub_b))
-    return pairs
+    pairs = net._moving_pairs
+    if pairs is None:
+        pairs = []
+        hubs = sorted(net.hubs, key=lambda h: h.id)
+        for i, a in enumerate(hubs):
+            for b in hubs[i + 1 :]:
+                d = distance(a, b)
+                if d <= net.d_max_m:
+                    pairs.append(MovingPair(a.id, b.id, d, d / net.speed_m_per_h))
+        pairs.sort(key=lambda p: (p.distance_m, p.hub_a, p.hub_b))
+        net._moving_pairs = pairs
+    return list(pairs)
 
 
 def save_network(net: HubNetwork, path) -> None:

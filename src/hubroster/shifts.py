@@ -10,6 +10,7 @@ destination hub.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -105,44 +106,69 @@ def combine_within_hub_detail(
 
 
 def merge_across_hubs(
-    shifts_by_hub: dict[int, list[Shift]],
-    pairs: list[tuple[int, int, MovingPair]],
+    runs: list[tuple[int, int, int]],
+    shifts: list[Shift],
+    pairs: list[MovingPair],
     max_work_h: int,
     max_gap_h: int,
     max_merges: int = -1,
 ) -> list[Shift]:
     """Greedily merge one-hub working shifts across nearby hub pairs.
 
-    ``shifts_by_hub`` maps each hub to its one-hub working shifts (a single
-    ``WORKING`` segment at that hub) sorted by ``(start, end)``. ``pairs``
-    are ``(i, j, pair)`` with ``i`` and ``j`` the positions of ``pair``'s two
-    hubs in ``shifts_by_hub``, in ascending-distance order and already
-    restricted to pairs worth merging over. Two shifts merge when their
-    hours do not overlap, the travel time fits the gap, the gap is at most
-    ``max_gap_h``, and combined working hours stay within ``max_work_h``
+    ``runs`` are sorted ``(start, hub, end)`` working runs and ``shifts``
+    their one-hub working shifts, in the same order; equal runs may share
+    one ``Shift``. ``pairs`` are the moving pairs worth merging over, in
+    ascending-distance order. Two runs merge when their hours do not
+    overlap, the travel time fits the gap, the gap is at most ``max_gap_h``,
+    and combined working hours stay within ``max_work_h``
     (``kernels.merge_runs``). The earlier one is worked first; travel
     occupies whole slots right after it and any remaining gap becomes rest
-    at the destination hub. Each shift merges at most once; a non-negative
+    at the destination hub. Each run merges at most once; a non-negative
     ``max_merges`` caps how many merges are performed.
 
-    A new ``Shift`` is built only for each merged pair; every untouched
-    input shift is returned as the same object. The output is ordered by
-    (start, first hub, end); on a tie merged shifts come first, in merge
-    order, then untouched shifts in hub and input order.
-    """
-    hub_ids = list(shifts_by_hub)
-    shifts = list(shifts_by_hub.values())
-    runs = [[(shift.start_h, shift.end_h) for shift in hub_shifts] for hub_shifts in shifts]
-    merges, used = kernels.merge_runs(
-        runs, [(i, j, p.travel_time_h) for i, j, p in pairs], max_work_h, max_gap_h, max_merges
-    )
+    Only runs shorter than ``max_work_h`` reach the kernel, and only pairs
+    with such a run at both hubs. This is exact: the kernel skips a run
+    whose ``room`` (``max_work_h`` less its hours) is below 1, and a partner
+    must fit in ``room``, so only short runs ever combine. Leaving the
+    others out keeps each hub's runs in their order, so the kernel's
+    ``(..., i, j)`` combo keys sort as they would over every run, and a
+    pair with no short run at one hub merges nothing.
 
-    keyed = []
+    A new ``Shift`` is built only for each merged pair; every untouched
+    input shift is returned as the same object, and when nothing merges
+    ``shifts`` itself is returned. The output is ordered by (start, first
+    hub, end); on a tie merged shifts come first, in merge order, then
+    untouched shifts in input order. So each merged shift goes in before
+    the first run not below its key, found by bisecting ``runs``.
+    """
+    short: dict[int, list[int]] = {}  # hub -> indices into runs of its short runs
+    for k, (start, h, end) in enumerate(runs):
+        if end - start < max_work_h:
+            short.setdefault(h, []).append(k)
+    pairs = [p for p in pairs if p.hub_a in short and p.hub_b in short]
+    if not pairs:
+        return shifts
+    pos = {h: i for i, h in enumerate(short)}
+    index = list(short.values())
+    merges, _used = kernels.merge_runs(
+        [[(runs[k][0], runs[k][2]) for k in idx] for idx in index],
+        [(pos[p.hub_a], pos[p.hub_b], p.travel_time_h) for p in pairs],
+        max_work_h,
+        max_gap_h,
+        max_merges,
+    )
+    if not merges:
+        return shifts
+
+    # (position in runs, 0 to insert the merged shift before it or 1 to
+    # drop the run there, merged key, shift); the stable sort keeps merge
+    # order among equal keys
+    edits = []
     for p_idx, i, j, a_first in merges:
-        ia, ib, pair = pairs[p_idx]
-        a = (hub_ids[ia], *runs[ia][i])
-        b = (hub_ids[ib], *runs[ib][j])
-        (h1, s1, e1), (h2, s2, e2) = (a, b) if a_first else (b, a)
+        pair = pairs[p_idx]
+        ka = index[pos[pair.hub_a]][i]
+        kb = index[pos[pair.hub_b]][j]
+        (s1, h1, e1), (s2, h2, e2) = (runs[ka], runs[kb]) if a_first else (runs[kb], runs[ka])
         segs = [Segment(h1, s1, e1, WORKING)]
         cursor = e1 + math.ceil(pair.travel_time_h)
         if cursor > e1:
@@ -150,12 +176,20 @@ def merge_across_hubs(
         if cursor < s2:
             segs.append(Segment(h2, cursor, s2, RESTING))
         segs.append(Segment(h2, s2, e2, WORKING))
-        keyed.append(((s1, h1, e2), Shift(segs, move_distance_m=pair.distance_m)))
+        key = (s1, h1, e2)
+        edits.append((bisect_left(runs, key), 0, key, Shift(segs, move_distance_m=pair.distance_m)))
+        edits.append((ka, 1, (), None))
+        edits.append((kb, 1, (), None))
+    edits.sort(key=itemgetter(0, 1, 2))
 
-    for h, hub_runs, hub_shifts, hub_used in zip(hub_ids, runs, shifts, used):
-        for (s, e), shift, merged in zip(hub_runs, hub_shifts, hub_used):
-            if not merged:
-                keyed.append(((s, h, e), shift))
-    keyed.sort(key=itemgetter(0))
-    return [shift for _key, shift in keyed]
-
+    out = []
+    done = 0
+    for k, drop, _key, shift in edits:
+        out += shifts[done:k]
+        if drop:
+            done = k + 1
+        else:
+            out.append(shift)
+            done = k
+    out += shifts[done:]
+    return out

@@ -293,12 +293,12 @@ def test_criterion_06_small_instance_oracle():
             ([0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], 1),
         ]
         for xa, xb, dwell in two_hub_cases:
-            per_hub = {
-                h: [Shift([Segment(h, s, e, "working")]) for s, e in combine_within_hub_detail(x, dwell, RHO)[0]]
-                for h, x in ((0, xa), (1, xb))
-            }
+            runs = sorted(
+                (s, h, e) for h, x in ((0, xa), (1, xb)) for s, e in combine_within_hub_detail(x, dwell, RHO)[0]
+            )
+            shifts = [Shift([Segment(h, s, e, "working")]) for s, h, e in runs]
             # both hubs 2000 m apart: a 10-Yuan move under the 50-Yuan hire
-            out = merge_across_hubs(per_hub, [(p.hub_a, p.hub_b, p) for p in pairs], RHO, MAX_GAP)
+            out = merge_across_hubs(runs, shifts, pairs, RHO, MAX_GAP)
             assert sum(s.working_h for s in out) == sum(xa) + sum(xb)
             best = min_workers_two_hub(xa, xb, dwell, RHO, travel, MAX_GAP, True)
             assert len(out) >= best, (xa, xb, len(out), best)

@@ -1,6 +1,8 @@
 """Rolling engine: stepping, fixing, scenarios, execution replay."""
 
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -8,19 +10,25 @@ import pytest
 
 from hubroster import _kernels as kernels
 from hubroster import engine as engine_module
+from hubroster import network as network_module
 from hubroster.config import ScenarioParams
 from hubroster.demand import ArrivalSeries, GeneratorConfig, generate_arrivals
 from hubroster.engine import (
     RollingEngine,
     RollingPlan,
+    RosterEntry,
     ScenarioConfig,
+    SimReport,
     replay_execution,
     roster_tables,
     run_scenario,
+    write_flows_csv,
+    write_roster_csv,
+    write_series_csv,
 )
-from hubroster.ledger import CostRates, moving_payment
+from hubroster.ledger import CostLedger, CostRates, moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs, random_network
-from hubroster.shifts import WORKING, Segment, Shift, merge_across_hubs
+from hubroster.shifts import RESTING, TRAVEL, WORKING, Segment, Shift, merge_across_hubs
 from hubroster.valuation import ValueWeights, shift_value, should_fix
 import reference_kernels
 import reference_merge
@@ -342,19 +350,42 @@ def _random_merge_case(rng):
     return net, engine, kept
 
 
+def _plan_shifts(kept):
+    """One-hub working shifts of the sorted runs ``kept`` as the plan builds
+    them: copies of one run share one ``Shift``."""
+    shifts = []
+    for k, (s, h, e) in enumerate(kept):
+        shifts.append(shifts[-1] if k and kept[k - 1] == kept[k] else Shift([Segment(h, s, e, WORKING)]))
+    return shifts
+
+
+def _positions(shifts, pool):
+    """The positions in ``pool`` of ``shifts``, each matched by identity at
+    the first position after the previous one's; fails if one has none."""
+    positions = []
+    k = 0
+    for shift in shifts:
+        while k < len(pool) and pool[k] is not shift:
+            k += 1
+        assert k < len(pool), "a shift is not the pool's object past the previous one"
+        positions.append(k)
+        k += 1
+    return positions
+
+
 def test_merge_on_runs_matches_shift_based_reference():
     rng = np.random.default_rng(2024)
     merged = ties = 0
     for case in range(2400):
         net, engine, kept = _random_merge_case(rng)
         p, rates = engine.cfg.params, engine.cfg.rates
-        shifts = [Shift([Segment(h, s, e, WORKING)]) for s, h, e in kept]
+        shifts = _plan_shifts(kept)
         pairs = build_moving_pairs(net) if engine.cfg.allow_cross_hub else []
 
         # the merge itself, at every kind of cap
         budget = int(rng.choice([-1, 0, 1, 3, 100]))
         by_hub = {h: [x for x in shifts if x.segments[0].hub_id == h] for h in engine.hub_ids}
-        got = merge_across_hubs(by_hub, engine.pairs, p.max_work_h, p.max_gap_h, budget)
+        got = merge_across_hubs(kept, shifts, engine.pairs, p.max_work_h, p.max_gap_h, budget)
         expected = reference_merge.merge_across_hubs(
             by_hub,
             pairs,
@@ -376,7 +407,7 @@ def test_merge_on_runs_matches_shift_based_reference():
             end = start + int(rng.integers(1, p.max_work_h + 1))
             engine.pool.assign(Shift([Segment(engine.hub_ids[0], start, end, WORKING)]), 0)
         engine.pool.release_finished(float(p.horizon_h))
-        got = engine._fixed_shifts(shifts)
+        got = engine._fixed_shifts(kept, shifts)
         expected = reference_merge.merge_selected(engine, shifts, pairs)
         assert _shapes(got) == _shapes(expected), case
     assert merged > 1000 and ties > 100, (merged, ties)
@@ -384,17 +415,18 @@ def test_merge_on_runs_matches_shift_based_reference():
 
 def test_merge_returns_untouched_shifts_by_identity_in_order():
     # the merge builds a Shift only for a merged pair: every other input
-    # shift comes back as itself, where the shift-based reference puts it,
-    # in (start, first hub, end) order with merged shifts first on a tie
+    # shift comes back as itself, at the place the shift-based reference
+    # puts it and in input order, in (start, first hub, end) order with
+    # merged shifts first on a tie; without a merge the input list itself
     rng = np.random.default_rng(16)
-    seen = dict.fromkeys(("empty", "full", "short", "equal runs", "tie with a merge"), 0)
+    seen = dict.fromkeys(("empty", "full", "short", "equal runs", "tie with a merge", "no merge"), 0)
     for case in range(1500):
         net, engine, kept = _random_merge_case(rng)
         p, rates = engine.cfg.params, engine.cfg.rates
-        shifts = [Shift([Segment(h, s, e, WORKING)]) for s, h, e in kept]
+        shifts = _plan_shifts(kept)
         by_hub = {h: [x for x in shifts if x.segments[0].hub_id == h] for h in engine.hub_ids}
         budget = int(rng.choice([-1, 0, 1, 3, 100]))
-        got = merge_across_hubs(by_hub, engine.pairs, p.max_work_h, p.max_gap_h, budget)
+        got = merge_across_hubs(kept, shifts, engine.pairs, p.max_work_h, p.max_gap_h, budget)
         expected = reference_merge.merge_across_hubs(
             by_hub,
             build_moving_pairs(net) if engine.cfg.allow_cross_hub else [],
@@ -404,13 +436,19 @@ def test_merge_returns_untouched_shifts_by_identity_in_order():
             lambda d: moving_payment(d, rates),
             budget,
         )
-        inputs = {id(x) for x in shifts}
-
-        def identities(out):
-            return [id(x) if id(x) in inputs else _shapes([x]) for x in out]
-
-        assert identities(got) == identities(expected), case
-        assert all((id(x) in inputs) == (len(x.segments) == 1) for x in got), case
+        assert len(got) == len(expected), case
+        for a, b in zip(got, expected):
+            if len(b.segments) == 1:
+                assert a is b, case
+            else:
+                assert _shapes([a]) == _shapes([b]), case
+        untouched = [x for x in got if len(x.segments) == 1]
+        _positions(untouched, shifts)
+        n_merged = len(got) - len(untouched)
+        assert len(untouched) == len(shifts) - 2 * n_merged, case
+        if not n_merged:
+            assert got is shifts, case
+            seen["no merge"] += 1
         keys = [reference_merge.sort_key(x) for x in got]
         assert keys == sorted(keys), case
         for a, b, key_a, key_b in zip(got, got[1:], keys, keys[1:]):
@@ -422,6 +460,126 @@ def test_merge_returns_untouched_shifts_by_identity_in_order():
         seen["short"] += any(e - s < p.max_work_h for s, _h, e in kept)
         seen["equal runs"] += len(set(kept)) < len(kept)
     assert min(seen.values()) > 20, seen
+
+
+def test_merge_runs_on_short_runs_only_matches_reference_on_all_runs():
+    # the merge hands the kernel only runs shorter than max_work: mapped
+    # back, its merges and used marks are those of the full scan over every
+    # run, full-length runs and copies of one run included
+    rng = np.random.default_rng(18)
+    seen = dict.fromkeys(("empty hub", "full", "short", "repeated", "merged"), 0)
+    for case in range(3000):
+        max_work = int(rng.integers(1, 9))
+        horizon = int(rng.integers(4, 16))
+        runs_by_hub = []
+        for _ in range(int(rng.integers(2, 6))):
+            hub_runs = []
+            for _ in range(int(rng.integers(0, 8))):
+                start = int(rng.integers(0, horizon))
+                length = max_work if rng.random() < 0.4 else int(rng.integers(1, max_work + 1))
+                hub_runs.append((start, min(horizon, start + length)))
+                if rng.random() < 0.3:
+                    hub_runs.append(hub_runs[-1])
+            runs_by_hub.append(sorted(hub_runs))
+        n = len(runs_by_hub)
+        pairs = [
+            (a, b, float(rng.choice([0.0, 0.4, 1.0, 1.6, 2.5])))
+            for a in range(n)
+            for b in range(n)
+            if a != b and rng.random() < 0.5
+        ]
+        rng.shuffle(pairs)
+        max_gap = int(rng.integers(0, 4))
+        max_merges = int(rng.choice([-1, 0, 1, 2, 100]))
+
+        short = [[k for k, (s, e) in enumerate(r) if e - s < max_work] for r in runs_by_hub]
+        merges, used = kernels.merge_runs(
+            [[r[k] for k in idx] for r, idx in zip(runs_by_hub, short)], pairs, max_work, max_gap, max_merges
+        )
+        mapped = [(p, short[pairs[p][0]][i], short[pairs[p][1]][j], a) for p, i, j, a in merges]
+        used_all = [[False] * len(r) for r in runs_by_hub]
+        for idx, marks, row in zip(short, used, used_all):
+            for k, mark in zip(idx, marks):
+                row[k] = mark
+        expected = reference_kernels.merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges)
+        assert (mapped, used_all) == (list(expected[0]), expected[1]), case
+        all_runs = [run for r in runs_by_hub for run in r]
+        seen["empty hub"] += any(not r for r in runs_by_hub)
+        seen["full"] += any(e - s == max_work for s, e in all_runs)
+        seen["short"] += any(e - s < max_work for s, e in all_runs)
+        seen["repeated"] += any(len(set(r)) < len(r) for r in runs_by_hub)
+        seen["merged"] += bool(merges)
+    assert min(seen.values()) > 100, seen
+
+
+def test_fixed_shifts_skip_the_budget_and_the_kernel_when_nothing_can_merge(monkeypatch):
+    # a step merges nothing when every run is full length, when no eligible
+    # pair has a short run at both hubs, or when the pool covers every run
+    # for free: the step then fixes the plan's list itself, without
+    # counting the hire budget in the first two cases or calling the kernel
+    calls = {"simulate_hires": 0, "merge_runs": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(engine_module.WorkforcePool, "simulate_hires")
+    counted(kernels, "merge_runs")
+    rng = np.random.default_rng(40)
+    seen = dict.fromkeys(("full length", "apart", "no budget"), 0)
+    for case in range(600):
+        n_hubs = int(rng.integers(2, 7))
+        hubs = [
+            Hub(i, f"H{i}", float(rng.uniform(0, 6000)), float(rng.uniform(0, 3000)), "local") for i in range(n_hubs)
+        ]
+        net = HubNetwork(hubs, d_max_m=3000, speed_m_per_h=float(rng.choice([2500.0, 15000.0])))
+        horizon = int(rng.integers(10, 25))
+        params = ScenarioParams(
+            horizon_h=horizon, max_work_h=int(rng.integers(2, 9)), max_gap_h=int(rng.integers(0, 4))
+        )
+        arrivals = {h: ArrivalSeries(h, [0] * horizon) for h in range(n_hubs)}
+        engine = RollingEngine(ScenarioConfig.for_scenario(int(rng.choice([1, 3])), net, arrivals, params))
+        linked = {(pair.hub_a, pair.hub_b) for pair in engine.pairs}
+        if not linked:
+            continue
+        cap = params.max_work_h
+        kind = str(rng.choice(list(seen)))
+        if kind == "apart":  # short runs at hubs no eligible pair joins
+            short_hubs = []
+            for h in rng.permutation(n_hubs).tolist():
+                if all((min(h, g), max(h, g)) not in linked for g in short_hubs):
+                    short_hubs.append(h)
+        else:
+            short_hubs = list(range(n_hubs)) if kind == "no budget" else []
+        kept = []
+        for _ in range(int(rng.integers(1, 30))):
+            h = int(rng.integers(n_hubs))
+            length = int(rng.integers(1, cap)) if h in short_hubs else cap
+            start = int(rng.integers(0, horizon - length + 1))
+            kept += [(start, h, start + length)] * int(rng.integers(1, 3))
+        kept.sort()
+        if kind == "no budget":  # a released worker with room for every run
+            for _ in kept:
+                engine.pool.assign(Shift([Segment(0, 0, 1, WORKING)]), 0)
+            engine.pool.release_finished(1.0)
+        shifts = _plan_shifts(kept)
+        before = dict(calls)
+        assert engine._fixed_shifts(kept, shifts) is shifts, case
+        assert calls["merge_runs"] == before["merge_runs"], case
+        budgets = calls["simulate_hires"] - before["simulate_hires"]
+        counts_budget = kind == "no budget" and any(
+            (min(a, b), max(a, b)) in linked
+            for a in {h for _s, h, _e in kept}
+            for b in {h for _s, h, _e in kept}
+        )
+        assert budgets == counts_budget, (case, kind)
+        seen[kind] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def _plan_select(plan, residual, now_h, fix_all):
@@ -835,13 +993,23 @@ def test_scenarios_on_a_shared_plan_equal_their_runs_alone():
     assert merged > 30 and snapshots > 0, (merged, snapshots)
 
 
-def test_engines_on_one_plan_book_its_shifts():
-    # every engine on a plan books the one-hub Shift the plan built for each
-    # kept run it does not merge, in the plan's order: scenario 2 books
-    # nothing else, scenarios 1 and 3 build a Shift only per merged pair;
-    # and each gives the outputs of an engine that builds its own plan
+def test_engines_on_one_plan_book_its_shifts(monkeypatch):
+    # each step builds one Shift per distinct kept run, shared by its
+    # copies; every engine on the plan books the plan's Shift for each kept
+    # run it does not merge, at strictly increasing positions of the plan's
+    # shifts: scenario 2 books the plan's list element for element,
+    # scenarios 1 and 3 build a Shift only per merged pair; and each gives
+    # the outputs of an engine that builds its own plan
+    shift_cls = engine_module.Shift
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(len(plan.steps))  # the step being planned
+        return shift_cls(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "Shift", counting)
     rng = np.random.default_rng(16)
-    merged = shared = 0
+    merged = shared = copies = 0
     for i in range(60):
         horizon = int(rng.integers(6, 25))
         net = random_network(
@@ -862,20 +1030,27 @@ def test_engines_on_one_plan_book_its_shifts():
         noise = str(rng.choice(["paper", "perfect"]))
         cfgs = {n: ScenarioConfig.for_scenario(n, net, arrivals, params, noise=noise) for n in (1, 2, 3)}
         for group in ((cfgs[1], cfgs[2]), (cfgs[3], dataclasses.replace(cfgs[3], label="again"))):
+            builds.clear()
             plan = RollingPlan(group[0])
             reports = [run_scenario(cfg, plan) for cfg in group]
-            built = {id(shift): k for k, shift in enumerate(shift for step in plan.steps for shift in step)}
+            for k, (runs, shifts) in enumerate(plan.steps):
+                assert builds.count(k) == len(set(runs)), (i, k)
+                assert [x.segments for x in shifts] == [(Segment(h, s, e, WORKING),) for s, h, e in runs], (i, k)
+                for a, b, run_a, run_b in zip(shifts, shifts[1:], runs, runs[1:]):
+                    assert (a is b) == (run_a == run_b), (i, k)
+                copies += len(runs) - len(set(runs))
+            planned = [shift for _runs, shifts in plan.steps for shift in shifts]
             for cfg, report in zip(group, reports):
-                assert _outputs(report) == _outputs(run_scenario(cfg)), (i, cfg.label)
                 unmerged = [e.shift for e in report.roster if len(e.shift.segments) == 1]
-                positions = [built[id(shift)] for shift in unmerged]
-                assert positions == sorted(set(positions)), (i, cfg.label)
+                _positions(unmerged, planned)
                 if not cfg.allow_cross_hub:
-                    assert len(unmerged) == len(report.roster), (i, cfg.label)
-                    assert positions == list(range(len(built))), (i, cfg.label)
+                    assert len(report.roster) == len(planned), (i, cfg.label)
+                    assert all(e.shift is x for e, x in zip(report.roster, planned)), (i, cfg.label)
                 merged += report.merged_shift_count
                 shared += len(unmerged)
-    assert merged > 30 and shared > 1000, (merged, shared)
+            for cfg, report in zip(group, reports):
+                assert _outputs(report) == _outputs(run_scenario(cfg)), (i, cfg.label)
+    assert merged > 30 and shared > 1000 and copies > 100, (merged, shared, copies)
 
 
 def _plan_case():
@@ -942,3 +1117,104 @@ def test_a_plan_serves_other_rates_labels_and_moves():
     ):
         run_scenario(dataclasses.replace(cfg, **other), plan)
     assert len(plan.steps) == 24
+
+
+def test_moving_pairs_are_built_once_per_network(monkeypatch):
+    # an engine reads the pairs its network already built: a second engine
+    # on the same network measures no distance, and a caller that changes
+    # the list it got does not change what the next call returns
+    calls = 0
+    real = network_module.distance
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    monkeypatch.setattr(network_module, "distance", counting)
+    net = random_network(n_hubs=12, n_gateways=1, area_m=6000, seed=5)
+    rows = {h: [0] * 6 for h in net.hub_ids}
+    first = RollingEngine(_cfg(net, rows, scenario=1))
+    assert calls == 12 * 11 // 2
+    calls = 0
+    second = RollingEngine(_cfg(net, rows, scenario=3))
+    assert calls == 0
+    assert second.pairs == first.pairs and second.pairs
+    pairs = build_moving_pairs(net)
+    expected = list(pairs)
+    pairs.reverse()
+    pairs.pop()
+    assert build_moving_pairs(net) == expected
+    assert build_moving_pairs(net) is not build_moving_pairs(net)
+    assert calls == 0
+    RollingEngine(_cfg(random_network(n_hubs=12, n_gateways=1, area_m=6000, seed=5), rows))
+    assert calls == 12 * 11 // 2  # another network builds its own
+
+
+def _csv_writer_rendering(header, head, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(head)
+    writer.writerows(rows)
+    return (header + buf.getvalue()).encode()
+
+
+def test_writers_render_the_rows_csv_writer_would(tmp_path):
+    # the roster, series and flows files are byte for byte what csv.writer
+    # writes (excel dialect): merged shifts with travel and rest, fractional
+    # fix times, headers or none
+    merged = Shift(
+        [
+            Segment(0, 0, 4, WORKING),
+            Segment(1, 4, 5, TRAVEL),
+            Segment(1, 5, 6, RESTING),
+            Segment(1, 6, 9, WORKING),
+        ],
+        move_distance_m=800.0,
+    )
+    one_hub = Shift([Segment(2, 3, 11, WORKING)])
+    roster = [
+        RosterEntry(0, merged, 0, 0.25, True),
+        RosterEntry(1, one_hub, 1, 0.0, True),
+        RosterEntry(2, one_hub, 0, 1.5, False),
+        RosterEntry(3, Shift([Segment(1, 12, 13, WORKING)]), 2, 11.75, False),
+    ]
+    series = {
+        h: {"arrivals": [h * 100 + t for t in range(14)], "working": [t % 3 for t in range(14)], "resting": [h] * 14}
+        for h in (2, 0, 1)
+    }
+    report = SimReport("s", CostLedger(rates=CostRates()), roster, 0, series, {(1, 0, 6): 2, (0, 1, 0): 1}, 0.0, 3)
+    # and real days: one that merges, one that replans every 15 minutes
+    merging = run_scenario(_cfg(_net(2, spread_m=800), _merge_showcase_rows(), scenario=1))
+    net = random_network(n_hubs=4, n_gateways=1, area_m=3000, seed=4)
+    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=20_000), 4)
+    params = ScenarioParams(seed=4, replan_min=15)
+    quarter = run_scenario(ScenarioConfig.for_scenario(1, net, arrivals, params, noise="paper"))
+    assert merging.merged_shift_count == 1
+    assert any(e.fixed_at_h % 1 for e in quarter.roster)
+    for k, rep in enumerate((report, merging, quarter)):
+        for header in ("", "# seed=42 config=abc\n"):
+            roster_rows = [
+                [e.shift_id, e.worker_id, idx, seg.hub_id, seg.kind, seg.start_h, seg.end_h, f"{e.fixed_at_h:g}"]
+                for e in rep.roster
+                for idx, seg in enumerate(e.shift.segments)
+            ]
+            series_rows = [
+                [h, t, rows["arrivals"][t], rows["working"][t], rows["resting"][t]]
+                for h, rows in sorted(rep.series.items())
+                for t in range(len(rows["arrivals"]))
+            ]
+            flow_rows = [[src, dst, window, count] for (src, dst, window), count in sorted(rep.flows.items())]
+            for write, head, rows in (
+                (
+                    write_roster_csv,
+                    ["shift_id", "worker_id", "segment_idx", "hub_id", "kind", "start_h", "end_h", "fixed_at_h"],
+                    roster_rows,
+                ),
+                (write_series_csv, ["hub_id", "slot_h", "arrivals", "workers_working", "workers_resting"], series_rows),
+                (write_flows_csv, ["from_hub", "to_hub", "window_start_h", "worker_moves"], flow_rows),
+            ):
+                path = tmp_path / f"{write.__name__}_{k}.csv"
+                write(path, rep, header)
+                assert path.read_bytes() == _csv_writer_rendering(header, head, rows), (k, write.__name__)
+    assert b"0.25\r\n" in (tmp_path / "write_roster_csv_0.csv").read_bytes()

@@ -30,12 +30,12 @@ def _runs(x, dwell):
 
 
 def _merge(runs_by_hub, pairs):
-    """merge_across_hubs of each hub's sorted ``(start, end)`` runs as
-    one-hub working shifts, over hubs 0 and 1, whose positions are their
-    ids; every pair within the 3000 m radius pays 10 Yuan to move, under the
-    50-Yuan hire, so every pair is eligible."""
-    shifts = {h: [Shift([Segment(h, s, e, "working")]) for s, e in runs] for h, runs in runs_by_hub.items()}
-    return merge_across_hubs(shifts, [(p.hub_a, p.hub_b, p) for p in pairs], RHO, 2)
+    """merge_across_hubs of each hub's ``(start, end)`` runs as one-hub
+    working shifts; every pair within the 3000 m radius pays 10 Yuan to
+    move, under the 50-Yuan hire, so every pair is eligible."""
+    runs = sorted((s, h, e) for h, hub_runs in runs_by_hub.items() for s, e in hub_runs)
+    shifts = [Shift([Segment(h, s, e, "working")]) for s, h, e in runs]
+    return merge_across_hubs(runs, shifts, pairs, RHO, 2)
 
 
 def _two_hub_net(dist_m, d_max_m=3000, speed=15000):
@@ -499,8 +499,9 @@ def test_merge_requires_saving_over_hire():
             ScenarioParams(horizon_h=12),
             rates=CostRates(hiring_per_day=hiring),
         )
-        kept = [Shift([Segment(0, 0, 4, "working")]), Shift([Segment(1, 5, 9, "working")])]
-        out = RollingEngine(cfg)._fixed_shifts(kept)
+        runs = [(0, 0, 4), (5, 1, 9)]
+        kept = [Shift([Segment(h, s, e, "working")]) for s, h, e in runs]
+        out = RollingEngine(cfg)._fixed_shifts(runs, kept)
         assert any(_has_move(s) for s in out) == merged  # moving 10 >= hiring 5
 
 
