@@ -114,7 +114,7 @@ def bench_book(steps, hub_ids, horizon_h):
             for start, hub, end in runs:
                 shift = Shift((Segment(hub, start, end, WORKING),))
                 worker, _lead, new_hire = pool.assign(shift, now)
-                roster.append(RosterEntry(len(roster), shift, worker.id, now, new_hire))
+                roster.append(RosterEntry(shift, worker, now, new_hire))
         roster_tables(roster, hub_ids, horizon_h, CostRates())
 
     return run

@@ -5,7 +5,7 @@ from .demand import ArrivalSeries, GeneratorConfig, forecast_matrix, generate_ar
 from .engine import RollingPlan, ScenarioConfig, SimReport, replay_execution, run_scenario
 from .ledger import CostLedger, CostRates, emergency_penalty, moving_payment
 from .network import Hub, HubNetwork, MovingPair, build_moving_pairs, distance, random_network
-from .pool import Worker, WorkforcePool
+from .pool import WorkforcePool
 from .shifts import Segment, Shift, combine_within_hub_detail, merge_across_hubs
 from .valuation import ValueWeights, shift_value, should_fix
 
@@ -31,7 +31,6 @@ __all__ = [
     "Segment",
     "Shift",
     "SimReport",
-    "Worker",
     "WorkforcePool",
     "ValueWeights",
     "build_moving_pairs",

@@ -88,14 +88,17 @@ DEFAULT_CONFIG = {
 
 def _check_number(name: str, value, default) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a JSON number
-    of the default's kind: an integer where the default is one, any number
-    where it is a float."""
+    of the default's kind: an integer where the default is one, any finite
+    number where it is a float (Python's ``json`` reads ``NaN`` and
+    ``Infinity``)."""
     if isinstance(default, int):
         ok, kind = isinstance(value, int), "an integer"
     else:
         ok, kind = isinstance(value, (int, float)), "a number"
     if not ok or isinstance(value, bool):
         raise ValueError(f"config key {name!r} must be {kind}, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"config key {name!r} must be finite, got {json.dumps(value)}")
 
 
 def load_config(path=None) -> dict:

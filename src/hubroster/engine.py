@@ -78,7 +78,6 @@ class ScenarioConfig:
 
 @dataclass(slots=True)
 class RosterEntry:
-    shift_id: int
     shift: Shift
     worker_id: int
     fixed_at_h: float
@@ -412,7 +411,7 @@ class RollingEngine:
         assign, roster = self.pool.assign, self.roster
         for cand in selected:
             worker, _lead, new_hire = assign(cand, now_h)
-            roster.append(RosterEntry(len(roster), cand, worker.id, now_h, new_hire))
+            roster.append(RosterEntry(cand, worker, now_h, new_hire))
         return len(selected)
 
     def run(self) -> SimReport:
@@ -481,11 +480,11 @@ def write_roster_csv(path, report: SimReport, header: str = "") -> None:
         write = fh.write
         write(header)
         write("shift_id,worker_id,segment_idx,hub_id,kind,start_h,end_h,fixed_at_h\r\n")
-        for entry in report.roster:
+        for shift_id, entry in enumerate(report.roster):
             tail = f"{entry.fixed_at_h:g}\r\n"
             for idx, seg in enumerate(entry.shift.segments):
                 write(
-                    f"{entry.shift_id},{entry.worker_id},{idx},{seg.hub_id},{seg.kind},"
+                    f"{shift_id},{entry.worker_id},{idx},{seg.hub_id},{seg.kind},"
                     f"{seg.start_h},{seg.end_h},{tail}"
                 )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,7 +109,7 @@ def write_ledger_json(path, ledger: CostLedger, meta: dict | None = None) -> Non
 def read_ledger_json(path) -> dict:
     """Read a ledger file; raises ``ValueError`` naming the file (and the
     key) unless it can be read and is a JSON object whose categories and
-    total are numbers."""
+    total are finite numbers."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -127,6 +128,8 @@ def read_ledger_json(path) -> dict:
             raise ValueError(
                 f"ledger file {path}: key {key!r} must be a number, got {json.dumps(value)}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"ledger file {path}: key {key!r} must be finite, got {json.dumps(value)}")
     return doc
 
 

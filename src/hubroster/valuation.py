@@ -29,15 +29,17 @@ class ValueWeights:
     fix_threshold: float = 0.9
 
     def __post_init__(self):
-        if min(self.urgency, self.utilization, self.continuity) < 0:
-            raise ValueError("value weights must be non-negative")
-        total = self.urgency + self.utilization + self.continuity
-        if abs(total - 1.0) > 1e-9:
+        # each check is written so that a NaN fails it
+        weights = (self.urgency, self.utilization, self.continuity)
+        if not all(w >= 0 for w in weights):
+            raise ValueError(f"value weights must be non-negative, got {weights}")
+        total = sum(weights)
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"value weights must sum to 1, got {total}")
         if not 0.0 <= self.fix_threshold <= 1.0:
             raise ValueError("fix_threshold must lie in [0, 1]")
-        if self.fix_lead_h <= 0:
-            raise ValueError("fix_lead_h must be positive")
+        if not self.fix_lead_h > 0:
+            raise ValueError(f"fix_lead_h must be positive, got {self.fix_lead_h}")
 
     @classmethod
     def from_params(cls, params) -> "ValueWeights":

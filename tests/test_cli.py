@@ -177,6 +177,8 @@ def test_compare_rejects_a_ledger_of_the_wrong_shape(tmp_path, capsys):
         (json.dumps({**LEDGER, "hiring": "x"}), "key 'hiring' must be a number, got \"x\""),
         (json.dumps({**LEDGER, "total": True}), "key 'total' must be a number, got true"),
         (json.dumps({**LEDGER, "moving": None}), "key 'moving' must be a number, got null"),
+        (json.dumps({**LEDGER, "hourly": math.nan}), "key 'hourly' must be finite, got NaN"),
+        (json.dumps({**LEDGER, "total": -math.inf}), "key 'total' must be finite, got -Infinity"),
     ):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -437,6 +439,12 @@ WRONG_TYPES = (
     ({"params": {"dwell_h": "2"}}, "'params.dwell_h' must be an integer, got \"2\""),
     ({"network": {"area_km": True}}, "'network.area_km' must be a number, got true"),
 )
+NON_FINITE = (
+    ({"params": {"urgency_weight": math.nan}}, "'params.urgency_weight' must be finite, got NaN"),
+    ({"params": {"fix_lead_h": math.inf}}, "'params.fix_lead_h' must be finite, got Infinity"),
+    ({"arrivals": {"gateway_weight": math.nan}}, "'arrivals.gateway_weight' must be finite, got NaN"),
+    ({"network": {"area_km": -math.inf}}, "'network.area_km' must be finite, got -Infinity"),
+)
 MISSPELLED = (
     ({"parms": {"dwell_h": 3}}, "unknown config key 'parms'"),
     ({"network": {"hubz": 4}}, "unknown config key 'network.hubz'"),
@@ -477,6 +485,15 @@ def test_run_rejects_a_value_of_the_wrong_type(tmp_path, capsys):
         assert message in _run_error(tmp_path, capsys, _add_to_frozen_config(extra))
 
 
+def test_generate_and_run_reject_a_non_finite_number(tmp_path, capsys):
+    # Python's json reads NaN and Infinity. A NaN urgency weight passed the
+    # sum check and ran a day with another ledger, and a NaN gateway weight
+    # failed with "hub 0: arrival counts must be non-negative"
+    for extra, message in NON_FINITE:
+        assert message in _generate_error(tmp_path, capsys, extra)
+        assert message in _run_error(tmp_path, capsys, _add_to_frozen_config(extra))
+
+
 def test_generate_rejects_a_misspelled_section_or_key(tmp_path, capsys):
     # both used to generate with the defaults, copying the stray key into the
     # frozen config.json
@@ -498,7 +515,7 @@ OUT_OF_RANGE = (
     ({"network": {"gateways": -1}}, "'network.gateways' must lie in [0, 52] (network.hubs), got -1"),
     ({"network": {"hubs": 2, "gateways": 3}}, "'network.gateways' must lie in [0, 2] (network.hubs), got 3"),
     ({"network": {"move_radius_m": 0}}, "'network.move_radius_m' must be positive, got 0"),
-    ({"network": {"walk_speed_m_per_h": math.inf}}, "'network.walk_speed_m_per_h' must be positive and finite, got inf"),
+    ({"network": {"walk_speed_m_per_h": math.inf}}, "'network.walk_speed_m_per_h' must be finite, got Infinity"),
 )
 
 

@@ -174,7 +174,7 @@ def test_determinism_same_seed_same_report():
     def run():
         rep = run_scenario(_cfg(net, rows, scenario=1, noise="paper", seed=11))
         roster = [
-            (e.shift_id, e.worker_id, e.lead_time_h, e.is_new_hire, tuple(
+            (e.worker_id, e.lead_time_h, e.is_new_hire, tuple(
                 (s.hub_id, s.start_h, s.end_h, s.kind) for s in e.shift.segments
             ))
             for e in rep.roster
@@ -724,7 +724,7 @@ def test_plan_residual_walks_on_from_the_last_step(monkeypatch):
 
 def _outputs(report):
     roster = [
-        (e.shift_id, e.worker_id, e.lead_time_h, e.is_new_hire, e.fixed_at_h, tuple(e.shift.segments))
+        (e.worker_id, e.lead_time_h, e.is_new_hire, e.fixed_at_h, tuple(e.shift.segments))
         for e in report.roster
     ]
     return (
@@ -1174,10 +1174,10 @@ def test_writers_render_the_rows_csv_writer_would(tmp_path):
     )
     one_hub = Shift([Segment(2, 3, 11, WORKING)])
     roster = [
-        RosterEntry(0, merged, 0, 0.25, True),
-        RosterEntry(1, one_hub, 1, 0.0, True),
-        RosterEntry(2, one_hub, 0, 1.5, False),
-        RosterEntry(3, Shift([Segment(1, 12, 13, WORKING)]), 2, 11.75, False),
+        RosterEntry(merged, 0, 0.25, True),
+        RosterEntry(one_hub, 1, 0.0, True),
+        RosterEntry(one_hub, 0, 1.5, False),
+        RosterEntry(Shift([Segment(1, 12, 13, WORKING)]), 2, 11.75, False),
     ]
     series = {
         h: {"arrivals": [h * 100 + t for t in range(14)], "working": [t % 3 for t in range(14)], "resting": [h] * 14}
@@ -1195,8 +1195,8 @@ def test_writers_render_the_rows_csv_writer_would(tmp_path):
     for k, rep in enumerate((report, merging, quarter)):
         for header in ("", "# seed=42 config=abc\n"):
             roster_rows = [
-                [e.shift_id, e.worker_id, idx, seg.hub_id, seg.kind, seg.start_h, seg.end_h, f"{e.fixed_at_h:g}"]
-                for e in rep.roster
+                [shift_id, e.worker_id, idx, seg.hub_id, seg.kind, seg.start_h, seg.end_h, f"{e.fixed_at_h:g}"]
+                for shift_id, e in enumerate(rep.roster)
                 for idx, seg in enumerate(e.shift.segments)
             ]
             series_rows = [

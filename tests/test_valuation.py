@@ -166,6 +166,10 @@ def test_weight_validation():
         ValueWeights(fix_threshold=1.5)
     with pytest.raises(ValueError):
         ValueWeights(fix_lead_h=0)
+    with pytest.raises(ValueError):
+        ValueWeights(urgency=math.nan, utilization=0.6, continuity=0.4)
+    with pytest.raises(ValueError):
+        ValueWeights(fix_lead_h=math.nan)
 
 
 @pytest.mark.parametrize(
@@ -175,8 +179,10 @@ def test_weight_validation():
         ({"urgency_weight": -0.2, "utilization_weight": 0.6, "continuity_weight": 0.6}, "non-negative"),
         ({"fix_threshold": 1.5}, r"fix_threshold must lie in \[0, 1\]"),
         ({"fix_lead_h": 0}, "fix_lead_h must be positive"),
+        ({"urgency_weight": math.nan}, r"non-negative, got \(nan, 0.3, 0.3\)"),
+        ({"fix_lead_h": math.nan}, "fix_lead_h must be positive, got nan"),
     ],
-    ids=["sum", "negative", "threshold", "fix-lead"],
+    ids=["sum", "negative", "threshold", "fix-lead", "nan-weight", "nan-fix-lead"],
 )
 def test_scenario_params_apply_the_value_weight_rules(overrides, message):
     with pytest.raises(ValueError, match=message):
