@@ -177,59 +177,68 @@ def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
     are merged earliest-start-first; each run merges at most once. A
     non-negative ``max_merges`` caps the number of merges performed.
 
-    A run of hub a only looks at hub b's runs whose start can give a
-    feasible gap: ``[e1 + ceil(travel), e1 + max_gap]`` when b goes second,
-    and ``[s1 - max_gap - hours_left, s1 - ceil(travel) - 1]`` when b goes
-    first, both found by bisecting b's run starts.
+    Both orders of a pair, a then b and b then a, are one search: each
+    unused first run ``(s1, e1)`` looks only at the second hub's runs that
+    start in ``[e1 + lead, e1 + max_gap]``, ``lead = ceil(travel)``, found
+    by bisecting that hub's run starts, which are listed once per call.
+    For runs of positive length this admits exactly the feasible
+    combinations:
+
+    - a gap of whole slots satisfies ``travel <= gap`` exactly when
+      ``gap >= lead``, and a second run that starts after the first ends
+      cannot overlap it;
+    - a b run that goes before an a run ``(s1, e1)`` is one that ends in
+      ``[s1 - max_gap, s1 - lead]``, which is the a run starting in that
+      b run's forward window;
+    - ``hours_a + hours_b <= max_work`` is the same test seen from either
+      run, so the first run's ``room`` (``max_work`` less its hours) bounds
+      the second's hours.
+
+    Each combination is keyed ``(first start, second start, first end,
+    second end, side, i, j)``, with ``side`` 0 when a goes first and ``i``,
+    ``j`` indexing the runs of a and b in either order, and the
+    combinations are merged in key order.
 
     Returns (merges, used) where merges is a list of
     (pair_idx, run_idx_a, run_idx_b, a_goes_first) and used marks consumed
     runs per hub.
     """
     used = [[False] * len(r) for r in runs_by_hub]
+    starts = [[s for s, _e in runs] for runs in runs_by_hub]
     merges = []
     for p_idx, (ia, ib, travel_h) in enumerate(pairs):
         if max_merges >= 0 and len(merges) >= max_merges:
             break
-        runs_a = runs_by_hub[ia]
-        runs_b = runs_by_hub[ib]
-        if not runs_a or not runs_b:
-            continue
-        used_a = used[ia]
-        used_b = used[ib]
-        starts_b = [s for s, _e in runs_b]
         lead = math.ceil(travel_h) if travel_h > 0 else 0  # fewest whole slots of gap
         combos = []
-        for i, (s1, e1) in enumerate(runs_a):
-            room = max_work - (e1 - s1)
-            if used_a[i] or room < 1:
-                continue
-            # b after a: the gap s2 - e1 is whole slots in [lead, max_gap]
-            for j in range(bisect_left(starts_b, e1 + lead), bisect_right(starts_b, e1 + max_gap)):
-                s2, e2 = runs_b[j]
-                if used_b[j] or e2 - s2 > room:
+        for side, h1, h2 in ((0, ia, ib), (1, ib, ia)):
+            runs_2, starts_2, used_1, used_2 = runs_by_hub[h2], starts[h2], used[h1], used[h2]
+            for k, (s1, e1) in enumerate(runs_by_hub[h1]):
+                if used_1[k]:
                     continue
-                combos.append(((s1, s2, e1, e2, 0, i, j), i, j, 1))
-            # b before a: s2 < e2 <= s1 - lead and e2 >= s1 - max_gap
-            for j in range(
-                bisect_left(starts_b, s1 - max_gap - room), bisect_right(starts_b, s1 - lead - 1)
-            ):
-                s2, e2 = runs_b[j]
-                if used_b[j] or e2 - s2 > room:
+                lo = bisect_left(starts_2, e1 + lead)
+                hi = bisect_right(starts_2, e1 + max_gap)
+                if lo == hi:
                     continue
-                gap = s1 - e2
-                if travel_h > gap or gap > max_gap:
+                room = max_work - (e1 - s1)
+                if room < 1:
                     continue
-                combos.append(((s2, s1, e2, e1, 1, i, j), i, j, 0))
+                for m in range(lo, hi):
+                    s2, e2 = runs_2[m]
+                    if used_2[m] or e2 - s2 > room:
+                        continue
+                    combos.append((s1, s2, e1, e2, side, m, k) if side else (s1, s2, e1, e2, 0, k, m))
         combos.sort()
-        for _key, i, j, a_first in combos:
+        used_a = used[ia]
+        used_b = used[ib]
+        for _s1, _s2, _e1, _e2, side, i, j in combos:
             if max_merges >= 0 and len(merges) >= max_merges:
                 break
             if used_a[i] or used_b[j]:
                 continue
             used_a[i] = True
             used_b[j] = True
-            merges.append((p_idx, i, j, a_first))
+            merges.append((p_idx, i, j, 1 - side))
     return merges, used
 
 

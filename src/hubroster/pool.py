@@ -9,13 +9,15 @@ payment is due once per worker per day.
 
 Pooled workers sit in one FIFO bucket per whole hour of remaining daily
 budget, ``floor(daily_cap_h - hours)``, each entry tagged with a release
-sequence number. A shift's working hours are whole slots, so a worker fits
-it exactly when the worker's bucket is at least the shift's working hours;
-the longest-idle fitting worker is the smallest-sequence head among those
-buckets. That is the worker a scan of one release-ordered queue would find
-first, but each pick looks at ``daily_cap_h + 1`` bucket heads instead of
-every pooled worker, most of whom have used up their day. One pick,
-``_take``, serves both ``assign`` (on the live buckets) and the hire budget
+sequence number. A shift's working hours are whole slots, at least one, so
+a worker fits it exactly when the worker's bucket is at least the shift's
+working hours; the longest-idle fitting worker is the smallest-sequence
+head among those buckets. That is the worker a scan of one release-ordered
+queue would find first, but each pick looks at no more than
+``floor(daily_cap_h)`` bucket heads instead of every pooled worker, most of
+whom have used up their day. A worker without a whole hour left fits no
+shift, so it counts as pooled but is never queued. One pick, ``_take``,
+serves both ``assign`` (on the live buckets) and the hire budget
 ``simulate_hires`` (on a copy, so each pooled worker is used once). Busy
 workers sit in a heap by shift end, so a release pops only the workers
 whose shift has ended instead of walking every worker hired so far.
@@ -47,7 +49,7 @@ class WorkforcePool:
         self.daily_cap_h = daily_cap_h
         self.hours: list[int] = []  # hours worked today, per worker id
         # _buckets[b]: (release_seq, worker id) of the pooled workers with b
-        # whole hours of budget left, longest idle first
+        # whole hours of budget left, longest idle first; _buckets[0] stays empty
         n_buckets = max(0, math.floor(daily_cap_h)) + 1
         self._buckets: list[deque[tuple[int, int]]] = [deque() for _ in range(n_buckets)]
         self._released = 0
@@ -66,6 +68,8 @@ class WorkforcePool:
         if start_h < now_h:
             raise ValueError("cannot assign a shift that starts in the past")
         working_h = shift.working_h
+        if working_h < 1:
+            raise ValueError("cannot assign a shift with no working hours")
         worker = _take(self._buckets, working_h) if self._pooled else None
         is_new_hire = worker is None
         if is_new_hire:
@@ -81,6 +85,8 @@ class WorkforcePool:
         """How many fresh hires assigning shifts with these working hours in
         order would need, without touching the pool. Used to bound the
         cross-hub merge pass."""
+        if working_hours and min(working_hours) < 1:
+            raise ValueError("cannot count hires for a shift with no working hours")
         if not self._pooled:
             return len(working_hours)
         buckets = [deque(q) for q in self._buckets]
@@ -98,7 +104,7 @@ class WorkforcePool:
         ids.sort()
         for i in ids:
             budget = math.floor(self.daily_cap_h - self.hours[i])
-            if budget >= 0:  # a worker hired past the cap never fits again
+            if budget > 0:  # a worker without a whole hour left never fits again
                 self._buckets[budget].append((self._released, i))
             self._released += 1
         self._pooled += len(ids)

@@ -468,6 +468,7 @@ def test_merge_runs_on_short_runs_only_matches_reference_on_all_runs():
     # run, full-length runs and copies of one run included
     rng = np.random.default_rng(18)
     seen = dict.fromkeys(("empty hub", "full", "short", "repeated", "merged"), 0)
+    order = dict.fromkeys(("a first", "b first", "gap = ceil(travel)", "gap = max_gap"), 0)
     for case in range(3000):
         max_work = int(rng.integers(1, 9))
         horizon = int(rng.integers(4, 16))
@@ -509,7 +510,17 @@ def test_merge_runs_on_short_runs_only_matches_reference_on_all_runs():
         seen["short"] += any(e - s < max_work for s, e in all_runs)
         seen["repeated"] += any(len(set(r)) < len(r) for r in runs_by_hub)
         seen["merged"] += bool(merges)
+        for p, i, j, a_first in mapped:
+            ia, ib, travel = pairs[p]
+            (_s1, e1), (s2, _e2) = (
+                (runs_by_hub[ia][i], runs_by_hub[ib][j]) if a_first else (runs_by_hub[ib][j], runs_by_hub[ia][i])
+            )
+            order["a first" if a_first else "b first"] += 1
+            order["gap = ceil(travel)"] += s2 - e1 == math.ceil(travel)
+            order["gap = max_gap"] += s2 - e1 == max_gap
     assert min(seen.values()) > 100, seen
+    # the kernel's one forward window is searched in both orders, up to both edges
+    assert min(order.values()) > 300, order
 
 
 def test_fixed_shifts_skip_the_budget_and_the_kernel_when_nothing_can_merge(monkeypatch):

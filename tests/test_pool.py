@@ -111,6 +111,19 @@ def test_assign_rejects_past_start():
         pool.assign(_shift(1, 2), 2)
 
 
+def test_assign_and_hire_count_reject_a_shift_without_working_hours():
+    # every pick asks for at least one hour, so a worker with less left is
+    # never queued; a rest-only shift is the one input that could ask for less
+    pool = WorkforcePool(daily_cap_h=8)
+    w, _, _ = pool.assign(_shift(0, 8), 0)
+    assert pool.release_finished(8) == [w]
+    with pytest.raises(ValueError, match="no working hours"):
+        pool.assign(Shift([Segment(0, 9, 11, "resting")]), 8)
+    with pytest.raises(ValueError, match="no working hours"):
+        pool.simulate_hires([2, 0])
+    assert (pool.pooled, pool.hires) == (1, 1)
+
+
 def _random_shift(rng, start, cap):
     """A shift starting at ``start`` whose working hours are 1..cap+1, split
     around an optional rest; cap+1 hours is a hire no pooled worker fits."""
@@ -144,6 +157,8 @@ def test_bucketed_pool_matches_linear_scan():
             out_of_order += [assigned[i] for i in released] != sorted(assigned[i] for i in released)
             assert fast.pooled == ref.pooled
             assert busy == ref.busy
+            queued = [w for q in fast._buckets for _seq, w in q]
+            assert all(cap - fast.hours[w] >= 1 for w in queued)
             if rng.random() < 0.3:  # shifts that all end together
                 end = now + rng.randint(1, 4)
                 batch = [_shift(end - w, w) for w in (rng.randint(1, end - now) for _ in range(rng.randint(2, 6)))]
