@@ -156,8 +156,9 @@ def params_from_config(cfg: dict, seed=None) -> ScenarioParams:
 def check_network(net: dict) -> None:
     """Raise ``ValueError`` naming the key for a ``network`` section that no
     network can be generated from: fewer than one hub, gateways outside
-    ``[0, hubs]``, an area or walk speed that is not a positive finite
-    number, or a move radius that is not positive."""
+    ``[0, hubs]``, or an area, move radius or walk speed that is not
+    positive. Non-finite numbers never get here: ``load_config`` rejects
+    them."""
     hubs, gateways, area = net["hubs"], net["gateways"], net["area_km"]
     if hubs < 1:
         raise ValueError(f"config key 'network.hubs' must be >= 1, got {hubs}")
@@ -165,13 +166,13 @@ def check_network(net: dict) -> None:
         raise ValueError(
             f"config key 'network.gateways' must lie in [0, {hubs}] (network.hubs), got {gateways}"
         )
-    if not 0 < area < math.inf:
-        raise ValueError(f"config key 'network.area_km' must be positive and finite, got {area}")
+    if not area > 0:
+        raise ValueError(f"config key 'network.area_km' must be positive, got {area}")
     radius, speed = net["move_radius_m"], net["walk_speed_m_per_h"]
     if not radius > 0:
         raise ValueError(f"config key 'network.move_radius_m' must be positive, got {radius}")
-    if not 0 < speed < math.inf:
-        raise ValueError(f"config key 'network.walk_speed_m_per_h' must be positive and finite, got {speed}")
+    if not speed > 0:
+        raise ValueError(f"config key 'network.walk_speed_m_per_h' must be positive, got {speed}")
 
 
 def config_hash(cfg: dict) -> str:

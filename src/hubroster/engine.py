@@ -140,8 +140,9 @@ def roster_tables(
 class RollingPlan:
     """The plan half of every replan step: the runs each step fixes.
 
-    The steps run at ``times``: every replan interval when the config is
-    rolling, otherwise once at hour 0 with everything fixed (``fix_all``).
+    The steps run at ``times``, one per replan interval ``replan_h``. A
+    config that is not rolling (scenario 3) replans over the whole horizon,
+    so its one step, at hour 0, fixes every run.
     A step's plan is its forecast and demand units, the FIFO residual
     against the capacity fixed so far, and the within-hub selection. It
     reads the network, the arrivals, the parameters, the noise mode and the
@@ -171,11 +172,8 @@ class RollingPlan:
         p = cfg.params
         self.hub_ids = sorted(cfg.network.hub_ids)
         self.n = p.horizon_h
-        self.fix_all = not cfg.rolling
-        if cfg.rolling:
-            self.times = [k * p.replan_h for k in range(math.ceil(self.n / p.replan_h))]
-        else:
-            self.times = [0.0]
+        self.replan_h = p.replan_h if cfg.rolling else float(self.n)
+        self.times = [k * self.replan_h for k in range(math.ceil(self.n / self.replan_h))]
         self.actual_matrix = np.array(
             [cfg.actuals[h].arrivals for h in self.hub_ids], dtype=np.int64
         )
@@ -280,8 +278,9 @@ class RollingPlan:
     def _fix_lengths(self, now_h: float, first_slot: int) -> list[int]:
         """The shortest run each start is fixed with at ``now_h``; a run
         starting at or past the table's end is not fixed, so its length is
-        the step's stop. Runs starting before the next replan, and every run
-        when ``fix_all``, are fixed whatever their length.
+        the step's stop. Runs starting before the next replan are fixed
+        whatever their length; with ``replan_h`` the whole horizon that is
+        every run.
 
         Past the next replan the table ends at the first start whose
         full-length rest-free run scores below the threshold. That run's
@@ -294,13 +293,11 @@ class RollingPlan:
         bisection. Both bounds are read off the very ``shift_value`` that
         decides the fix, so float rounding cannot disagree with them.
         """
-        if self.fix_all:
-            return [0] * self.n
         cap = self.cfg.params.max_work_h
         weights = self.weights
         threshold = weights.fix_threshold
         lengths = range(1, cap + 1)
-        edge = now_h + self.cfg.params.replan_h + 1e-9
+        edge = now_h + self.replan_h + 1e-9
         need = [0] * min(self.n, math.floor(edge) + 1)
         for start in range(len(need), self.n):
             if not should_fix(shift_value(start, cap, 0, now_h, weights, cap), threshold):

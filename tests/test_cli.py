@@ -508,14 +508,16 @@ def test_run_rejects_a_misspelled_section_or_key(tmp_path, capsys):
 
 
 OUT_OF_RANGE = (
-    ({"network": {"area_km": -1}}, "'network.area_km' must be positive and finite, got -1"),
-    ({"network": {"area_km": 0.0}}, "'network.area_km' must be positive and finite, got 0.0"),
+    ({"network": {"area_km": -1}}, "'network.area_km' must be positive, got -1"),
+    ({"network": {"area_km": 0.0}}, "'network.area_km' must be positive, got 0.0"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"network": {"hubs": 0}}, "'network.hubs' must be >= 1, got 0"),
     ({"network": {"gateways": -1}}, "'network.gateways' must lie in [0, 52] (network.hubs), got -1"),
     ({"network": {"hubs": 2, "gateways": 3}}, "'network.gateways' must lie in [0, 2] (network.hubs), got 3"),
     ({"network": {"move_radius_m": 0}}, "'network.move_radius_m' must be positive, got 0"),
     ({"network": {"walk_speed_m_per_h": math.inf}}, "'network.walk_speed_m_per_h' must be finite, got Infinity"),
+    ({"network": {"walk_speed_m_per_h": 0}}, "'network.walk_speed_m_per_h' must be positive, got 0"),
+    ({"network": {"walk_speed_m_per_h": -1}}, "'network.walk_speed_m_per_h' must be positive, got -1"),
 )
 
 
@@ -523,8 +525,9 @@ def test_generate_rejects_a_value_out_of_range(tmp_path, capsys):
     # the first two printed numpy's "high - low < 0" and "expected
     # non-negative integer", hubs 0 the misleading "n_gateways cannot exceed
     # n_hubs", gateways -1 generated a network without gateways, a move
-    # radius of 0 printed "d_max_m must be positive", and an infinite walk
-    # speed (JSON's Infinity) generated moves without a travel segment
+    # radius of 0 printed "d_max_m must be positive", an infinite walk
+    # speed (JSON's Infinity) generated moves without a travel segment, and
+    # a walk speed of 0 or below is refused before any network is built
     for extra, message in OUT_OF_RANGE:
         assert message in _generate_error(tmp_path, capsys, extra)
 

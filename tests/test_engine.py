@@ -594,8 +594,10 @@ def test_fixed_shifts_skip_the_budget_and_the_kernel_when_nothing_can_merge(monk
 
 
 def _plan_select(plan, residual, now_h, fix_all):
-    """The plan's selection of ``residual`` at ``now_h``, all fixed or not."""
-    plan.fix_all = fix_all
+    """The plan's selection of ``residual`` at ``now_h``; with ``fix_all``
+    the plan replans over the whole horizon, as scenario 3 does."""
+    if fix_all:
+        plan.replan_h = float(plan.n)
     first_slot = math.ceil(now_h - 1e-9)
     return plan._select(residual, first_slot, plan._fix_lengths(now_h, first_slot))
 
@@ -679,7 +681,8 @@ def test_fix_lengths_keep_exactly_the_runs_whose_value_reaches_the_threshold():
         else:
             threshold = 1.0
         plan.weights = weights = ValueWeights(urgency, utilization, continuity, lead, threshold)
-        plan.fix_all = fix_all
+        if fix_all:
+            plan.replan_h = float(plan.n)
         need = plan._fix_lengths(now_h, math.ceil(now_h - 1e-9))
         if rng.random() < 0.5:
             need += [cap + 1] * (plan.n - len(need))
@@ -1115,6 +1118,36 @@ def test_a_plan_steps_every_replan_interval_or_once_fixing_everything(monkeypatc
             steps = 0
             run_scenario(plan.cfg, plan)
             assert steps == len(plan.times) == len(plan.steps), (horizon, scenario)
+
+
+@pytest.mark.parametrize("noise", ["paper", "perfect"])
+def test_a_rolling_plan_that_replans_past_the_horizon_is_scenario_3(noise):
+    # scenario 3 is the rolling plan with one replan interval over the whole
+    # horizon: a rolling config whose interval reaches the horizon end (1440
+    # min) or passes it (2000 min) gives the same roster, ledger, late
+    # parcels, series, flows and forecast snapshots
+    rng = np.random.default_rng(21)
+    moved = late = 0
+    for i in range(12):
+        horizon = int(rng.integers(6, 25))
+        net = random_network(n_hubs=int(rng.integers(2, 7)), n_gateways=1, area_m=float(rng.uniform(1000, 5000)), seed=i)
+        rows = {h: [int(v) for v in rng.integers(0, 600, horizon) * (rng.random(horizon) < 0.5)] for h in net.hub_ids}
+        params = dict(
+            dwell_h=int(rng.integers(0, 4)),
+            max_work_h=int(rng.integers(1, 9)),
+            max_gap_h=int(rng.integers(0, 3)),
+            seed=i,
+        )
+        baseline = _cfg(net, rows, scenario=3, noise=noise, **params)
+        expected = _outputs(run_scenario(baseline, RollingPlan(baseline, collect_forecasts=True)))
+        for replan_min in (1440, 2000):
+            cfg = dataclasses.replace(
+                baseline, rolling=True, params=dataclasses.replace(baseline.params, replan_min=replan_min)
+            )
+            assert _outputs(run_scenario(cfg, RollingPlan(cfg, collect_forecasts=True))) == expected, (i, replan_min)
+        moved += bool(expected[4])
+        late += expected[2] > 0
+    assert moved > 3 and (late > 0) == (noise == "paper"), (moved, late)
 
 
 def test_a_plan_serves_other_rates_labels_and_moves():
