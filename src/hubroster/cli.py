@@ -49,16 +49,7 @@ def _build_instance(cfg: dict, seed: int):
         speed_m_per_h=float(net_cfg["walk_speed_m_per_h"]),
         seed=seed,
     )
-    arr_cfg = cfg["arrivals"]
-    profile = GeneratorConfig(
-        daily_volume=int(arr_cfg["daily_volume"]),
-        horizon_h=params.horizon_h,
-        gateway_weight=float(arr_cfg["gateway_weight"]),
-        hub_jitter=float(arr_cfg["hub_jitter"]),
-        cell_jitter=float(arr_cfg["cell_jitter"]),
-        local_peak_h=int(arr_cfg["local_peak_h"]),
-        gateway_peak_h=int(arr_cfg["gateway_peak_h"]),
-    )
+    profile = GeneratorConfig(horizon_h=params.horizon_h, **cfg["arrivals"])
     arrivals = generate_arrivals(net, profile, seed)
     return net, arrivals
 
@@ -94,7 +85,7 @@ def cmd_run(args) -> int:
     scenarios = [1, 2, 3] if args.scenario == "all" else [int(args.scenario)]
 
     try:
-        cfg = load_config(cfg_path if cfg_path.exists() else args.config)
+        cfg = load_config(cfg_path if cfg_path.exists() else None)
         seed = cfg["seed"] if args.seed is None else args.seed
         cfg["seed"] = seed
         net = load_network(net_path)
@@ -111,14 +102,15 @@ def cmd_run(args) -> int:
         return 1
 
     header = file_header(seed, config_hash(cfg))
-    reports, lines = [], []
+    columns, lines = [], []
     # scenarios 1 and 2 fix the same runs at every step: plan them once
-    plans: dict[bool, RollingPlan] = {}
+    plans: dict[int, RollingPlan] = {}
     for num, sc in zip(scenarios, configs):
-        if sc.rolling not in plans:
-            plans[sc.rolling] = RollingPlan(sc, collect_forecasts=args.debug_forecasts)
-        report = run_scenario(sc, plans[sc.rolling])
-        reports.append(report)
+        replan_min = sc.params.replan_min
+        if replan_min not in plans:
+            plans[replan_min] = RollingPlan(sc, collect_forecasts=args.debug_forecasts)
+        report = run_scenario(sc, plans[replan_min])
+        columns.append((f"scenario {num}", report.ledger.to_dict()))
         meta = {"seed": seed, "config": config_hash(cfg), "scenario": num, "noise": args.noise}
         write_ledger_json(out / f"ledger_s{num}.json", report.ledger, meta)
         write_ledger_csv(out / f"ledger_s{num}.csv", report.ledger, header)
@@ -135,8 +127,8 @@ def cmd_run(args) -> int:
             f"[{report.runtime_s:.2f}s]"
         )
 
-    if len(reports) > 1:
-        lines += ["", _comparison_table([(f"scenario {r.label[-1]}", r.ledger.to_dict()) for r in reports])]
+    if len(columns) > 1:
+        lines += ["", _comparison_table(columns)]
     # printed once every file is written, so a reader that stops early
     # (``| head``) cannot cut the run short
     print("\n".join(lines))
@@ -185,7 +177,6 @@ def main(argv=None) -> int:
     p_gen.set_defaults(func=cmd_generate)
 
     p_run = sub.add_parser("run", help="run scheduling scenarios on a generated instance")
-    p_run.add_argument("--config", type=Path, default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", type=Path, required=True)
     p_run.add_argument("--scenario", choices=["1", "2", "3", "all"], default="all")

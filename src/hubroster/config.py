@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .demand import GeneratorConfig
 from .valuation import ValueWeights
 
 
@@ -74,14 +75,8 @@ DEFAULT_CONFIG = {
         "move_radius_m": 3000.0,
         "walk_speed_m_per_h": 15000.0,
     },
-    "arrivals": {
-        "daily_volume": 1_173_253,
-        "gateway_weight": 8.0,
-        "hub_jitter": 0.2,
-        "cell_jitter": 0.25,
-        "local_peak_h": 12,
-        "gateway_peak_h": 2,
-    },
+    # GeneratorConfig's defaults; its horizon is ``params.horizon_h``
+    "arrivals": {f.name: f.default for f in fields(GeneratorConfig) if f.name != "horizon_h"},
     "params": {},  # overrides of ScenarioParams fields
 }
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,9 +33,9 @@ from .shifts import RESTING, WORKING, Segment, Shift, combine_within_hub_detail,
 from .valuation import ValueWeights, shift_value, should_fix
 
 SCENARIO_PRESETS = {
-    1: {"allow_cross_hub": True, "rolling": True},
-    2: {"allow_cross_hub": False, "rolling": True},
-    3: {"allow_cross_hub": True, "rolling": False},
+    1: {"allow_cross_hub": True},
+    2: {"allow_cross_hub": False},
+    3: {"allow_cross_hub": True},
 }
 
 
@@ -45,14 +45,19 @@ class ScenarioConfig:
     actuals: dict[int, ArrivalSeries]
     params: ScenarioParams
     allow_cross_hub: bool = True
-    rolling: bool = True
     noise: str = "paper"  # "paper" or "perfect"
     rates: CostRates = field(default_factory=CostRates)
     label: str = ""
 
     @classmethod
     def for_scenario(cls, number: int, network, actuals, params, noise="paper", rates=None):
+        """Scenario ``number``'s config on the given instance: 1 replans
+        every ``params.replan_min`` with cross-hub moves, 2 without them,
+        and 3 is 1 replanned once, over the whole horizon (a copy of
+        ``params`` with ``replan_min = 60 * horizon_h``)."""
         preset = SCENARIO_PRESETS[number]
+        if number == 3:
+            params = replace(params, replan_min=60 * params.horizon_h)
         return cls(
             network=network,
             actuals=actuals,
@@ -140,9 +145,9 @@ def roster_tables(
 class RollingPlan:
     """The plan half of every replan step: the runs each step fixes.
 
-    The steps run at ``times``, one per replan interval ``replan_h``. A
-    config that is not rolling (scenario 3) replans over the whole horizon,
-    so its one step, at hour 0, fixes every run.
+    The steps run at ``times``, one per replan interval ``replan_h``.
+    Scenario 3 replans over the whole horizon, so its one step, at hour 0,
+    fixes every run.
     A step's plan is its forecast and demand units, the FIFO residual
     against the capacity fixed so far, and the within-hub selection. It
     reads the network, the arrivals, the parameters, the noise mode and the
@@ -172,7 +177,7 @@ class RollingPlan:
         p = cfg.params
         self.hub_ids = sorted(cfg.network.hub_ids)
         self.n = p.horizon_h
-        self.replan_h = p.replan_h if cfg.rolling else float(self.n)
+        self.replan_h = p.replan_h
         self.times = [k * self.replan_h for k in range(math.ceil(self.n / self.replan_h))]
         self.actual_matrix = np.array(
             [cfg.actuals[h].arrivals for h in self.hub_ids], dtype=np.int64
@@ -198,7 +203,7 @@ class RollingPlan:
         for name in ("network", "actuals"):
             if getattr(cfg, name) is not getattr(own, name):
                 raise ValueError(f"the plan was built for another {name} object")
-        for name in ("params", "noise", "rolling"):
+        for name in ("params", "noise"):
             if getattr(cfg, name) != getattr(own, name):
                 raise ValueError(f"the plan was built with other {name}")
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hubroster.cli import main
+from hubroster.config import DEFAULT_CONFIG, config_hash, file_header
 
 TINY = {
     "seed": 7,
@@ -202,6 +203,27 @@ def test_debug_dumps(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --debug-workers" in capsys.readouterr().err
     assert not (out / "workers_s2.csv").exists()
+
+
+def test_run_reads_the_instance_config_and_takes_no_other(tmp_path, capsys):
+    # ``run`` has no --config: it reads the instance's config.json, so a
+    # second config beside it would be ignored
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    other = tmp_path / "c.json"
+    other.write_text(json.dumps({"params": {"dwell_h": 3}}))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(other), "--out", str(out), "--scenario", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (out / "ledger_s1.json").exists()
+    # without the instance's config.json, ``run`` reads the defaults
+    (out / "config.json").unlink()
+    assert main(["run", "--out", str(out), "--scenario", "1"]) == 0
+    header = file_header(DEFAULT_CONFIG["seed"], config_hash(DEFAULT_CONFIG))
+    assert (out / "ledger_s1.csv").read_text().startswith(header)
 
 
 def _run_error(tmp_path, capsys, edit):

@@ -1074,19 +1074,21 @@ def _plan_case():
     return net, arrivals, params, RollingPlan(ScenarioConfig.for_scenario(1, net, arrivals, params, noise="paper"))
 
 
-@pytest.mark.parametrize("field", ["network", "actuals", "params", "noise", "rolling"])
-def test_a_plan_refuses_an_engine_that_plans_other_steps(field):
+@pytest.mark.parametrize("case", ["network", "actuals", "params", "noise", "scenario3"])
+def test_a_plan_refuses_an_engine_that_plans_other_steps(case):
     net, arrivals, params, plan = _plan_case()
-    other = {
-        "network": dict(network=random_network(n_hubs=4, n_gateways=1, area_m=3000, seed=4)),
-        "actuals": dict(actuals=dict(arrivals)),
-        "params": dict(params=ScenarioParams(seed=4, dwell_h=2)),
-        "noise": dict(noise="perfect"),
-        "rolling": dict(rolling=False),
-    }[field]
     cfg = ScenarioConfig.for_scenario(2, net, arrivals, params, noise="paper")
+    other_net = random_network(n_hubs=4, n_gateways=1, area_m=3000, seed=4)
+    field, other = {
+        "network": ("network", dataclasses.replace(cfg, network=other_net)),
+        "actuals": ("actuals", dataclasses.replace(cfg, actuals=dict(arrivals))),
+        "params": ("params", dataclasses.replace(cfg, params=ScenarioParams(seed=4, dwell_h=2))),
+        "noise": ("noise", dataclasses.replace(cfg, noise="perfect")),
+        # scenario 3 replans once a day: its params differ in replan_min
+        "scenario3": ("params", ScenarioConfig.for_scenario(3, net, arrivals, params, noise="paper")),
+    }[case]
     with pytest.raises(ValueError, match=field):
-        RollingEngine(dataclasses.replace(cfg, **other), plan=plan)
+        RollingEngine(other, plan=plan)
 
 
 @pytest.mark.parametrize("replan_min", [15, 45, 60, 1440])
@@ -1122,10 +1124,11 @@ def test_a_plan_steps_every_replan_interval_or_once_fixing_everything(monkeypatc
 
 @pytest.mark.parametrize("noise", ["paper", "perfect"])
 def test_a_rolling_plan_that_replans_past_the_horizon_is_scenario_3(noise):
-    # scenario 3 is the rolling plan with one replan interval over the whole
-    # horizon: a rolling config whose interval reaches the horizon end (1440
-    # min) or passes it (2000 min) gives the same roster, ledger, late
-    # parcels, series, flows and forecast snapshots
+    # scenario 3 is scenario 1 with one replan interval over the whole
+    # horizon: a scenario-1 config whose interval reaches the horizon end
+    # (1440 min) or passes it (2000 min) gives the same roster, ledger, late
+    # parcels, series, flows and forecast snapshots. Building scenario 3
+    # leaves the caller's params as they were
     rng = np.random.default_rng(21)
     moved = late = 0
     for i in range(12):
@@ -1138,12 +1141,14 @@ def test_a_rolling_plan_that_replans_past_the_horizon_is_scenario_3(noise):
             max_gap_h=int(rng.integers(0, 3)),
             seed=i,
         )
-        baseline = _cfg(net, rows, scenario=3, noise=noise, **params)
+        scenario1 = _cfg(net, rows, scenario=1, noise=noise, **params)
+        before = dataclasses.replace(scenario1.params)
+        baseline = ScenarioConfig.for_scenario(3, net, scenario1.actuals, scenario1.params, noise=noise)
+        assert scenario1.params == before
+        assert baseline.params == dataclasses.replace(before, replan_min=60 * horizon)
         expected = _outputs(run_scenario(baseline, RollingPlan(baseline, collect_forecasts=True)))
         for replan_min in (1440, 2000):
-            cfg = dataclasses.replace(
-                baseline, rolling=True, params=dataclasses.replace(baseline.params, replan_min=replan_min)
-            )
+            cfg = dataclasses.replace(scenario1, params=dataclasses.replace(scenario1.params, replan_min=replan_min))
             assert _outputs(run_scenario(cfg, RollingPlan(cfg, collect_forecasts=True))) == expected, (i, replan_min)
         moved += bool(expected[4])
         late += expected[2] > 0
