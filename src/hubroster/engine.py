@@ -8,10 +8,12 @@ everything starting before the next replan: that is the step's plan
 (``RollingPlan``), which builds one one-hub ``Shift`` per distinct kept run.
 The booking half (``RollingEngine``) merges the short ones across hubs,
 building a ``Shift`` only for each merged pair, assigns pooled workers and
-appends the roster entries. After the last step the ledger, the resting
-rows and the flows are derived from the finished roster in one pass
-(``roster_tables``), and the roster is replayed against the actual arrivals
-to count parcels that missed their dwell deadline.
+appends the roster entries. After its last step the plan replays the
+capacity of its kept runs against the actual arrivals once, to count the
+parcels that missed their dwell deadline; every engine on the plan reads
+that count. After an engine's last step the ledger, the resting rows and
+the flows are derived from its finished roster in one pass
+(``roster_tables``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -167,6 +170,13 @@ class RollingPlan:
     end)`` run tuples are kept beside the shifts, so the merge reads them
     rather than the shifts' properties.
 
+    After its last step the plan replays its ``capacity`` against the
+    actual arrivals once (``replay_execution``) and keeps the late-parcel
+    count in ``late_parcels`` (None until then). The count reads only the
+    arrivals, the capacity, ``dwell_h`` and ``work_rate``, which ``check``
+    pins for every engine on the plan, so each engine's report reads it
+    instead of replaying the day again.
+
     With ``collect_forecasts`` every step records its ``ForecastSnapshot``
     in ``forecast_snapshots``.
     """
@@ -194,6 +204,7 @@ class RollingPlan:
         self.steps: list[tuple[list[tuple[int, int, int]], list[Shift]]] = []
         self.collect_forecasts = collect_forecasts
         self.forecast_snapshots: list[ForecastSnapshot] = []
+        self.late_parcels: int | None = None
 
     def check(self, cfg: ScenarioConfig) -> None:
         """Raise ``ValueError`` unless ``cfg`` plans the same steps as the
@@ -231,6 +242,10 @@ class RollingPlan:
                     shift = Shift((Segment(h, start, end, WORKING),))
                 shifts.append(shift)
             self.steps.append((kept, shifts))
+            if len(self.steps) == len(self.times):
+                p = self.cfg.params
+                arrivals = {h: self.cfg.actuals[h].arrivals for h in self.hub_ids}
+                self.late_parcels = replay_execution(arrivals, self.capacity, p.dwell_h, p.work_rate)
         return self.steps[k]
 
     def _demand_units(self, now_h: float, first_slot: int) -> dict[int, list[int]]:
@@ -403,11 +418,16 @@ class RollingEngine:
 
     def step(self) -> int:
         """The next replan pass, at the plan's next step time; returns the
-        number of shifts fixed."""
-        now_h = self.plan.times[self.steps_taken]
+        number of shifts fixed. Raises ``ValueError`` once every step of the
+        plan has been taken."""
+        k = self.steps_taken
+        times = self.plan.times
+        if k == len(times):
+            raise ValueError(f"all {k} steps of the plan have been taken")
+        now_h = times[k]
         self.pool.release_finished(now_h)
-        runs, kept = self.plan.kept(self.steps_taken)
-        self.steps_taken += 1
+        runs, kept = self.plan.kept(k)
+        self.steps_taken = k + 1
         selected = self._fixed_shifts(runs, kept)
 
         assign, roster = self.pool.assign, self.roster
@@ -417,15 +437,16 @@ class RollingEngine:
         return len(selected)
 
     def run(self) -> SimReport:
+        """Take the steps not yet taken and report the whole day; a second
+        call reports the same day again."""
         t0 = time.perf_counter()
-        p = self.cfg.params
-        for _ in self.plan.times:
+        for _ in range(self.steps_taken, len(self.plan.times)):
             self.step()
 
         ledger, resting, flows = roster_tables(self.roster, self.hub_ids, self.n, self.cfg.rates)
         arrivals = {h: self.cfg.actuals[h].arrivals for h in self.hub_ids}
         capacity = self.plan.capacity
-        late = replay_execution(arrivals, capacity, p.dwell_h, p.work_rate)
+        late = self.plan.late_parcels
         lateness_penalty(late, ledger)
         series = {
             h: {"arrivals": arrivals[h], "working": list(capacity[h]), "resting": resting[h]}
@@ -473,35 +494,37 @@ def run_scenario(cfg: ScenarioConfig, plan: RollingPlan | None = None) -> SimRep
 
 
 # The writers render the rows ``csv.writer`` would (excel dialect: ``\r\n``
-# line ends; no field here is ever quoted) one f-string at a time, straight
-# to the file.
+# line ends; no field here is ever quoted). The roster and series writers
+# collect every row's fields in one flat list and render the file with one
+# ``%`` template repeated per row: ``%s`` is ``str``, as an f-string's ``{}``
+# is, and ``%g`` is ``:g``.
 
 
 def write_roster_csv(path, report: SimReport, header: str = "") -> None:
+    fields = []
+    add = fields.extend
+    for shift_id, entry in enumerate(report.roster):
+        worker, fixed = entry.worker_id, entry.fixed_at_h
+        for idx, seg in enumerate(entry.shift.segments):
+            add((shift_id, worker, idx, seg.hub_id, seg.kind, seg.start_h, seg.end_h, fixed))
     with open(path, "w", newline="") as fh:
-        write = fh.write
-        write(header)
-        write("shift_id,worker_id,segment_idx,hub_id,kind,start_h,end_h,fixed_at_h\r\n")
-        for shift_id, entry in enumerate(report.roster):
-            tail = f"{entry.fixed_at_h:g}\r\n"
-            for idx, seg in enumerate(entry.shift.segments):
-                write(
-                    f"{shift_id},{entry.worker_id},{idx},{seg.hub_id},{seg.kind},"
-                    f"{seg.start_h},{seg.end_h},{tail}"
-                )
+        fh.write(header)
+        fh.write("shift_id,worker_id,segment_idx,hub_id,kind,start_h,end_h,fixed_at_h\r\n")
+        fh.write("%s,%s,%s,%s,%s,%s,%s,%g\r\n" * (len(fields) // 8) % tuple(fields))
 
 
 def write_series_csv(path, report: SimReport, header: str = "") -> None:
+    fields = []
+    for h in sorted(report.series):
+        rows = report.series[h]
+        arrivals = rows["arrivals"]
+        fields += chain.from_iterable(
+            zip(repeat(h), range(len(arrivals)), arrivals, rows["working"], rows["resting"])
+        )
     with open(path, "w", newline="") as fh:
-        write = fh.write
-        write(header)
-        write("hub_id,slot_h,arrivals,workers_working,workers_resting\r\n")
-        for h in sorted(report.series):
-            rows = report.series[h]
-            for t, (arrived, working, resting) in enumerate(
-                zip(rows["arrivals"], rows["working"], rows["resting"])
-            ):
-                write(f"{h},{t},{arrived},{working},{resting}\r\n")
+        fh.write(header)
+        fh.write("hub_id,slot_h,arrivals,workers_working,workers_resting\r\n")
+        fh.write("%s,%s,%s,%s,%s\r\n" * (len(fields) // 5) % tuple(fields))
 
 
 def write_flows_csv(path, report: SimReport, header: str = "") -> None:

@@ -44,13 +44,18 @@ class Segment:
 class Shift:
     """One worker's plan: contiguous segments from first start to last end.
 
-    A value: its hours are summed once, when it is built, and a merged
-    shift carries the distance of its one move (0 for a one-hub shift)."""
+    A value: its hours and its bounds (the first segment's start, the last
+    one's end) are set once, when it is built, and a merged shift carries
+    the distance of its one move (0 for a one-hub shift). The bounds follow
+    from the segments, so they take no part in equality or hashing; a
+    shift with no segments has both bounds 0."""
 
     segments: tuple[Segment, ...]
     move_distance_m: float = 0.0
     working_h: int = field(init=False)
     resting_h: int = field(init=False)
+    start_h: int = field(init=False, compare=False)
+    end_h: int = field(init=False, compare=False)
 
     def __post_init__(self):
         segments = tuple(self.segments)
@@ -63,14 +68,8 @@ class Shift:
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "working_h", working_h)
         object.__setattr__(self, "resting_h", resting_h)
-
-    @property
-    def start_h(self) -> int:
-        return self.segments[0].start_h
-
-    @property
-    def end_h(self) -> int:
-        return self.segments[-1].end_h
+        object.__setattr__(self, "start_h", segments[0].start_h if segments else 0)
+        object.__setattr__(self, "end_h", segments[-1].end_h if segments else 0)
 
     def moves(self):
         """Yield ``(from_hub, to_hub, travel_segment)`` for each relocation:

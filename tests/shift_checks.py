@@ -10,6 +10,8 @@ def validate_shift(shift: Shift, max_work_h: int) -> None:
     segs = shift.segments
     if not segs:
         raise ValueError("shift has no segments")
+    if (shift.start_h, shift.end_h) != (segs[0].start_h, segs[-1].end_h):
+        raise ValueError("stored bounds differ from the segments'")
     for a, b in zip(segs, segs[1:]):
         if a.end_h != b.start_h:
             raise ValueError("segments must be contiguous")

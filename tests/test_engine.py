@@ -1067,6 +1067,103 @@ def test_engines_on_one_plan_book_its_shifts(monkeypatch):
     assert merged > 30 and shared > 1000 and copies > 100, (merged, shared, copies)
 
 
+def _random_day(rng, i, replan_choices, high=600, density=0.4):
+    """A random small day: network, arrivals and params; sparse rows leave
+    gaps that a merge can bridge."""
+    horizon = int(rng.integers(6, 25))
+    net = random_network(
+        n_hubs=int(rng.integers(2, 8)), n_gateways=1, area_m=float(rng.uniform(1000, 6000)), seed=i
+    )
+    arrivals = {
+        h: ArrivalSeries(h, [int(v) for v in rng.integers(0, high, horizon) * (rng.random(horizon) < density)])
+        for h in net.hub_ids
+    }
+    params = ScenarioParams(
+        horizon_h=horizon,
+        dwell_h=int(rng.integers(0, 3)),
+        max_work_h=int(rng.integers(1, 9)),
+        max_gap_h=int(rng.integers(0, 3)),
+        replan_min=int(rng.choice(replan_choices)),
+        seed=i,
+    )
+    return net, arrivals, params
+
+
+def test_a_plan_replays_its_capacity_once_for_every_engine(monkeypatch):
+    # after its last step the plan replays its capacity against the actual
+    # arrivals once; both engines on it report that count, and it is the
+    # replay of the plan's capacity, also on dwell-0 days with late parcels
+    real = engine_module.replay_execution
+    replays = 0
+
+    def counting(*args):
+        nonlocal replays
+        replays += 1
+        return real(*args)
+
+    monkeypatch.setattr(engine_module, "replay_execution", counting)
+    rng = np.random.default_rng(23)
+    late_plans = dwell0_late_plans = 0
+    for i in range(30):
+        net, arrivals, params = _random_day(rng, i, [15, 20, 60, 90], high=900, density=0.7)
+        noise = str(rng.choice(["paper", "perfect"]))
+        cfgs = {n: ScenarioConfig.for_scenario(n, net, arrivals, params, noise=noise) for n in (1, 2, 3)}
+        for group in ((cfgs[1], cfgs[2]), (cfgs[3], dataclasses.replace(cfgs[3], allow_cross_hub=False))):
+            plan = RollingPlan(group[0])
+            replays = 0
+            reports = [run_scenario(cfg, plan) for cfg in group]
+            assert replays == 1, i
+            p = group[0].params
+            late = real({h: arrivals[h].arrivals for h in net.hub_ids}, plan.capacity, p.dwell_h, p.work_rate)
+            assert plan.late_parcels == late, i
+            for report in reports:
+                assert report.late_parcels == late, (i, report.label)
+                assert report.ledger.lateness == late * report.ledger.rates.lateness_per_parcel
+            late_plans += late > 0
+            dwell0_late_plans += late > 0 and p.dwell_h == 0
+    assert late_plans > 5 and dwell0_late_plans > 2, (late_plans, dwell0_late_plans)
+
+
+def test_run_takes_only_the_steps_not_yet_taken():
+    # run() after any number of step() calls, and a second run(), report the
+    # day a plain run reports; a step past the plan's last raises and
+    # changes nothing
+    rng = np.random.default_rng(29)
+    for i in range(24):
+        net, arrivals, params = _random_day(rng, i, [15, 20, 60, 90])
+        cfg = ScenarioConfig.for_scenario(int(rng.integers(1, 4)), net, arrivals, params, noise="paper")
+        collect = bool(rng.random() < 0.5)
+        plain = _outputs(run_scenario(cfg, RollingPlan(cfg, collect_forecasts=collect)))
+        engine = RollingEngine(cfg, RollingPlan(cfg, collect_forecasts=collect))
+        steps = len(engine.plan.times)
+        for _ in range(int(rng.integers(0, steps + 1))):
+            engine.step()
+        assert _outputs(engine.run()) == plain, i
+        assert _outputs(engine.run()) == plain, i
+        with pytest.raises(ValueError, match=f"all {steps} steps of the plan have been taken"):
+            engine.step()
+        assert engine.steps_taken == steps
+        assert _outputs(engine.run()) == plain, i
+
+
+def test_every_shift_stores_its_bounds():
+    # a plan's one-hub shifts and every booked shift, merged ones included,
+    # store the first segment's start and the last one's end
+    rng = np.random.default_rng(37)
+    merged = 0
+    for i in range(20):
+        net, arrivals, params = _random_day(rng, i, [15, 45, 60])
+        cfgs = [ScenarioConfig.for_scenario(n, net, arrivals, params, noise="paper") for n in (1, 3)]
+        for cfg in cfgs:
+            plan = RollingPlan(cfg)
+            report = run_scenario(cfg, plan)
+            shifts = [x for _runs, step in plan.steps for x in step] + [e.shift for e in report.roster]
+            for shift in shifts:
+                assert (shift.start_h, shift.end_h) == (shift.segments[0].start_h, shift.segments[-1].end_h)
+            merged += report.merged_shift_count
+    assert merged > 10, merged
+
+
 def _plan_case():
     net = random_network(n_hubs=4, n_gateways=1, area_m=3000, seed=4)
     arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=20_000), 4)
@@ -1267,3 +1364,55 @@ def test_writers_render_the_rows_csv_writer_would(tmp_path):
                 write(path, rep, header)
                 assert path.read_bytes() == _csv_writer_rendering(header, head, rows), (k, write.__name__)
     assert b"0.25\r\n" in (tmp_path / "write_roster_csv_0.csv").read_bytes()
+
+
+def _fstring_roster_csv(path, report, header=""):
+    """The roster writer as it was before the one-template rendering, one
+    f-string per row: the reference its output must match."""
+    with open(path, "w", newline="") as fh:
+        write = fh.write
+        write(header)
+        write("shift_id,worker_id,segment_idx,hub_id,kind,start_h,end_h,fixed_at_h\r\n")
+        for shift_id, entry in enumerate(report.roster):
+            tail = f"{entry.fixed_at_h:g}\r\n"
+            for idx, seg in enumerate(entry.shift.segments):
+                write(f"{shift_id},{entry.worker_id},{idx},{seg.hub_id},{seg.kind},{seg.start_h},{seg.end_h},{tail}")
+
+
+def _fstring_series_csv(path, report, header=""):
+    """The series writer as it was before the one-template rendering."""
+    with open(path, "w", newline="") as fh:
+        write = fh.write
+        write(header)
+        write("hub_id,slot_h,arrivals,workers_working,workers_resting\r\n")
+        for h in sorted(report.series):
+            rows = report.series[h]
+            for t, (arrived, working, resting) in enumerate(zip(rows["arrivals"], rows["working"], rows["resting"])):
+                write(f"{h},{t},{arrived},{working},{resting}\r\n")
+
+
+def test_templated_writers_match_the_fstring_writers_on_random_days(tmp_path):
+    # the one-template roster and series writers give the bytes of the
+    # f-string writers they replaced on random days: merged shifts with
+    # travel and rest, fix times that are fractional at 15 and 20 minutes,
+    # an empty roster, and headers with and without a '%'
+    rng = np.random.default_rng(41)
+    kinds = set()
+    fractional = 0
+    for i in range(24):
+        net, arrivals, params = _random_day(rng, i, [15, 20, 60])
+        cfg = ScenarioConfig.for_scenario(int(rng.choice([1, 3])), net, arrivals, params, noise="paper")
+        report = run_scenario(cfg)
+        kinds |= {seg.kind for e in report.roster for seg in e.shift.segments}
+        fractional += sum(e.fixed_at_h % 1 != 0 for e in report.roster)
+        for header in ("", "# seed=42 config=abc\n", "# 100% of 5%s\n"):
+            for new, old in ((write_roster_csv, _fstring_roster_csv), (write_series_csv, _fstring_series_csv)):
+                new(tmp_path / "new.csv", report, header)
+                old(tmp_path / "old.csv", report, header)
+                assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), (i, new.__name__)
+    assert kinds == {WORKING, TRAVEL, RESTING} and fractional > 100, (kinds, fractional)
+    empty = SimReport("s", CostLedger(rates=CostRates()), [], 0, {}, {}, 0.0, 0)
+    for new, old in ((write_roster_csv, _fstring_roster_csv), (write_series_csv, _fstring_series_csv)):
+        new(tmp_path / "new.csv", empty, "# h\n")
+        old(tmp_path / "old.csv", empty, "# h\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -612,10 +612,25 @@ def test_validate_shift_rejects_each_breach(segments, message):
 def test_shift_rejects_assignment():
     shift = Shift([Segment(0, 0, 2, "working")])
     assert shift.segments == (Segment(0, 0, 2, "working"),)
-    for name, value in (("segments", ()), ("move_distance_m", 1.0), ("working_h", 3), ("resting_h", 1)):
+    for name, value in (
+        ("segments", ()),
+        ("move_distance_m", 1.0),
+        ("working_h", 3),
+        ("resting_h", 1),
+        ("start_h", 1),
+        ("end_h", 3),
+    ):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(shift, name, value)
     assert (shift.working_h, shift.resting_h, shift.move_distance_m) == (2, 0, 0.0)
+    assert (shift.start_h, shift.end_h) == (0, 2)
+    # the stored bounds follow from the segments: equality and hashing
+    # read the same fields as before they were stored
+    compared = [f.name for f in dataclasses.fields(Shift) if f.compare]
+    assert compared == ["segments", "move_distance_m", "working_h", "resting_h"]
+    assert Shift([Segment(0, 0, 2, "working")]) == shift
+    assert hash(Shift([Segment(0, 0, 2, "working")])) == hash(shift)
+    assert (Shift([]).start_h, Shift([]).end_h) == (0, 0)
     # engines on one plan share its segments too
     segment = shift.segments[0]
     for name, value in (("hub_id", 1), ("start_h", 1), ("end_h", 3), ("kind", "resting")):
