@@ -28,7 +28,8 @@ from hubroster.engine import RosterEntry, roster_tables
 from hubroster.ledger import CostRates
 from hubroster.pool import WorkforcePool
 from hubroster.shifts import WORKING, Segment, Shift
-from hubroster.valuation import ValueWeights, shift_value, should_fix
+from hubroster.config import ScenarioParams
+from hubroster.valuation import shift_value, should_fix
 
 
 def _time(fn, repeat=3):
@@ -143,11 +144,11 @@ def main():
     # the engine's stop at hour 0 with the default weights and 1 h replan:
     # the first slot past the replan where a full-length run scores below
     # the threshold (slot 6)
-    weights = ValueWeights()
+    params = ScenarioParams()
     stop = next(
         s
         for s in range(2, 24)
-        if not should_fix(shift_value(s, 8, 0, 0.0, weights, 8), weights.fix_threshold)
+        if not should_fix(shift_value(s, 8, 0, 0.0, params), params.fix_threshold)
     )
     arrival_rows = [[int(v) for v in rng.integers(0, 3000, 24)] for _ in range(500)]
     cap_rows = [[int(v) for v in rng.integers(0, 20, 24)] for _ in range(500)]

@@ -7,7 +7,7 @@ from .ledger import CostLedger, CostRates, emergency_penalty, moving_payment
 from .network import Hub, HubNetwork, MovingPair, build_moving_pairs, distance, random_network
 from .pool import WorkforcePool
 from .shifts import Segment, Shift, combine_within_hub_detail, merge_across_hubs
-from .valuation import ValueWeights, shift_value, should_fix
+from .valuation import shift_value, should_fix
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "Shift",
     "SimReport",
     "WorkforcePool",
-    "ValueWeights",
     "build_moving_pairs",
     "combine_within_hub_detail",
     "distance",

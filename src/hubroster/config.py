@@ -1,4 +1,9 @@
-"""Run parameters, config file loading, and config hashing."""
+"""Run parameters, config file loading, and config hashing.
+
+``ScenarioParams`` is the one home of every scheduling knob, the value
+function's weights, target lead and threshold included: ``shift_value``
+reads them from it, and ``ScenarioParams.validate`` checks them.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +14,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .demand import GeneratorConfig
-from .valuation import ValueWeights
 
 
 @dataclass
 class ScenarioParams:
-    """Scheduling knobs shared by the builders, the valuer, and the engine.
+    """Scheduling knobs shared by the builders, the valuer, and the engine;
+    ``validate`` runs on every construction.
 
     dwell_h        max hours a parcel may wait at a hub after arrival
     max_work_h     working-hour cap, per shift and per worker-day
@@ -45,7 +50,17 @@ class ScenarioParams:
         self.validate()
 
     def validate(self):
-        ValueWeights.from_params(self)  # weight, threshold and fix-lead rules
+        # each value-weight check is written so that a NaN fails it
+        weights = (self.urgency_weight, self.utilization_weight, self.continuity_weight)
+        if not all(w >= 0 for w in weights):
+            raise ValueError(f"value weights must be non-negative, got {weights}")
+        total = sum(weights)
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"value weights must sum to 1, got {total}")
+        if not 0.0 <= self.fix_threshold <= 1.0:
+            raise ValueError("fix_threshold must lie in [0, 1]")
+        if not self.fix_lead_h > 0:
+            raise ValueError(f"fix_lead_h must be positive, got {self.fix_lead_h}")
         if self.dwell_h < 0:
             raise ValueError("dwell_h must be >= 0")
         if self.max_work_h <= 0:

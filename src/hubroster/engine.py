@@ -5,10 +5,13 @@ to integer labor demand, subtracts what the already-fixed roster covers
 (first-in-first-out, so dwell-deferred coverage is not double-booked),
 rebuilds candidate runs from the residual and keeps the high-value ones plus
 everything starting before the next replan: that is the step's plan
-(``RollingPlan``), which builds one one-hub ``Shift`` per distinct kept run.
-The booking half (``RollingEngine``) merges the short ones across hubs,
-building a ``Shift`` only for each merged pair, assigns pooled workers and
-appends the roster entries. After its last step the plan replays the
+(``RollingPlan``), which holds the step's kept runs as one one-hub ``Shift``
+per distinct run. The booking half
+(``RollingEngine``) merges the short ones across hubs, reading each shift's
+hub, stored bounds and hours and building a ``Shift`` only for each merged
+pair, assigns pooled workers and appends the roster entries. The value
+function reads its weights, target lead and threshold from the scenario's
+``ScenarioParams``. After its last step the plan replays the
 capacity of its kept runs against the actual arrivals once, to count the
 parcels that missed their dwell deadline; every engine on the plan reads
 that count. After an engine's last step the ledger, the resting rows and
@@ -33,13 +36,7 @@ from .ledger import CostLedger, CostRates, accrue_shift, lateness_penalty, movin
 from .network import HubNetwork, build_moving_pairs
 from .pool import WorkforcePool
 from .shifts import RESTING, WORKING, Segment, Shift, combine_within_hub_detail, merge_across_hubs
-from .valuation import ValueWeights, shift_value, should_fix
-
-SCENARIO_PRESETS = {
-    1: {"allow_cross_hub": True},
-    2: {"allow_cross_hub": False},
-    3: {"allow_cross_hub": True},
-}
+from .valuation import shift_value, should_fix
 
 
 @dataclass
@@ -57,18 +54,20 @@ class ScenarioConfig:
         """Scenario ``number``'s config on the given instance: 1 replans
         every ``params.replan_min`` with cross-hub moves, 2 without them,
         and 3 is 1 replanned once, over the whole horizon (a copy of
-        ``params`` with ``replan_min = 60 * horizon_h``)."""
-        preset = SCENARIO_PRESETS[number]
+        ``params`` with ``replan_min = 60 * horizon_h``). Any other number
+        is a ``ValueError``."""
+        if number not in (1, 2, 3):
+            raise ValueError(f"unknown scenario {number!r}: the scenarios are 1, 2 and 3")
         if number == 3:
             params = replace(params, replan_min=60 * params.horizon_h)
         return cls(
             network=network,
             actuals=actuals,
             params=params,
+            allow_cross_hub=number != 2,
             noise=noise,
             rates=rates or CostRates(),
             label=f"scenario{number}",
-            **preset,
         )
 
     def validate(self):
@@ -98,13 +97,16 @@ class RosterEntry:
 
 @dataclass
 class SimReport:
+    """One engine's day. Two reports compare equal when everything but
+    their ``runtime_s`` is equal."""
+
     label: str
     ledger: CostLedger
     roster: list[RosterEntry]
     late_parcels: int
     series: dict[int, dict]  # hub -> {arrivals, working, resting}
     flows: dict[tuple[int, int, int], int]  # (from, to, window_start) -> moves
-    runtime_s: float
+    runtime_s: float = field(compare=False)
     hires: int
     forecast_snapshots: list[ForecastSnapshot] = field(default_factory=list)
 
@@ -161,14 +163,12 @@ class RollingPlan:
     half and can share one plan. Step ``k`` is computed the first time an
     engine asks for it (``kept``) and recorded for the next.
 
-    The plan builds one ``Shift`` per distinct kept run, a single working
-    segment at its hub, when it plans the step: equal runs (copies of one
-    run, adjacent in the sorted step) share it. Every engine on the plan
-    books those same objects unless it merges them
+    A step holds its kept runs as ``Shift``s, one per distinct run, a
+    single working segment at its hub, in ``(start, hub, end)`` order:
+    equal runs (copies of one run, adjacent in the sorted step) share one.
+    Every engine on the plan books those same objects unless it merges them
     (``RollingEngine._fixed_shifts``). ``Shift`` and ``Segment`` are frozen
-    values, so runs and engines can share them. The step's ``(start, hub,
-    end)`` run tuples are kept beside the shifts, so the merge reads them
-    rather than the shifts' properties.
+    values, so runs and engines can share them.
 
     After its last step the plan replays its ``capacity`` against the
     actual arrivals once (``replay_execution``) and keeps the late-parcel
@@ -193,15 +193,14 @@ class RollingPlan:
             [cfg.actuals[h].arrivals for h in self.hub_ids], dtype=np.int64
         )
         self.rng = np.random.default_rng(p.seed)
-        self.weights = ValueWeights.from_params(p)
         # workers working per hub and slot, summed over the kept runs
         self.capacity = {h: [0] * self.n for h in self.hub_ids}
         # the FIFO residual per hub of the slots before ``settled_at``: their
         # capacity is final and their demand the actual arrivals
         self.settled_at = 0
         self.settled = {h: [] for h in self.hub_ids}
-        # the kept runs of each planned step, and their shifts
-        self.steps: list[tuple[list[tuple[int, int, int]], list[Shift]]] = []
+        # the one-hub shifts of each planned step's kept runs
+        self.steps: list[list[Shift]] = []
         self.collect_forecasts = collect_forecasts
         self.forecast_snapshots: list[ForecastSnapshot] = []
         self.late_parcels: int | None = None
@@ -218,12 +217,12 @@ class RollingPlan:
             if getattr(cfg, name) != getattr(own, name):
                 raise ValueError(f"the plan was built with other {name}")
 
-    def kept(self, k: int) -> tuple[list[tuple[int, int, int]], list[Shift]]:
-        """The runs step ``k`` (at ``times[k]``) fixes, as sorted ``(start,
-        hub, end)`` tuples, and their one-hub working shifts in the same
-        order; the steps up to ``k`` are planned in order. One ``Shift`` is
-        built here per distinct run, shared by its copies, and every engine
-        on this plan books that same object."""
+    def kept(self, k: int) -> list[Shift]:
+        """The runs step ``k`` (at ``times[k]``) fixes, as one-hub working
+        shifts in ``(start, hub, end)`` order; the steps up to ``k`` are
+        planned in order. One ``Shift`` is built here per distinct run,
+        shared by its copies, and every engine on this plan books that same
+        object."""
         while len(self.steps) <= k:
             now_h = self.times[len(self.steps)]
             first_slot = math.ceil(now_h - 1e-9)
@@ -241,7 +240,7 @@ class RollingPlan:
                     start, h, end = last = run
                     shift = Shift((Segment(h, start, end, WORKING),))
                 shifts.append(shift)
-            self.steps.append((kept, shifts))
+            self.steps.append(shifts)
             if len(self.steps) == len(self.times):
                 p = self.cfg.params
                 arrivals = {h: self.cfg.actuals[h].arrivals for h in self.hub_ids}
@@ -313,19 +312,19 @@ class RollingPlan:
         bisection. Both bounds are read off the very ``shift_value`` that
         decides the fix, so float rounding cannot disagree with them.
         """
-        cap = self.cfg.params.max_work_h
-        weights = self.weights
-        threshold = weights.fix_threshold
+        p = self.cfg.params
+        cap = p.max_work_h
+        threshold = p.fix_threshold
         lengths = range(1, cap + 1)
         edge = now_h + self.replan_h + 1e-9
         need = [0] * min(self.n, math.floor(edge) + 1)
         for start in range(len(need), self.n):
-            if not should_fix(shift_value(start, cap, 0, now_h, weights, cap), threshold):
+            if not should_fix(shift_value(start, cap, 0, now_h, p), threshold):
                 break
             first = bisect_left(
                 lengths,
                 True,
-                key=lambda length: should_fix(shift_value(start, length, 0, now_h, weights, cap), threshold),
+                key=lambda length: should_fix(shift_value(start, length, 0, now_h, p), threshold),
             )
             need.append(1 + first)
         return need
@@ -344,8 +343,8 @@ class RollingPlan:
         changes the selection, and a hub whose residual holds no unit
         before the stop gives no kept run.
 
-        Returns the kept runs as sorted ``(start, hub, end)`` tuples; a
-        ``Shift`` is built only for them (``kept``).
+        Returns the kept runs as sorted ``(start, hub, end)`` tuples, which
+        ``kept`` turns into the step's shifts.
         """
         p = self.cfg.params
         stop = len(need)
@@ -390,9 +389,9 @@ class RollingEngine:
         self.roster: list[RosterEntry] = []
         self.steps_taken = 0
 
-    def _fixed_shifts(self, runs: list[tuple[int, int, int]], kept: list[Shift]) -> list[Shift]:
-        """The shifts fixed this step for the plan's kept runs and their
-        one-hub shifts (``RollingPlan.kept``).
+    def _fixed_shifts(self, kept: list[Shift]) -> list[Shift]:
+        """The shifts fixed this step for the plan's kept one-hub shifts
+        (``RollingPlan.kept``).
 
         Runs merge across hubs only among themselves, capped by the number
         of fresh hires they would otherwise require -- so every merge stands
@@ -407,14 +406,14 @@ class RollingEngine:
             return kept
         p = self.cfg.params
         max_work = p.max_work_h
-        short = {h for start, h, end in runs if end - start < max_work}
+        short = {x.segments[0].hub_id for x in kept if x.working_h < max_work}
         pairs = [pair for pair in self.pairs if pair.hub_a in short and pair.hub_b in short]
         if not pairs:
             return kept
-        budget = self.pool.simulate_hires([end - start for start, _h, end in runs])
+        budget = self.pool.simulate_hires([x.working_h for x in kept])
         if not budget:
             return kept
-        return merge_across_hubs(runs, kept, pairs, max_work, p.max_gap_h, budget)
+        return merge_across_hubs(kept, pairs, max_work, p.max_gap_h, budget)
 
     def step(self) -> int:
         """The next replan pass, at the plan's next step time; returns the
@@ -426,9 +425,9 @@ class RollingEngine:
             raise ValueError(f"all {k} steps of the plan have been taken")
         now_h = times[k]
         self.pool.release_finished(now_h)
-        runs, kept = self.plan.kept(k)
+        kept = self.plan.kept(k)
         self.steps_taken = k + 1
-        selected = self._fixed_shifts(runs, kept)
+        selected = self._fixed_shifts(kept)
 
         assign, roster = self.pool.assign, self.roster
         for cand in selected:

@@ -104,8 +104,12 @@ def combine_within_hub_detail(
     return kernels.within_hub_runs(x, dwell_h, max_work_h, start_min, stop)
 
 
+def _run_key(shift: Shift) -> tuple[int, int, int]:
+    """A shift's place in a step: its (start, first hub, end)."""
+    return shift.start_h, shift.segments[0].hub_id, shift.end_h
+
+
 def merge_across_hubs(
-    runs: list[tuple[int, int, int]],
     shifts: list[Shift],
     pairs: list[MovingPair],
     max_work_h: int,
@@ -114,43 +118,45 @@ def merge_across_hubs(
 ) -> list[Shift]:
     """Greedily merge one-hub working shifts across nearby hub pairs.
 
-    ``runs`` are sorted ``(start, hub, end)`` working runs and ``shifts``
-    their one-hub working shifts, in the same order; equal runs may share
-    one ``Shift``. ``pairs`` are the moving pairs worth merging over, in
-    ascending-distance order. Two runs merge when their hours do not
-    overlap, the travel time fits the gap, the gap is at most ``max_gap_h``,
-    and combined working hours stay within ``max_work_h``
-    (``kernels.merge_runs``). The earlier one is worked first; travel
-    occupies whole slots right after it and any remaining gap becomes rest
-    at the destination hub. Each run merges at most once; a non-negative
-    ``max_merges`` caps how many merges are performed.
+    ``shifts`` are one-hub working shifts sorted by (start, hub, end); equal
+    runs may share one ``Shift``. Each is read through its hub
+    (``segments[0].hub_id``), its stored bounds and its ``working_h``.
+    ``pairs`` are the moving pairs worth merging over, in ascending-distance
+    order. Two shifts merge when their hours do not overlap, the travel
+    time fits the gap, the gap is at most ``max_gap_h``, and combined
+    working hours stay within ``max_work_h`` (``kernels.merge_runs``). The
+    earlier one is worked first; travel occupies whole slots right after it
+    and any remaining gap becomes rest at the destination hub. Each shift
+    merges at most once; a non-negative ``max_merges`` caps how many merges
+    are performed.
 
-    Only runs shorter than ``max_work_h`` reach the kernel, and only pairs
-    with such a run at both hubs. This is exact: the kernel skips a run
+    Only shifts shorter than ``max_work_h`` reach the kernel, and only pairs
+    with such a shift at both hubs. This is exact: the kernel skips a run
     whose ``room`` (``max_work_h`` less its hours) is below 1, and a partner
     must fit in ``room``, so only short runs ever combine. Leaving the
     others out keeps each hub's runs in their order, so the kernel's
     ``(..., i, j)`` combo keys sort as they would over every run, and a
-    pair with no short run at one hub merges nothing.
+    pair with no short shift at one hub merges nothing.
 
-    A new ``Shift`` is built only for each merged pair; every untouched
-    input shift is returned as the same object, and when nothing merges
-    ``shifts`` itself is returned. The output is ordered by (start, first
-    hub, end); on a tie merged shifts come first, in merge order, then
-    untouched shifts in input order. So each merged shift goes in before
-    the first run not below its key, found by bisecting ``runs``.
+    A new ``Shift`` is built only for each merged pair, from the working
+    segments of its two inputs; every untouched input shift is returned as
+    the same object, and when nothing merges ``shifts`` itself is returned.
+    The output is ordered by (start, first hub, end); on a tie merged shifts
+    come first, in merge order, then untouched shifts in input order. So
+    each merged shift goes in before the first input shift not below its
+    key, found by bisecting ``shifts``.
     """
-    short: dict[int, list[int]] = {}  # hub -> indices into runs of its short runs
-    for k, (start, h, end) in enumerate(runs):
-        if end - start < max_work_h:
-            short.setdefault(h, []).append(k)
+    short: dict[int, list[int]] = {}  # hub -> indices into shifts of its short ones
+    for k, shift in enumerate(shifts):
+        if shift.working_h < max_work_h:
+            short.setdefault(shift.segments[0].hub_id, []).append(k)
     pairs = [p for p in pairs if p.hub_a in short and p.hub_b in short]
     if not pairs:
         return shifts
     pos = {h: i for i, h in enumerate(short)}
     index = list(short.values())
     merges, _used = kernels.merge_runs(
-        [[(runs[k][0], runs[k][2]) for k in idx] for idx in index],
+        [[(shifts[k].start_h, shifts[k].end_h) for k in idx] for idx in index],
         [(pos[p.hub_a], pos[p.hub_b], p.travel_time_h) for p in pairs],
         max_work_h,
         max_gap_h,
@@ -159,24 +165,26 @@ def merge_across_hubs(
     if not merges:
         return shifts
 
-    # (position in runs, 0 to insert the merged shift before it or 1 to
-    # drop the run there, merged key, shift); the stable sort keeps merge
+    # (position in shifts, 0 to insert the merged shift before it or 1 to
+    # drop the shift there, merged key, shift); the stable sort keeps merge
     # order among equal keys
     edits = []
     for p_idx, i, j, a_first in merges:
         pair = pairs[p_idx]
         ka = index[pos[pair.hub_a]][i]
         kb = index[pos[pair.hub_b]][j]
-        (s1, h1, e1), (s2, h2, e2) = (runs[ka], runs[kb]) if a_first else (runs[kb], runs[ka])
-        segs = [Segment(h1, s1, e1, WORKING)]
+        first, second = (shifts[ka], shifts[kb]) if a_first else (shifts[kb], shifts[ka])
+        e1, s2 = first.end_h, second.start_h
+        h2 = second.segments[0].hub_id
+        segs = list(first.segments)
         cursor = e1 + math.ceil(pair.travel_time_h)
         if cursor > e1:
             segs.append(Segment(h2, e1, cursor, TRAVEL))
         if cursor < s2:
             segs.append(Segment(h2, cursor, s2, RESTING))
-        segs.append(Segment(h2, s2, e2, WORKING))
-        key = (s1, h1, e2)
-        edits.append((bisect_left(runs, key), 0, key, Shift(segs, move_distance_m=pair.distance_m)))
+        segs += second.segments
+        key = (first.start_h, first.segments[0].hub_id, second.end_h)
+        edits.append((bisect_left(shifts, key, key=_run_key), 0, key, Shift(segs, move_distance_m=pair.distance_m)))
         edits.append((ka, 1, (), None))
         edits.append((kb, 1, (), None))
     edits.sort(key=itemgetter(0, 1, 2))

@@ -25,7 +25,7 @@ from hubroster.ledger import (
 )
 from hubroster.network import Hub, HubNetwork, random_network
 from hubroster.shifts import Segment, Shift, combine_within_hub_detail, merge_across_hubs
-from hubroster.valuation import ValueWeights, shift_value, should_fix
+from hubroster.valuation import shift_value, should_fix
 from oracle_enum import min_workers_single_hub, min_workers_two_hub
 
 RATE = 150
@@ -298,7 +298,7 @@ def test_criterion_06_small_instance_oracle():
             )
             shifts = [Shift([Segment(h, s, e, "working")]) for s, h, e in runs]
             # both hubs 2000 m apart: a 10-Yuan move under the 50-Yuan hire
-            out = merge_across_hubs(runs, shifts, pairs, RHO, MAX_GAP)
+            out = merge_across_hubs(shifts, pairs, RHO, MAX_GAP)
             assert sum(s.working_h for s in out) == sum(xa) + sum(xb)
             best = min_workers_two_hub(xa, xb, dwell, RHO, travel, MAX_GAP, True)
             assert len(out) >= best, (xa, xb, len(out), best)
@@ -313,10 +313,10 @@ def test_criterion_06_small_instance_oracle():
 
 def test_criterion_07_value_regression():
     def check():
-        w = ValueWeights()
+        params = ScenarioParams(max_work_h=RHO)  # 0.4 / 0.3 / 0.3, fix lead 4 h
 
         def value(shift):
-            return shift_value(shift.start_h, shift.working_h, shift.resting_h, 0, w, RHO)
+            return shift_value(shift.start_h, shift.working_h, shift.resting_h, 0, params)
 
         full = Shift([Segment(0, 4, 12, "working")])
         assert abs(value(full) - 1.0) < 1e-9

@@ -29,10 +29,10 @@ from hubroster.engine import (
 from hubroster.ledger import CostLedger, CostRates, moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs, random_network
 from hubroster.shifts import RESTING, TRAVEL, WORKING, Segment, Shift, merge_across_hubs
-from hubroster.valuation import ValueWeights, shift_value, should_fix
+from hubroster.valuation import shift_value, should_fix
 import reference_kernels
 import reference_merge
-from reference_selection import fix_reach
+from reference_selection import fix_reach, with_weights
 from reference_selection import select as reference_select
 from reference_selection import shift_value as reference_value
 from shift_checks import validate_shift
@@ -385,7 +385,7 @@ def test_merge_on_runs_matches_shift_based_reference():
         # the merge itself, at every kind of cap
         budget = int(rng.choice([-1, 0, 1, 3, 100]))
         by_hub = {h: [x for x in shifts if x.segments[0].hub_id == h] for h in engine.hub_ids}
-        got = merge_across_hubs(kept, shifts, engine.pairs, p.max_work_h, p.max_gap_h, budget)
+        got = merge_across_hubs(shifts, engine.pairs, p.max_work_h, p.max_gap_h, budget)
         expected = reference_merge.merge_across_hubs(
             by_hub,
             pairs,
@@ -407,7 +407,7 @@ def test_merge_on_runs_matches_shift_based_reference():
             end = start + int(rng.integers(1, p.max_work_h + 1))
             engine.pool.assign(Shift([Segment(engine.hub_ids[0], start, end, WORKING)]), 0)
         engine.pool.release_finished(float(p.horizon_h))
-        got = engine._fixed_shifts(kept, shifts)
+        got = engine._fixed_shifts(shifts)
         expected = reference_merge.merge_selected(engine, shifts, pairs)
         assert _shapes(got) == _shapes(expected), case
     assert merged > 1000 and ties > 100, (merged, ties)
@@ -426,7 +426,7 @@ def test_merge_returns_untouched_shifts_by_identity_in_order():
         shifts = _plan_shifts(kept)
         by_hub = {h: [x for x in shifts if x.segments[0].hub_id == h] for h in engine.hub_ids}
         budget = int(rng.choice([-1, 0, 1, 3, 100]))
-        got = merge_across_hubs(kept, shifts, engine.pairs, p.max_work_h, p.max_gap_h, budget)
+        got = merge_across_hubs(shifts, engine.pairs, p.max_work_h, p.max_gap_h, budget)
         expected = reference_merge.merge_across_hubs(
             by_hub,
             build_moving_pairs(net) if engine.cfg.allow_cross_hub else [],
@@ -580,7 +580,7 @@ def test_fixed_shifts_skip_the_budget_and_the_kernel_when_nothing_can_merge(monk
             engine.pool.release_finished(1.0)
         shifts = _plan_shifts(kept)
         before = dict(calls)
-        assert engine._fixed_shifts(kept, shifts) is shifts, case
+        assert engine._fixed_shifts(shifts) is shifts, case
         assert calls["merge_runs"] == before["merge_runs"], case
         budgets = calls["simulate_hires"] - before["simulate_hires"]
         counts_budget = kind == "no budget" and any(
@@ -627,19 +627,19 @@ def test_selection_matches_shift_based_reference():
         fix_all = bool(rng.random() < 0.1)
 
         threshold = float(rng.random())
-        weights = ValueWeights(urgency, utilization, continuity, lead, threshold)
+        weights = with_weights(p, urgency, utilization, continuity, lead, threshold)
         edge = now_h + p.replan_h + 1e-9
         deferrable = [
             v
-            for c in reference_select(residual, plan.hub_ids, now_h, p, weights, fix_all=True)
-            if c.start_h > edge and (v := reference_value(c, now_h, weights, p.max_work_h)) <= 1.0
+            for c in reference_select(residual, plan.hub_ids, now_h, weights, fix_all=True)
+            if c.start_h > edge and (v := reference_value(c, now_h, weights)) <= 1.0
         ]
         if deferrable and rng.random() < 0.5:
             threshold = deferrable[int(rng.integers(len(deferrable)))]
             boundary_fixes += not fix_all
-        plan.weights = ValueWeights(urgency, utilization, continuity, lead, threshold)
+        plan.cfg.params = with_weights(p, urgency, utilization, continuity, lead, threshold)
 
-        expected = reference_select(residual, plan.hub_ids, now_h, p, plan.weights, fix_all)
+        expected = reference_select(residual, plan.hub_ids, now_h, plan.cfg.params, fix_all)
         got = _plan_select(plan, residual, now_h, fix_all)
         assert got == [(s.start_h, s.segments[0].hub_id, s.end_h) for s in expected]
     assert boundary_fixes > 300
@@ -676,11 +676,11 @@ def test_fix_lengths_keep_exactly_the_runs_whose_value_reaches_the_threshold():
         elif kind == 1:  # a value some run attains
             start = int(rng.integers(math.floor(now_h), horizon))
             length = int(rng.integers(1, cap + 1))
-            weights = ValueWeights(urgency, utilization, continuity, lead, 0.5)
-            threshold = min(1.0, shift_value(start, length, 0, now_h, weights, cap))
+            weights = with_weights(p, urgency, utilization, continuity, lead, 0.5)
+            threshold = min(1.0, shift_value(start, length, 0, now_h, weights))
         else:
             threshold = 1.0
-        plan.weights = weights = ValueWeights(urgency, utilization, continuity, lead, threshold)
+        plan.cfg.params = weights = with_weights(p, urgency, utilization, continuity, lead, threshold)
         if fix_all:
             plan.replan_h = float(plan.n)
         need = plan._fix_lengths(now_h, math.ceil(now_h - 1e-9))
@@ -689,7 +689,7 @@ def test_fix_lengths_keep_exactly_the_runs_whose_value_reaches_the_threshold():
         edge = now_h + p.replan_h + 1e-9
         for start in range(math.ceil(now_h), horizon):
             for length in range(1, cap + 1):
-                value = shift_value(start, length, 0, now_h, weights, cap)
+                value = shift_value(start, length, 0, now_h, weights)
                 expected = fix_all or start <= edge or should_fix(value, threshold)
                 assert (start < len(need) and length >= need[start]) == expected, (case, start, length)
                 boundary += start > edge and value == threshold and not fix_all
@@ -777,7 +777,7 @@ def _candidates_with_and_without_cut(monkeypatch, cfg):
             if disabled:
                 m.setattr(RollingPlan, "_fix_lengths", padded)
             built.append(0)
-            outputs.append(_outputs(run_scenario(cfg)))
+            outputs.append(run_scenario(cfg))
     assert outputs[0] == outputs[1]
     return built
 
@@ -803,7 +803,7 @@ def test_fix_reach_cut_leaves_every_output_unchanged(monkeypatch, overrides):
     rows = {h: s.arrivals for h, s in arrivals.items()}
     for scenario in (1, 2, 3):
         cfg = _cfg(net, rows, scenario=scenario, noise="paper", seed=5, **overrides)
-        reach = fix_reach(ValueWeights.from_params(cfg.params))
+        reach = fix_reach(cfg.params)
         cut, full = _candidates_with_and_without_cut(monkeypatch, cfg)
         assert cut <= full
         assert (cut < full) == (reach is not None and scenario != 3)
@@ -882,15 +882,15 @@ def test_rolling_steps_skip_the_hubs_and_runs_they_cannot_fix(monkeypatch):
         at_stop += sum(start == stop for start, _end in out[0])
         return out
 
-    def counting_value(start, working, resting, now_h, weights, cap):
+    def counting_value(start, working, resting, now_h, params):
         valued.append((start, now_h))
-        return value(start, working, resting, now_h, weights, cap)
+        return value(start, working, resting, now_h, params)
 
     for replan_min in (15, 60):
         for scenario in (1, 2):
             cfg = _cfg(net, rows, scenario=scenario, noise="paper", seed=5, replan_min=replan_min)
             p = cfg.params
-            reach = fix_reach(ValueWeights.from_params(p))
+            reach = fix_reach(p)
             stops.clear()
             valued.clear()
             with monkeypatch.context() as m:
@@ -928,7 +928,7 @@ def test_select_skips_agree_with_full_scan_at_the_stop():
         raw = rng.random(3) + 0.01
         urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
         threshold = utilization + continuity + float(rng.uniform(0.01, 0.99)) * urgency
-        plan.weights = ValueWeights(urgency, utilization, continuity, float(rng.uniform(0.25, 6.0)), threshold)
+        plan.cfg.params = with_weights(p, urgency, utilization, continuity, float(rng.uniform(0.25, 6.0)), threshold)
         now_h = int(rng.integers(0, math.ceil(horizon / p.replan_h))) * p.replan_h
         stop = len(plan._fix_lengths(now_h, math.ceil(now_h - 1e-9)))
         fix_all = bool(rng.random() < 0.2)
@@ -940,7 +940,7 @@ def test_select_skips_agree_with_full_scan_at_the_stop():
                 row[first] = max(row[first], 1)
             residual[h] = row
 
-        expected = reference_select(residual, plan.hub_ids, now_h, p, plan.weights, fix_all)
+        expected = reference_select(residual, plan.hub_ids, now_h, plan.cfg.params, fix_all)
         got = _plan_select(plan, residual, now_h, fix_all)
         assert got == [(s.start_h, s.segments[0].hub_id, s.end_h) for s in expected]
         for start, h, _end in got:
@@ -997,7 +997,7 @@ def test_scenarios_on_a_shared_plan_equal_their_runs_alone():
         for cfg in cfgs:
             report = shared[cfg.label]
             alone = run_scenario(cfg, RollingPlan(cfg, collect_forecasts=collect))
-            assert _outputs(report) == _outputs(alone), (i, cfg.label)
+            assert report == alone, (i, cfg.label)
             working = {h: rows["working"] for h, rows in report.series.items()}
             assert working == _working_from_roster(report, horizon), (i, cfg.label)
             merged += report.merged_shift_count
@@ -1015,13 +1015,21 @@ def test_engines_on_one_plan_book_its_shifts(monkeypatch):
     # scenarios 1 and 3 build a Shift only per merged pair; and each gives
     # the outputs of an engine that builds its own plan
     shift_cls = engine_module.Shift
+    select = RollingPlan._select
     builds = []
+    selected = []  # the sorted (start, hub, end) runs of each planned step
 
     def counting(*args, **kwargs):
         builds.append(len(plan.steps))  # the step being planned
         return shift_cls(*args, **kwargs)
 
+    def recording(this, *args):
+        runs = select(this, *args)
+        selected.append(runs)
+        return runs
+
     monkeypatch.setattr(engine_module, "Shift", counting)
+    monkeypatch.setattr(RollingPlan, "_select", recording)
     rng = np.random.default_rng(16)
     merged = shared = copies = 0
     for i in range(60):
@@ -1045,15 +1053,17 @@ def test_engines_on_one_plan_book_its_shifts(monkeypatch):
         cfgs = {n: ScenarioConfig.for_scenario(n, net, arrivals, params, noise=noise) for n in (1, 2, 3)}
         for group in ((cfgs[1], cfgs[2]), (cfgs[3], dataclasses.replace(cfgs[3], label="again"))):
             builds.clear()
+            selected.clear()
             plan = RollingPlan(group[0])
             reports = [run_scenario(cfg, plan) for cfg in group]
-            for k, (runs, shifts) in enumerate(plan.steps):
+            assert len(selected) == len(plan.steps), i
+            for k, (runs, shifts) in enumerate(zip(selected, plan.steps)):
                 assert builds.count(k) == len(set(runs)), (i, k)
                 assert [x.segments for x in shifts] == [(Segment(h, s, e, WORKING),) for s, h, e in runs], (i, k)
                 for a, b, run_a, run_b in zip(shifts, shifts[1:], runs, runs[1:]):
                     assert (a is b) == (run_a == run_b), (i, k)
                 copies += len(runs) - len(set(runs))
-            planned = [shift for _runs, shifts in plan.steps for shift in shifts]
+            planned = [shift for shifts in plan.steps for shift in shifts]
             for cfg, report in zip(group, reports):
                 unmerged = [e.shift for e in report.roster if len(e.shift.segments) == 1]
                 _positions(unmerged, planned)
@@ -1063,7 +1073,7 @@ def test_engines_on_one_plan_book_its_shifts(monkeypatch):
                 merged += report.merged_shift_count
                 shared += len(unmerged)
             for cfg, report in zip(group, reports):
-                assert _outputs(report) == _outputs(run_scenario(cfg)), (i, cfg.label)
+                assert report == run_scenario(cfg), (i, cfg.label)
     assert merged > 30 and shared > 1000 and copies > 100, (merged, shared, copies)
 
 
@@ -1133,17 +1143,38 @@ def test_run_takes_only_the_steps_not_yet_taken():
         net, arrivals, params = _random_day(rng, i, [15, 20, 60, 90])
         cfg = ScenarioConfig.for_scenario(int(rng.integers(1, 4)), net, arrivals, params, noise="paper")
         collect = bool(rng.random() < 0.5)
-        plain = _outputs(run_scenario(cfg, RollingPlan(cfg, collect_forecasts=collect)))
+        plain = run_scenario(cfg, RollingPlan(cfg, collect_forecasts=collect))
         engine = RollingEngine(cfg, RollingPlan(cfg, collect_forecasts=collect))
         steps = len(engine.plan.times)
         for _ in range(int(rng.integers(0, steps + 1))):
             engine.step()
-        assert _outputs(engine.run()) == plain, i
-        assert _outputs(engine.run()) == plain, i
+        assert engine.run() == plain, i
+        assert engine.run() == plain, i
         with pytest.raises(ValueError, match=f"all {steps} steps of the plan have been taken"):
             engine.step()
         assert engine.steps_taken == steps
-        assert _outputs(engine.run()) == plain, i
+        assert engine.run() == plain, i
+
+
+def test_a_second_run_reports_an_equal_day():
+    # two reports of one day compare equal although their runtimes differ;
+    # every other field takes part in the comparison
+    net, arrivals, params, plan = _plan_case()
+    engine = RollingEngine(plan.cfg, plan)
+    first = engine.run()
+    second = engine.run()
+    assert second == first
+    assert dataclasses.replace(first, runtime_s=first.runtime_s + 1.0) == first
+    assert dataclasses.replace(first, late_parcels=first.late_parcels + 1) != first
+    assert dataclasses.replace(first, hires=first.hires + 1) != first
+    assert dataclasses.replace(first, label="other") != first
+
+
+@pytest.mark.parametrize("number", [0, 4])
+def test_for_scenario_rejects_an_unknown_number(number):
+    net, arrivals, params, _plan = _plan_case()
+    with pytest.raises(ValueError, match=f"unknown scenario {number}: the scenarios are 1, 2 and 3"):
+        ScenarioConfig.for_scenario(number, net, arrivals, params)
 
 
 def test_every_shift_stores_its_bounds():
@@ -1157,7 +1188,7 @@ def test_every_shift_stores_its_bounds():
         for cfg in cfgs:
             plan = RollingPlan(cfg)
             report = run_scenario(cfg, plan)
-            shifts = [x for _runs, step in plan.steps for x in step] + [e.shift for e in report.roster]
+            shifts = [x for step in plan.steps for x in step] + [e.shift for e in report.roster]
             for shift in shifts:
                 assert (shift.start_h, shift.end_h) == (shift.segments[0].start_h, shift.segments[-1].end_h)
             merged += report.merged_shift_count

@@ -35,7 +35,7 @@ def _merge(runs_by_hub, pairs):
     move, under the 50-Yuan hire, so every pair is eligible."""
     runs = sorted((s, h, e) for h, hub_runs in runs_by_hub.items() for s, e in hub_runs)
     shifts = [Shift([Segment(h, s, e, "working")]) for s, h, e in runs]
-    return merge_across_hubs(runs, shifts, pairs, RHO, 2)
+    return merge_across_hubs(shifts, pairs, RHO, 2)
 
 
 def _two_hub_net(dist_m, d_max_m=3000, speed=15000):
@@ -501,7 +501,7 @@ def test_merge_requires_saving_over_hire():
         )
         runs = [(0, 0, 4), (5, 1, 9)]
         kept = [Shift([Segment(h, s, e, "working")]) for s, h, e in runs]
-        out = RollingEngine(cfg)._fixed_shifts(runs, kept)
+        out = RollingEngine(cfg)._fixed_shifts(kept)
         assert any(_has_move(s) for s in out) == merged  # moving 10 >= hiring 5
 
 

@@ -1,5 +1,6 @@
 """Value function scoring and the fix/defer decision."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,10 @@ from hubroster.demand import ArrivalSeries
 from hubroster.engine import RollingPlan, ScenarioConfig
 from hubroster.network import Hub, HubNetwork
 from hubroster.shifts import Segment, Shift
-from hubroster.valuation import ValueWeights, shift_value, should_fix
-from reference_selection import fix_reach
+from hubroster.valuation import shift_value, should_fix
+from reference_selection import fix_reach, with_weights
 
-W = ValueWeights()  # 0.4 / 0.3 / 0.3, fix lead 4 h, threshold 0.9
-RHO = 8
+W = ScenarioParams()  # 0.4 / 0.3 / 0.3, fix lead 4 h, threshold 0.9, cap 8 h
 
 
 def _shift(start, working, resting=0):
@@ -25,7 +25,7 @@ def _shift(start, working, resting=0):
 
 
 def _value(shift):
-    return shift_value(shift.start_h, shift.working_h, shift.resting_h, 0, W, RHO)
+    return shift_value(shift.start_h, shift.working_h, shift.resting_h, 0, W)
 
 
 def test_full_continuous_shift_scores_one():
@@ -82,28 +82,29 @@ def test_fix_reach_is_where_a_full_rest_free_run_meets_the_threshold():
     for _ in range(2000):
         raw = rng.random(3) + 0.01
         urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
-        weights = ValueWeights(
-            urgency, utilization, continuity, float(rng.uniform(0.5, 6.0)), float(rng.random())
+        params = with_weights(
+            W, urgency, utilization, continuity, float(rng.uniform(0.5, 6.0)), float(rng.random())
         )
-        reach = fix_reach(weights)
+        reach = fix_reach(params)
         if reach is None:
-            assert weights.fix_threshold <= utilization + continuity + 1e-9
+            assert params.fix_threshold <= utilization + continuity + 1e-9
             continue
-        cap = int(rng.integers(1, 9))
+        params = dataclasses.replace(params, max_work_h=int(rng.integers(1, 9)))
+        cap = params.max_work_h
         now = float(rng.uniform(0.0, 24.0))
-        at = shift_value(now + reach, cap, 0, now, weights, cap)
-        assert at == pytest.approx(weights.fix_threshold, abs=1e-12)
-        past = shift_value(now + reach * (1 + 1e-9) + 1e-9, cap, 0, now, weights, cap)
-        assert not should_fix(past, weights.fix_threshold)
+        at = shift_value(now + reach, cap, 0, now, params)
+        assert at == pytest.approx(params.fix_threshold, abs=1e-12)
+        past = shift_value(now + reach * (1 + 1e-9) + 1e-9, cap, 0, now, params)
+        assert not should_fix(past, params.fix_threshold)
         checked += 1
     assert checked > 500
 
 
 def test_fix_reach_none_when_any_lead_can_qualify():
-    assert fix_reach(ValueWeights(fix_threshold=0.6)) is None  # == utilization + continuity
-    assert fix_reach(ValueWeights(fix_threshold=0.3)) is None
-    assert fix_reach(ValueWeights(0.0, 0.5, 0.5, fix_threshold=1.0)) is None  # no urgency weight
-    assert fix_reach(ValueWeights(fix_threshold=1.0)) == pytest.approx(4.0)  # the target lead itself
+    assert fix_reach(ScenarioParams(fix_threshold=0.6)) is None  # == utilization + continuity
+    assert fix_reach(ScenarioParams(fix_threshold=0.3)) is None
+    assert fix_reach(with_weights(W, 0.0, 0.5, 0.5, 4.0, 1.0)) is None  # no urgency weight
+    assert fix_reach(ScenarioParams(fix_threshold=1.0)) == pytest.approx(4.0)  # the target lead itself
 
 
 def _plan(horizon=24, scenario=1, **params):
@@ -130,20 +131,19 @@ def test_step_stop_is_never_past_the_fix_reach():
         plan = _plan(horizon, max_work_h=cap, replan_min=int(rng.choice([15, 20, 45, 60, 90, 360])))
         raw = rng.random(3) + 0.01
         urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
-        weights = ValueWeights(
-            urgency, utilization, continuity, float(rng.uniform(0.5, 6.0)), float(rng.random())
+        plan.cfg.params = params = with_weights(
+            plan.cfg.params, urgency, utilization, continuity, float(rng.uniform(0.5, 6.0)), float(rng.random())
         )
-        plan.weights = weights
-        replan_h = plan.cfg.params.replan_h
+        replan_h = params.replan_h
         now_h = int(rng.integers(0, math.ceil(horizon / replan_h))) * replan_h
         first_slot = math.ceil(now_h - 1e-9)
         stop = len(plan._fix_lengths(now_h, first_slot))
         for s in range(first_slot, min(stop + 1, horizon)):
             fixable = s <= now_h + replan_h + 1e-9 or should_fix(
-                shift_value(s, cap, 0, now_h, weights, cap), weights.fix_threshold
+                shift_value(s, cap, 0, now_h, params), params.fix_threshold
             )
             assert fixable == (s < stop), (s, stop)
-        reach = fix_reach(weights)
+        reach = fix_reach(params)
         if reach is not None:
             padded = math.ceil(now_h + max(replan_h, reach)) + 1
             assert stop <= padded
@@ -155,21 +155,6 @@ def test_zero_working_rejected():
     bad = Shift([Segment(0, 0, 2, "resting")])
     with pytest.raises(ValueError):
         _value(bad)
-
-
-def test_weight_validation():
-    with pytest.raises(ValueError):
-        ValueWeights(urgency=0.5, utilization=0.5, continuity=0.5)
-    with pytest.raises(ValueError):
-        ValueWeights(urgency=-0.1, utilization=0.6, continuity=0.5)
-    with pytest.raises(ValueError):
-        ValueWeights(fix_threshold=1.5)
-    with pytest.raises(ValueError):
-        ValueWeights(fix_lead_h=0)
-    with pytest.raises(ValueError):
-        ValueWeights(urgency=math.nan, utilization=0.6, continuity=0.4)
-    with pytest.raises(ValueError):
-        ValueWeights(fix_lead_h=math.nan)
 
 
 @pytest.mark.parametrize(
