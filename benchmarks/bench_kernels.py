@@ -25,7 +25,6 @@ import numpy as np
 
 from hubroster import _kernels as kernels
 from hubroster.engine import RosterEntry, roster_tables
-from hubroster.ledger import CostRates
 from hubroster.pool import WorkforcePool
 from hubroster.shifts import WORKING, Segment, Shift
 from hubroster.config import ScenarioParams
@@ -116,7 +115,7 @@ def bench_book(steps, hub_ids, horizon_h):
                 shift = Shift((Segment(hub, start, end, WORKING),))
                 worker, _lead, new_hire = pool.assign(shift, now)
                 roster.append(RosterEntry(shift, worker, now, new_hire))
-        roster_tables(roster, hub_ids, horizon_h, CostRates())
+        roster_tables(roster, hub_ids, horizon_h)
 
     return run
 

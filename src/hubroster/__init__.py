@@ -3,7 +3,7 @@
 from .config import ScenarioParams
 from .demand import ArrivalSeries, GeneratorConfig, forecast_matrix, generate_arrivals, labor_demand
 from .engine import RollingPlan, ScenarioConfig, SimReport, replay_execution, run_scenario
-from .ledger import CostLedger, CostRates, emergency_penalty, moving_payment
+from .ledger import CostLedger, emergency_penalty, moving_payment
 from .network import Hub, HubNetwork, MovingPair, build_moving_pairs, distance, random_network
 from .pool import WorkforcePool
 from .shifts import Segment, Shift, combine_within_hub_detail, merge_across_hubs
@@ -20,7 +20,6 @@ def get_backend() -> str:
 __all__ = [
     "ArrivalSeries",
     "CostLedger",
-    "CostRates",
     "GeneratorConfig",
     "Hub",
     "HubNetwork",

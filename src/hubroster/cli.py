@@ -91,10 +91,7 @@ def cmd_run(args) -> int:
         net = load_network(net_path)
         arrivals = read_arrivals_csv(arr_path)
         params = params_from_config(cfg, seed)
-        configs = [
-            ScenarioConfig.for_scenario(num, net, arrivals, params, noise=args.noise)
-            for num in scenarios
-        ]
+        configs = [ScenarioConfig(num, net, arrivals, params, args.noise) for num in scenarios]
         for sc in configs:
             sc.validate()
     except ValueError as exc:

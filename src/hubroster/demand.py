@@ -195,6 +195,8 @@ def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
             raise ValueError(f"{path}: row {','.join(row)!r}: {bad} must be an integer") from None
         if len(row) > width:
             raise ValueError(f"{path}: row {','.join(row)!r} has more fields than the header's {width}")
+        if count < 0:
+            raise ValueError(f"{path}: row {','.join(row)!r}: arrivals must be non-negative")
         by_slot = rows.setdefault(hub_id, {})
         if slot < 0:
             raise ValueError(f"{path}: negative slot for hub {hub_id} slot {slot}")

@@ -32,7 +32,7 @@ import numpy as np
 from . import _kernels as kernels
 from .config import ScenarioParams
 from .demand import ArrivalSeries, ForecastSnapshot, forecast_matrix, labor_demand
-from .ledger import CostLedger, CostRates, accrue_shift, lateness_penalty, moving_payment
+from .ledger import CostLedger, accrue_shift, lateness_penalty
 from .network import HubNetwork, build_moving_pairs
 from .pool import WorkforcePool
 from .shifts import RESTING, WORKING, Segment, Shift, combine_within_hub_detail, merge_across_hubs
@@ -41,34 +41,30 @@ from .valuation import shift_value, should_fix
 
 @dataclass
 class ScenarioConfig:
+    """Scenario ``number``'s config on the given instance: 1 replans every
+    ``params.replan_min`` with cross-hub moves, 2 without them, and 3 is 1
+    replanned once, over the whole horizon (``params`` becomes a copy with
+    ``replan_min = 60 * horizon_h``). Any other number is a ``ValueError``."""
+
+    number: int
     network: HubNetwork
     actuals: dict[int, ArrivalSeries]
     params: ScenarioParams
-    allow_cross_hub: bool = True
     noise: str = "paper"  # "paper" or "perfect"
-    rates: CostRates = field(default_factory=CostRates)
-    label: str = ""
 
-    @classmethod
-    def for_scenario(cls, number: int, network, actuals, params, noise="paper", rates=None):
-        """Scenario ``number``'s config on the given instance: 1 replans
-        every ``params.replan_min`` with cross-hub moves, 2 without them,
-        and 3 is 1 replanned once, over the whole horizon (a copy of
-        ``params`` with ``replan_min = 60 * horizon_h``). Any other number
-        is a ``ValueError``."""
-        if number not in (1, 2, 3):
-            raise ValueError(f"unknown scenario {number!r}: the scenarios are 1, 2 and 3")
-        if number == 3:
-            params = replace(params, replan_min=60 * params.horizon_h)
-        return cls(
-            network=network,
-            actuals=actuals,
-            params=params,
-            allow_cross_hub=number != 2,
-            noise=noise,
-            rates=rates or CostRates(),
-            label=f"scenario{number}",
-        )
+    def __post_init__(self):
+        if self.number not in (1, 2, 3):
+            raise ValueError(f"unknown scenario {self.number!r}: the scenarios are 1, 2 and 3")
+        if self.number == 3:
+            self.params = replace(self.params, replan_min=60 * self.params.horizon_h)
+
+    @property
+    def label(self) -> str:
+        return f"scenario{self.number}"
+
+    @property
+    def allow_cross_hub(self) -> bool:
+        return self.number != 2
 
     def validate(self):
         self.params.validate()
@@ -116,7 +112,7 @@ class SimReport:
 
 
 def roster_tables(
-    roster: list[RosterEntry], hub_ids: list[int], horizon_h: int, rates: CostRates
+    roster: list[RosterEntry], hub_ids: list[int], horizon_h: int
 ) -> tuple[CostLedger, dict[int, list[int]], dict[tuple[int, int, int], int]]:
     """The ledger, resting rows and flows of a roster, in one pass in roster
     order: returns ``(ledger, resting, flows)``.
@@ -128,7 +124,7 @@ def roster_tables(
     ``resting`` maps hub -> per-slot worker counts; ``flows`` maps
     (from hub, to hub, six-hour window of the travel start) -> moves.
     """
-    ledger = CostLedger(rates=rates)
+    ledger = CostLedger()
     resting = {h: [0] * horizon_h for h in hub_ids}
     flows: dict[tuple[int, int, int], int] = {}
     for entry in roster:
@@ -156,7 +152,7 @@ class RollingPlan:
     A step's plan is its forecast and demand units, the FIFO residual
     against the capacity fixed so far, and the within-hub selection. It
     reads the network, the arrivals, the parameters, the noise mode and the
-    step's time, never the pool, the rates or the merge; and a merged shift
+    step's time, never the pool or the merge; and a merged shift
     keeps exactly the working segments of its two runs, so the capacity
     that feeds the next step's residual is the sum of the kept runs whatever
     the booking half does with them. Scenarios 1 and 2 differ only in that
@@ -207,8 +203,8 @@ class RollingPlan:
 
     def check(self, cfg: ScenarioConfig) -> None:
         """Raise ``ValueError`` unless ``cfg`` plans the same steps as the
-        config this plan was built for; rates, label and cross-hub moves
-        may differ."""
+        config this plan was built for; the scenario number may differ
+        (scenarios 1 and 2 plan alike)."""
         own = self.cfg
         for name in ("network", "actuals"):
             if getattr(cfg, name) is not getattr(own, name):
@@ -377,14 +373,8 @@ class RollingEngine:
         p = cfg.params
         self.hub_ids = plan.hub_ids
         self.n = p.horizon_h
-        # pairs worth a merge, in distance order: moving there costs less
-        # than a fresh hire
-        rates = cfg.rates
-        self.pairs = [
-            pair
-            for pair in (build_moving_pairs(cfg.network) if cfg.allow_cross_hub else [])
-            if moving_payment(pair.distance_m, rates) < rates.hiring_per_day
-        ]
+        # a move pays at most MOVING_FAR, less than a hire: every pair is worth a merge
+        self.pairs = build_moving_pairs(cfg.network) if cfg.allow_cross_hub else []
         self.pool = WorkforcePool(daily_cap_h=p.max_work_h)
         self.roster: list[RosterEntry] = []
         self.steps_taken = 0
@@ -442,7 +432,7 @@ class RollingEngine:
         for _ in range(self.steps_taken, len(self.plan.times)):
             self.step()
 
-        ledger, resting, flows = roster_tables(self.roster, self.hub_ids, self.n, self.cfg.rates)
+        ledger, resting, flows = roster_tables(self.roster, self.hub_ids, self.n)
         arrivals = {h: self.cfg.actuals[h].arrivals for h in self.hub_ids}
         capacity = self.plan.capacity
         late = self.plan.late_parcels

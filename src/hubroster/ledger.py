@@ -1,6 +1,7 @@
-"""Cost accounting: the six payment/penalty categories and their unit rates.
+"""Cost accounting: the six payment/penalty categories and the paper's
+price table, held as module constants.
 
-Rates (Yuan): hiring 50 per person per day; hourly pay 20 per working hour;
+Prices (Yuan): hiring 50 per person per day; hourly pay 20 per working hour;
 waiting 5 per resting hour at a hub; moving 10 within 3000 m else 20 per
 relocation; lateness 5 per parcel; emergency hiring 20/15/10/5 when the
 notification lead is under 1/2/4/8 hours (free at 8 h or more). Boundary
@@ -13,40 +14,34 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .shifts import Shift
 
-
-@dataclass(frozen=True)
-class CostRates:
-    hiring_per_day: float = 50.0
-    hourly: float = 20.0
-    waiting_hourly: float = 5.0
-    moving_near: float = 10.0
-    moving_far: float = 20.0
-    moving_tier_m: float = 3000.0
-    lateness_per_parcel: float = 5.0
-    # (lead upper bound, penalty), strictly-less-than semantics, descending cost
-    emergency_tiers: tuple = ((1.0, 20.0), (2.0, 15.0), (4.0, 10.0), (8.0, 5.0))
+HIRING_PER_DAY = 50.0
+HOURLY = 20.0
+WAITING_HOURLY = 5.0
+MOVING_NEAR = 10.0
+MOVING_FAR = 20.0
+MOVING_TIER_M = 3000.0
+LATENESS_PER_PARCEL = 5.0
+# (lead upper bound, penalty), strictly-less-than semantics, descending cost
+EMERGENCY_TIERS = ((1.0, 20.0), (2.0, 15.0), (4.0, 10.0), (8.0, 5.0))
 
 
-DEFAULT_RATES = CostRates()
-
-
-def moving_payment(distance_m: float, rates: CostRates = DEFAULT_RATES) -> float:
+def moving_payment(distance_m: float) -> float:
     """Flat relocation payment by distance tier."""
     if distance_m < 0:
         raise ValueError("distance must be non-negative")
-    return rates.moving_near if distance_m <= rates.moving_tier_m else rates.moving_far
+    return MOVING_NEAR if distance_m <= MOVING_TIER_M else MOVING_FAR
 
 
-def emergency_penalty(lead_time_h: float, rates: CostRates = DEFAULT_RATES) -> float:
+def emergency_penalty(lead_time_h: float) -> float:
     """Short-notice surcharge by notification lead time."""
     if lead_time_h < 0:
         raise ValueError("lead time must be non-negative")
-    for bound, penalty in rates.emergency_tiers:
+    for bound, penalty in EMERGENCY_TIERS:
         if lead_time_h < bound:
             return penalty
     return 0.0
@@ -63,7 +58,6 @@ class CostLedger:
     moving: float = 0.0
     lateness: float = 0.0
     emergency: float = 0.0
-    rates: CostRates = field(default_factory=CostRates)
 
     @property
     def total(self) -> float:
@@ -80,14 +74,13 @@ def accrue_shift(shift: Shift, lead_time_h: float, is_new_hire: bool, ledger: Co
     move (``move_distance_m > 0``) pays one relocation at that distance."""
     if shift.working_h == 0:
         raise ValueError("cannot accrue a shift with no working hours")
-    rates = ledger.rates
     if is_new_hire:
-        ledger.hiring += rates.hiring_per_day
-    ledger.hourly += rates.hourly * shift.working_h
-    ledger.waiting += rates.waiting_hourly * shift.resting_h
+        ledger.hiring += HIRING_PER_DAY
+    ledger.hourly += HOURLY * shift.working_h
+    ledger.waiting += WAITING_HOURLY * shift.resting_h
     if shift.move_distance_m > 0:
-        ledger.moving += moving_payment(shift.move_distance_m, rates)
-    ledger.emergency += emergency_penalty(lead_time_h, rates)
+        ledger.moving += moving_payment(shift.move_distance_m)
+    ledger.emergency += emergency_penalty(lead_time_h)
     return ledger
 
 
@@ -95,7 +88,7 @@ def lateness_penalty(late_parcels: int, ledger: CostLedger) -> CostLedger:
     """Book the per-parcel lateness penalty."""
     if late_parcels < 0:
         raise ValueError("late parcel count must be non-negative")
-    ledger.lateness += ledger.rates.lateness_per_parcel * late_parcels
+    ledger.lateness += LATENESS_PER_PARCEL * late_parcels
     return ledger
 
 
@@ -133,33 +126,26 @@ def read_ledger_json(path) -> dict:
     return doc
 
 
-def _unit_prices(rates: CostRates) -> dict[str, str]:
-    """Each category's unit price as the ledger CSV prints it (a range for
-    the tiered categories)."""
-
-    def span(prices):
-        low, high = min(prices), max(prices)
-        return f"{low:g}" if low == high else f"{low:g}-{high:g}"
-
-    return {
-        "hiring": f"{rates.hiring_per_day:g}/person/day",
-        "hourly": f"{rates.hourly:g}/person/hour",
-        "waiting": f"{rates.waiting_hourly:g}/person/hour",
-        "moving": f"{span((rates.moving_near, rates.moving_far))}/person",
-        "lateness": f"{rates.lateness_per_parcel:g}/parcel",
-        "emergency": f"{span([p for _bound, p in rates.emergency_tiers] or [0.0])}/person",
-    }
+# each category's unit price as the ledger CSV prints it (a range for the
+# tiered categories)
+UNIT_PRICES = {
+    "hiring": f"{HIRING_PER_DAY:g}/person/day",
+    "hourly": f"{HOURLY:g}/person/hour",
+    "waiting": f"{WAITING_HOURLY:g}/person/hour",
+    "moving": f"{MOVING_NEAR:g}-{MOVING_FAR:g}/person",
+    "lateness": f"{LATENESS_PER_PARCEL:g}/parcel",
+    "emergency": f"{EMERGENCY_TIERS[-1][1]:g}-{EMERGENCY_TIERS[0][1]:g}/person",
+}
 
 
 def write_ledger_csv(path, ledger: CostLedger, header: str = "") -> None:
-    """CSV twin of the ledger with one row per cost category, unit prices
-    from ``ledger.rates``."""
-    prices = _unit_prices(ledger.rates)
+    """CSV twin of the ledger with one row per cost category and its unit
+    price (``UNIT_PRICES``)."""
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(header)
         writer = csv.writer(fh)
         writer.writerow(["cost_type", "unit_price_yuan", "cost_yuan"])
         for name in CATEGORIES:
-            writer.writerow([name, prices[name], f"{getattr(ledger, name):.2f}"])
+            writer.writerow([name, UNIT_PRICES[name], f"{getattr(ledger, name):.2f}"])
         writer.writerow(["total", "-", f"{ledger.total:.2f}"])

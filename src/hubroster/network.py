@@ -134,8 +134,9 @@ def save_network(net: HubNetwork, path) -> None:
 
 def load_network(path) -> HubNetwork:
     """Read a network written by ``save_network``. A file that cannot be
-    read, is not JSON, lacks a key or holds a bad value raises ``ValueError``
-    naming the file (and the missing key)."""
+    read, is not JSON, lacks a key or holds a bad value (a hub id that is
+    not a JSON integer among them) raises ``ValueError`` naming the file
+    (and the missing key)."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -147,10 +148,12 @@ def load_network(path) -> HubNetwork:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: network must be a JSON object")
     try:
-        hubs = [
-            Hub(int(h["id"]), str(h["name"]), float(h["x_m"]), float(h["y_m"]), str(h["tier"]))
-            for h in doc["hubs"]
-        ]
+        hubs = []
+        for h in doc["hubs"]:
+            hub_id = h["id"]
+            if isinstance(hub_id, bool) or not isinstance(hub_id, int):
+                raise ValueError(f"hub id must be an integer, got {json.dumps(hub_id)}")
+            hubs.append(Hub(hub_id, str(h["name"]), float(h["x_m"]), float(h["y_m"]), str(h["tier"])))
         return HubNetwork(hubs, float(doc["d_max_m"]), float(doc["speed_m_per_h"]))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc

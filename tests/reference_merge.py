@@ -4,15 +4,15 @@ Every kept run is a single-segment ``Shift``; the merge regroups them by
 hub, re-sorts each hub's shifts, filters the moving pairs by cost on every
 call, copies the runs out for ``merge_runs``, builds the merged shifts from
 the input ``Shift``s and sorts the output by ``(start, first hub, end)``.
-The engine filters the pairs once, takes the plan's one-hub shifts already
-sorted, builds a ``Shift`` only for each merged pair and returns every
+The engine keeps every pair (a move costs less than a hire), takes the
+plan's one-hub shifts already sorted, builds a ``Shift`` only for each merged pair and returns every
 other input shift as itself.
 """
 
 import math
 
 from hubroster import _kernels as kernels
-from hubroster.ledger import moving_payment
+from hubroster.ledger import HIRING_PER_DAY, moving_payment
 from hubroster.shifts import RESTING, TRAVEL, WORKING, Segment, Shift
 
 
@@ -93,7 +93,6 @@ def merge_selected(engine, selected, pairs):
     if budget == 0:
         return selected
     p = engine.cfg.params
-    rates = engine.cfg.rates
     per_hub = {h: [] for h in engine.hub_ids}
     for s in selected:
         per_hub[s.segments[0].hub_id].append(s)
@@ -102,7 +101,7 @@ def merge_selected(engine, selected, pairs):
         pairs,
         p.max_work_h,
         p.max_gap_h,
-        rates.hiring_per_day,
-        lambda d: moving_payment(d, rates),
+        HIRING_PER_DAY,
+        moving_payment,
         max_merges=budget,
     )

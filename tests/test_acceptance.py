@@ -16,8 +16,11 @@ from hubroster.config import ScenarioParams
 from hubroster.demand import ArrivalSeries, GeneratorConfig, forecast_matrix, generate_arrivals
 from hubroster.engine import ScenarioConfig, replay_execution, run_scenario
 from hubroster.ledger import (
+    HIRING_PER_DAY,
+    HOURLY,
+    LATENESS_PER_PARCEL,
+    WAITING_HOURLY,
     CostLedger,
-    CostRates,
     accrue_shift,
     emergency_penalty,
     lateness_penalty,
@@ -88,7 +91,7 @@ def suite200():
     out = []
     for seed in range(200):
         net, arrivals = _suite_instance(seed)
-        cfg = ScenarioConfig.for_scenario(1, net, arrivals, ScenarioParams(seed=seed), noise="perfect")
+        cfg = ScenarioConfig(1, net, arrivals, ScenarioParams(seed=seed), "perfect")
         out.append((net, arrivals, run_scenario(cfg)))
     return out
 
@@ -99,8 +102,8 @@ def showcase():
     for seed in range(300, 310):
         net, arrivals = _showcase_instance(seed)
         params = ScenarioParams(seed=seed)
-        r1 = run_scenario(ScenarioConfig.for_scenario(1, net, arrivals, params, noise="perfect"))
-        r2 = run_scenario(ScenarioConfig.for_scenario(2, net, arrivals, params, noise="perfect"))
+        r1 = run_scenario(ScenarioConfig(1, net, arrivals, params, "perfect"))
+        r2 = run_scenario(ScenarioConfig(2, net, arrivals, params, "perfect"))
         out.append((net, arrivals, r1, r2))
     return out
 
@@ -110,13 +113,12 @@ def showcase():
 
 def test_criterion_01_price_table():
     def check():
-        rates = CostRates()
-        assert rates.hiring_per_day == 50  # per person per day
-        assert rates.hourly == 20  # per person per hour
-        assert rates.waiting_hourly == 5  # per person per hour at hubs
+        assert HIRING_PER_DAY == 50  # per person per day
+        assert HOURLY == 20  # per person per hour
+        assert WAITING_HOURLY == 5  # per person per hour at hubs
         for dist, fee in [(0, 10), (2999, 10), (3000, 10), (3001, 20), (10_000, 20)]:
             assert moving_payment(dist) == fee
-        assert rates.lateness_per_parcel == 5
+        assert LATENESS_PER_PARCEL == 5
         for lead, fee in [(0, 20), (0.99, 20), (1, 15), (1.99, 15), (2, 10), (3.5, 10),
                           (4, 5), (7.99, 5), (8, 0), (24, 0)]:
             assert emergency_penalty(lead) == fee
@@ -166,7 +168,7 @@ def test_criterion_03_constraints(suite200, showcase):
                     travel_h = dist / net.speed_m_per_h
                     assert travel_h <= gap <= MAX_GAP
                     assert dist <= net.d_max_m
-                    assert moving_payment(dist) < CostRates().hiring_per_day
+                    assert moving_payment(dist) < HIRING_PER_DAY
         assert merged_seen >= 5  # the audit actually exercised merged shifts
 
     _report(3, "every roster shift satisfies hour cap and merge feasibility", check)
@@ -199,7 +201,7 @@ def test_criterion_04_dwell_lateness():
             net = random_network(n_hubs=5, n_gateways=2, area_m=5000, seed=seed)
             arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=120_000), seed)
             for scenario in (1, 2, 3):
-                cfg = ScenarioConfig.for_scenario(
+                cfg = ScenarioConfig(
                     scenario, net, arrivals, ScenarioParams(seed=seed), noise="perfect"
                 )
                 assert run_scenario(cfg).late_parcels == 0
@@ -209,7 +211,7 @@ def test_criterion_04_dwell_lateness():
         for seed in range(6):
             net = random_network(n_hubs=6, n_gateways=2, area_m=6000, seed=seed)
             arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=3_000_000), seed)
-            cfg = ScenarioConfig.for_scenario(
+            cfg = ScenarioConfig(
                 3, net, arrivals, ScenarioParams(seed=seed), noise="paper"
             )
             report = run_scenario(cfg)
@@ -236,7 +238,7 @@ def test_criterion_05_scenario_ordering(suite200, showcase):
             if r1.merged_shift_count == 0:
                 continue
             fired += 1
-            cfg = ScenarioConfig.for_scenario(
+            cfg = ScenarioConfig(
                 2, net, arrivals, ScenarioParams(seed=idx), noise="perfect"
             )
             r2 = run_scenario(cfg)
@@ -355,7 +357,7 @@ def test_criterion_09_scale_runtime():
         arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=1_173_253), 42)
         total = sum(s.total for s in arrivals.values())
         assert total == 1_173_253
-        cfg = ScenarioConfig.for_scenario(1, net, arrivals, ScenarioParams(seed=42), noise="paper")
+        cfg = ScenarioConfig(1, net, arrivals, ScenarioParams(seed=42), "paper")
         t0 = time.perf_counter()
         report = run_scenario(cfg)
         elapsed = time.perf_counter() - t0
@@ -398,21 +400,21 @@ def test_criterion_10_determinism(tmp_path):
 # ------------------------------------------------------------- criterion 11
 
 
-def _audit_ledger(net, report, rates=None):
+def _audit_ledger(net, report):
     """Re-book the roster from its segments, fix times and the network.
 
     Each shift is rebuilt from its segments alone, so the stored
     ``move_distance_m`` is never read: every move is booked here at the
     network's distance between its two hubs, and a merge that stored a
     wrong distance fails the audit."""
-    ledger = CostLedger(rates=rates or CostRates())
+    ledger = CostLedger()
     seen_workers = set()
     for e in report.roster:
         is_new = e.worker_id not in seen_workers
         seen_workers.add(e.worker_id)
         accrue_shift(Shift(e.shift.segments), e.shift.start_h - e.fixed_at_h, is_new, ledger)
         for src, dst, _seg in e.shift.moves():
-            ledger.moving += moving_payment(net.distance_m(src, dst), ledger.rates)
+            ledger.moving += moving_payment(net.distance_m(src, dst))
     capacity = {h: [0] * 24 for h in net.hub_ids}
     for e in report.roster:
         for seg in e.shift.segments:
@@ -432,7 +434,7 @@ def test_criterion_11_ledger_audit(suite200, showcase):
         net = random_network(n_hubs=5, n_gateways=2, area_m=6000, seed=9)
         arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=200_000), 9)
         noisy = run_scenario(
-            ScenarioConfig.for_scenario(3, net, arrivals, ScenarioParams(seed=9), noise="paper")
+            ScenarioConfig(3, net, arrivals, ScenarioParams(seed=9), "paper")
         )
         picks.append((net, noisy))
         for net_i, report in picks:

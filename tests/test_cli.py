@@ -269,7 +269,8 @@ def test_run_rejects_negative_arrivals(tmp_path, capsys):
         lines[-1] = lines[-1].rsplit(",", 1)[0] + ",-3\n"
         path.write_text("".join(lines))
 
-    assert "non-negative" in _run_error(tmp_path, capsys, edit)
+    message = _run_error(tmp_path, capsys, edit)
+    assert "arrivals.csv: row " in message and "arrivals must be non-negative" in message
 
 
 def test_run_rejects_arrivals_for_another_network(tmp_path, capsys):

@@ -310,8 +310,9 @@ def test_arrivals_csv_round_trip(tmp_path):
         (lambda rows: rows[:-1], "missing row for hub 2 slot 23"),
         (lambda rows: rows + ["1,7,99\n"], "duplicate row for hub 1 slot 7"),
         (lambda rows: rows + ["1,-1,5\n"], "negative slot for hub 1 slot -1"),
+        (lambda rows: rows[:3] + ["0,3,-2\n"] + rows[4:], r"arrivals.csv: row '0,3,-2': arrivals must be non-negative"),
     ],
-    ids=["missing-inner", "missing-last", "duplicate", "negative-slot"],
+    ids=["missing-inner", "missing-last", "duplicate", "negative-slot", "negative-arrivals"],
 )
 def test_arrivals_csv_rejects_missing_and_duplicate_rows(tmp_path, edit, message):
     net = random_network(n_hubs=3, n_gateways=1, seed=2)
@@ -349,6 +350,8 @@ def _dict_reader_arrivals(path):
         if None in rec:
             raise ValueError(f"{path}: row {text!r} has more fields than the header's {len(reader.fieldnames)}")
         hub_id, slot, count = values
+        if count < 0:
+            raise ValueError(f"{path}: row {text!r}: arrivals must be non-negative")
         by_slot = rows.setdefault(hub_id, {})
         if slot < 0:
             raise ValueError(f"{path}: negative slot for hub {hub_id} slot {slot}")

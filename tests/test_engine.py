@@ -26,7 +26,7 @@ from hubroster.engine import (
     write_roster_csv,
     write_series_csv,
 )
-from hubroster.ledger import CostLedger, CostRates, moving_payment
+from hubroster.ledger import HIRING_PER_DAY, LATENESS_PER_PARCEL, CostLedger, moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs, random_network
 from hubroster.shifts import RESTING, TRAVEL, WORKING, Segment, Shift, merge_across_hubs
 from hubroster.valuation import shift_value, should_fix
@@ -51,9 +51,7 @@ def _arrivals(net, rows):
 
 def _cfg(net, rows, scenario=1, noise="perfect", **params):
     params.setdefault("horizon_h", len(next(iter(rows.values()))))
-    return ScenarioConfig.for_scenario(
-        scenario, net, _arrivals(net, rows), ScenarioParams(**params), noise=noise
-    )
+    return ScenarioConfig(scenario, net, _arrivals(net, rows), ScenarioParams(**params), noise)
 
 
 def _needed(rows):
@@ -62,7 +60,7 @@ def _needed(rows):
 
 def _ledger(engine):
     """The ledger of the roster an engine has fixed so far."""
-    return roster_tables(engine.roster, engine.hub_ids, engine.n, engine.cfg.rates)[0]
+    return roster_tables(engine.roster, engine.hub_ids, engine.n)[0]
 
 
 def test_zero_demand_is_noop():
@@ -322,8 +320,8 @@ def _shapes(shifts):
 
 
 def _random_merge_case(rng):
-    """A small network with fractional travel times, a cost filter that
-    drops some pairs, and sorted kept runs with repeated starts at a hub."""
+    """A small network with fractional travel times, a random scenario's
+    engine, and sorted kept runs with repeated starts at a hub."""
     n_hubs = int(rng.integers(2, 6))
     ids = sorted(int(h) for h in rng.choice(20, n_hubs, replace=False))
     hubs = [Hub(h, f"H{h}", float(rng.uniform(0, 5000)), float(rng.uniform(0, 2000)), "local") for h in ids]
@@ -332,12 +330,9 @@ def _random_merge_case(rng):
     params = ScenarioParams(
         horizon_h=horizon, max_work_h=int(rng.integers(1, 9)), max_gap_h=int(rng.integers(0, 4))
     )
-    # moving pays 10 up to 3000 m and 20 beyond: a 15- or 20-Yuan hire drops
-    # the far pairs, a 10-Yuan hire every pair
-    rates = CostRates(hiring_per_day=float(rng.choice([50.0, 50.0, 20.0, 15.0, 10.0])))
     scenario = int(rng.choice([1, 1, 1, 2, 3]))
     arrivals = {h: ArrivalSeries(h, [0] * horizon) for h in ids}
-    engine = RollingEngine(ScenarioConfig.for_scenario(scenario, net, arrivals, params, rates=rates))
+    engine = RollingEngine(ScenarioConfig(scenario, net, arrivals, params))
     kept = []
     for _ in range(int(rng.integers(0, 24))):
         h = ids[int(rng.integers(n_hubs))]
@@ -378,7 +373,7 @@ def test_merge_on_runs_matches_shift_based_reference():
     merged = ties = 0
     for case in range(2400):
         net, engine, kept = _random_merge_case(rng)
-        p, rates = engine.cfg.params, engine.cfg.rates
+        p = engine.cfg.params
         shifts = _plan_shifts(kept)
         pairs = build_moving_pairs(net) if engine.cfg.allow_cross_hub else []
 
@@ -391,8 +386,8 @@ def test_merge_on_runs_matches_shift_based_reference():
             pairs,
             p.max_work_h,
             p.max_gap_h,
-            rates.hiring_per_day,
-            lambda d: moving_payment(d, rates),
+            HIRING_PER_DAY,
+            moving_payment,
             budget,
         )
         assert _shapes(got) == _shapes(expected), case
@@ -422,7 +417,7 @@ def test_merge_returns_untouched_shifts_by_identity_in_order():
     seen = dict.fromkeys(("empty", "full", "short", "equal runs", "tie with a merge", "no merge"), 0)
     for case in range(1500):
         net, engine, kept = _random_merge_case(rng)
-        p, rates = engine.cfg.params, engine.cfg.rates
+        p = engine.cfg.params
         shifts = _plan_shifts(kept)
         by_hub = {h: [x for x in shifts if x.segments[0].hub_id == h] for h in engine.hub_ids}
         budget = int(rng.choice([-1, 0, 1, 3, 100]))
@@ -432,8 +427,8 @@ def test_merge_returns_untouched_shifts_by_identity_in_order():
             build_moving_pairs(net) if engine.cfg.allow_cross_hub else [],
             p.max_work_h,
             p.max_gap_h,
-            rates.hiring_per_day,
-            lambda d: moving_payment(d, rates),
+            HIRING_PER_DAY,
+            moving_payment,
             budget,
         )
         assert len(got) == len(expected), case
@@ -554,7 +549,7 @@ def test_fixed_shifts_skip_the_budget_and_the_kernel_when_nothing_can_merge(monk
             horizon_h=horizon, max_work_h=int(rng.integers(2, 9)), max_gap_h=int(rng.integers(0, 4))
         )
         arrivals = {h: ArrivalSeries(h, [0] * horizon) for h in range(n_hubs)}
-        engine = RollingEngine(ScenarioConfig.for_scenario(int(rng.choice([1, 3])), net, arrivals, params))
+        engine = RollingEngine(ScenarioConfig(int(rng.choice([1, 3])), net, arrivals, params))
         linked = {(pair.hub_a, pair.hub_b) for pair in engine.pairs}
         if not linked:
             continue
@@ -990,7 +985,7 @@ def test_scenarios_on_a_shared_plan_equal_their_runs_alone():
         )
         noise = str(rng.choice(["paper", "perfect"]))
         collect = bool(rng.random() < 0.5)
-        cfgs = [ScenarioConfig.for_scenario(n, net, arrivals, params, noise=noise) for n in (1, 2)]
+        cfgs = [ScenarioConfig(n, net, arrivals, params, noise) for n in (1, 2)]
         plan = RollingPlan(cfgs[0], collect_forecasts=collect)
         order = cfgs if rng.random() < 0.5 else cfgs[::-1]
         shared = {cfg.label: run_scenario(cfg, plan) for cfg in order}
@@ -1050,8 +1045,8 @@ def test_engines_on_one_plan_book_its_shifts(monkeypatch):
             seed=i,
         )
         noise = str(rng.choice(["paper", "perfect"]))
-        cfgs = {n: ScenarioConfig.for_scenario(n, net, arrivals, params, noise=noise) for n in (1, 2, 3)}
-        for group in ((cfgs[1], cfgs[2]), (cfgs[3], dataclasses.replace(cfgs[3], label="again"))):
+        cfgs = {n: ScenarioConfig(n, net, arrivals, params, noise) for n in (1, 2, 3)}
+        for group in ((cfgs[1], cfgs[2]), (cfgs[3], dataclasses.replace(cfgs[3]))):
             builds.clear()
             selected.clear()
             plan = RollingPlan(group[0])
@@ -1117,8 +1112,8 @@ def test_a_plan_replays_its_capacity_once_for_every_engine(monkeypatch):
     for i in range(30):
         net, arrivals, params = _random_day(rng, i, [15, 20, 60, 90], high=900, density=0.7)
         noise = str(rng.choice(["paper", "perfect"]))
-        cfgs = {n: ScenarioConfig.for_scenario(n, net, arrivals, params, noise=noise) for n in (1, 2, 3)}
-        for group in ((cfgs[1], cfgs[2]), (cfgs[3], dataclasses.replace(cfgs[3], allow_cross_hub=False))):
+        cfgs = {n: ScenarioConfig(n, net, arrivals, params, noise) for n in (1, 2, 3)}
+        for group in ((cfgs[1], cfgs[2]), (cfgs[3], dataclasses.replace(cfgs[3]))):
             plan = RollingPlan(group[0])
             replays = 0
             reports = [run_scenario(cfg, plan) for cfg in group]
@@ -1128,7 +1123,7 @@ def test_a_plan_replays_its_capacity_once_for_every_engine(monkeypatch):
             assert plan.late_parcels == late, i
             for report in reports:
                 assert report.late_parcels == late, (i, report.label)
-                assert report.ledger.lateness == late * report.ledger.rates.lateness_per_parcel
+                assert report.ledger.lateness == late * LATENESS_PER_PARCEL
             late_plans += late > 0
             dwell0_late_plans += late > 0 and p.dwell_h == 0
     assert late_plans > 5 and dwell0_late_plans > 2, (late_plans, dwell0_late_plans)
@@ -1141,7 +1136,7 @@ def test_run_takes_only_the_steps_not_yet_taken():
     rng = np.random.default_rng(29)
     for i in range(24):
         net, arrivals, params = _random_day(rng, i, [15, 20, 60, 90])
-        cfg = ScenarioConfig.for_scenario(int(rng.integers(1, 4)), net, arrivals, params, noise="paper")
+        cfg = ScenarioConfig(int(rng.integers(1, 4)), net, arrivals, params, noise="paper")
         collect = bool(rng.random() < 0.5)
         plain = run_scenario(cfg, RollingPlan(cfg, collect_forecasts=collect))
         engine = RollingEngine(cfg, RollingPlan(cfg, collect_forecasts=collect))
@@ -1170,11 +1165,23 @@ def test_a_second_run_reports_an_equal_day():
     assert dataclasses.replace(first, label="other") != first
 
 
-@pytest.mark.parametrize("number", [0, 4])
-def test_for_scenario_rejects_an_unknown_number(number):
+@pytest.mark.parametrize("number", [0, 1, 2, 3, 4])
+def test_a_scenario_is_its_number(number):
+    # the number sets the label, the cross-hub moves and, for scenario 3, a
+    # copy of params that replans once over the horizon; 0 and 4 are refused
     net, arrivals, params, _plan = _plan_case()
-    with pytest.raises(ValueError, match=f"unknown scenario {number}: the scenarios are 1, 2 and 3"):
-        ScenarioConfig.for_scenario(number, net, arrivals, params)
+    if number not in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"unknown scenario {number}: the scenarios are 1, 2 and 3"):
+            ScenarioConfig(number, net, arrivals, params)
+        return
+    cfg = ScenarioConfig(number, net, arrivals, params)
+    assert [f.name for f in dataclasses.fields(cfg)] == ["number", "network", "actuals", "params", "noise"]
+    assert cfg.label == f"scenario{number}"
+    assert cfg.allow_cross_hub == (number != 2)
+    if number == 3:
+        assert cfg.params == dataclasses.replace(params, replan_min=60 * params.horizon_h) != params
+    else:
+        assert cfg.params is params
 
 
 def test_every_shift_stores_its_bounds():
@@ -1184,7 +1191,7 @@ def test_every_shift_stores_its_bounds():
     merged = 0
     for i in range(20):
         net, arrivals, params = _random_day(rng, i, [15, 45, 60])
-        cfgs = [ScenarioConfig.for_scenario(n, net, arrivals, params, noise="paper") for n in (1, 3)]
+        cfgs = [ScenarioConfig(n, net, arrivals, params, "paper") for n in (1, 3)]
         for cfg in cfgs:
             plan = RollingPlan(cfg)
             report = run_scenario(cfg, plan)
@@ -1199,13 +1206,13 @@ def _plan_case():
     net = random_network(n_hubs=4, n_gateways=1, area_m=3000, seed=4)
     arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=20_000), 4)
     params = ScenarioParams(seed=4)
-    return net, arrivals, params, RollingPlan(ScenarioConfig.for_scenario(1, net, arrivals, params, noise="paper"))
+    return net, arrivals, params, RollingPlan(ScenarioConfig(1, net, arrivals, params, "paper"))
 
 
 @pytest.mark.parametrize("case", ["network", "actuals", "params", "noise", "scenario3"])
 def test_a_plan_refuses_an_engine_that_plans_other_steps(case):
     net, arrivals, params, plan = _plan_case()
-    cfg = ScenarioConfig.for_scenario(2, net, arrivals, params, noise="paper")
+    cfg = ScenarioConfig(2, net, arrivals, params, "paper")
     other_net = random_network(n_hubs=4, n_gateways=1, area_m=3000, seed=4)
     field, other = {
         "network": ("network", dataclasses.replace(cfg, network=other_net)),
@@ -1213,7 +1220,7 @@ def test_a_plan_refuses_an_engine_that_plans_other_steps(case):
         "params": ("params", dataclasses.replace(cfg, params=ScenarioParams(seed=4, dwell_h=2))),
         "noise": ("noise", dataclasses.replace(cfg, noise="perfect")),
         # scenario 3 replans once a day: its params differ in replan_min
-        "scenario3": ("params", ScenarioConfig.for_scenario(3, net, arrivals, params, noise="paper")),
+        "scenario3": ("params", ScenarioConfig(3, net, arrivals, params, "paper")),
     }[case]
     with pytest.raises(ValueError, match=field):
         RollingEngine(other, plan=plan)
@@ -1271,7 +1278,7 @@ def test_a_rolling_plan_that_replans_past_the_horizon_is_scenario_3(noise):
         )
         scenario1 = _cfg(net, rows, scenario=1, noise=noise, **params)
         before = dataclasses.replace(scenario1.params)
-        baseline = ScenarioConfig.for_scenario(3, net, scenario1.actuals, scenario1.params, noise=noise)
+        baseline = ScenarioConfig(3, net, scenario1.actuals, scenario1.params, noise)
         assert scenario1.params == before
         assert baseline.params == dataclasses.replace(before, replan_min=60 * horizon)
         expected = _outputs(run_scenario(baseline, RollingPlan(baseline, collect_forecasts=True)))
@@ -1283,13 +1290,11 @@ def test_a_rolling_plan_that_replans_past_the_horizon_is_scenario_3(noise):
     assert moved > 3 and (late > 0) == (noise == "paper"), (moved, late)
 
 
-def test_a_plan_serves_other_rates_labels_and_moves():
+def test_a_plan_serves_scenario_2_and_equal_params():
     net, arrivals, params, plan = _plan_case()
-    cfg = ScenarioConfig.for_scenario(1, net, arrivals, params, noise="paper")
+    cfg = ScenarioConfig(1, net, arrivals, params, "paper")
     for other in (
-        dict(rates=CostRates(hiring_per_day=20.0)),
-        dict(label="another"),
-        dict(allow_cross_hub=False),
+        dict(number=2),
         dict(params=ScenarioParams(seed=4)),  # an equal copy
     ):
         run_scenario(dataclasses.replace(cfg, **other), plan)
@@ -1360,13 +1365,13 @@ def test_writers_render_the_rows_csv_writer_would(tmp_path):
         h: {"arrivals": [h * 100 + t for t in range(14)], "working": [t % 3 for t in range(14)], "resting": [h] * 14}
         for h in (2, 0, 1)
     }
-    report = SimReport("s", CostLedger(rates=CostRates()), roster, 0, series, {(1, 0, 6): 2, (0, 1, 0): 1}, 0.0, 3)
+    report = SimReport("s", CostLedger(), roster, 0, series, {(1, 0, 6): 2, (0, 1, 0): 1}, 0.0, 3)
     # and real days: one that merges, one that replans every 15 minutes
     merging = run_scenario(_cfg(_net(2, spread_m=800), _merge_showcase_rows(), scenario=1))
     net = random_network(n_hubs=4, n_gateways=1, area_m=3000, seed=4)
     arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=20_000), 4)
     params = ScenarioParams(seed=4, replan_min=15)
-    quarter = run_scenario(ScenarioConfig.for_scenario(1, net, arrivals, params, noise="paper"))
+    quarter = run_scenario(ScenarioConfig(1, net, arrivals, params, "paper"))
     assert merging.merged_shift_count == 1
     assert any(e.fixed_at_h % 1 for e in quarter.roster)
     for k, rep in enumerate((report, merging, quarter)):
@@ -1432,7 +1437,7 @@ def test_templated_writers_match_the_fstring_writers_on_random_days(tmp_path):
     fractional = 0
     for i in range(24):
         net, arrivals, params = _random_day(rng, i, [15, 20, 60])
-        cfg = ScenarioConfig.for_scenario(int(rng.choice([1, 3])), net, arrivals, params, noise="paper")
+        cfg = ScenarioConfig(int(rng.choice([1, 3])), net, arrivals, params, noise="paper")
         report = run_scenario(cfg)
         kinds |= {seg.kind for e in report.roster for seg in e.shift.segments}
         fractional += sum(e.fixed_at_h % 1 != 0 for e in report.roster)
@@ -1442,7 +1447,7 @@ def test_templated_writers_match_the_fstring_writers_on_random_days(tmp_path):
                 old(tmp_path / "old.csv", report, header)
                 assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), (i, new.__name__)
     assert kinds == {WORKING, TRAVEL, RESTING} and fractional > 100, (kinds, fractional)
-    empty = SimReport("s", CostLedger(rates=CostRates()), [], 0, {}, {}, 0.0, 0)
+    empty = SimReport("s", CostLedger(), [], 0, {}, {}, 0.0, 0)
     for new, old in ((write_roster_csv, _fstring_roster_csv), (write_series_csv, _fstring_series_csv)):
         new(tmp_path / "new.csv", empty, "# h\n")
         old(tmp_path / "old.csv", empty, "# h\n")

@@ -3,8 +3,15 @@
 import pytest
 
 from hubroster.ledger import (
+    EMERGENCY_TIERS,
+    HIRING_PER_DAY,
+    HOURLY,
+    LATENESS_PER_PARCEL,
+    MOVING_FAR,
+    MOVING_NEAR,
+    MOVING_TIER_M,
+    WAITING_HOURLY,
     CostLedger,
-    CostRates,
     accrue_shift,
     emergency_penalty,
     lateness_penalty,
@@ -17,13 +24,12 @@ from hubroster.shifts import Segment, Shift
 
 
 def test_rate_table_pinned():
-    rates = CostRates()
-    assert rates.hiring_per_day == 50
-    assert rates.hourly == 20
-    assert rates.waiting_hourly == 5
-    assert (rates.moving_near, rates.moving_far, rates.moving_tier_m) == (10, 20, 3000)
-    assert rates.lateness_per_parcel == 5
-    assert rates.emergency_tiers == ((1, 20), (2, 15), (4, 10), (8, 5))
+    assert HIRING_PER_DAY == 50
+    assert HOURLY == 20
+    assert WAITING_HOURLY == 5
+    assert (MOVING_NEAR, MOVING_FAR, MOVING_TIER_M) == (10, 20, 3000)
+    assert LATENESS_PER_PARCEL == 5
+    assert EMERGENCY_TIERS == ((1, 20), (2, 15), (4, 10), (8, 5))
 
 
 @pytest.mark.parametrize(
@@ -140,28 +146,8 @@ def test_csv_report_layout(tmp_path):
     assert lines[-1].startswith("total,-,")
 
 
-def test_csv_unit_prices_follow_the_ledger_rates(tmp_path):
+def test_csv_prints_the_price_table(tmp_path):
     path = tmp_path / "ledger.csv"
-    rates = CostRates(
-        hiring_per_day=60,
-        hourly=22.5,
-        waiting_hourly=4,
-        moving_near=12,
-        moving_far=12,
-        lateness_per_parcel=7,
-        emergency_tiers=((1.0, 30.0), (8.0, 2.5)),
-    )
-    write_ledger_csv(path, CostLedger(hiring=60, rates=rates))
-    assert path.read_text().splitlines()[1:7] == [
-        "hiring,60/person/day,60.00",
-        "hourly,22.5/person/hour,0.00",
-        "waiting,4/person/hour,0.00",
-        "moving,12/person,0.00",
-        "lateness,7/parcel,0.00",
-        "emergency,2.5-30/person,0.00",
-    ]
-    write_ledger_csv(path, CostLedger(rates=CostRates(emergency_tiers=())))
-    assert path.read_text().splitlines()[6] == "emergency,0/person,0.00"
     write_ledger_csv(path, CostLedger())
     assert [line.split(",")[1] for line in path.read_text().splitlines()[1:7]] == [
         "50/person/day",

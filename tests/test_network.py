@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,11 @@ def test_load_network_names_the_file_it_cannot_read_or_use(tmp_path):
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="network.json: "):
+            load_network(path)
+    # a hub id that is not a JSON integer is refused, not truncated
+    for bad, shown in ((1.5, "1.5"), (True, "true"), ("1", '"1"')):
+        path.write_text(json.dumps({"hubs": [{**hub, "id": bad}], "d_max_m": 3000, "speed_m_per_h": 15000}))
+        with pytest.raises(ValueError, match=f"network.json: hub id must be an integer, got {re.escape(shown)}$"):
             load_network(path)
 
 

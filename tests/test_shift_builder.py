@@ -12,7 +12,7 @@ from hubroster._kernels import _trial
 from hubroster.config import ScenarioParams
 from hubroster.demand import ArrivalSeries
 from hubroster.engine import RollingEngine, ScenarioConfig
-from hubroster.ledger import CostRates, moving_payment
+from hubroster.ledger import HIRING_PER_DAY, MOVING_FAR, MOVING_NEAR, MOVING_TIER_M, moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs
 from hubroster.shifts import Segment, Shift, combine_within_hub_detail, merge_across_hubs
 from oracle_enum import min_workers_single_hub, min_workers_two_hub
@@ -489,20 +489,24 @@ def test_merge_rejects_travel_longer_than_gap():
 
 
 def test_merge_requires_saving_over_hire():
-    # the engine keeps a pair only while moving undercuts a hire
-    net, _pairs = _two_hub_net(2000)
-    for hiring, merged in ((5, False), (50, True)):
-        cfg = ScenarioConfig.for_scenario(
-            1,
-            net,
-            {h: ArrivalSeries(h, [0] * 12) for h in (0, 1)},
-            ScenarioParams(horizon_h=12),
-            rates=CostRates(hiring_per_day=hiring),
-        )
-        runs = [(0, 0, 4), (5, 1, 9)]
-        kept = [Shift([Segment(h, s, e, "working")]) for s, h, e in runs]
-        out = RollingEngine(cfg)._fixed_shifts(kept)
-        assert any(_has_move(s) for s in out) == merged  # moving 10 >= hiring 5
+    # a move at either distance tier costs less than a hire, so the engine
+    # keeps every pair: scenario 1 merges over a near and a far pair, and
+    # scenario 2 over neither
+    assert max(MOVING_NEAR, MOVING_FAR) < HIRING_PER_DAY
+    for distance in (2000, 4000):
+        assert (moving_payment(distance) == MOVING_NEAR) == (distance <= MOVING_TIER_M)
+        net, _pairs = _two_hub_net(distance, d_max_m=5000)
+        for scenario, merged in ((1, True), (2, False)):
+            cfg = ScenarioConfig(
+                scenario,
+                net,
+                {h: ArrivalSeries(h, [0] * 12) for h in (0, 1)},
+                ScenarioParams(horizon_h=12),
+            )
+            runs = [(0, 0, 4), (5, 1, 9)]
+            kept = [Shift([Segment(h, s, e, "working")]) for s, h, e in runs]
+            out = RollingEngine(cfg)._fixed_shifts(kept)
+            assert any(_has_move(s) for s in out) == merged, (distance, scenario)
 
 
 def test_merge_never_increases_count_and_conserves_hours():
@@ -530,7 +534,7 @@ def test_merge_never_increases_count_and_conserves_hours():
                 assert travel <= gap <= 2
                 assert s.working_h <= RHO
                 assert s.move_distance_m <= net.d_max_m
-                assert moving_payment(s.move_distance_m) < 50
+                assert moving_payment(s.move_distance_m) < HIRING_PER_DAY
 
 
 def test_merge_deterministic():

@@ -109,7 +109,7 @@ def test_fix_reach_none_when_any_lead_can_qualify():
 
 def _plan(horizon=24, scenario=1, **params):
     net = HubNetwork([Hub(0, "H0", 0.0, 0.0, "local")], d_max_m=3000, speed_m_per_h=15000)
-    cfg = ScenarioConfig.for_scenario(
+    cfg = ScenarioConfig(
         scenario, net, {0: ArrivalSeries(0, [0] * horizon)}, ScenarioParams(horizon_h=horizon, **params)
     )
     return RollingPlan(cfg)
