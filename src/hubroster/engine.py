@@ -166,6 +166,12 @@ class RollingPlan:
     (``RollingEngine._fixed_shifts``). ``Shift`` and ``Segment`` are frozen
     values, so runs and engines can share them.
 
+    A step searches each residual row it has not searched before at its
+    first slot and stop (``_select``): ``searched`` keeps the candidate runs
+    of the searches made at the last step's first slot, and is emptied when
+    the first slot advances. It belongs to this plan alone, so another plan
+    searches every row again.
+
     After its last step the plan replays its ``capacity`` against the
     actual arrivals once (``replay_execution``) and keeps the late-parcel
     count in ``late_parcels`` (None until then). The count reads only the
@@ -197,6 +203,9 @@ class RollingPlan:
         self.settled = {h: [] for h in self.hub_ids}
         # the one-hub shifts of each planned step's kept runs
         self.steps: list[list[Shift]] = []
+        # the candidate runs of each residual row searched at the last
+        # step's first slot, keyed on (first_slot, stop, *row) (``_select``)
+        self.searched: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         self.collect_forecasts = collect_forecasts
         self.forecast_snapshots: list[ForecastSnapshot] = []
         self.late_parcels: int | None = None
@@ -339,14 +348,28 @@ class RollingPlan:
         changes the selection, and a hub whose residual holds no unit
         before the stop gives no kept run.
 
+        The search is a pure function of the row, ``first_slot`` and the
+        stop (the plan fixes ``dwell_h`` and ``max_work_h``), so a row
+        equal to one searched before at the same first slot and stop, for
+        another hub or an earlier step, takes the runs stored in
+        ``searched`` and only the ``need`` filter runs again. The first slot
+        never falls from step to step, so the store is emptied when it
+        rises and holds only the searches of one first slot.
+
         Returns the kept runs as sorted ``(start, hub, end)`` tuples, which
         ``kept`` turns into the step's shifts.
         """
         p = self.cfg.params
         stop = len(need)
+        searched = self.searched
+        if searched and next(iter(searched))[0] != first_slot:
+            searched.clear()  # first_slot only grows: no earlier key comes back
         kept = []
         for h, row in residual.items():
-            runs, _left, _dropped = combine_within_hub_detail(row, p.dwell_h, p.max_work_h, first_slot, stop)
+            key = (first_slot, stop, *row)
+            runs = searched.get(key)
+            if runs is None:
+                runs = searched[key] = combine_within_hub_detail(row, p.dwell_h, p.max_work_h, first_slot, stop)[0]
             for start, end in runs:
                 if start < stop and end - start >= need[start]:
                     kept.append((start, h, end))

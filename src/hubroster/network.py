@@ -67,8 +67,8 @@ class HubNetwork:
                 raise ValueError(
                     f"hubs {other} and {h.id} share coordinates ({h.x_m:g}, {h.y_m:g})"
                 )
-        if not d_max_m > 0:
-            raise ValueError("d_max_m must be positive")
+        if not 0 < d_max_m < math.inf:
+            raise ValueError("d_max_m must be positive and finite")
         # an infinite speed makes every move take no time: a hub change
         # without a travel segment
         if not 0 < speed_m_per_h < math.inf:
@@ -132,11 +132,30 @@ def save_network(net: HubNetwork, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _number(doc: dict, key: str, owner: str = "") -> float:
+    """``doc[key]`` as a float; ``ValueError`` unless it is a JSON number
+    (not a bool: ``true`` is an ``int`` to Python). ``HubNetwork`` refuses
+    the ``NaN`` and ``Infinity`` that Python's ``json`` reads."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{owner}{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _string(doc: dict, key: str, owner: str = "") -> str:
+    value = doc[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{owner}{key} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def load_network(path) -> HubNetwork:
     """Read a network written by ``save_network``. A file that cannot be
-    read, is not JSON, lacks a key or holds a bad value (a hub id that is
-    not a JSON integer among them) raises ``ValueError`` naming the file
-    (and the missing key)."""
+    read, is not JSON, lacks a key or holds a bad value raises
+    ``ValueError`` naming the file (and the missing key): a hub id must be
+    a JSON integer, every other number a JSON number (and finite, which
+    ``HubNetwork`` checks) and a name or tier a JSON string, so no value is
+    coerced."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -153,11 +172,12 @@ def load_network(path) -> HubNetwork:
             hub_id = h["id"]
             if isinstance(hub_id, bool) or not isinstance(hub_id, int):
                 raise ValueError(f"hub id must be an integer, got {json.dumps(hub_id)}")
-            hubs.append(Hub(hub_id, str(h["name"]), float(h["x_m"]), float(h["y_m"]), str(h["tier"])))
-        return HubNetwork(hubs, float(doc["d_max_m"]), float(doc["speed_m_per_h"]))
+            name, tier = _string(h, "name", "hub "), _string(h, "tier", "hub ")
+            hubs.append(Hub(hub_id, name, _number(h, "x_m", "hub "), _number(h, "y_m", "hub "), tier))
+        return HubNetwork(hubs, _number(doc, "d_max_m"), _number(doc, "speed_m_per_h"))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

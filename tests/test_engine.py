@@ -11,6 +11,7 @@ import pytest
 from hubroster import _kernels as kernels
 from hubroster import engine as engine_module
 from hubroster import network as network_module
+from hubroster import shifts as shifts_module
 from hubroster.config import ScenarioParams
 from hubroster.demand import ArrivalSeries, GeneratorConfig, generate_arrivals
 from hubroster.engine import (
@@ -1127,6 +1128,84 @@ def test_a_plan_replays_its_capacity_once_for_every_engine(monkeypatch):
             late_plans += late > 0
             dwell0_late_plans += late > 0 and p.dwell_h == 0
     assert late_plans > 5 and dwell0_late_plans > 2, (late_plans, dwell0_late_plans)
+
+
+def _searched_day():
+    net = random_network(n_hubs=10, n_gateways=2, area_m=4000, seed=8)
+    return net, generate_arrivals(net, GeneratorConfig(daily_volume=100_000), 8)
+
+
+def test_a_plan_keeps_the_runs_of_a_fresh_search_for_every_row(monkeypatch):
+    # every step's kept runs are those a search of every residual row from
+    # scratch keeps, also where the plan reuses the runs of an equal row
+    # searched earlier at the same first slot, for another hub or step
+    net, arrivals = _searched_day()
+    select = RollingPlan._select
+    combine = engine_module.combine_within_hub_detail
+    rows = searches = 0
+    reused = {15: 0, 60: 0}  # rows whose runs came from an earlier search
+
+    def counting(*args):
+        nonlocal searches
+        searches += 1
+        return combine(*args)
+
+    def checking(plan, residual, first_slot, need):
+        nonlocal rows
+        rows += len(residual)
+        got = select(plan, residual, first_slot, need)
+        p, stop = plan.cfg.params, len(need)
+        fresh = sorted(
+            (start, h, end)
+            for h, row in residual.items()
+            for start, end in shifts_module.combine_within_hub_detail(row, p.dwell_h, p.max_work_h, first_slot, stop)[0]
+            if start < stop and end - start >= need[start]
+        )
+        assert got == fresh, (plan.cfg.params, first_slot)
+        return got
+
+    monkeypatch.setattr(engine_module, "combine_within_hub_detail", counting)
+    monkeypatch.setattr(RollingPlan, "_select", checking)
+    for replan_min in (15, 60):
+        for dwell_h in range(4):
+            params = ScenarioParams(seed=8, replan_min=replan_min, dwell_h=dwell_h)
+            for noise in ("paper", "perfect"):
+                for number in (1, 2, 3):
+                    before = rows - searches
+                    run_scenario(ScenarioConfig(number, net, arrivals, params, noise))
+                    reused[replan_min] += rows - searches - before
+    assert reused[15] > 1000 and reused[60] > 50, reused
+
+
+def test_a_plan_keeps_the_searches_of_its_last_first_slot_only(monkeypatch):
+    # after each step the plan holds only searches made at that step's
+    # first slot; another plan on the same config starts empty and makes
+    # every search again
+    net, arrivals = _searched_day()
+    cfg = ScenarioConfig(1, net, arrivals, ScenarioParams(seed=8, replan_min=15, dwell_h=3), "paper")
+    combine = engine_module.combine_within_hub_detail
+    searches = 0
+
+    def counting(*args):
+        nonlocal searches
+        searches += 1
+        return combine(*args)
+
+    monkeypatch.setattr(engine_module, "combine_within_hub_detail", counting)
+    counts, days = [], []
+    for _ in range(2):
+        plan = RollingPlan(cfg)
+        assert plan.searched == {}
+        searches = 0
+        held = 0
+        for k, now_h in enumerate(plan.times):
+            plan.kept(k)
+            assert {key[0] for key in plan.searched} <= {math.ceil(now_h)}, (k, now_h)
+            held = max(held, len(plan.searched))
+        assert 0 < held <= 4 * len(net)
+        counts.append(searches)
+        days.append(plan.steps)
+    assert counts[0] == counts[1] and days[0] == days[1]
 
 
 def test_run_takes_only_the_steps_not_yet_taken():

@@ -91,6 +91,8 @@ def test_network_validation():
         HubNetwork([Hub(0, "x", 0.0, 0.0, "regional")], 3000, 15000)
     with pytest.raises(ValueError):
         HubNetwork([_hub(0, 0, 0)], 0, 15000)
+    with pytest.raises(ValueError, match="d_max_m must be positive and finite"):
+        HubNetwork([_hub(0, 0, 0)], math.inf, 15000)
     with pytest.raises(ValueError):
         HubNetwork([_hub(0, 0, 0)], 3000, 0)
 
@@ -144,6 +146,31 @@ def test_load_network_names_the_file_it_cannot_read_or_use(tmp_path):
         path.write_text(json.dumps({"hubs": [{**hub, "id": bad}], "d_max_m": 3000, "speed_m_per_h": 15000}))
         with pytest.raises(ValueError, match=f"network.json: hub id must be an integer, got {re.escape(shown)}$"):
             load_network(path)
+    # every other number must be a JSON number, and finite, and every name or
+    # tier a JSON string: nothing is coerced (``true`` is no 1 m radius)
+    net = {"d_max_m": 3000, "speed_m_per_h": 15000}
+    for key, bad, message in (
+        ("x_m", True, "hub x_m must be a number, got true"),
+        ("x_m", "12", 'hub x_m must be a number, got "12"'),
+        ("y_m", None, "hub y_m must be a number, got null"),
+        ("y_m", float("nan"), "hub 0 has non-finite coordinates"),
+        ("name", 7, "hub name must be a string, got 7"),
+        ("tier", ["local"], 'hub tier must be a string, got ["local"]'),
+    ):
+        path.write_text(json.dumps({**net, "hubs": [{**hub, key: bad}]}))
+        with pytest.raises(ValueError, match=f"network.json: {re.escape(message)}$"):
+            load_network(path)
+    for key, bad, message in (
+        ("d_max_m", True, "d_max_m must be a number, got true"),
+        ("d_max_m", float("inf"), "d_max_m must be positive and finite"),
+        ("speed_m_per_h", "15000", 'speed_m_per_h must be a number, got "15000"'),
+    ):
+        path.write_text(json.dumps({**net, key: bad, "hubs": [hub]}))
+        with pytest.raises(ValueError, match=f"network.json: {re.escape(message)}$"):
+            load_network(path)
+    path.write_text(json.dumps({**net, "hubs": [{**hub, "x_m": 10**400}]}))
+    with pytest.raises(ValueError, match="network.json: int too large"):
+        load_network(path)
 
 
 def test_random_network_tiers_and_determinism():
