@@ -17,6 +17,7 @@ import sys
 import time
 from pathlib import Path
 
+from ._inputs import check_number
 from .config import check_network, config_hash, file_header, load_config, params_from_config
 from .demand import (
     GeneratorConfig,
@@ -37,16 +38,27 @@ from .ledger import CATEGORIES, read_ledger_json, write_ledger_csv, write_ledger
 from .network import load_network, random_network, save_network
 
 
+def _config(path, seed) -> dict:
+    """``load_config(path)`` with its seed replaced by ``seed`` (the
+    ``--seed`` flag) when that is given; the flag is held to the rule of
+    the config's seed, so ``run`` reads what ``generate`` froze."""
+    cfg = load_config(path)
+    if seed is not None:
+        check_number("--seed", seed, integer=True)
+        cfg["seed"] = seed
+    return cfg
+
+
 def _build_instance(cfg: dict, seed: int):
     params = params_from_config(cfg, seed)
     net_cfg = cfg["network"]
     check_network(net_cfg)
     net = random_network(
-        n_hubs=int(net_cfg["hubs"]),
-        n_gateways=int(net_cfg["gateways"]),
-        area_m=float(net_cfg["area_km"]) * 1000.0,
-        d_max_m=float(net_cfg["move_radius_m"]),
-        speed_m_per_h=float(net_cfg["walk_speed_m_per_h"]),
+        n_hubs=net_cfg["hubs"],
+        n_gateways=net_cfg["gateways"],
+        area_m=net_cfg["area_km"] * 1000.0,
+        d_max_m=net_cfg["move_radius_m"],
+        speed_m_per_h=net_cfg["walk_speed_m_per_h"],
         seed=seed,
     )
     profile = GeneratorConfig(horizon_h=params.horizon_h, **cfg["arrivals"])
@@ -56,9 +68,8 @@ def _build_instance(cfg: dict, seed: int):
 
 def cmd_generate(args) -> int:
     try:
-        cfg = load_config(args.config)
-        seed = cfg["seed"] if args.seed is None else args.seed
-        cfg["seed"] = seed
+        cfg = _config(args.config, args.seed)
+        seed = cfg["seed"]
         net, arrivals = _build_instance(cfg, seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -85,9 +96,8 @@ def cmd_run(args) -> int:
     scenarios = [1, 2, 3] if args.scenario == "all" else [int(args.scenario)]
 
     try:
-        cfg = load_config(cfg_path if cfg_path.exists() else None)
-        seed = cfg["seed"] if args.seed is None else args.seed
-        cfg["seed"] = seed
+        cfg = _config(cfg_path if cfg_path.exists() else None, args.seed)
+        seed = cfg["seed"]
         net = load_network(net_path)
         arrivals = read_arrivals_csv(arr_path)
         params = params_from_config(cfg, seed)
@@ -106,7 +116,8 @@ def cmd_run(args) -> int:
         replan_min = sc.params.replan_min
         if replan_min not in plans:
             plans[replan_min] = RollingPlan(sc, collect_forecasts=args.debug_forecasts)
-        report = run_scenario(sc, plans[replan_min])
+        plan = plans[replan_min]
+        report = run_scenario(sc, plan)
         columns.append((f"scenario {num}", report.ledger.to_dict()))
         meta = {"seed": seed, "config": config_hash(cfg), "scenario": num, "noise": args.noise}
         write_ledger_json(out / f"ledger_s{num}.json", report.ledger, meta)
@@ -115,7 +126,7 @@ def cmd_run(args) -> int:
         write_series_csv(out / f"series_s{num}.csv", report, header)
         write_flows_csv(out / f"flows_s{num}.csv", report, header)
         if args.debug_forecasts:
-            write_forecast_csv(out / f"forecasts_s{num}.csv", report.forecast_snapshots, header)
+            write_forecast_csv(out / f"forecasts_s{num}.csv", plan.forecast_snapshots, header)
         moving_share = 100.0 * report.merged_shift_count / max(1, len(report.roster))
         lines.append(
             f"scenario {num}: {len(report.roster)} shifts, {report.hires} workers, "

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
+from ._inputs import check_number, naming, read_json_object
 from .demand import GeneratorConfig
 
 
@@ -96,71 +95,49 @@ DEFAULT_CONFIG = {
 }
 
 
-def _check_number(name: str, value, default) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a JSON number
-    of the default's kind: an integer where the default is one, any finite
-    number where it is a float (Python's ``json`` reads ``NaN`` and
-    ``Infinity``)."""
-    if isinstance(default, int):
-        ok, kind = isinstance(value, int), "an integer"
-    else:
-        ok, kind = isinstance(value, (int, float)), "a number"
-    if not ok or isinstance(value, bool):
-        raise ValueError(f"config key {name!r} must be {kind}, got {json.dumps(value)}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"config key {name!r} must be finite, got {json.dumps(value)}")
+# the default of each key a config file may set; a ``params`` key sets the
+# ``ScenarioParams`` field of its name, all but the seed, which is the
+# top-level key
+_DEFAULTS = {
+    **DEFAULT_CONFIG,
+    "params": {f.name: f.default for f in fields(ScenarioParams) if f.name != "seed"},
+}
 
 
 def load_config(path=None) -> dict:
     """Read a config JSON file and fill in defaults for missing keys.
 
     Raises ``ValueError`` naming the file and the key for a key that
-    ``DEFAULT_CONFIG`` lacks (``params`` keys are checked by
-    ``params_from_config``), a section that is not an object, or a value
-    outside a section that is not a number of the default's kind."""
+    ``_DEFAULTS`` lacks, a section that is not an object, or a value that
+    ``check_number`` refuses: an integer is required where the default is
+    one. Values are kept as written."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
-    if path is not None:
-        try:
-            user = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ValueError(f"{path}: cannot read config ({exc.strerror})") from exc
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: config is not UTF-8 text ({exc})") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(user, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        try:
-            for key, value in user.items():
-                if key not in cfg:
-                    raise ValueError(f"unknown config key {key!r}")
-                if not isinstance(cfg[key], dict):
-                    _check_number(key, value, cfg[key])
-                    cfg[key] = value
-                    continue
-                if not isinstance(value, dict):
-                    raise ValueError(f"config section {key!r} must be a JSON object")
-                if key != "params":
-                    for sub, v in value.items():
-                        if sub not in cfg[key]:
-                            raise ValueError(f"unknown config key '{key}.{sub}'")
-                        _check_number(f"{key}.{sub}", v, cfg[key][sub])
-                cfg[key].update(value)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    if path is None:
+        return cfg
+    user = read_json_object(path, "config")
+    with naming(path):
+        for key, value in user.items():
+            if key not in _DEFAULTS:
+                raise ValueError(f"unknown config key {key!r}")
+            default = _DEFAULTS[key]
+            if not isinstance(default, dict):
+                check_number(f"config key {key!r}", value, isinstance(default, int))
+                cfg[key] = value
+                continue
+            if not isinstance(value, dict):
+                raise ValueError(f"config section {key!r} must be a JSON object")
+            for sub, v in value.items():
+                if sub not in default:
+                    raise ValueError(f"unknown config key '{key}.{sub}'")
+                check_number(f"config key '{key}.{sub}'", v, isinstance(default[sub], int))
+            cfg[key].update(value)
     return cfg
 
 
 def params_from_config(cfg: dict, seed=None) -> ScenarioParams:
-    kwargs = dict(cfg.get("params", {}))
-    defaults = {f.name: f.default for f in fields(ScenarioParams)}
-    unknown = sorted(set(kwargs) - set(defaults))
-    if unknown:
-        raise ValueError(f"unknown params key(s) in config: {', '.join(unknown)}")
-    for key, value in kwargs.items():
-        _check_number(f"params.{key}", value, defaults[key])
-    kwargs["seed"] = cfg["seed"] if seed is None else seed
-    return ScenarioParams(**kwargs)
+    """The ``ScenarioParams`` of a config that ``load_config`` returned,
+    with ``seed`` in place of the config's own when it is given."""
+    return ScenarioParams(**cfg["params"], seed=cfg["seed"] if seed is None else seed)
 
 
 def check_network(net: dict) -> None:

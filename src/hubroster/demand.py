@@ -9,9 +9,11 @@ so a forecast is exact at lead 0 and off by at most (t1 - t0) percent.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 import numpy as np
 
+from ._inputs import read_text
 from .network import HubNetwork
 
 
@@ -165,16 +167,11 @@ def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
     row for each slot from 0 to the last slot in the file. The columns are
     found by the header's names, in any order and beside other columns;
     lines starting with ``#`` and blank lines are skipped. A file that
-    cannot be read raises ``ValueError`` naming it."""
+    cannot be read or is not text, a bad row and a missing or repeated
+    slot raise ``ValueError`` naming the file."""
     rows = {}
-    try:
-        with open(path, newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read arrivals ({exc.strerror})") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: arrivals are not UTF-8 text ({exc})") from exc
-    reader = csv.reader(lines)
+    text = io.StringIO(read_text(path, "arrivals CSV"), newline="")
+    reader = csv.reader(ln for ln in text if not ln.startswith("#"))
     header = next(reader, [])
     pos = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
     missing = [c for c in ARRIVAL_COLUMNS if c not in pos]

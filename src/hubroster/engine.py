@@ -104,7 +104,6 @@ class SimReport:
     flows: dict[tuple[int, int, int], int]  # (from, to, window_start) -> moves
     runtime_s: float = field(compare=False)
     hires: int
-    forecast_snapshots: list[ForecastSnapshot] = field(default_factory=list)
 
     @property
     def merged_shift_count(self) -> int:
@@ -474,7 +473,6 @@ class RollingEngine:
             flows=flows,
             runtime_s=time.perf_counter() - t0,
             hires=self.pool.hires,
-            forecast_snapshots=self.plan.forecast_snapshots[: self.steps_taken],
         )
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._inputs import check_number, naming, read_json_object
 from .shifts import Shift
 
 HIRING_PER_DAY = 50.0
@@ -101,28 +101,12 @@ def write_ledger_json(path, ledger: CostLedger, meta: dict | None = None) -> Non
 
 def read_ledger_json(path) -> dict:
     """Read a ledger file; raises ``ValueError`` naming the file (and the
-    key) unless it can be read and is a JSON object whose categories and
-    total are finite numbers."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValueError(f"ledger file {path}: cannot read it ({exc.strerror})") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"ledger file {path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"ledger file {path} must hold a JSON object, got {json.dumps(doc)}")
-    keys = (*CATEGORIES, "total")
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise ValueError(f"ledger file {path} is missing keys: {missing}")
-    for key in keys:
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(
-                f"ledger file {path}: key {key!r} must be a number, got {json.dumps(value)}"
-            )
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"ledger file {path}: key {key!r} must be finite, got {json.dumps(value)}")
+    key) unless it is a JSON object whose categories and total are numbers
+    that ``check_number`` accepts."""
+    doc = read_json_object(path, "ledger")
+    with naming(path):
+        for key in (*CATEGORIES, "total"):
+            check_number(f"key {key!r}", doc[key])
     return doc
 
 

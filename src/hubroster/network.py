@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._inputs import check_number, naming, read_json_object
+
 HUB_TIERS = ("gateway", "local")
 
 
@@ -132,53 +134,31 @@ def save_network(net: HubNetwork, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _number(doc: dict, key: str, owner: str = "") -> float:
-    """``doc[key]`` as a float; ``ValueError`` unless it is a JSON number
-    (not a bool: ``true`` is an ``int`` to Python). ``HubNetwork`` refuses
-    the ``NaN`` and ``Infinity`` that Python's ``json`` reads."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{owner}{key} must be a number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _string(doc: dict, key: str, owner: str = "") -> str:
-    value = doc[key]
-    if not isinstance(value, str):
-        raise ValueError(f"{owner}{key} must be a string, got {json.dumps(value)}")
-    return value
-
-
 def load_network(path) -> HubNetwork:
     """Read a network written by ``save_network``. A file that cannot be
-    read, is not JSON, lacks a key or holds a bad value raises
-    ``ValueError`` naming the file (and the missing key): a hub id must be
-    a JSON integer, every other number a JSON number (and finite, which
-    ``HubNetwork`` checks) and a name or tier a JSON string, so no value is
-    coerced."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read network ({exc.strerror})") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: network is not UTF-8 text ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: network must be a JSON object")
-    try:
+    read, is not a JSON object, lacks a key or holds a bad value raises
+    ``ValueError`` naming the file (and the key): ``hubs`` must be a JSON
+    list of JSON objects, a hub id a JSON integer, every other number a
+    number ``check_number`` accepts and a name or tier a JSON string. No
+    value is coerced; ``HubNetwork`` checks the rest."""
+    doc = read_json_object(path, "network")
+    with naming(path):
+        if not isinstance(doc["hubs"], list):
+            raise ValueError(f"hubs must be a JSON list, got {json.dumps(doc['hubs'])}")
         hubs = []
         for h in doc["hubs"]:
-            hub_id = h["id"]
-            if isinstance(hub_id, bool) or not isinstance(hub_id, int):
-                raise ValueError(f"hub id must be an integer, got {json.dumps(hub_id)}")
-            name, tier = _string(h, "name", "hub "), _string(h, "tier", "hub ")
-            hubs.append(Hub(hub_id, name, _number(h, "x_m", "hub "), _number(h, "y_m", "hub "), tier))
-        return HubNetwork(hubs, _number(doc, "d_max_m"), _number(doc, "speed_m_per_h"))
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+            if not isinstance(h, dict):
+                raise ValueError(f"a hub must be a JSON object, got {json.dumps(h)}")
+            check_number("hub id", h["id"], integer=True)
+            for key in ("name", "tier"):
+                if not isinstance(h[key], str):
+                    raise ValueError(f"hub {key} must be a string, got {json.dumps(h[key])}")
+            check_number("hub x_m", h["x_m"])
+            check_number("hub y_m", h["y_m"])
+            hubs.append(Hub(h["id"], h["name"], h["x_m"], h["y_m"], h["tier"]))
+        check_number("d_max_m", doc["d_max_m"])
+        check_number("speed_m_per_h", doc["speed_m_per_h"])
+        return HubNetwork(hubs, doc["d_max_m"], doc["speed_m_per_h"])
 
 
 def random_network(

@@ -139,16 +139,20 @@ def test_compare_names_a_ledger_file_it_cannot_read(tmp_path, capsys):
     (tmp_path / "a_dir").mkdir()
     (tmp_path / "text.json").write_text("not json\n")
     (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
+    # an integer past Python's digit limit for int() used to be printed
+    # without the file
+    (tmp_path / "digits.json").write_text('{"hiring": ' + "9" * 5000 + "}")
     for name, message in (
-        ("a_dir", "cannot read it (Is a directory)"),
-        ("missing.json", "cannot read it (No such file or directory)"),
-        ("text.json", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
-        ("bytes.json", "not valid JSON ('utf-8' codec can't decode byte 0xff in position 0"),
+        ("a_dir", "cannot read ledger (Is a directory)"),
+        ("missing.json", "cannot read ledger (No such file or directory)"),
+        ("text.json", "ledger is not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+        ("bytes.json", "ledger is not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0"),
+        ("digits.json", "ledger is not valid JSON ("),
     ):
         bad = tmp_path / name
         assert main(["compare", str(good), str(bad)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: ledger file {bad}: {message}")
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
 
 
 def test_compare_prints_one_column_per_file_when_stems_collide(tmp_path, capsys):
@@ -173,20 +177,21 @@ def test_compare_rejects_a_ledger_of_the_wrong_shape(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(LEDGER))
     for text, message in (
-        ("5", "must hold a JSON object, got 5"),
-        ("[1]", "must hold a JSON object, got [1]"),
+        ("5", "ledger must be a JSON object"),
+        ("[1]", "ledger must be a JSON object"),
         (json.dumps({**LEDGER, "hiring": "x"}), "key 'hiring' must be a number, got \"x\""),
         (json.dumps({**LEDGER, "total": True}), "key 'total' must be a number, got true"),
         (json.dumps({**LEDGER, "moving": None}), "key 'moving' must be a number, got null"),
         (json.dumps({**LEDGER, "hourly": math.nan}), "key 'hourly' must be finite, got NaN"),
         (json.dumps({**LEDGER, "total": -math.inf}), "key 'total' must be finite, got -Infinity"),
+        # past float's range: printing the table used to end in an OverflowError
+        (json.dumps({**LEDGER, "total": 10**400}), f"key 'total' must be finite, got {10**400}"),
     ):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert main(["compare", str(good), str(bad)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ledger file ")
-        assert str(bad) in err[0] and message in err[0]
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and message in err[0]
 
 
 def test_debug_dumps(tmp_path, capsys):
@@ -400,10 +405,10 @@ def test_run_names_an_arrivals_file_it_cannot_read(tmp_path, capsys):
         (out / "arrivals.csv").write_bytes(b"hub_id,slot_h,arrivals\n\xff\n")
 
     err = _run_error(tmp_path, capsys, replace_with_a_directory)
-    assert err.endswith("arrivals.csv: cannot read arrivals (Is a directory)")
+    assert err.endswith("arrivals.csv: cannot read arrivals CSV (Is a directory)")
     (tmp_path / "bytes").mkdir()
     err = _run_error(tmp_path / "bytes", capsys, write_bytes)
-    assert "arrivals.csv: arrivals are not UTF-8 text ('utf-8' codec can't decode byte 0xff" in err
+    assert "arrivals.csv: arrivals CSV is not UTF-8 text ('utf-8' codec can't decode byte 0xff" in err
 
 
 def test_run_rejects_hubs_that_share_coordinates(tmp_path, capsys):
@@ -423,7 +428,7 @@ def test_run_rejects_a_network_with_an_infinite_walk_speed(tmp_path, capsys):
     err = _run_error(
         tmp_path, capsys, lambda out: _edit_json(out / "network.json", lambda doc: doc.update(speed_m_per_h=math.inf))
     )
-    assert "network.json: speed_m_per_h must be positive and finite" in err
+    assert "network.json: speed_m_per_h must be finite, got Infinity" in err
 
 
 def test_run_rejects_value_weights_not_summing_to_one(tmp_path, capsys):
@@ -467,10 +472,16 @@ NON_FINITE = (
     ({"params": {"fix_lead_h": math.inf}}, "'params.fix_lead_h' must be finite, got Infinity"),
     ({"arrivals": {"gateway_weight": math.nan}}, "'arrivals.gateway_weight' must be finite, got NaN"),
     ({"network": {"area_km": -math.inf}}, "'network.area_km' must be finite, got -Infinity"),
+    # integers past float's range: generate used to end in an OverflowError
+    ({"network": {"area_km": 10**400}}, f"'network.area_km' must be finite, got {10**400}"),
+    ({"arrivals": {"daily_volume": 10**400}}, f"'arrivals.daily_volume' must be finite, got {10**400}"),
 )
 MISSPELLED = (
     ({"parms": {"dwell_h": 3}}, "unknown config key 'parms'"),
     ({"network": {"hubz": 4}}, "unknown config key 'network.hubz'"),
+    # the top-level seed used to override a params seed without a word
+    ({"params": {"seed": 5}}, "unknown config key 'params.seed'"),
+    ({"params": {"dwel_h": 3}}, "unknown config key 'params.dwel_h'"),
 )
 
 
@@ -513,8 +524,10 @@ def test_generate_and_run_reject_a_non_finite_number(tmp_path, capsys):
     # sum check and ran a day with another ledger, and a NaN gateway weight
     # failed with "hub 0: arrival counts must be non-negative"
     for extra, message in NON_FINITE:
-        assert message in _generate_error(tmp_path, capsys, extra)
-        assert message in _run_error(tmp_path, capsys, _add_to_frozen_config(extra))
+        err = _generate_error(tmp_path, capsys, extra)
+        assert message in err and "config.json" in err
+        err = _run_error(tmp_path, capsys, _add_to_frozen_config(extra))
+        assert message in err and "config.json" in err
 
 
 def test_generate_rejects_a_misspelled_section_or_key(tmp_path, capsys):
@@ -566,6 +579,15 @@ def test_generate_and_run_reject_a_negative_seed_flag(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--out", str(out), "--seed", "-1", "--scenario", "1"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (out / "ledger_s1.json").exists()
+    # a seed past float's range was frozen into a config.json that run
+    # then refused
+    big = str(10**400)
+    assert main(["generate", "--config", str(cfg), "--seed", big, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: --seed must be finite, got {big}\n"
+    assert not (tmp_path / "x").exists()
+    assert main(["run", "--out", str(out), "--seed", big, "--scenario", "1"]) == 1
+    assert capsys.readouterr().err == f"error: --seed must be finite, got {big}\n"
     assert not (out / "ledger_s1.json").exists()
 
 

@@ -732,7 +732,8 @@ def test_plan_residual_walks_on_from_the_last_step(monkeypatch):
     assert returned > 200 and left_out > 200, (returned, left_out)
 
 
-def _outputs(report):
+def _outputs(report, plan):
+    """What a day reports, and the forecast snapshots of its ``plan``."""
     roster = [
         (e.worker_id, e.lead_time_h, e.is_new_hire, e.fixed_at_h, tuple(e.shift.segments))
         for e in report.roster
@@ -744,7 +745,7 @@ def _outputs(report):
         report.series,
         report.flows,
         report.hires,
-        report.forecast_snapshots,
+        plan.forecast_snapshots,
     )
 
 
@@ -992,12 +993,14 @@ def test_scenarios_on_a_shared_plan_equal_their_runs_alone():
         shared = {cfg.label: run_scenario(cfg, plan) for cfg in order}
         for cfg in cfgs:
             report = shared[cfg.label]
-            alone = run_scenario(cfg, RollingPlan(cfg, collect_forecasts=collect))
+            own = RollingPlan(cfg, collect_forecasts=collect)
+            alone = run_scenario(cfg, own)
             assert report == alone, (i, cfg.label)
+            assert plan.forecast_snapshots == own.forecast_snapshots, (i, cfg.label)
             working = {h: rows["working"] for h, rows in report.series.items()}
             assert working == _working_from_roster(report, horizon), (i, cfg.label)
             merged += report.merged_shift_count
-            snapshots += len(report.forecast_snapshots)
+            snapshots += len(own.forecast_snapshots)
         s1, s2 = (shared[cfg.label].series for cfg in cfgs)
         assert all(s1[h]["working"] is not s2[h]["working"] for h in s1)
     assert merged > 30 and snapshots > 0, (merged, snapshots)
@@ -1217,7 +1220,8 @@ def test_run_takes_only_the_steps_not_yet_taken():
         net, arrivals, params = _random_day(rng, i, [15, 20, 60, 90])
         cfg = ScenarioConfig(int(rng.integers(1, 4)), net, arrivals, params, noise="paper")
         collect = bool(rng.random() < 0.5)
-        plain = run_scenario(cfg, RollingPlan(cfg, collect_forecasts=collect))
+        plain_plan = RollingPlan(cfg, collect_forecasts=collect)
+        plain = run_scenario(cfg, plain_plan)
         engine = RollingEngine(cfg, RollingPlan(cfg, collect_forecasts=collect))
         steps = len(engine.plan.times)
         for _ in range(int(rng.integers(0, steps + 1))):
@@ -1228,6 +1232,7 @@ def test_run_takes_only_the_steps_not_yet_taken():
             engine.step()
         assert engine.steps_taken == steps
         assert engine.run() == plain, i
+        assert engine.plan.forecast_snapshots == plain_plan.forecast_snapshots, i
 
 
 def test_a_second_run_reports_an_equal_day():
@@ -1360,10 +1365,12 @@ def test_a_rolling_plan_that_replans_past_the_horizon_is_scenario_3(noise):
         baseline = ScenarioConfig(3, net, scenario1.actuals, scenario1.params, noise)
         assert scenario1.params == before
         assert baseline.params == dataclasses.replace(before, replan_min=60 * horizon)
-        expected = _outputs(run_scenario(baseline, RollingPlan(baseline, collect_forecasts=True)))
+        plan = RollingPlan(baseline, collect_forecasts=True)
+        expected = _outputs(run_scenario(baseline, plan), plan)
         for replan_min in (1440, 2000):
             cfg = dataclasses.replace(scenario1, params=dataclasses.replace(scenario1.params, replan_min=replan_min))
-            assert _outputs(run_scenario(cfg, RollingPlan(cfg, collect_forecasts=True))) == expected, (i, replan_min)
+            plan = RollingPlan(cfg, collect_forecasts=True)
+            assert _outputs(run_scenario(cfg, plan), plan) == expected, (i, replan_min)
         moved += bool(expected[4])
         late += expected[2] > 0
     assert moved > 3 and (late > 0) == (noise == "paper"), (moved, late)

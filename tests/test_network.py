@@ -134,12 +134,18 @@ def test_load_network_names_the_file_it_cannot_read_or_use(tmp_path):
     with pytest.raises(ValueError, match="network.json: cannot read network"):
         load_network(path)
     hub = {"id": 0, "name": "A", "x_m": 0.0, "y_m": 0.0, "tier": "local"}
-    for doc in (
-        {"hubs": 5, "d_max_m": 3000, "speed_m_per_h": 15000},  # TypeError
-        {"hubs": [{**hub, "x_m": "east"}], "d_max_m": 3000, "speed_m_per_h": 15000},  # ValueError
+    # hubs that are not a list of objects used to leak Python's own
+    # "string indices must be integers" or "'int' object is not subscriptable"
+    for hubs, message in (
+        (5, "hubs must be a JSON list, got 5"),
+        ("abc", 'hubs must be a JSON list, got "abc"'),
+        ({"0": hub}, "hubs must be a JSON list, got {"),
+        ([5], "a hub must be a JSON object, got 5"),
+        (["abc"], 'a hub must be a JSON object, got "abc"'),
+        ([hub, [0, 1]], "a hub must be a JSON object, got [0, 1]"),
     ):
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="network.json: "):
+        path.write_text(json.dumps({"hubs": hubs, "d_max_m": 3000, "speed_m_per_h": 15000}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
             load_network(path)
     # a hub id that is not a JSON integer is refused, not truncated
     for bad, shown in ((1.5, "1.5"), (True, "true"), ("1", '"1"')):
@@ -153,7 +159,8 @@ def test_load_network_names_the_file_it_cannot_read_or_use(tmp_path):
         ("x_m", True, "hub x_m must be a number, got true"),
         ("x_m", "12", 'hub x_m must be a number, got "12"'),
         ("y_m", None, "hub y_m must be a number, got null"),
-        ("y_m", float("nan"), "hub 0 has non-finite coordinates"),
+        ("y_m", float("nan"), "hub y_m must be finite, got NaN"),
+        ("x_m", "east", 'hub x_m must be a number, got "east"'),
         ("name", 7, "hub name must be a string, got 7"),
         ("tier", ["local"], 'hub tier must be a string, got ["local"]'),
     ):
@@ -162,14 +169,14 @@ def test_load_network_names_the_file_it_cannot_read_or_use(tmp_path):
             load_network(path)
     for key, bad, message in (
         ("d_max_m", True, "d_max_m must be a number, got true"),
-        ("d_max_m", float("inf"), "d_max_m must be positive and finite"),
+        ("d_max_m", float("inf"), "d_max_m must be finite, got Infinity"),
         ("speed_m_per_h", "15000", 'speed_m_per_h must be a number, got "15000"'),
     ):
         path.write_text(json.dumps({**net, key: bad, "hubs": [hub]}))
         with pytest.raises(ValueError, match=f"network.json: {re.escape(message)}$"):
             load_network(path)
     path.write_text(json.dumps({**net, "hubs": [{**hub, "x_m": 10**400}]}))
-    with pytest.raises(ValueError, match="network.json: int too large"):
+    with pytest.raises(ValueError, match=f"network.json: hub x_m must be finite, got {10**400}$"):
         load_network(path)
 
 
