@@ -1,7 +1,7 @@
 """Rolling-horizon workforce scheduling and relocation for parcel hub networks."""
 
 from .config import ScenarioParams
-from .demand import ArrivalSeries, GeneratorConfig, forecast_matrix, generate_arrivals, labor_demand
+from .demand import GeneratorConfig, forecast_matrix, generate_arrivals, labor_demand
 from .engine import RollingPlan, ScenarioConfig, SimReport, replay_execution, run_scenario
 from .ledger import CostLedger, emergency_penalty, moving_payment
 from .network import Hub, HubNetwork, MovingPair, build_moving_pairs, distance, random_network
@@ -18,7 +18,6 @@ def get_backend() -> str:
 
 
 __all__ = [
-    "ArrivalSeries",
     "CostLedger",
     "GeneratorConfig",
     "Hub",

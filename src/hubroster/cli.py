@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
 
 from ._inputs import check_number
-from .config import check_network, config_hash, file_header, load_config, params_from_config
+from .config import config_hash, file_header, load_config, params_from_config
 from .demand import (
     GeneratorConfig,
     generate_arrivals,
@@ -52,7 +53,6 @@ def _config(path, seed) -> dict:
 def _build_instance(cfg: dict, seed: int):
     params = params_from_config(cfg, seed)
     net_cfg = cfg["network"]
-    check_network(net_cfg)
     net = random_network(
         n_hubs=net_cfg["hubs"],
         n_gateways=net_cfg["gateways"],
@@ -80,7 +80,7 @@ def cmd_generate(args) -> int:
     save_network(net, out / "network.json")
     write_arrivals_csv(out / "arrivals.csv", arrivals, header)
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-    total = sum(s.total for s in arrivals.values())
+    total = sum(map(sum, arrivals.values()))
     print(f"generated {len(net)} hubs, {total} arrivals -> {out}")
     return 0
 
@@ -110,12 +110,14 @@ def cmd_run(args) -> int:
 
     header = file_header(seed, config_hash(cfg))
     columns, lines = [], []
-    # scenarios 1 and 2 fix the same runs at every step: plan them once
+    # scenarios 1 and 2 fix the same runs at every step: plan them once,
+    # and dump the plan's forecasts once, to the first scenario's file
     plans: dict[int, RollingPlan] = {}
+    dumps: dict[int, Path] = {}
     for num, sc in zip(scenarios, configs):
         replan_min = sc.params.replan_min
         if replan_min not in plans:
-            plans[replan_min] = RollingPlan(sc, collect_forecasts=args.debug_forecasts)
+            plans[replan_min] = RollingPlan(sc)
         plan = plans[replan_min]
         report = run_scenario(sc, plan)
         columns.append((f"scenario {num}", report.ledger.to_dict()))
@@ -126,7 +128,12 @@ def cmd_run(args) -> int:
         write_series_csv(out / f"series_s{num}.csv", report, header)
         write_flows_csv(out / f"flows_s{num}.csv", report, header)
         if args.debug_forecasts:
-            write_forecast_csv(out / f"forecasts_s{num}.csv", plan.forecast_snapshots, header)
+            dump = out / f"forecasts_s{num}.csv"
+            if replan_min in dumps:
+                shutil.copyfile(dumps[replan_min], dump)
+            else:
+                write_forecast_csv(dump, plan.hub_ids, plan.forecasts(), header)
+                dumps[replan_min] = dump
         moving_share = 100.0 * report.merged_shift_count / max(1, len(report.roster))
         lines.append(
             f"scenario {num}: {len(report.roster)} shifts, {report.hires} workers, "

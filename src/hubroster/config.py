@@ -57,21 +57,21 @@ class ScenarioParams:
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"value weights must sum to 1, got {total}")
         if not 0.0 <= self.fix_threshold <= 1.0:
-            raise ValueError("fix_threshold must lie in [0, 1]")
+            raise ValueError(f"fix_threshold must lie in [0, 1], got {self.fix_threshold}")
         if not self.fix_lead_h > 0:
             raise ValueError(f"fix_lead_h must be positive, got {self.fix_lead_h}")
         if self.dwell_h < 0:
-            raise ValueError("dwell_h must be >= 0")
+            raise ValueError(f"dwell_h must be >= 0, got {self.dwell_h}")
         if self.max_work_h <= 0:
-            raise ValueError("max_work_h must be positive")
+            raise ValueError(f"max_work_h must be positive, got {self.max_work_h}")
         if self.work_rate <= 0:
-            raise ValueError("work_rate must be positive")
+            raise ValueError(f"work_rate must be positive, got {self.work_rate}")
         if self.replan_min <= 0:
-            raise ValueError("replan_min must be positive")
+            raise ValueError(f"replan_min must be positive, got {self.replan_min}")
         if self.horizon_h < 1:
-            raise ValueError("horizon_h must be >= 1")
+            raise ValueError(f"horizon_h must be >= 1, got {self.horizon_h}")
         if self.max_gap_h < 0:
-            raise ValueError("max_gap_h must be >= 0")
+            raise ValueError(f"max_gap_h must be >= 0, got {self.max_gap_h}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -110,7 +110,9 @@ def load_config(path=None) -> dict:
     Raises ``ValueError`` naming the file and the key for a key that
     ``_DEFAULTS`` lacks, a section that is not an object, or a value that
     ``check_number`` refuses: an integer is required where the default is
-    one. Values are kept as written."""
+    one. A value out of its range (``ScenarioParams.validate``,
+    ``check_network``, ``GeneratorConfig.validate``) raises one naming the
+    file, the key and the value. Values are kept as written."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is None:
         return cfg
@@ -131,6 +133,9 @@ def load_config(path=None) -> dict:
                     raise ValueError(f"unknown config key '{key}.{sub}'")
                 check_number(f"config key '{key}.{sub}'", v, isinstance(default[sub], int))
             cfg[key].update(value)
+        params = params_from_config(cfg)
+        check_network(cfg["network"])
+        GeneratorConfig(horizon_h=params.horizon_h, **cfg["arrivals"]).validate()
     return cfg
 
 

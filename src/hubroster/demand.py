@@ -18,34 +18,6 @@ from .network import HubNetwork
 
 
 @dataclass
-class ArrivalSeries:
-    """Hourly parcel arrival counts at one hub."""
-
-    hub_id: int
-    arrivals: list[int]
-
-    def __post_init__(self):
-        if any(a < 0 for a in self.arrivals):
-            raise ValueError(f"hub {self.hub_id}: arrival counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.arrivals)
-
-
-@dataclass
-class ForecastSnapshot:
-    """Per-hub predicted arrivals, one full-horizon row per hub.
-
-    Slots before ``made_at_h`` hold the known actuals; later slots hold the
-    noisy predictions of this snapshot.
-    """
-
-    made_at_h: float
-    predicted: dict[int, list[float]]
-
-
-@dataclass
 class GeneratorConfig:
     """Synthetic arrival profile: tiered day curves with seeded jitter.
 
@@ -64,13 +36,15 @@ class GeneratorConfig:
 
     def validate(self):
         if self.daily_volume < 0:
-            raise ValueError("daily_volume must be >= 0")
+            raise ValueError(f"daily_volume must be >= 0, got {self.daily_volume}")
         if self.horizon_h < 1:
-            raise ValueError("horizon_h must be >= 1")
+            raise ValueError(f"horizon_h must be >= 1, got {self.horizon_h}")
         if self.gateway_weight <= 0:
-            raise ValueError("gateway_weight must be positive")
-        if not 0 <= self.hub_jitter < 1 or not 0 <= self.cell_jitter < 1:
-            raise ValueError("jitter fractions must lie in [0, 1)")
+            raise ValueError(f"gateway_weight must be positive, got {self.gateway_weight}")
+        for name in ("hub_jitter", "cell_jitter"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {value}")
 
 
 def _day_curve(n: int, peak_h: int) -> np.ndarray:
@@ -80,8 +54,9 @@ def _day_curve(n: int, peak_h: int) -> np.ndarray:
     return np.maximum(curve, 0.05)
 
 
-def generate_arrivals(net: HubNetwork, profile: GeneratorConfig, seed: int) -> dict[int, ArrivalSeries]:
-    """Deterministic synthetic arrivals for every hub in the network.
+def generate_arrivals(net: HubNetwork, profile: GeneratorConfig, seed: int) -> dict[int, list[int]]:
+    """Deterministic synthetic arrivals for every hub in the network: hub
+    id -> hourly parcel counts.
 
     The integer totals are apportioned largest-remainder so the sum over all
     hubs and slots equals ``daily_volume`` exactly.
@@ -103,9 +78,7 @@ def generate_arrivals(net: HubNetwork, profile: GeneratorConfig, seed: int) -> d
     raw *= rng.uniform(1.0 - profile.cell_jitter, 1.0 + profile.cell_jitter, raw.shape)
 
     counts = _apportion(raw, profile.daily_volume)
-    return {
-        hub.id: ArrivalSeries(hub.id, [int(c) for c in counts[i]]) for i, hub in enumerate(hubs)
-    }
+    return {hub.id: counts[i].tolist() for i, hub in enumerate(hubs)}
 
 
 def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
@@ -151,20 +124,21 @@ def labor_demand(counts, work_rate: float) -> np.ndarray:
 ARRIVAL_COLUMNS = ("hub_id", "slot_h", "arrivals")
 
 
-def write_arrivals_csv(path, series: dict[int, ArrivalSeries], header: str = "") -> None:
+def write_arrivals_csv(path, arrivals: dict[int, list[int]], header: str = "") -> None:
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(header)
         writer = csv.writer(fh)
         writer.writerow(ARRIVAL_COLUMNS)
-        for hub_id in sorted(series):
-            for t, count in enumerate(series[hub_id].arrivals):
+        for hub_id in sorted(arrivals):
+            for t, count in enumerate(arrivals[hub_id]):
                 writer.writerow([hub_id, t, count])
 
 
-def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
-    """Read ``hub_id,slot_h,arrivals`` rows. Every hub must have exactly one
-    row for each slot from 0 to the last slot in the file. The columns are
+def read_arrivals_csv(path) -> dict[int, list[int]]:
+    """Read ``hub_id,slot_h,arrivals`` rows into hub id -> hourly counts.
+    Every hub must have exactly one row for each slot from 0 to the last
+    slot in the file. The columns are
     found by the header's names, in any order and beside other columns;
     lines starting with ``#`` and blank lines are skipped. A file that
     cannot be read or is not text, a bad row and a missing or repeated
@@ -206,7 +180,7 @@ def read_arrivals_csv(path) -> dict[int, ArrivalSeries]:
         for t in range(n):
             if t not in by_slot:
                 raise ValueError(f"{path}: missing row for hub {hub_id} slot {t}")
-        out[hub_id] = ArrivalSeries(hub_id, [by_slot[t] for t in range(n)])
+        out[hub_id] = [by_slot[t] for t in range(n)]
     return out
 
 
@@ -218,14 +192,16 @@ def _is_int(text: str) -> bool:
     return True
 
 
-def write_forecast_csv(path, snapshots: list[ForecastSnapshot], header: str = "") -> None:
-    """Debug dump of forecast snapshots (same schema as arrivals + made_at_h)."""
+def write_forecast_csv(path, hub_ids: list[int], forecasts, header: str = "") -> None:
+    """Debug dump of a plan's forecasts (same schema as arrivals +
+    made_at_h): ``forecasts`` yields ``(made_at_h, full)`` with one
+    full-horizon row of ``full`` per hub of ``hub_ids``, in order
+    (``RollingPlan.forecasts``)."""
     with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(header)
-        writer = csv.writer(fh)
-        writer.writerow(["made_at_h", "hub_id", "slot_h", "arrivals"])
-        for snap in snapshots:
-            for hub_id in sorted(snap.predicted):
-                for t, value in enumerate(snap.predicted[hub_id]):
-                    writer.writerow([snap.made_at_h, hub_id, t, f"{value:.3f}"])
+        write = fh.write
+        write(header)
+        write("made_at_h,hub_id,slot_h,arrivals\r\n")
+        for made_at_h, full in forecasts:
+            for hub_id, row in zip(hub_ids, full.tolist()):
+                for t, value in enumerate(row):
+                    write(f"{made_at_h},{hub_id},{t},{value:.3f}\r\n")

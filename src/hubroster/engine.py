@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .config import ScenarioParams
-from .demand import ArrivalSeries, ForecastSnapshot, forecast_matrix, labor_demand
+from .demand import forecast_matrix, labor_demand
 from .ledger import CostLedger, accrue_shift, lateness_penalty
 from .network import HubNetwork, build_moving_pairs
 from .pool import WorkforcePool
@@ -44,11 +44,12 @@ class ScenarioConfig:
     """Scenario ``number``'s config on the given instance: 1 replans every
     ``params.replan_min`` with cross-hub moves, 2 without them, and 3 is 1
     replanned once, over the whole horizon (``params`` becomes a copy with
-    ``replan_min = 60 * horizon_h``). Any other number is a ``ValueError``."""
+    ``replan_min = 60 * horizon_h``). Any other number is a ``ValueError``.
+    ``actuals`` maps each hub's id to its hourly parcel counts."""
 
     number: int
     network: HubNetwork
-    actuals: dict[int, ArrivalSeries]
+    actuals: dict[int, list[int]]
     params: ScenarioParams
     noise: str = "paper"  # "paper" or "perfect"
 
@@ -74,9 +75,17 @@ class ScenarioConfig:
         if set(self.actuals) != net_ids:
             raise ValueError("arrivals must cover exactly the network's hubs")
         n = self.params.horizon_h
-        for series in self.actuals.values():
-            if len(series.arrivals) != n:
+        for h, row in self.actuals.items():
+            if len(row) != n:
                 raise ValueError(f"arrival series length must equal horizon {n}")
+            for t, count in enumerate(row):
+                # a bool is no count (``type`` refuses it), and a float
+                # count would be truncated by the plan's integer matrix but
+                # replayed whole
+                if type(count) is not int and not isinstance(count, np.integer):
+                    raise ValueError(f"hub {h} slot {t}: arrival count must be an integer, got {count!r}")
+                if count < 0:
+                    raise ValueError(f"hub {h}: arrival counts must be non-negative")
 
 
 @dataclass(slots=True)
@@ -148,11 +157,11 @@ class RollingPlan:
     The steps run at ``times``, one per replan interval ``replan_h``.
     Scenario 3 replans over the whole horizon, so its one step, at hour 0,
     fixes every run.
-    A step's plan is its forecast and demand units, the FIFO residual
-    against the capacity fixed so far, and the within-hub selection. It
-    reads the network, the arrivals, the parameters, the noise mode and the
-    step's time, never the pool or the merge; and a merged shift
-    keeps exactly the working segments of its two runs, so the capacity
+    A step's plan is its forecast (``forecasts``) and demand units, the
+    FIFO residual against the capacity fixed so far, and the within-hub
+    selection. It reads the network, the arrivals, the parameters, the
+    noise mode and the step's time, never the pool or the merge; and a
+    merged shift keeps exactly the working segments of its two runs, so the capacity
     that feeds the next step's residual is the sum of the kept runs whatever
     the booking half does with them. Scenarios 1 and 2 differ only in that
     half and can share one plan. Step ``k`` is computed the first time an
@@ -177,12 +186,9 @@ class RollingPlan:
     arrivals, the capacity, ``dwell_h`` and ``work_rate``, which ``check``
     pins for every engine on the plan, so each engine's report reads it
     instead of replaying the day again.
-
-    With ``collect_forecasts`` every step records its ``ForecastSnapshot``
-    in ``forecast_snapshots``.
     """
 
-    def __init__(self, cfg: ScenarioConfig, collect_forecasts=False):
+    def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
         self.cfg = cfg
         p = cfg.params
@@ -190,10 +196,9 @@ class RollingPlan:
         self.n = p.horizon_h
         self.replan_h = p.replan_h
         self.times = [k * self.replan_h for k in range(math.ceil(self.n / self.replan_h))]
-        self.actual_matrix = np.array(
-            [cfg.actuals[h].arrivals for h in self.hub_ids], dtype=np.int64
-        )
-        self.rng = np.random.default_rng(p.seed)
+        self.actual_matrix = np.array([cfg.actuals[h] for h in self.hub_ids], dtype=np.int64)
+        # the forecast of each step, drawn in step order (``kept``)
+        self._forecasts = self.forecasts()
         # workers working per hub and slot, summed over the kept runs
         self.capacity = {h: [0] * self.n for h in self.hub_ids}
         # the FIFO residual per hub of the slots before ``settled_at``: their
@@ -205,8 +210,6 @@ class RollingPlan:
         # the candidate runs of each residual row searched at the last
         # step's first slot, keyed on (first_slot, stop, *row) (``_select``)
         self.searched: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        self.collect_forecasts = collect_forecasts
-        self.forecast_snapshots: list[ForecastSnapshot] = []
         self.late_parcels: int | None = None
 
     def check(self, cfg: ScenarioConfig) -> None:
@@ -227,10 +230,11 @@ class RollingPlan:
         planned in order. One ``Shift`` is built here per distinct run,
         shared by its copies, and every engine on this plan books that same
         object."""
+        p = self.cfg.params
         while len(self.steps) <= k:
-            now_h = self.times[len(self.steps)]
+            now_h, full = next(self._forecasts)
             first_slot = math.ceil(now_h - 1e-9)
-            demand = self._demand_units(now_h, first_slot)
+            demand = dict(zip(self.hub_ids, labor_demand(full, p.work_rate).tolist()))
             need = self._fix_lengths(now_h, first_slot)
             kept = self._select(self._residual(demand, first_slot, len(need)), first_slot, need)
             for start, h, end in kept:
@@ -246,28 +250,33 @@ class RollingPlan:
                 shifts.append(shift)
             self.steps.append(shifts)
             if len(self.steps) == len(self.times):
-                p = self.cfg.params
-                arrivals = {h: self.cfg.actuals[h].arrivals for h in self.hub_ids}
-                self.late_parcels = replay_execution(arrivals, self.capacity, p.dwell_h, p.work_rate)
+                # the suspended generator's frame holds the plan: drop it, so
+                # a finished plan is freed by reference counting
+                self._forecasts = None
+                self.late_parcels = replay_execution(self.cfg.actuals, self.capacity, p.dwell_h, p.work_rate)
         return self.steps[k]
 
-    def _demand_units(self, now_h: float, first_slot: int) -> dict[int, list[int]]:
-        """Predicted arrivals for the whole horizon (actuals before
-        ``first_slot``, noisy forecast from it) converted to integer worker
-        demand per slot."""
-        if first_slot < self.n and self.cfg.noise == "paper":
-            u = self.rng.uniform(-1.0, 1.0, size=(len(self.hub_ids), self.n - first_slot))
-        else:
-            u = None
-        pred_tail = forecast_matrix(self.actual_matrix, now_h, first_slot, u)
-        full = np.concatenate(
-            [self.actual_matrix[:, :first_slot].astype(np.float64), pred_tail], axis=1
-        )
-        if self.collect_forecasts:
-            self.forecast_snapshots.append(
-                ForecastSnapshot(now_h, {h: [float(v) for v in full[i]] for i, h in enumerate(self.hub_ids)})
-            )
-        return dict(zip(self.hub_ids, labor_demand(full, self.cfg.params.work_rate).tolist()))
+    def forecasts(self):
+        """Yield ``(now_h, full)`` for every step time in order: ``full`` is
+        the predicted arrivals of every hub (rows in ``hub_ids`` order) over
+        the whole horizon, the actuals before the step's first slot and the
+        forecast (``forecast_matrix``) from it on.
+
+        The noise is drawn from a fresh ``np.random.default_rng(seed)``, one
+        ``(hubs, n - first_slot)`` uniform draw per step that has a slot left
+        to forecast, so every call yields the forecasts ``kept`` plans with.
+        """
+        actual = self.actual_matrix
+        rng = np.random.default_rng(self.cfg.params.seed)
+        noisy = self.cfg.noise == "paper"
+        for now_h in self.times:
+            first_slot = math.ceil(now_h - 1e-9)
+            if first_slot < self.n and noisy:
+                u = rng.uniform(-1.0, 1.0, size=(len(self.hub_ids), self.n - first_slot))
+            else:
+                u = None
+            tail = forecast_matrix(actual, now_h, first_slot, u)
+            yield now_h, np.concatenate([actual[:, :first_slot].astype(np.float64), tail], axis=1)
 
     def _residual(self, demand: dict[int, list[int]], first_slot: int, stop: int) -> dict[int, list[int]]:
         """The FIFO residual of ``demand`` against the capacity fixed so far
@@ -455,12 +464,11 @@ class RollingEngine:
             self.step()
 
         ledger, resting, flows = roster_tables(self.roster, self.hub_ids, self.n)
-        arrivals = {h: self.cfg.actuals[h].arrivals for h in self.hub_ids}
         capacity = self.plan.capacity
         late = self.plan.late_parcels
         lateness_penalty(late, ledger)
         series = {
-            h: {"arrivals": arrivals[h], "working": list(capacity[h]), "resting": resting[h]}
+            h: {"arrivals": self.cfg.actuals[h], "working": list(capacity[h]), "resting": resting[h]}
             for h in self.hub_ids
         }
 

@@ -201,6 +201,10 @@ def test_debug_dumps(tmp_path, capsys):
     assert main(["run", "--out", str(out), "--scenario", "2", "--debug-forecasts"]) == 0
     forecasts = (out / "forecasts_s2.csv").read_text().splitlines()
     assert forecasts[1] == "made_at_h,hub_id,slot_h,arrivals"
+    # scenarios 1 and 2 plan with one plan, so they dump the same forecasts
+    assert main(["run", "--out", str(out), "--scenario", "all", "--debug-forecasts"]) == 0
+    assert (out / "forecasts_s1.csv").read_bytes() == (out / "forecasts_s2.csv").read_bytes()
+    assert (out / "forecasts_s1.csv").read_bytes() != (out / "forecasts_s3.csv").read_bytes()
     # a worker's pool state is read from roster_s*.csv; there is no worker dump
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
@@ -566,6 +570,15 @@ def test_generate_rejects_a_value_out_of_range(tmp_path, capsys):
     # a walk speed of 0 or below is refused before any network is built
     for extra, message in OUT_OF_RANGE:
         assert message in _generate_error(tmp_path, capsys, extra)
+    # a range error of each section names the config file, the key and the
+    # value; the first and the last used to name neither file nor value
+    path = tmp_path / "config.json"
+    for extra, message in (
+        ({"params": {"dwell_h": -1}}, "dwell_h must be >= 0, got -1"),
+        ({"network": {"hubs": 0}}, "config key 'network.hubs' must be >= 1, got 0"),
+        ({"arrivals": {"hub_jitter": 1.5}}, "hub_jitter must lie in [0, 1), got 1.5"),
+    ):
+        assert _generate_error(tmp_path, capsys, extra) == f"error: {path}: {message}"
 
 
 def test_generate_and_run_reject_a_negative_seed_flag(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from hubroster._kernels import fifo_match_units
 from hubroster.demand import (
-    ArrivalSeries,
     GeneratorConfig,
     forecast_matrix,
     generate_arrivals,
@@ -240,20 +239,20 @@ def test_fifo_match_units_resumed_from_a_settled_prefix_matches_the_full_walk():
 def test_generate_zero_volume():
     net = random_network(n_hubs=4, n_gateways=1, seed=0)
     series = generate_arrivals(net, GeneratorConfig(daily_volume=0), seed=0)
-    assert all(s.total == 0 for s in series.values())
+    assert all(sum(row) == 0 for row in series.values())
 
 
 def test_generate_deterministic():
     net = random_network(n_hubs=6, n_gateways=2, seed=1)
     a = generate_arrivals(net, GeneratorConfig(daily_volume=5000), seed=42)
     b = generate_arrivals(net, GeneratorConfig(daily_volume=5000), seed=42)
-    assert {h: s.arrivals for h, s in a.items()} == {h: s.arrivals for h, s in b.items()}
+    assert a == b
 
 
 def test_generate_paper_scale_volume():
     net = random_network(n_hubs=52, n_gateways=3, seed=0)
     series = generate_arrivals(net, GeneratorConfig(daily_volume=1_173_253), seed=0)
-    total = sum(s.total for s in series.values())
+    total = sum(map(sum, series.values()))
     assert abs(total - 1_173_253) <= 0.01 * 1_173_253
     assert total == 1_173_253  # largest-remainder apportionment is exact
 
@@ -267,11 +266,11 @@ def test_generate_rejects_negative_volume():
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"daily_volume": -1}, "daily_volume must be >= 0"),
-        ({"horizon_h": 0}, "horizon_h must be >= 1"),
-        ({"gateway_weight": 0.0}, "gateway_weight must be positive"),
-        ({"hub_jitter": 1.0}, r"jitter fractions must lie in \[0, 1\)"),
-        ({"cell_jitter": -0.1}, r"jitter fractions must lie in \[0, 1\)"),
+        ({"daily_volume": -1}, "daily_volume must be >= 0, got -1"),
+        ({"horizon_h": 0}, "horizon_h must be >= 1, got 0"),
+        ({"gateway_weight": 0.0}, "gateway_weight must be positive, got 0.0"),
+        ({"hub_jitter": 1.0}, r"hub_jitter must lie in \[0, 1\), got 1.0"),
+        ({"cell_jitter": -0.1}, r"cell_jitter must lie in \[0, 1\), got -0.1"),
     ],
     ids=["volume", "horizon", "gateway-weight", "hub-jitter", "cell-jitter"],
 )
@@ -287,7 +286,7 @@ def test_tier_peaks_are_phase_shifted():
     loc = np.zeros(24)
     for hub in net.hubs:
         target = gw if hub.tier == "gateway" else loc
-        target += np.array(series[hub.id].arrivals)
+        target += np.array(series[hub.id])
     offset = abs(int(np.argmax(gw)) - int(np.argmax(loc)))
     offset = min(offset, 24 - offset)
     assert 6 <= offset <= 12
@@ -300,7 +299,7 @@ def test_arrivals_csv_round_trip(tmp_path):
     path = tmp_path / "arrivals.csv"
     write_arrivals_csv(path, series, "# seed=2 config=abc\n")
     back = read_arrivals_csv(path)
-    assert {h: s.arrivals for h, s in back.items()} == {h: s.arrivals for h, s in series.items()}
+    assert back == series
 
 
 @pytest.mark.parametrize(
@@ -364,14 +363,14 @@ def _dict_reader_arrivals(path):
         for t in range(n):
             if t not in by_slot:
                 raise ValueError(f"{path}: missing row for hub {hub_id} slot {t}")
-        out[hub_id] = ArrivalSeries(hub_id, [by_slot[t] for t in range(n)])
+        out[hub_id] = [by_slot[t] for t in range(n)]
     return out
 
 
 def _read_or_message(path, reader=read_arrivals_csv):
     """The arrivals ``reader`` reads from ``path``, or its error message."""
     try:
-        return {h: series.arrivals for h, series in reader(path).items()}
+        return reader(path)
     except ValueError as exc:
         return str(exc)
 
@@ -379,14 +378,13 @@ def _read_or_message(path, reader=read_arrivals_csv):
 def test_arrivals_csv_reads_columns_in_any_order_beside_others(tmp_path):
     net = random_network(n_hubs=3, n_gateways=1, seed=2)
     series = generate_arrivals(net, GeneratorConfig(daily_volume=900), seed=2)
-    expected = {h: s.arrivals for h, s in series.items()}
     path = tmp_path / "arrivals.csv"
-    rows = [(h, t, c) for h in sorted(series) for t, c in enumerate(series[h].arrivals)]
+    rows = [(h, t, c) for h in sorted(series) for t, c in enumerate(series[h])]
     # another order, a column the reader does not use, comments and blank lines
     lines = ["# made by hand\n", "arrivals,note,slot_h,hub_id\n", "\n"]
     lines += [f"{c},x{h},{t},{h}\r\n" for h, t, c in rows]
     path.write_text("".join(lines[:40] + ["\n", "# halfway\n"] + lines[40:] + ["\r\n"]))
-    assert _read_or_message(path) == expected
+    assert _read_or_message(path) == series
     # a bad field is named by its column, and the row quoted as written
     lines[10] = "5,x0,1.5,0\n"
     path.write_text("".join(lines))
@@ -399,7 +397,7 @@ def test_arrivals_csv_reads_columns_in_any_order_beside_others(tmp_path):
     assert _read_or_message(path) == f"{path}: row '5,x0,1,0,7' has more fields than the header's 4"
     # a column named twice reads its last one, as csv.DictReader does
     path.write_text("hub_id,arrivals,slot_h,arrivals\n" + "".join(f"{h},-1,{t},{c}\n" for h, t, c in rows))
-    assert _read_or_message(path) == expected == _read_or_message(path, _dict_reader_arrivals)
+    assert _read_or_message(path) == series == _read_or_message(path, _dict_reader_arrivals)
 
 
 def test_arrivals_csv_matches_the_dict_reader_on_edited_files(tmp_path):
@@ -441,8 +439,3 @@ def test_arrivals_csv_matches_the_dict_reader_on_edited_files(tmp_path):
                  "duplicate row", "missing row", "non-negative")
         outcomes.add(next(k for k in kinds if k in got) if isinstance(got, str) else "read")
     assert len(outcomes) == 9, outcomes
-
-
-def test_arrival_series_rejects_negative():
-    with pytest.raises(ValueError):
-        ArrivalSeries(0, [1, -1])

@@ -2,8 +2,11 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hubroster import engine as engine_module
 from hubroster import network as network_module
 from hubroster import shifts as shifts_module
 from hubroster.config import ScenarioParams
-from hubroster.demand import ArrivalSeries, GeneratorConfig, generate_arrivals
+from hubroster.demand import GeneratorConfig, generate_arrivals
 from hubroster.engine import (
     RollingEngine,
     RollingPlan,
@@ -46,13 +49,10 @@ def _net(n_hubs=1, spread_m=2000.0):
     return HubNetwork(hubs, d_max_m=3000, speed_m_per_h=15000)
 
 
-def _arrivals(net, rows):
-    return {hid: ArrivalSeries(hid, list(row)) for hid, row in rows.items()}
-
-
 def _cfg(net, rows, scenario=1, noise="perfect", **params):
     params.setdefault("horizon_h", len(next(iter(rows.values()))))
-    return ScenarioConfig(scenario, net, _arrivals(net, rows), ScenarioParams(**params), noise)
+    actuals = {h: list(row) for h, row in rows.items()}
+    return ScenarioConfig(scenario, net, actuals, ScenarioParams(**params), noise)
 
 
 def _needed(rows):
@@ -141,8 +141,7 @@ def test_rolling_scenarios_zero_late_under_noise():
     for seed in range(4):
         net = random_network(n_hubs=4, n_gateways=1, area_m=5000, seed=seed)
         prof = GeneratorConfig(daily_volume=40_000)
-        arrivals = generate_arrivals(net, prof, seed)
-        rows = {h: s.arrivals for h, s in arrivals.items()}
+        rows = generate_arrivals(net, prof, seed)
         for scenario in (1, 2):
             report = run_scenario(_cfg(net, rows, scenario=scenario, noise="paper", seed=seed))
             assert report.late_parcels == 0
@@ -150,8 +149,7 @@ def test_rolling_scenarios_zero_late_under_noise():
 
 def test_scenario2_never_moves_workers():
     net = random_network(n_hubs=6, n_gateways=2, area_m=4000, seed=7)
-    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 7)
-    rows = {h: s.arrivals for h, s in arrivals.items()}
+    rows = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 7)
     report = run_scenario(_cfg(net, rows, scenario=2, noise="paper", seed=7))
     assert report.ledger.moving == 0
     assert not any(any(e.shift.moves()) for e in report.roster)
@@ -167,8 +165,7 @@ def test_scenario3_fixes_everything_at_day_start():
 
 def test_determinism_same_seed_same_report():
     net = random_network(n_hubs=5, n_gateways=2, area_m=5000, seed=11)
-    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=50_000), 11)
-    rows = {h: s.arrivals for h, s in arrivals.items()}
+    rows = generate_arrivals(net, GeneratorConfig(daily_volume=50_000), 11)
 
     def run():
         rep = run_scenario(_cfg(net, rows, scenario=1, noise="paper", seed=11))
@@ -185,8 +182,7 @@ def test_determinism_same_seed_same_report():
 
 def test_noise_streams_differ_across_seeds():
     net = random_network(n_hubs=3, n_gateways=1, area_m=4000, seed=2)
-    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=30_000), 2)
-    rows = {h: s.arrivals for h, s in arrivals.items()}
+    rows = generate_arrivals(net, GeneratorConfig(daily_volume=30_000), 2)
     a = run_scenario(_cfg(net, rows, noise="paper", seed=1)).ledger.to_dict()
     b = run_scenario(_cfg(net, rows, noise="paper", seed=2)).ledger.to_dict()
     assert a != b
@@ -237,15 +233,32 @@ def test_engine_validates_config():
         run_scenario(cfg)
 
 
+def test_engine_refuses_an_arrival_count_that_is_negative_or_not_an_integer():
+    # a float count used to run: the plan's integer matrix truncated 150.5
+    # to 150 while the replay read 150.5, so half a parcel was late
+    net = _net(1)
+    for count, message in (
+        (-1, "hub 0: arrival counts must be non-negative"),
+        (150.5, "hub 0 slot 3: arrival count must be an integer, got 150.5"),
+        (150.0, "hub 0 slot 3: arrival count must be an integer, got 150.0"),
+        (True, "hub 0 slot 3: arrival count must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_scenario(_cfg(net, {0: [0, 0, 0, count, 0, 0]}, scenario=2))
+    # a numpy integer is a count
+    rows = {0: [0, 0, 0, 150, 0, 0]}
+    assert run_scenario(_cfg(net, {0: np.array(rows[0])})) == run_scenario(_cfg(net, rows))
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"dwell_h": -1}, "dwell_h must be >= 0"),
-        ({"max_work_h": 0}, "max_work_h must be positive"),
-        ({"work_rate": 0}, "work_rate must be positive"),
-        ({"replan_min": 0}, "replan_min must be positive"),
-        ({"horizon_h": 0}, "horizon_h must be >= 1"),
-        ({"max_gap_h": -1}, "max_gap_h must be >= 0"),
+        ({"dwell_h": -1}, "dwell_h must be >= 0, got -1"),
+        ({"max_work_h": 0}, "max_work_h must be positive, got 0"),
+        ({"work_rate": 0}, "work_rate must be positive, got 0"),
+        ({"replan_min": 0}, "replan_min must be positive, got 0"),
+        ({"horizon_h": 0}, "horizon_h must be >= 1, got 0"),
+        ({"max_gap_h": -1}, "max_gap_h must be >= 0, got -1"),
     ],
     ids=["dwell", "max-work", "work-rate", "replan", "horizon", "max-gap"],
 )
@@ -332,7 +345,7 @@ def _random_merge_case(rng):
         horizon_h=horizon, max_work_h=int(rng.integers(1, 9)), max_gap_h=int(rng.integers(0, 4))
     )
     scenario = int(rng.choice([1, 1, 1, 2, 3]))
-    arrivals = {h: ArrivalSeries(h, [0] * horizon) for h in ids}
+    arrivals = {h: [0] * horizon for h in ids}
     engine = RollingEngine(ScenarioConfig(scenario, net, arrivals, params))
     kept = []
     for _ in range(int(rng.integers(0, 24))):
@@ -549,7 +562,7 @@ def test_fixed_shifts_skip_the_budget_and_the_kernel_when_nothing_can_merge(monk
         params = ScenarioParams(
             horizon_h=horizon, max_work_h=int(rng.integers(2, 9)), max_gap_h=int(rng.integers(0, 4))
         )
-        arrivals = {h: ArrivalSeries(h, [0] * horizon) for h in range(n_hubs)}
+        arrivals = {h: [0] * horizon for h in range(n_hubs)}
         engine = RollingEngine(ScenarioConfig(int(rng.choice([1, 3])), net, arrivals, params))
         linked = {(pair.hub_a, pair.hub_b) for pair in engine.pairs}
         if not linked:
@@ -721,7 +734,7 @@ def test_plan_residual_walks_on_from_the_last_step(monkeypatch):
         arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=int(rng.integers(5_000, 60_000))), i)
         cfg = _cfg(
             net,
-            {h: s.arrivals for h, s in arrivals.items()},
+            arrivals,
             scenario=int(rng.choice([1, 3])),
             noise="paper",
             seed=i,
@@ -732,8 +745,8 @@ def test_plan_residual_walks_on_from_the_last_step(monkeypatch):
     assert returned > 200 and left_out > 200, (returned, left_out)
 
 
-def _outputs(report, plan):
-    """What a day reports, and the forecast snapshots of its ``plan``."""
+def _outputs(report):
+    """What a day reports."""
     roster = [
         (e.worker_id, e.lead_time_h, e.is_new_hire, e.fixed_at_h, tuple(e.shift.segments))
         for e in report.roster
@@ -745,8 +758,13 @@ def _outputs(report, plan):
         report.series,
         report.flows,
         report.hires,
-        plan.forecast_snapshots,
     )
+
+
+def _same_forecasts(a, b) -> bool:
+    """Whether two ``RollingPlan.forecasts`` sequences yield equal steps."""
+    a, b = list(a), list(b)
+    return len(a) == len(b) and all(t == u and np.array_equal(x, y) for (t, x), (u, y) in zip(a, b))
 
 
 def _candidates_with_and_without_cut(monkeypatch, cfg):
@@ -796,8 +814,7 @@ def test_fix_reach_cut_leaves_every_output_unchanged(monkeypatch, overrides):
     # with the cut disabled: rosters, ledgers, lateness, series and flows agree,
     # and the cut builds fewer candidates exactly when there is a reach
     net = random_network(n_hubs=6, n_gateways=2, area_m=3000, seed=5)
-    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 5)
-    rows = {h: s.arrivals for h, s in arrivals.items()}
+    rows = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 5)
     for scenario in (1, 2, 3):
         cfg = _cfg(net, rows, scenario=scenario, noise="paper", seed=5, **overrides)
         reach = fix_reach(cfg.params)
@@ -820,7 +837,7 @@ def test_fix_reach_cut_matches_full_scan_on_random_days(monkeypatch):
         urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
         cfg = _cfg(
             net,
-            {h: s.arrivals for h, s in arrivals.items()},
+            arrivals,
             scenario=int(rng.integers(1, 3)),
             noise="paper",
             seed=i,
@@ -843,8 +860,7 @@ def test_engine_rosters_pass_validate_shift():
     # structural invariants: contiguous segments, 1..cap working hours, and
     # a travel segment at every hub change
     net = random_network(n_hubs=6, n_gateways=2, area_m=3000, seed=3)
-    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=40_000), 3)
-    rows = {h: s.arrivals for h, s in arrivals.items()}
+    rows = generate_arrivals(net, GeneratorConfig(daily_volume=40_000), 3)
     merged = 0
     for replan_min in (15, 60):
         for scenario in (1, 2, 3):
@@ -864,8 +880,7 @@ def test_rolling_steps_skip_the_hubs_and_runs_they_cannot_fix(monkeypatch):
     # padded reach here); the days are those of the fix-reach test,
     # replanned every 15 and 60 minutes
     net = random_network(n_hubs=6, n_gateways=2, area_m=3000, seed=5)
-    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 5)
-    rows = {h: s.arrivals for h, s in arrivals.items()}
+    rows = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 5)
     combine = engine_module.combine_within_hub_detail
     value = engine_module.shift_value
     stops, valued = [], []
@@ -963,10 +978,10 @@ def _working_from_roster(report, n):
 
 def test_scenarios_on_a_shared_plan_equal_their_runs_alone():
     # scenarios 1 and 2, run one after the other on one plan in either
-    # order, give the outputs of each run alone, forecast snapshots
-    # included; each report's working rows are its own roster's working slots
+    # order, give the outputs of each run alone, forecasts included; each
+    # report's working rows are its own roster's working slots
     rng = np.random.default_rng(31)
-    merged = snapshots = 0
+    merged = 0
     for i in range(50):
         horizon = int(rng.integers(6, 37))
         net = random_network(
@@ -974,7 +989,7 @@ def test_scenarios_on_a_shared_plan_equal_their_runs_alone():
         )
         # sparse rows leave gaps that a merge can bridge
         arrivals = {
-            h: ArrivalSeries(h, [int(v) for v in rng.integers(0, 600, horizon) * (rng.random(horizon) < 0.3)])
+            h: [int(v) for v in rng.integers(0, 600, horizon) * (rng.random(horizon) < 0.3)]
             for h in net.hub_ids
         }
         params = ScenarioParams(
@@ -986,24 +1001,23 @@ def test_scenarios_on_a_shared_plan_equal_their_runs_alone():
             seed=i,
         )
         noise = str(rng.choice(["paper", "perfect"]))
-        collect = bool(rng.random() < 0.5)
+        rng.random()  # a spare draw keeps this stream's days, which merge over 30 runs
         cfgs = [ScenarioConfig(n, net, arrivals, params, noise) for n in (1, 2)]
-        plan = RollingPlan(cfgs[0], collect_forecasts=collect)
+        plan = RollingPlan(cfgs[0])
         order = cfgs if rng.random() < 0.5 else cfgs[::-1]
         shared = {cfg.label: run_scenario(cfg, plan) for cfg in order}
         for cfg in cfgs:
             report = shared[cfg.label]
-            own = RollingPlan(cfg, collect_forecasts=collect)
+            own = RollingPlan(cfg)
             alone = run_scenario(cfg, own)
             assert report == alone, (i, cfg.label)
-            assert plan.forecast_snapshots == own.forecast_snapshots, (i, cfg.label)
+            assert _same_forecasts(plan.forecasts(), own.forecasts()), (i, cfg.label)
             working = {h: rows["working"] for h, rows in report.series.items()}
             assert working == _working_from_roster(report, horizon), (i, cfg.label)
             merged += report.merged_shift_count
-            snapshots += len(own.forecast_snapshots)
         s1, s2 = (shared[cfg.label].series for cfg in cfgs)
         assert all(s1[h]["working"] is not s2[h]["working"] for h in s1)
-    assert merged > 30 and snapshots > 0, (merged, snapshots)
+    assert merged > 30, merged
 
 
 def test_engines_on_one_plan_book_its_shifts(monkeypatch):
@@ -1037,7 +1051,7 @@ def test_engines_on_one_plan_book_its_shifts(monkeypatch):
             n_hubs=int(rng.integers(2, 9)), n_gateways=1, area_m=float(rng.uniform(1000, 6000)), seed=i
         )
         arrivals = {
-            h: ArrivalSeries(h, [int(v) for v in rng.integers(0, 600, horizon) * (rng.random(horizon) < 0.4)])
+            h: [int(v) for v in rng.integers(0, 600, horizon) * (rng.random(horizon) < 0.4)]
             for h in net.hub_ids
         }
         params = ScenarioParams(
@@ -1084,7 +1098,7 @@ def _random_day(rng, i, replan_choices, high=600, density=0.4):
         n_hubs=int(rng.integers(2, 8)), n_gateways=1, area_m=float(rng.uniform(1000, 6000)), seed=i
     )
     arrivals = {
-        h: ArrivalSeries(h, [int(v) for v in rng.integers(0, high, horizon) * (rng.random(horizon) < density)])
+        h: [int(v) for v in rng.integers(0, high, horizon) * (rng.random(horizon) < density)]
         for h in net.hub_ids
     }
     params = ScenarioParams(
@@ -1123,7 +1137,7 @@ def test_a_plan_replays_its_capacity_once_for_every_engine(monkeypatch):
             reports = [run_scenario(cfg, plan) for cfg in group]
             assert replays == 1, i
             p = group[0].params
-            late = real({h: arrivals[h].arrivals for h in net.hub_ids}, plan.capacity, p.dwell_h, p.work_rate)
+            late = real(arrivals, plan.capacity, p.dwell_h, p.work_rate)
             assert plan.late_parcels == late, i
             for report in reports:
                 assert report.late_parcels == late, (i, report.label)
@@ -1219,10 +1233,9 @@ def test_run_takes_only_the_steps_not_yet_taken():
     for i in range(24):
         net, arrivals, params = _random_day(rng, i, [15, 20, 60, 90])
         cfg = ScenarioConfig(int(rng.integers(1, 4)), net, arrivals, params, noise="paper")
-        collect = bool(rng.random() < 0.5)
-        plain_plan = RollingPlan(cfg, collect_forecasts=collect)
+        plain_plan = RollingPlan(cfg)
         plain = run_scenario(cfg, plain_plan)
-        engine = RollingEngine(cfg, RollingPlan(cfg, collect_forecasts=collect))
+        engine = RollingEngine(cfg, RollingPlan(cfg))
         steps = len(engine.plan.times)
         for _ in range(int(rng.integers(0, steps + 1))):
             engine.step()
@@ -1232,7 +1245,53 @@ def test_run_takes_only_the_steps_not_yet_taken():
             engine.step()
         assert engine.steps_taken == steps
         assert engine.run() == plain, i
-        assert engine.plan.forecast_snapshots == plain_plan.forecast_snapshots, i
+        assert _same_forecasts(engine.plan.forecasts(), plain_plan.forecasts()), i
+
+
+def test_a_plan_plans_with_the_forecasts_it_yields(monkeypatch):
+    # the matrices the steps turn into demand units are the ones
+    # ``forecasts`` yields (what ``--debug-forecasts`` writes), in both noise
+    # modes, and ``forecasts`` yields the same before any step and after the
+    # run
+    real = engine_module.labor_demand
+    planned = []
+
+    def recording(full, work_rate):
+        planned.append(full.copy())
+        return real(full, work_rate)
+
+    monkeypatch.setattr(engine_module, "labor_demand", recording)
+    rng = np.random.default_rng(37)
+    for i in range(24):
+        net, arrivals, params = _random_day(rng, i, [15, 20, 45, 60, 90, 1440])
+        noise = ["paper", "perfect"][i % 2]
+        plan = RollingPlan(ScenarioConfig(int(rng.integers(1, 4)), net, arrivals, params, noise))
+        before = list(plan.forecasts())
+        planned.clear()
+        run_scenario(plan.cfg, plan)
+        assert len(planned) == len(plan.times) == len(before), i
+        assert _same_forecasts(zip(plan.times, planned), before), i
+        assert _same_forecasts(plan.forecasts(), before), i
+        if noise == "paper" and params.horizon_h > 1:
+            assert not np.array_equal(before[0][1], plan.actual_matrix), i
+
+
+def test_a_finished_plan_is_freed_without_the_cycle_collector():
+    # a plan holds the suspended generator of its forecasts, whose frame
+    # holds the plan; after its last step the plan lets the generator go, so
+    # reference counting frees it. Left to the cycle collector, plans piled
+    # up between collections: 30 paper52 days in one process peaked 4 MB higher
+    rng = np.random.default_rng(41)
+    net, arrivals, params = _random_day(rng, 0, [15, 60])
+    gc.disable()
+    try:
+        plan = RollingPlan(ScenarioConfig(1, net, arrivals, params, "paper"))
+        run_scenario(plan.cfg, plan)
+        freed = weakref.ref(plan)
+        del plan
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_a_second_run_reports_an_equal_day():
@@ -1346,7 +1405,7 @@ def test_a_rolling_plan_that_replans_past_the_horizon_is_scenario_3(noise):
     # scenario 3 is scenario 1 with one replan interval over the whole
     # horizon: a scenario-1 config whose interval reaches the horizon end
     # (1440 min) or passes it (2000 min) gives the same roster, ledger, late
-    # parcels, series, flows and forecast snapshots. Building scenario 3
+    # parcels, series, flows and forecasts. Building scenario 3
     # leaves the caller's params as they were
     rng = np.random.default_rng(21)
     moved = late = 0
@@ -1365,12 +1424,13 @@ def test_a_rolling_plan_that_replans_past_the_horizon_is_scenario_3(noise):
         baseline = ScenarioConfig(3, net, scenario1.actuals, scenario1.params, noise)
         assert scenario1.params == before
         assert baseline.params == dataclasses.replace(before, replan_min=60 * horizon)
-        plan = RollingPlan(baseline, collect_forecasts=True)
-        expected = _outputs(run_scenario(baseline, plan), plan)
+        plan = RollingPlan(baseline)
+        expected = _outputs(run_scenario(baseline, plan))
         for replan_min in (1440, 2000):
             cfg = dataclasses.replace(scenario1, params=dataclasses.replace(scenario1.params, replan_min=replan_min))
-            plan = RollingPlan(cfg, collect_forecasts=True)
-            assert _outputs(run_scenario(cfg, plan), plan) == expected, (i, replan_min)
+            own = RollingPlan(cfg)
+            assert _outputs(run_scenario(cfg, own)) == expected, (i, replan_min)
+            assert _same_forecasts(own.forecasts(), plan.forecasts()), (i, replan_min)
         moved += bool(expected[4])
         late += expected[2] > 0
     assert moved > 3 and (late > 0) == (noise == "paper"), (moved, late)

@@ -10,7 +10,6 @@ import reference_kernels
 from hubroster import _kernels as kernels
 from hubroster._kernels import _trial
 from hubroster.config import ScenarioParams
-from hubroster.demand import ArrivalSeries
 from hubroster.engine import RollingEngine, ScenarioConfig
 from hubroster.ledger import HIRING_PER_DAY, MOVING_FAR, MOVING_NEAR, MOVING_TIER_M, moving_payment
 from hubroster.network import Hub, HubNetwork, build_moving_pairs
@@ -500,7 +499,7 @@ def test_merge_requires_saving_over_hire():
             cfg = ScenarioConfig(
                 scenario,
                 net,
-                {h: ArrivalSeries(h, [0] * 12) for h in (0, 1)},
+                {h: [0] * 12 for h in (0, 1)},
                 ScenarioParams(horizon_h=12),
             )
             runs = [(0, 0, 4), (5, 1, 9)]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hubroster.config import ScenarioParams
-from hubroster.demand import ArrivalSeries
 from hubroster.engine import RollingPlan, ScenarioConfig
 from hubroster.network import Hub, HubNetwork
 from hubroster.shifts import Segment, Shift
@@ -110,7 +109,7 @@ def test_fix_reach_none_when_any_lead_can_qualify():
 def _plan(horizon=24, scenario=1, **params):
     net = HubNetwork([Hub(0, "H0", 0.0, 0.0, "local")], d_max_m=3000, speed_m_per_h=15000)
     cfg = ScenarioConfig(
-        scenario, net, {0: ArrivalSeries(0, [0] * horizon)}, ScenarioParams(horizon_h=horizon, **params)
+        scenario, net, {0: [0] * horizon}, ScenarioParams(horizon_h=horizon, **params)
     )
     return RollingPlan(cfg)
 
