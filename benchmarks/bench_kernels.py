@@ -7,9 +7,10 @@ of roster entries (build each ``Shift``, assign it, append its
 ``RosterEntry``, then derive the ledger and tables from the whole roster) on
 synthetic workloads and prints the fastest of three runs. ``within_hub_runs``
 is also timed with its search cut where the engine cuts it at hour 0 under
-the default parameters and on gateway-sized rows, and ``fifo_match_units``
-on the engine's rows, where capacity is zero ahead of the slots fixed so
-far, and resumed from a settled slot as the engine walks it each step.
+the default parameters and on gateway-sized rows. ``fifo_match_units``
+walks 52-hub by 24-slot matrices, as the engine does once per replan step:
+from slot 0, with capacity zero ahead of the slots fixed so far, and
+resumed from a settled slot.
 End-to-end timings of the ``hubroster`` command line come from
 ``perfbench/run.py``:
 
@@ -56,18 +57,15 @@ def bench_merge(runs_by_hub, pairs):
     return run
 
 
-def bench_match(demand_rows, cap_rows, dwell=1):
+def bench_match(demand_mats, cap_mats, dwell=1, starts=None, cleared_mats=None):
+    """Walk each ``(hubs, n)`` demand matrix against its capacity, from slot
+    0 into a scratch matrix, or from ``starts[i]`` on in ``cleared_mats[i]``."""
+    starts = starts or [0] * len(demand_mats)
+    cleared_mats = cleared_mats or [np.zeros_like(demand) for demand in demand_mats]
+
     def run():
-        for demand, cap in zip(demand_rows, cap_rows):
-            kernels.fifo_match_units(demand, cap, dwell)
-
-    return run
-
-
-def bench_resumed_match(settled_rows, cap_rows, starts, ends, dwell=3):
-    def run():
-        for settled, cap, start, end in zip(settled_rows, cap_rows, starts, ends):
-            kernels.fifo_match_units(settled, cap, dwell, start, end)
+        for demand, cap, start, cleared in zip(demand_mats, cap_mats, starts, cleared_mats):
+            kernels.fifo_match_units(demand, cap, dwell, start, cleared)
 
     return run
 
@@ -151,19 +149,19 @@ def main():
     )
     arrival_rows = [[int(v) for v in rng.integers(0, 3000, 24)] for _ in range(500)]
     cap_rows = [[int(v) for v in rng.integers(0, 20, 24)] for _ in range(500)]
-    # the engine's residual input: the fixed roster's capacity up to the
-    # step's slot and none ahead of it, one row per step of a 24 h day
-    engine_cap_rows = [row[: i % 25] + [0] * (24 - i % 25) for i, row in enumerate(cap_rows)]
-    # the engine's resumed walk: the residual is settled before the step's
-    # slot, fixed runs reach at most 8 h past it, and the walk goes on from
-    # the slot to the stop (6 slots on) plus the dwell
-    starts = [i % 24 for i in range(500)]
-    resumed_cap_rows = [row[: at + 8] + [0] * (24 - len(row[: at + 8])) for at, row in zip(starts, cap_rows)]
-    settled_rows = [
-        kernels.fifo_match_units(demand, cap, 3, 0, at)
-        for demand, cap, at in zip(rows[:500], resumed_cap_rows, starts)
-    ]
-    ends = [at + 6 + 3 for at in starts]
+    # the engine's residual input, one 52-hub matrix per step of a 24 h day
+    # (ten days): the fixed roster's capacity up to the step's slot and
+    # none ahead of it
+    starts = [i % 24 for i in range(240)]
+    demand_mats = [rng.integers(0, 8, (52, 24)) for _ in starts]
+    cap_mats = [rng.integers(0, 20, (52, 24)) for _ in starts]
+    engine_cap_mats = [np.where(np.arange(24) < at, cap, 0) for at, cap in zip(starts, cap_mats)]
+    # the engine's resumed walk: the walk's state is settled before the
+    # step's slot (here by one walk from slot 0), fixed runs reach at most
+    # 8 h past it, and the walk goes on from the slot to the row's end
+    resumed_cap_mats = [np.where(np.arange(24) < at + 8, cap, 0) for at, cap in zip(starts, cap_mats)]
+    cleared_mats = [np.zeros_like(demand) for demand in demand_mats]
+    bench_match(demand_mats, resumed_cap_mats, 3, None, cleared_mats)()
 
     n_workers = 130 if args.quick else 1300
     batches = [
@@ -186,12 +184,10 @@ def main():
         "within_hub_runs (dwell 3, stop)": _time(bench_within_hub(rows, 3, stop)),
         "within_hub_runs (dwell 3, gateway rows)": _time(bench_within_hub(gateway_rows, 3)),
         "merge_runs": _time(bench_merge(runs_by_hub, pairs)),
-        "fifo_match_units": _time(bench_match(rows[:500], cap_rows)),
-        "fifo_match_units (dwell 3, engine rows)": _time(
-            bench_match(rows[:500], engine_cap_rows, 3)
-        ),
+        "fifo_match_units": _time(bench_match(demand_mats, cap_mats)),
+        "fifo_match_units (dwell 3, engine rows)": _time(bench_match(demand_mats, engine_cap_mats, 3)),
         "fifo_match_units (dwell 3, resumed)": _time(
-            bench_resumed_match(settled_rows, resumed_cap_rows, starts, ends)
+            bench_match(demand_mats, resumed_cap_mats, 3, starts, cleared_mats)
         ),
         "fifo_replay": _time(bench_replay(arrival_rows, cap_rows)),
         f"pool assign + simulate_hires ({n_workers} pooled)": _time(bench_pool(n_workers, batches)),

@@ -1,7 +1,9 @@
 """Scheduling kernels: the inner loops of the engine, in plain Python.
 
-Everything here works on plain ints, lists and tuples. The engine and the
-shift builders call these functions through the module (``kernels.<name>``).
+Everything here works on plain ints, lists and tuples, except the FIFO
+residual (``fifo_match_units``), which walks every hub's row at once on
+numpy matrices. The engine and the shift builders call these functions
+through the module (``kernels.<name>``).
 
 Run representation: a run is a half-open slot interval ``(start, end)`` of
 contiguous working hours for one worker at one hub.
@@ -10,6 +12,8 @@ contiguous working hours for one worker at one hub.
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
+
+import numpy as np
 
 
 def _trial(avail, t0, dwell, max_run, n):
@@ -242,51 +246,46 @@ def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
     return merges, used
 
 
-def fifo_match_units(demand, capacity, dwell, start=0, end=None):
-    """Credit per-slot capacity against unit demand within dwell windows.
+def fifo_match_units(demand, capacity, dwell, start, cleared):
+    """Credit per-slot capacity against unit demand within dwell windows,
+    for every hub at once.
 
-    Capacity at slot t serves the oldest unserved units whose origin lies in
-    [t - dwell, t]; capacity can never be credited to a unit it could only
-    reach late. Returns the unserved units per origin slot -- the residual a
-    re-planning pass still has to cover (expired origins included).
+    ``demand`` and ``capacity`` are ``(hubs, n)`` integer matrices, one row
+    per hub. Capacity at slot t serves the oldest unserved units whose
+    origin lies in [t - dwell, t]; capacity can never be credited to a unit
+    it could only reach late. Returns the unserved units per hub and origin
+    slot -- the residual a re-planning pass still has to cover (expired
+    origins included).
 
-    One forward pass: ``oldest`` is the first origin that may still hold a
-    reachable unit. Every origin before it is empty or older than the
-    current window, and stays so (units only ever leave), so it moves up to
-    ``t - dwell`` when it falls behind and past each origin it empties.
-    Slots without capacity are skipped.
+    Units leave only in origin order: a slot serves the oldest units it can
+    reach, and a unit expires only after every older one has. So what has
+    left a hub by the end of slot t is a prefix of its units in origin
+    order, and ``cleared[h, t]`` (an int64 matrix of the same shape) counts
+    it. With ``arrived`` the running sum of the demand, the units of the
+    origins before ``t - dwell`` have left by slot t, and the slot's
+    capacity then serves units up to those that have arrived::
 
-    The walk covers the slots ``[start, end)`` (``end`` clamped to the row,
-    none meaning its end), so it can resume where an earlier one stopped:
-    pass that one's result as ``demand``, with the demand from ``start`` on
-    in place of its own if that has changed. Slots before ``start`` only
-    took units from origins before it, and ``oldest`` starting at 0 is
-    exact at any slot, since it only skips origins that are empty or out
-    of the window. An origin is served only by the slots of its window, so
-    a walk that ends at ``end`` has left every origin before
-    ``end - dwell`` as a full walk would.
+        cleared[t] = min(arrived[t], max(cleared[t - 1], arrived[t - dwell - 1]) + capacity[t])
+
+    one column over all hubs per slot. The units of origin ``o`` still
+    there at the end of its last slot ``min(o + dwell, n - 1)`` are unserved.
+    The walk writes the columns from ``start`` on and reads the one before
+    it, so it resumes where an earlier walk left ``cleared``: a column is
+    final once the demand and capacity up to it are.
     """
-    rem = list(demand)
-    n = len(rem)
-    oldest = 0
-    for t in range(start, n if end is None or end > n else end):
-        cap = capacity[t]
-        if cap == 0:
-            continue
-        if oldest < t - dwell:
-            oldest = t - dwell
-        while oldest <= t:
-            left = rem[oldest]
-            if left > 0:
-                if cap < left:
-                    rem[oldest] = left - cap
-                    break
-                rem[oldest] = 0
-                cap -= left
-            oldest += 1
-            if cap == 0:
-                break
-    return rem
+    arrived = np.cumsum(demand, axis=1)
+    hubs, n = arrived.shape
+    # arrived[t - dwell - 1] at column t: the units expired by slot t
+    expired = np.zeros((hubs, n), dtype=np.int64)
+    if dwell + 1 < n:
+        expired[:, dwell + 1 :] = arrived[:, : n - dwell - 1]
+    for t in range(start, n):
+        col = cleared[:, t]
+        np.maximum(cleared[:, t - 1] if t else 0, expired[:, t], out=col)
+        np.add(col, capacity[:, t], out=col)
+        np.minimum(col, arrived[:, t], out=col)
+    last = np.minimum(np.arange(n) + dwell, n - 1)
+    return np.maximum(arrived - np.maximum(cleared[:, last], arrived - demand), 0)
 
 
 def fifo_replay(arrivals, workers, dwell, rate):

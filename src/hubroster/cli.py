@@ -102,22 +102,22 @@ def cmd_run(args) -> int:
         arrivals = read_arrivals_csv(arr_path)
         params = params_from_config(cfg, seed)
         configs = [ScenarioConfig(num, net, arrivals, params, args.noise) for num in scenarios]
+        # scenarios 1 and 2 fix the same runs at every step: plan them once
+        # (a plan validates its config), before any file is written
+        plans: dict[int, RollingPlan] = {}
         for sc in configs:
-            sc.validate()
+            if sc.params.replan_min not in plans:
+                plans[sc.params.replan_min] = RollingPlan(sc)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     header = file_header(seed, config_hash(cfg))
     columns, lines = [], []
-    # scenarios 1 and 2 fix the same runs at every step: plan them once,
-    # and dump the plan's forecasts once, to the first scenario's file
-    plans: dict[int, RollingPlan] = {}
+    # the plan's forecasts are dumped once, to the first scenario's file
     dumps: dict[int, Path] = {}
     for num, sc in zip(scenarios, configs):
         replan_min = sc.params.replan_min
-        if replan_min not in plans:
-            plans[replan_min] = RollingPlan(sc)
         plan = plans[replan_min]
         report = run_scenario(sc, plan)
         columns.append((f"scenario {num}", report.ledger.to_dict()))

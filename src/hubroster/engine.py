@@ -174,18 +174,22 @@ class RollingPlan:
     (``RollingEngine._fixed_shifts``). ``Shift`` and ``Segment`` are frozen
     values, so runs and engines can share them.
 
+    ``capacity`` (the kept runs' workers per hub and slot) and ``cleared``
+    (the FIFO walk's state) are ``(hubs, n)`` matrices, rows in ``hub_ids``
+    order: a step walks every hub's residual at once (``_residual``).
+
     A step searches each residual row it has not searched before at its
     first slot and stop (``_select``): ``searched`` keeps the candidate runs
     of the searches made at the last step's first slot, and is emptied when
     the first slot advances. It belongs to this plan alone, so another plan
     searches every row again.
 
-    After its last step the plan replays its ``capacity`` against the
-    actual arrivals once (``replay_execution``) and keeps the late-parcel
-    count in ``late_parcels`` (None until then). The count reads only the
-    arrivals, the capacity, ``dwell_h`` and ``work_rate``, which ``check``
-    pins for every engine on the plan, so each engine's report reads it
-    instead of replaying the day again.
+    After its last step the plan replays its ``capacity`` rows, as lists,
+    against the actual arrivals once (``replay_execution``) and keeps the
+    late-parcel count in ``late_parcels`` (None until then). The count
+    reads only the arrivals, the capacity, ``dwell_h`` and ``work_rate``,
+    which ``check`` pins for every engine on the plan, so each engine's
+    report reads it instead of replaying the day again.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -199,12 +203,11 @@ class RollingPlan:
         self.actual_matrix = np.array([cfg.actuals[h] for h in self.hub_ids], dtype=np.int64)
         # the forecast of each step, drawn in step order (``kept``)
         self._forecasts = self.forecasts()
-        # workers working per hub and slot, summed over the kept runs
-        self.capacity = {h: [0] * self.n for h in self.hub_ids}
-        # the FIFO residual per hub of the slots before ``settled_at``: their
-        # capacity is final and their demand the actual arrivals
+        self.capacity = np.zeros((len(self.hub_ids), self.n), dtype=np.int64)
+        # the FIFO walk's state (``kernels.fifo_match_units``), final before
+        # ``settled_at``: capacity is final there and demand the actuals
+        self.cleared = np.zeros_like(self.capacity)
         self.settled_at = 0
-        self.settled = {h: [] for h in self.hub_ids}
         # the one-hub shifts of each planned step's kept runs
         self.steps: list[list[Shift]] = []
         # the candidate runs of each residual row searched at the last
@@ -234,13 +237,15 @@ class RollingPlan:
         while len(self.steps) <= k:
             now_h, full = next(self._forecasts)
             first_slot = math.ceil(now_h - 1e-9)
-            demand = dict(zip(self.hub_ids, labor_demand(full, p.work_rate).tolist()))
             need = self._fix_lengths(now_h, first_slot)
-            kept = self._select(self._residual(demand, first_slot, len(need)), first_slot, need)
-            for start, h, end in kept:
-                row = self.capacity[h]
-                for t in range(start, end):
-                    row[t] += 1
+            residual = self._residual(labor_demand(full, p.work_rate), first_slot, len(need))
+            kept = self._select(residual, first_slot, need)
+            if kept:  # a run adds one at its start and takes one off at its end: sum along the row
+                width = self.n + 1
+                row = {h: i * width for i, h in enumerate(self.hub_ids)}
+                change = np.bincount([row[h] + start for start, h, _ in kept], minlength=width * len(row))
+                change -= np.bincount([row[h] + end for _, h, end in kept], minlength=change.size)
+                self.capacity += change.reshape(-1, width)[:, :-1].cumsum(axis=1)
             shifts = []
             last = None
             for run in kept:
@@ -253,7 +258,8 @@ class RollingPlan:
                 # the suspended generator's frame holds the plan: drop it, so
                 # a finished plan is freed by reference counting
                 self._forecasts = None
-                self.late_parcels = replay_execution(self.cfg.actuals, self.capacity, p.dwell_h, p.work_rate)
+                working = dict(zip(self.hub_ids, self.capacity.tolist()))
+                self.late_parcels = replay_execution(self.cfg.actuals, working, p.dwell_h, p.work_rate)
         return self.steps[k]
 
     def forecasts(self):
@@ -278,34 +284,21 @@ class RollingPlan:
             tail = forecast_matrix(actual, now_h, first_slot, u)
             yield now_h, np.concatenate([actual[:, :first_slot].astype(np.float64), tail], axis=1)
 
-    def _residual(self, demand: dict[int, list[int]], first_slot: int, stop: int) -> dict[int, list[int]]:
-        """The FIFO residual of ``demand`` against the capacity fixed so far
-        (``kernels.fifo_match_units``), for the hubs that hold a unit before
-        ``stop``; the others can fix no run.
+    def _residual(self, demand: np.ndarray, first_slot: int, stop: int) -> dict[int, list[int]]:
+        """The FIFO residual of the ``(hubs, n)`` ``demand`` against the
+        capacity fixed so far (``kernels.fifo_match_units``), as
+        ``{hub: row}`` for the hubs that hold a unit before ``stop``; the
+        others can fix no run.
 
         Every run fixed from now on starts at or after ``first_slot``, and
         the demand before it is the actual arrivals, so the walk's state
-        there is final: it is kept per hub, and the next step walks on from
-        it. The residual before ``stop`` is final once the walk has passed
-        ``stop + dwell``, so a hub's row is finished only if that part
-        holds a unit.
+        there is final and the next step walks on from it; the walk starts
+        at the last step's first slot, as that step fixed runs from there.
         """
-        dwell = self.cfg.params.dwell_h
-        settled_at = self.settled_at
-        decided = stop + dwell
-        residual = {}
-        for h in self.hub_ids:
-            row = demand[h]
-            cap = self.capacity[h]
-            settled = self.settled[h]
-            if first_slot > settled_at:
-                settled = kernels.fifo_match_units(settled + row[settled_at:first_slot], cap, dwell, settled_at)
-                self.settled[h] = settled
-            rem = kernels.fifo_match_units(settled + row[first_slot:], cap, dwell, first_slot, decided)
-            if any(rem[:stop]):
-                residual[h] = kernels.fifo_match_units(rem, cap, dwell, decided)
+        rem = kernels.fifo_match_units(demand, self.capacity, self.cfg.params.dwell_h, self.settled_at, self.cleared)
         self.settled_at = first_slot
-        return residual
+        rows = np.flatnonzero(rem[:, :stop].any(axis=1))
+        return dict(zip([self.hub_ids[i] for i in rows], rem[rows].tolist()))
 
     def _fix_lengths(self, now_h: float, first_slot: int) -> list[int]:
         """The shortest run each start is fixed with at ``now_h``; a run
@@ -464,12 +457,11 @@ class RollingEngine:
             self.step()
 
         ledger, resting, flows = roster_tables(self.roster, self.hub_ids, self.n)
-        capacity = self.plan.capacity
         late = self.plan.late_parcels
         lateness_penalty(late, ledger)
         series = {
-            h: {"arrivals": self.cfg.actuals[h], "working": list(capacity[h]), "resting": resting[h]}
-            for h in self.hub_ids
+            h: {"arrivals": self.cfg.actuals[h], "working": working, "resting": resting[h]}
+            for h, working in zip(self.hub_ids, self.plan.capacity.tolist())
         }
 
         return SimReport(

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hubroster._kernels import fifo_match_units
+from hubroster import _kernels as kernels
 from hubroster.demand import (
     GeneratorConfig,
     forecast_matrix,
@@ -113,6 +116,12 @@ def test_labor_demand_rejects_bad_rate():
 # ------------------------------------------- residual demand (FIFO in dwell)
 
 
+def fifo_match_units(demand, capacity, dwell):
+    """The FIFO residual kernel on one hub's row, walked from slot 0."""
+    cleared = np.zeros((1, len(demand)), np.int64)
+    return kernels.fifo_match_units(np.array([demand]), np.array([capacity]), dwell, 0, cleared)[0].tolist()
+
+
 def test_deduct_basic():
     assert fifo_match_units([2, 2, 0], [1, 1, 0], 0) == [1, 1, 0]
 
@@ -201,14 +210,12 @@ def test_fifo_match_units_matches_window_scan_on_engine_rows():
 
 
 def test_fifo_match_units_resumed_from_a_settled_prefix_matches_the_full_walk():
-    # the engine's steps: the walk's state at a split slot is kept, then
-    # demand and capacity change from the split on (a new forecast, newly
-    # fixed runs) and the walk resumes there, first only to stop + dwell,
-    # where the residual before stop and so the hub's skip are decided,
-    # then on to the row's end
+    # the engine's steps: the walk's state is kept, then demand and capacity
+    # change from a split slot on (a new forecast, newly fixed runs) and the
+    # walk resumes there, leaving the state before the split as it was
     rng = np.random.default_rng(41)
-    ends = {"before": 0, "at": 0, "past": 0}
-    skips = [0, 0]
+    splits = {"start": 0, "inside": 0, "end": 0}
+    partial = 0
     for _ in range(4000):
         n = int(rng.integers(1, 30))
         dwell = int(rng.integers(0, 4))
@@ -219,18 +226,45 @@ def test_fifo_match_units_resumed_from_a_settled_prefix_matches_the_full_walk():
         capacity = old_capacity[:split] + [
             c + int(v) for c, v in zip(old_capacity[split:], rng.integers(0, 4, n - split))
         ]
-        settled = fifo_match_units(old_demand, old_capacity, dwell, 0, split)
-        assert settled[split:] == old_demand[split:]
-        stop = int(rng.integers(split, n + 2))
-        decided = stop + dwell
-        rem = fifo_match_units(settled[:split] + demand[split:], capacity, dwell, split, decided)
+        cleared = np.zeros((1, n), np.int64)
+        kernels.fifo_match_units(np.array([old_demand]), np.array([old_capacity]), dwell, 0, cleared)
+        settled = cleared[:, :split].copy()
+        rem = kernels.fifo_match_units(np.array([demand]), np.array([capacity]), dwell, split, cleared)[0].tolist()
         full = reference_kernels.fifo_match_units(demand, capacity, dwell)
-        assert rem[:stop] == full[:stop], (demand, capacity, dwell, split, stop)
-        assert any(rem[:stop]) == any(full[:stop])
-        assert fifo_match_units(rem, capacity, dwell, decided) == full
-        ends["before" if decided < n else "at" if decided == n else "past"] += 1
-        skips[any(full[:stop])] += 1
-    assert min(ends.values()) > 400 and min(skips) > 400, (ends, skips)
+        assert rem == full, (demand, capacity, dwell, split)
+        assert (cleared[:, :split] == settled).all()
+        splits["start" if split == 0 else "end" if split == n else "inside"] += 1
+        partial += 0 < sum(rem) < sum(demand)
+    assert min(splits.values()) > 200 and partial > 1000, (splits, partial)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_fifo_match_units_rows_match_the_reference_fresh_and_resumed(data):
+    # every row of the matrix walk is the one-row reference walk, from slot
+    # 0 and resumed at a slot after an earlier walk whose demand and
+    # capacity agree with these before that slot
+    hubs = data.draw(st.integers(1, 8), label="hubs")
+    n = data.draw(st.integers(1, 30), label="slots")
+    dwell = data.draw(st.integers(0, 4), label="dwell")
+    resume = data.draw(st.integers(0, n), label="resume")
+    cells = arrays(np.int64, (hubs, n), elements=st.integers(0, 6))
+    demand, capacity, old_demand, old_capacity = (data.draw(cells) for _ in range(4))
+
+    def reference(row):
+        return reference_kernels.fifo_match_units(demand[row].tolist(), capacity[row].tolist(), dwell)
+
+    fresh = kernels.fifo_match_units(demand, capacity, dwell, 0, np.full((hubs, n), -1, np.int64))
+    assert [fresh[h].tolist() for h in range(hubs)] == [reference(h) for h in range(hubs)]
+
+    old_demand[:, :resume] = demand[:, :resume]
+    old_capacity[:, :resume] = capacity[:, :resume]
+    cleared = np.zeros((hubs, n), np.int64)
+    kernels.fifo_match_units(old_demand, old_capacity, dwell, 0, cleared)
+    settled = cleared[:, :resume].copy()
+    resumed = kernels.fifo_match_units(demand, capacity, dwell, resume, cleared)
+    assert [resumed[h].tolist() for h in range(hubs)] == [reference(h) for h in range(hubs)]
+    assert (cleared[:, :resume] == settled).all()
 
 
 # ------------------------------------------------------------- generation

@@ -710,19 +710,24 @@ def test_plan_residual_walks_on_from_the_last_step(monkeypatch):
     # each step walks the FIFO residual on from the state the last step
     # settled: for every hub it returns, the row equals the full walk over
     # the step's demand and the capacity fixed so far, and it leaves out
-    # exactly the hubs whose full residual holds no unit before the stop
+    # exactly the hubs whose full residual holds no unit before the stop.
+    # A 90-minute replan advances the first slot by one or two slots, so
+    # some steps walk on from more than one slot before theirs
     residual = RollingPlan._residual
-    returned = left_out = 0
+    returned = left_out = multi_slot = dwell0 = 0
 
     def checking(plan, demand, first_slot, stop):
-        nonlocal returned, left_out
+        nonlocal returned, left_out, multi_slot, dwell0
+        multi_slot += first_slot - plan.settled_at > 1
         got = residual(plan, demand, first_slot, stop)
-        for h in plan.hub_ids:
-            full = reference_kernels.fifo_match_units(demand[h], plan.capacity[h], plan.cfg.params.dwell_h)
+        dwell = plan.cfg.params.dwell_h
+        for row, h in enumerate(plan.hub_ids):
+            full = reference_kernels.fifo_match_units(demand[row].tolist(), plan.capacity[row].tolist(), dwell)
             assert (h in got) == any(full[:stop])
             if h in got:
                 assert got[h] == full
                 returned += 1
+                dwell0 += dwell == 0
             else:
                 left_out += 1
         return got
@@ -742,7 +747,8 @@ def test_plan_residual_walks_on_from_the_last_step(monkeypatch):
             replan_min=int(rng.choice([15, 20, 45, 60, 90])),
         )
         run_scenario(cfg)
-    assert returned > 200 and left_out > 200, (returned, left_out)
+    counts = (returned, left_out, multi_slot, dwell0)
+    assert returned > 200 and left_out > 200 and multi_slot > 10 and dwell0 > 100, counts
 
 
 def _outputs(report):
@@ -1137,7 +1143,7 @@ def test_a_plan_replays_its_capacity_once_for_every_engine(monkeypatch):
             reports = [run_scenario(cfg, plan) for cfg in group]
             assert replays == 1, i
             p = group[0].params
-            late = real(arrivals, plan.capacity, p.dwell_h, p.work_rate)
+            late = real(arrivals, dict(zip(plan.hub_ids, plan.capacity.tolist())), p.dwell_h, p.work_rate)
             assert plan.late_parcels == late, i
             for report in reports:
                 assert report.late_parcels == late, (i, report.label)

@@ -28,6 +28,12 @@ def _runs(x, dwell):
     return combine_within_hub_detail(x, dwell, RHO)[0]
 
 
+def _residual(x, cap, dwell):
+    """The FIFO residual kernel on one hub's row, walked from slot 0."""
+    cleared = np.zeros((1, len(x)), np.int64)
+    return kernels.fifo_match_units(np.array([x]), np.array([cap]), dwell, 0, cleared)[0].tolist()
+
+
 def _merge(runs_by_hub, pairs):
     """merge_across_hubs of each hub's ``(start, end)`` runs as one-hub
     working shifts; every pair within the 3000 m radius pays 10 Yuan to
@@ -138,7 +144,7 @@ def test_combine_conservation_dwell_bound_and_cap():
         for s, e in runs:
             for t in range(s, e):
                 cap[t] += 1
-        assert kernels.fifo_match_units(x, cap, dwell) == [0] * n
+        assert _residual(x, cap, dwell) == [0] * n
         assert runs == sorted(runs)
         for s, e in runs:
             assert 0 < e - s <= RHO
