@@ -10,7 +10,9 @@ is also timed with its search cut where the engine cuts it at hour 0 under
 the default parameters and on gateway-sized rows. ``fifo_match_units``
 walks 52-hub by 24-slot matrices, as the engine does once per replan step:
 from slot 0, with capacity zero ahead of the slots fixed so far, and
-resumed from a settled slot.
+resumed from a settled slot. ``keepable_rows`` bounds the residual
+matrices of that from-slot-0 walk with each step's fix-length table under
+the default parameters.
 End-to-end timings of the ``hubroster`` command line come from
 ``perfbench/run.py``:
 
@@ -25,7 +27,8 @@ import time
 import numpy as np
 
 from hubroster import _kernels as kernels
-from hubroster.engine import RosterEntry, roster_tables
+from hubroster.engine import RollingPlan, RosterEntry, ScenarioConfig, roster_tables
+from hubroster.network import random_network
 from hubroster.pool import WorkforcePool
 from hubroster.shifts import WORKING, Segment, Shift
 from hubroster.config import ScenarioParams
@@ -66,6 +69,17 @@ def bench_match(demand_mats, cap_mats, dwell=1, starts=None, cleared_mats=None):
     def run():
         for demand, cap, start, cleared in zip(demand_mats, cap_mats, starts, cleared_mats):
             kernels.fifo_match_units(demand, cap, dwell, start, cleared)
+
+    return run
+
+
+def bench_keepable(residual_mats, starts, needs, dwell=3):
+    """Bound each ``(hubs, n)`` residual matrix from ``starts[i]`` with the
+    fix-length table ``needs[i]``."""
+
+    def run():
+        for residual, start, need in zip(residual_mats, starts, needs):
+            kernels.keepable_rows(residual, start, need, dwell)
 
     return run
 
@@ -162,6 +176,14 @@ def main():
     resumed_cap_mats = [np.where(np.arange(24) < at + 8, cap, 0) for at, cap in zip(starts, cap_mats)]
     cleared_mats = [np.zeros_like(demand) for demand in demand_mats]
     bench_match(demand_mats, resumed_cap_mats, 3, None, cleared_mats)()
+    residual_mats = [
+        kernels.fifo_match_units(demand, cap, 3, 0, np.zeros_like(demand))
+        for demand, cap in zip(demand_mats, engine_cap_mats)
+    ]
+    # each step's fix-length table, as the engine builds it (1 h replan)
+    net = random_network(n_hubs=1, n_gateways=1)
+    plan = RollingPlan(ScenarioConfig(1, net, {h: [0] * 24 for h in net.hub_ids}, params))
+    needs = [plan._fix_lengths(at, at) for at in starts]
 
     n_workers = 130 if args.quick else 1300
     batches = [
@@ -189,6 +211,7 @@ def main():
         "fifo_match_units (dwell 3, resumed)": _time(
             bench_match(demand_mats, resumed_cap_mats, 3, starts, cleared_mats)
         ),
+        "keepable_rows (dwell 3, engine rows)": _time(bench_keepable(residual_mats, starts, needs)),
         "fifo_replay": _time(bench_replay(arrival_rows, cap_rows)),
         f"pool assign + simulate_hires ({n_workers} pooled)": _time(bench_pool(n_workers, batches)),
         f"book {24 * per_step} roster entries: Shift + assign + RosterEntry, then roster_tables": _time(

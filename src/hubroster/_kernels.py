@@ -2,8 +2,10 @@
 
 Everything here works on plain ints, lists and tuples, except the FIFO
 residual (``fifo_match_units``), which walks every hub's row at once on
-numpy matrices. The engine and the shift builders call these functions
-through the module (``kernels.<name>``).
+numpy matrices, and the bound that then rules out the residual rows that
+can give no kept run (``keepable_rows``), read off the same matrix. The
+engine and the shift builders call these functions through the module
+(``kernels.<name>``).
 
 Run representation: a run is a half-open slot interval ``(start, end)`` of
 contiguous working hours for one worker at one hub.
@@ -286,6 +288,47 @@ def fifo_match_units(demand, capacity, dwell, start, cleared):
         np.minimum(col, arrived[:, t], out=col)
     last = np.minimum(np.arange(n) + dwell, n - 1)
     return np.maximum(arrived - np.maximum(cleared[:, last], arrived - demand), 0)
+
+
+def keepable_rows(residual, first_slot, need, dwell):
+    """Which rows of a ``(hubs, n)`` residual matrix can still give a kept
+    run: a bound on ``within_hub_runs`` and a fix-length table ``need``,
+    for every hub at once.
+
+    A run kept from a row starts at some ``t0`` in ``[first_slot,
+    len(need))`` and lasts at least ``m = max(1, need[t0])`` slots. A row
+    qualifies when some such ``t0`` has ``t0 + m <= n`` and every slot
+    ``t`` of ``[t0, t0 + m)`` is covered: the row holds a unit at an origin
+    in ``[t - dwell, t]``. A row that does not qualify gives no kept run:
+
+    - every run ``within_hub_runs`` emits serves, at each of its slots
+      ``t``, one unit whose origin lies in ``[t - dwell, t]``: a full-length
+      run serves origin ``t`` itself, and a trial picks only from that
+      window;
+    - units only ever leave ``avail``, so each slot of a run is covered in
+      the row the search was given;
+    - runs start at or after ``start_min`` (the engine's ``first_slot``);
+    - so a run from ``t0`` of length ``L`` needs ``L`` consecutive covered
+      slots from ``t0``, and it is kept only if ``L >= m``.
+
+    The residual is never negative, so a slot is covered when the sum of
+    its dwell window is positive. With ``gaps`` counting the uncovered
+    slots before each slot, the slots ``[t0, t0 + m)`` are all covered
+    when ``gaps[t0 + m] == gaps[t0]``: one column lookup per start.
+    Returns a boolean array, one entry per row.
+    """
+    hubs, n = residual.shape
+    held = np.cumsum(residual, axis=1)
+    window = held.copy()  # the units of origins in [t - dwell, t]
+    if dwell + 1 < n:
+        window[:, dwell + 1 :] -= held[:, : n - dwell - 1]
+    gaps = np.zeros((hubs, n + 1), dtype=np.int64)
+    np.cumsum(window == 0, axis=1, out=gaps[:, 1:])
+    starts = np.arange(first_slot, len(need))
+    ends = starts + np.maximum(np.asarray(need[first_slot:], dtype=np.int64), 1)
+    fits = ends <= n
+    starts, ends = starts[fits], ends[fits]
+    return (gaps[:, ends] == gaps[:, starts]).any(axis=1)
 
 
 def fifo_replay(arrivals, workers, dwell, rate):

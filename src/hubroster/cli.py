@@ -66,6 +66,13 @@ def _build_instance(cfg: dict, seed: int):
     return net, arrivals
 
 
+def _cannot_write(exc: OSError, out: Path) -> int:
+    """Report an output file (or ``out`` itself) that cannot be written,
+    in one line, and return the exit code 1."""
+    print(f"error: {exc.filename or out}: cannot write ({exc.strerror or exc})", file=sys.stderr)
+    return 1
+
+
 def cmd_generate(args) -> int:
     try:
         cfg = _config(args.config, args.seed)
@@ -75,11 +82,14 @@ def cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     header = file_header(seed, config_hash(cfg))
-    save_network(net, out / "network.json")
-    write_arrivals_csv(out / "arrivals.csv", arrivals, header)
-    (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        save_network(net, out / "network.json")
+        write_arrivals_csv(out / "arrivals.csv", arrivals, header)
+        (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        return _cannot_write(exc, out)
     total = sum(map(sum, arrivals.values()))
     print(f"generated {len(net)} hubs, {total} arrivals -> {out}")
     return 0
@@ -122,18 +132,21 @@ def cmd_run(args) -> int:
         report = run_scenario(sc, plan)
         columns.append((f"scenario {num}", report.ledger.to_dict()))
         meta = {"seed": seed, "config": config_hash(cfg), "scenario": num, "noise": args.noise}
-        write_ledger_json(out / f"ledger_s{num}.json", report.ledger, meta)
-        write_ledger_csv(out / f"ledger_s{num}.csv", report.ledger, header)
-        write_roster_csv(out / f"roster_s{num}.csv", report, header)
-        write_series_csv(out / f"series_s{num}.csv", report, header)
-        write_flows_csv(out / f"flows_s{num}.csv", report, header)
-        if args.debug_forecasts:
-            dump = out / f"forecasts_s{num}.csv"
-            if replan_min in dumps:
-                shutil.copyfile(dumps[replan_min], dump)
-            else:
-                write_forecast_csv(dump, plan.hub_ids, plan.forecasts(), header)
-                dumps[replan_min] = dump
+        try:
+            write_ledger_json(out / f"ledger_s{num}.json", report.ledger, meta)
+            write_ledger_csv(out / f"ledger_s{num}.csv", report.ledger, header)
+            write_roster_csv(out / f"roster_s{num}.csv", report, header)
+            write_series_csv(out / f"series_s{num}.csv", report, header)
+            write_flows_csv(out / f"flows_s{num}.csv", report, header)
+            if args.debug_forecasts:
+                dump = out / f"forecasts_s{num}.csv"
+                if replan_min in dumps:
+                    shutil.copyfile(dumps[replan_min], dump)
+                else:
+                    write_forecast_csv(dump, plan.hub_ids, plan.forecasts(), header)
+                    dumps[replan_min] = dump
+        except OSError as exc:
+            return _cannot_write(exc, out)
         moving_share = 100.0 * report.merged_shift_count / max(1, len(report.roster))
         lines.append(
             f"scenario {num}: {len(report.roster)} shifts, {report.hires} workers, "

@@ -178,7 +178,11 @@ class RollingPlan:
     (the FIFO walk's state) are ``(hubs, n)`` matrices, rows in ``hub_ids``
     order: a step walks every hub's residual at once (``_residual``).
 
-    A step searches each residual row it has not searched before at its
+    A step searches only the residual rows that can give a run its
+    fix-length table keeps (``kernels.keepable_rows``, in ``_residual``):
+    a kept run needs as many consecutive slots with a unit in their dwell
+    window as its start's entry, so a row without them is left unsearched.
+    It searches each such row it has not searched before at its
     first slot and stop (``_select``): ``searched`` keeps the candidate runs
     of the searches made at the last step's first slot, and is emptied when
     the first slot advances. It belongs to this plan alone, so another plan
@@ -232,13 +236,15 @@ class RollingPlan:
         shifts in ``(start, hub, end)`` order; the steps up to ``k`` are
         planned in order. One ``Shift`` is built here per distinct run,
         shared by its copies, and every engine on this plan books that same
-        object."""
+        object. A ``k`` outside ``range(len(times))`` is a ``ValueError``."""
+        if not 0 <= k < len(self.times):
+            raise ValueError(f"step {k} is not a step of the plan: it has {len(self.times)} steps")
         p = self.cfg.params
         while len(self.steps) <= k:
             now_h, full = next(self._forecasts)
             first_slot = math.ceil(now_h - 1e-9)
             need = self._fix_lengths(now_h, first_slot)
-            residual = self._residual(labor_demand(full, p.work_rate), first_slot, len(need))
+            residual = self._residual(labor_demand(full, p.work_rate), first_slot, need)
             kept = self._select(residual, first_slot, need)
             if kept:  # a run adds one at its start and takes one off at its end: sum along the row
                 width = self.n + 1
@@ -284,20 +290,22 @@ class RollingPlan:
             tail = forecast_matrix(actual, now_h, first_slot, u)
             yield now_h, np.concatenate([actual[:, :first_slot].astype(np.float64), tail], axis=1)
 
-    def _residual(self, demand: np.ndarray, first_slot: int, stop: int) -> dict[int, list[int]]:
+    def _residual(self, demand: np.ndarray, first_slot: int, need: list[int]) -> dict[int, list[int]]:
         """The FIFO residual of the ``(hubs, n)`` ``demand`` against the
         capacity fixed so far (``kernels.fifo_match_units``), as
-        ``{hub: row}`` for the hubs that hold a unit before ``stop``; the
-        others can fix no run.
+        ``{hub: row}`` for the hubs whose row can give a run the fix-length
+        table ``need`` keeps (``kernels.keepable_rows``); the others can fix
+        no run. Only those rows are turned into lists.
 
         Every run fixed from now on starts at or after ``first_slot``, and
         the demand before it is the actual arrivals, so the walk's state
         there is final and the next step walks on from it; the walk starts
         at the last step's first slot, as that step fixed runs from there.
         """
-        rem = kernels.fifo_match_units(demand, self.capacity, self.cfg.params.dwell_h, self.settled_at, self.cleared)
+        dwell = self.cfg.params.dwell_h
+        rem = kernels.fifo_match_units(demand, self.capacity, dwell, self.settled_at, self.cleared)
         self.settled_at = first_slot
-        rows = np.flatnonzero(rem[:, :stop].any(axis=1))
+        rows = np.flatnonzero(kernels.keepable_rows(rem, first_slot, need, dwell))
         return dict(zip([self.hub_ids[i] for i in rows], rem[rows].tolist()))
 
     def _fix_lengths(self, now_h: float, first_slot: int) -> list[int]:
@@ -346,8 +354,8 @@ class RollingPlan:
         Candidates are built only for demand before that end, the stop; a
         run starting at or after it is left unbuilt (or, if it is a
         full-length run, which is extracted first, not kept). None of this
-        changes the selection, and a hub whose residual holds no unit
-        before the stop gives no kept run.
+        changes the selection; ``_residual`` has already left out the hubs
+        whose row can give no kept run.
 
         The search is a pure function of the row, ``first_slot`` and the
         stop (the plan fixes ``dwell_h`` and ``max_work_h``), so a row

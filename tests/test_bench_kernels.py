@@ -16,6 +16,7 @@ ROWS = [
     "fifo_match_units",
     "fifo_match_units (dwell 3, engine rows)",
     "fifo_match_units (dwell 3, resumed)",
+    "keepable_rows (dwell 3, engine rows)",
     "fifo_replay",
     "pool assign + simulate_hires (130 pooled)",
     "book 384 roster entries: Shift + assign + RosterEntry, then roster_tables",

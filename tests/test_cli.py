@@ -155,6 +155,30 @@ def test_compare_names_a_ledger_file_it_cannot_read(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
 
 
+def test_run_names_an_output_it_cannot_write(tmp_path, capsys):
+    # an output path that is a directory ended in an IsADirectoryError traceback
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    (out / "ledger_s1.json").mkdir()
+    assert main(["run", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out / 'ledger_s1.json'}: cannot write (Is a directory)\n"
+
+
+def test_generate_names_an_output_directory_it_cannot_make(tmp_path, capsys):
+    # an output directory that is a file ended in a FileExistsError traceback
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "run"
+    out.write_text("")
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out}: cannot write (File exists)\n"
+
+
 def test_compare_prints_one_column_per_file_when_stems_collide(tmp_path, capsys):
     # two runs' ledger_s1.json share a stem: each keeps its column, labelled
     # with the path as given, while a file with a stem of its own keeps it

@@ -267,6 +267,60 @@ def test_fifo_match_units_rows_match_the_reference_fresh_and_resumed(data):
     assert (cleared[:, :resume] == settled).all()
 
 
+def _keepable_row(row, first_slot, need, dwell):
+    """The bound of ``kernels.keepable_rows`` for one row, start by start:
+    some ``t0`` in ``[first_slot, len(need))`` has ``m = max(1, need[t0])``
+    slots from it inside the row, each with a unit at an origin within
+    its dwell window."""
+    for t0 in range(first_slot, len(need)):
+        m = max(1, need[t0])
+        if t0 + m <= len(row) and all(any(row[max(0, t - dwell) : t + 1]) for t in range(t0, t0 + m)):
+            return True
+    return False
+
+
+def _kept_runs(row, dwell, max_run, first_slot, need):
+    """The runs a fresh ``within_hub_runs`` search of ``row`` gives that the
+    fix-length table ``need`` keeps, as the engine filters them."""
+    stop = len(need)
+    runs = kernels.within_hub_runs(row, dwell, max_run, first_slot, stop)[0]
+    return [(start, end) for start, end in runs if start < stop and end - start >= need[start]]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_keepable_rows_rules_out_only_rows_that_keep_no_run(data):
+    # the matrix bound equals the row-by-row loop, and a row it rules out
+    # gives no run a fresh search keeps, whatever the search's run cap
+    hubs = data.draw(st.integers(1, 6), label="hubs")
+    n = data.draw(st.integers(1, 30), label="slots")
+    dwell = data.draw(st.integers(0, 4), label="dwell")
+    max_run = data.draw(st.integers(1, 9), label="max_run")
+    first_slot = data.draw(st.integers(0, n), label="first_slot")
+    stop = data.draw(st.integers(0, n), label="stop")
+    need = data.draw(st.lists(st.integers(0, 10), min_size=stop, max_size=stop), label="need")
+    # mostly empty slots, so rows with and without a kept run both occur
+    residual = data.draw(arrays(np.int64, (hubs, n), elements=st.sampled_from([0, 0, 0, 1, 2, 5])))
+
+    got = kernels.keepable_rows(residual, first_slot, need, dwell)
+    rows = residual.tolist()
+    assert got.tolist() == [_keepable_row(row, first_slot, need, dwell) for row in rows]
+    for row, keepable in zip(rows, got):
+        if not keepable:
+            assert _kept_runs(row, dwell, max_run, first_slot, need) == [], row
+
+
+def test_keepable_rows_bound_is_tight():
+    # slots 2-4 are covered at dwell 0: a run of exactly need[2] = 3 slots
+    # from slot 2 is kept and the bound keeps the row; with need[2] = 4 no
+    # run is kept and the bound rules the row out
+    row = [0, 0, 1, 1, 1, 0, 0, 0]
+    for need_2, keepable, kept in ((3, True, [(2, 5)]), (4, False, [])):
+        need = [9, 9, need_2, 9, 9, 9]
+        assert kernels.keepable_rows(np.array([row], np.int64), 0, need, 0).tolist() == [keepable]
+        assert _kept_runs(row, 0, 8, 0, need) == kept
+
+
 # ------------------------------------------------------------- generation
 
 

@@ -706,32 +706,68 @@ def test_fix_lengths_keep_exactly_the_runs_whose_value_reaches_the_threshold():
     assert boundary > 100 and unfixable > 200, (boundary, unfixable)
 
 
+def _fresh_kept(plan, rows, first_slot, need):
+    """The runs a search from scratch of each ``{hub: row}`` given keeps
+    under the fix-length table ``need``, as sorted ``(start, hub, end)``."""
+    p, stop = plan.cfg.params, len(need)
+    return sorted(
+        (start, h, end)
+        for h, row in rows.items()
+        for start, end in shifts_module.combine_within_hub_detail(row, p.dwell_h, p.max_work_h, first_slot, stop)[0]
+        if start < stop and end - start >= need[start]
+    )
+
+
 def test_plan_residual_walks_on_from_the_last_step(monkeypatch):
     # each step walks the FIFO residual on from the state the last step
-    # settled: for every hub it returns, the row equals the full walk over
-    # the step's demand and the capacity fixed so far, and it leaves out
-    # exactly the hubs whose full residual holds no unit before the stop.
+    # settled: every hub's row of the walk (the matrix the bound reads)
+    # equals the full walk over the step's demand and the capacity fixed so
+    # far, and so does every row it returns. It returns only hubs whose full
+    # residual holds a unit before the stop, and the step keeps the runs a
+    # fresh search of every such hub keeps, the hubs the bound
+    # (``kernels.keepable_rows``) leaves out included.
     # A 90-minute replan advances the first slot by one or two slots, so
     # some steps walk on from more than one slot before theirs
     residual = RollingPlan._residual
-    returned = left_out = multi_slot = dwell0 = 0
+    select = RollingPlan._select
+    keepable = kernels.keepable_rows
+    returned = bounded = empty = multi_slot = dwell0 = 0
+    walked, expected = [], []
 
-    def checking(plan, demand, first_slot, stop):
-        nonlocal returned, left_out, multi_slot, dwell0
+    def capturing(rem, *args):
+        walked[:] = [rem.copy()]
+        return keepable(rem, *args)
+
+    def checking(plan, demand, first_slot, need):
+        nonlocal returned, bounded, empty, multi_slot, dwell0
         multi_slot += first_slot - plan.settled_at > 1
-        got = residual(plan, demand, first_slot, stop)
-        dwell = plan.cfg.params.dwell_h
+        got = residual(plan, demand, first_slot, need)
+        dwell, stop = plan.cfg.params.dwell_h, len(need)
+        held = {}
         for row, h in enumerate(plan.hub_ids):
             full = reference_kernels.fifo_match_units(demand[row].tolist(), plan.capacity[row].tolist(), dwell)
-            assert (h in got) == any(full[:stop])
+            assert walked[0][row].tolist() == full
+            if any(full[:stop]):
+                held[h] = full
+                dwell0 += dwell == 0
+            else:
+                assert h not in got
+                empty += 1
             if h in got:
                 assert got[h] == full
                 returned += 1
-                dwell0 += dwell == 0
             else:
-                left_out += 1
+                bounded += h in held
+        expected[:] = _fresh_kept(plan, held, first_slot, need)
         return got
 
+    def checking_select(plan, residual, first_slot, need):
+        got = select(plan, residual, first_slot, need)
+        assert got == expected
+        return got
+
+    monkeypatch.setattr(kernels, "keepable_rows", capturing)
+    monkeypatch.setattr(RollingPlan, "_select", checking_select)
     monkeypatch.setattr(RollingPlan, "_residual", checking)
     rng = np.random.default_rng(29)
     for i in range(12):
@@ -747,8 +783,8 @@ def test_plan_residual_walks_on_from_the_last_step(monkeypatch):
             replan_min=int(rng.choice([15, 20, 45, 60, 90])),
         )
         run_scenario(cfg)
-    counts = (returned, left_out, multi_slot, dwell0)
-    assert returned > 200 and left_out > 200 and multi_slot > 10 and dwell0 > 100, counts
+    counts = (returned, bounded, empty, multi_slot, dwell0)
+    assert returned > 200 and bounded > 200 and empty > 200 and multi_slot > 10 and dwell0 > 100, counts
 
 
 def _outputs(report):
@@ -1159,35 +1195,40 @@ def _searched_day():
 
 
 def test_a_plan_keeps_the_runs_of_a_fresh_search_for_every_row(monkeypatch):
-    # every step's kept runs are those a search of every residual row from
-    # scratch keeps, also where the plan reuses the runs of an equal row
-    # searched earlier at the same first slot, for another hub or step
+    # every step's kept runs are those a search from scratch keeps of every
+    # residual row that holds a unit before the stop: also where the plan
+    # reuses the runs of an equal row searched earlier at the same first
+    # slot, for another hub or step, and where the bound
+    # (``kernels.keepable_rows``) leaves the row out unsearched
     net, arrivals = _searched_day()
     select = RollingPlan._select
     combine = engine_module.combine_within_hub_detail
-    rows = searches = 0
+    keepable = kernels.keepable_rows
+    rows = searches = bounded = 0
     reused = {15: 0, 60: 0}  # rows whose runs came from an earlier search
+    walked = []
 
     def counting(*args):
         nonlocal searches
         searches += 1
         return combine(*args)
 
+    def capturing(rem, *args):
+        walked[:] = [rem.copy()]
+        return keepable(rem, *args)
+
     def checking(plan, residual, first_slot, need):
-        nonlocal rows
+        nonlocal rows, bounded
         rows += len(residual)
         got = select(plan, residual, first_slot, need)
-        p, stop = plan.cfg.params, len(need)
-        fresh = sorted(
-            (start, h, end)
-            for h, row in residual.items()
-            for start, end in shifts_module.combine_within_hub_detail(row, p.dwell_h, p.max_work_h, first_slot, stop)[0]
-            if start < stop and end - start >= need[start]
-        )
-        assert got == fresh, (plan.cfg.params, first_slot)
+        stop = len(need)
+        held = {h: row.tolist() for h, row in zip(plan.hub_ids, walked[0]) if row[:stop].any()}
+        bounded += len(held) - len(residual)
+        assert got == _fresh_kept(plan, held, first_slot, need), (plan.cfg.params, first_slot)
         return got
 
     monkeypatch.setattr(engine_module, "combine_within_hub_detail", counting)
+    monkeypatch.setattr(kernels, "keepable_rows", capturing)
     monkeypatch.setattr(RollingPlan, "_select", checking)
     for replan_min in (15, 60):
         for dwell_h in range(4):
@@ -1197,7 +1238,7 @@ def test_a_plan_keeps_the_runs_of_a_fresh_search_for_every_row(monkeypatch):
                     before = rows - searches
                     run_scenario(ScenarioConfig(number, net, arrivals, params, noise))
                     reused[replan_min] += rows - searches - before
-    assert reused[15] > 1000 and reused[60] > 50, reused
+    assert reused[15] > 150 and reused[60] > 30 and bounded > 1000, (reused, bounded)
 
 
 def test_a_plan_keeps_the_searches_of_its_last_first_slot_only(monkeypatch):
@@ -1229,6 +1270,23 @@ def test_a_plan_keeps_the_searches_of_its_last_first_slot_only(monkeypatch):
         counts.append(searches)
         days.append(plan.steps)
     assert counts[0] == counts[1] and days[0] == days[1]
+
+
+def test_plan_kept_rejects_a_step_outside_the_plan_before_planning():
+    # a step past the last planned every step and then failed with a
+    # TypeError, -1 raised an IndexError on a fresh plan and returned the
+    # last step of a finished one
+    plan = RollingPlan(_cfg(_net(2), {0: [RATE] * 8, 1: [2 * RATE] * 8}, replan_min=120))
+    steps = len(plan.times)
+    for k in (steps, -1):
+        with pytest.raises(ValueError, match=f"step {k} is not a step of the plan: it has {steps} steps"):
+            plan.kept(k)
+        assert plan.steps == []
+    last = plan.kept(steps - 1)
+    for k in (steps, -1):
+        with pytest.raises(ValueError, match=f"step {k} is not a step of the plan"):
+            plan.kept(k)
+    assert len(plan.steps) == steps and plan.steps[-1] is last
 
 
 def test_run_takes_only_the_steps_not_yet_taken():

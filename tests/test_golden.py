@@ -90,12 +90,14 @@ def test_a_second_run_in_one_process_searches_as_much_as_the_first(monkeypatch, 
         count[0] = 0
         runs.append((_run("replan15", ["--noise", "paper"], tmp_path / str(i)), count[0]))
     assert runs[0] == runs[1]
-    assert runs[0][1] == 739 + 52
+    assert runs[0][1] == 342 + 52
 
 
 def test_replan15_scenario_1_searches_each_distinct_row_once_per_first_slot(monkeypatch):
-    # of the 1,844 residual rows scenario 1 searches on replan15 at seed 42,
-    # 1,105 equal a row searched earlier at the same first slot
+    # on replan15 at seed 42, 1,844 of scenario 1's residual rows hold a
+    # unit before the stop; the bound leaves out 1,425 that can give no kept
+    # run, and 77 of the 419 searched rows equal a row searched earlier at
+    # the same first slot
     count = _counting_searches(monkeypatch)
     cfg = load_config(GOLDEN / "replan15" / "config.json")
     sc = engine_module.ScenarioConfig(
@@ -106,16 +108,23 @@ def test_replan15_scenario_1_searches_each_distinct_row_once_per_first_slot(monk
     )
     plan = engine_module.RollingPlan(sc)
     select = plan._select
-    rows = 0
+    keepable = engine_module.kernels.keepable_rows
+    rows = held = 0
 
     def counting_rows(residual, *args):
         nonlocal rows
         rows += len(residual)
         return select(residual, *args)
 
+    def counting_held(rem, first_slot, need, dwell):
+        nonlocal held
+        held += int(rem[:, : len(need)].any(axis=1).sum())
+        return keepable(rem, first_slot, need, dwell)
+
     monkeypatch.setattr(plan, "_select", counting_rows)
+    monkeypatch.setattr(engine_module.kernels, "keepable_rows", counting_held)
     engine_module.run_scenario(sc, plan)
-    assert (count[0], rows) == (739, 1844)
+    assert (count[0], rows, held) == (342, 419, 1844)
 
 
 if __name__ == "__main__":
