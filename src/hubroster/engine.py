@@ -71,13 +71,14 @@ class ScenarioConfig:
         self.params.validate()
         if self.noise not in ("paper", "perfect"):
             raise ValueError(f"unknown noise mode {self.noise!r}")
-        net_ids = set(self.network.hub_ids)
-        if set(self.actuals) != net_ids:
-            raise ValueError("arrivals must cover exactly the network's hubs")
+        net_ids, arrival_ids = set(self.network.hub_ids), set(self.actuals)
+        if arrival_ids != net_ids:
+            missing, extra = sorted(net_ids - arrival_ids), sorted(arrival_ids - net_ids)
+            raise ValueError(f"arrivals must cover exactly the network's hubs: missing {missing}, extra {extra}")
         n = self.params.horizon_h
         for h, row in self.actuals.items():
             if len(row) != n:
-                raise ValueError(f"arrival series length must equal horizon {n}")
+                raise ValueError(f"hub {h} has {len(row)} arrival slots, but params.horizon_h is {n}")
             for t, count in enumerate(row):
                 # a bool is no count (``type`` refuses it), and a float
                 # count would be truncated by the plan's integer matrix but
@@ -181,12 +182,8 @@ class RollingPlan:
     A step searches only the residual rows that can give a run its
     fix-length table keeps (``kernels.keepable_rows``, in ``_residual``):
     a kept run needs as many consecutive slots with a unit in their dwell
-    window as its start's entry, so a row without them is left unsearched.
-    It searches each such row it has not searched before at its
-    first slot and stop (``_select``): ``searched`` keeps the candidate runs
-    of the searches made at the last step's first slot, and is emptied when
-    the first slot advances. It belongs to this plan alone, so another plan
-    searches every row again.
+    window as its start's entry, so a row without them is left out.
+    ``_select`` calls the search once for each row kept.
 
     After its last step the plan replays its ``capacity`` rows, as lists,
     against the actual arrivals once (``replay_execution``) and keeps the
@@ -214,9 +211,6 @@ class RollingPlan:
         self.settled_at = 0
         # the one-hub shifts of each planned step's kept runs
         self.steps: list[list[Shift]] = []
-        # the candidate runs of each residual row searched at the last
-        # step's first slot, keyed on (first_slot, stop, *row) (``_select``)
-        self.searched: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         self.late_parcels: int | None = None
 
     def check(self, cfg: ScenarioConfig) -> None:
@@ -357,29 +351,14 @@ class RollingPlan:
         changes the selection; ``_residual`` has already left out the hubs
         whose row can give no kept run.
 
-        The search is a pure function of the row, ``first_slot`` and the
-        stop (the plan fixes ``dwell_h`` and ``max_work_h``), so a row
-        equal to one searched before at the same first slot and stop, for
-        another hub or an earlier step, takes the runs stored in
-        ``searched`` and only the ``need`` filter runs again. The first slot
-        never falls from step to step, so the store is emptied when it
-        rises and holds only the searches of one first slot.
-
         Returns the kept runs as sorted ``(start, hub, end)`` tuples, which
         ``kept`` turns into the step's shifts.
         """
         p = self.cfg.params
         stop = len(need)
-        searched = self.searched
-        if searched and next(iter(searched))[0] != first_slot:
-            searched.clear()  # first_slot only grows: no earlier key comes back
         kept = []
         for h, row in residual.items():
-            key = (first_slot, stop, *row)
-            runs = searched.get(key)
-            if runs is None:
-                runs = searched[key] = combine_within_hub_detail(row, p.dwell_h, p.max_work_h, first_slot, stop)[0]
-            for start, end in runs:
+            for start, end in combine_within_hub_detail(row, p.dwell_h, p.max_work_h, first_slot, stop)[0]:
                 if start < stop and end - start >= need[start]:
                     kept.append((start, h, end))
         kept.sort()

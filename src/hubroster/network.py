@@ -46,6 +46,7 @@ class HubNetwork:
     Parameters
     ----------
     hubs : list of Hub
+        At least one.
     d_max_m : float
         Largest distance (meters) over which workers may be moved.
     speed_m_per_h : float
@@ -54,6 +55,8 @@ class HubNetwork:
 
     def __init__(self, hubs, d_max_m, speed_m_per_h):
         hubs = list(hubs)
+        if not hubs:
+            raise ValueError("a network needs at least one hub")
         ids = [h.id for h in hubs]
         if len(set(ids)) != len(ids):
             raise ValueError("hub ids must be unique")

@@ -307,11 +307,29 @@ def test_run_rejects_negative_arrivals(tmp_path, capsys):
 
 
 def test_run_rejects_arrivals_for_another_network(tmp_path, capsys):
-    def edit(out):
-        path = out / "arrivals.csv"
-        path.write_text("".join(ln for ln in path.read_text().splitlines(keepends=True) if not ln.startswith("3,")))
+    # hub 3's rows dropped, then moved to hub 9: the message names the hubs
+    # the arrivals miss and add
+    for moved_to, extra in ((None, []), (9, [9])):
 
-    assert "cover exactly the network's hubs" in _run_error(tmp_path, capsys, edit)
+        def edit(out):
+            path = out / "arrivals.csv"
+            lines = path.read_text().splitlines(keepends=True)
+            rows = [ln for ln in lines if not ln.startswith("3,")]
+            if moved_to is not None:
+                rows += [f"{moved_to},{ln[2:]}" for ln in lines if ln.startswith("3,")]
+            path.write_text("".join(rows))
+
+        (tmp_path / str(moved_to)).mkdir()
+        err = _run_error(tmp_path / str(moved_to), capsys, edit)
+        assert err == f"error: arrivals must cover exactly the network's hubs: missing [3], extra {extra}"
+
+
+def test_run_names_the_hub_whose_arrivals_do_not_fit_the_horizon(tmp_path, capsys):
+    # the message used to name neither the hub nor the arrivals' length
+    err = _run_error(
+        tmp_path, capsys, lambda out: _edit_json(out / "config.json", lambda c: c["params"].update(horizon_h=20))
+    )
+    assert err == "error: hub 0 has 24 arrival slots, but params.horizon_h is 20"
 
 
 def test_run_rejects_malformed_config(tmp_path, capsys):
@@ -420,6 +438,17 @@ def test_run_rejects_malformed_network(tmp_path, capsys):
     err = _run_error(tmp_path, capsys, drop_d_max)
     assert "network.json" in err and "'d_max_m'" in err
     assert "network.json" in _run_error(tmp_path, capsys, not_json)
+
+
+def test_run_rejects_a_network_with_no_hubs(tmp_path, capsys):
+    # the plan's forecast used to fail with an IndexError traceback
+    def empty(out):
+        _edit_json(out / "network.json", lambda doc: doc.update(hubs=[]))
+        path = out / "arrivals.csv"
+        path.write_text("".join(ln for ln in path.read_text().splitlines(keepends=True) if not ln[0].isdigit()))
+
+    err = _run_error(tmp_path, capsys, empty)
+    assert err == f"error: {tmp_path / 'run' / 'network.json'}: a network needs at least one hub"
 
 
 def test_run_names_an_arrivals_file_it_cannot_read(tmp_path, capsys):

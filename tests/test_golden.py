@@ -82,22 +82,21 @@ def _counting_searches(monkeypatch) -> list[int]:
 
 
 def test_a_second_run_in_one_process_searches_as_much_as_the_first(monkeypatch, tmp_path):
-    # nothing a run searched carries over to the next run in the process:
-    # scenario 1 (scenario 2 shares its plan) and scenario 3 search anew
+    # a run keeps nothing for the next run in the process: scenario 1
+    # (scenario 2 shares its plan) makes 419 searches and scenario 3 52
     count = _counting_searches(monkeypatch)
     runs = []
     for i in range(2):
         count[0] = 0
         runs.append((_run("replan15", ["--noise", "paper"], tmp_path / str(i)), count[0]))
     assert runs[0] == runs[1]
-    assert runs[0][1] == 342 + 52
+    assert runs[0][1] == 419 + 52
 
 
-def test_replan15_scenario_1_searches_each_distinct_row_once_per_first_slot(monkeypatch):
+def test_replan15_scenario_1_searches_once_per_row_the_bound_keeps(monkeypatch):
     # on replan15 at seed 42, 1,844 of scenario 1's residual rows hold a
     # unit before the stop; the bound leaves out 1,425 that can give no kept
-    # run, and 77 of the 419 searched rows equal a row searched earlier at
-    # the same first slot
+    # run, and each of the other 419 is searched once
     count = _counting_searches(monkeypatch)
     cfg = load_config(GOLDEN / "replan15" / "config.json")
     sc = engine_module.ScenarioConfig(
@@ -124,7 +123,7 @@ def test_replan15_scenario_1_searches_each_distinct_row_once_per_first_slot(monk
     monkeypatch.setattr(plan, "_select", counting_rows)
     monkeypatch.setattr(engine_module.kernels, "keepable_rows", counting_held)
     engine_module.run_scenario(sc, plan)
-    assert (count[0], rows, held) == (342, 419, 1844)
+    assert (count[0], rows, held) == (419, 419, 1844)
 
 
 if __name__ == "__main__":
