@@ -11,10 +11,13 @@ the same manifest is byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import os
 import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -73,6 +76,39 @@ def _cannot_write(exc: OSError, out: Path) -> int:
     return 1
 
 
+@contextlib.contextmanager
+def _outputs(out: Path):
+    """Stage a command's output files in ``out`` (made if missing): yield
+    ``path(name)``, where to write the file ``name`` now, inside a fresh
+    temporary directory in ``out``. When the block ends without an error,
+    every file is moved into place with ``os.replace``, once no target is
+    found to be a directory, which would stop the moves part way. The
+    temporary directory is removed in any case, so a command that fails
+    leaves ``out`` as it found it; an ``OSError`` raised on a staged file
+    names the file's path in ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=".hubroster-", dir=out))
+    names = []
+
+    def path(name: str) -> Path:
+        names.append(name)
+        return tmp / name
+
+    try:
+        yield path
+        for name in names:
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+        for name in names:
+            os.replace(tmp / name, out / name)
+    except OSError as exc:
+        if exc.filename and Path(exc.filename).parent == tmp:
+            exc.filename = str(out / Path(exc.filename).name)
+        raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def cmd_generate(args) -> int:
     try:
         cfg = _config(args.config, args.seed)
@@ -84,10 +120,10 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     header = file_header(seed, config_hash(cfg))
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        save_network(net, out / "network.json")
-        write_arrivals_csv(out / "arrivals.csv", arrivals, header)
-        (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+        with _outputs(out) as path:
+            save_network(net, path("network.json"))
+            write_arrivals_csv(path("arrivals.csv"), arrivals, header)
+            path("config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         return _cannot_write(exc, out)
     total = sum(map(sum, arrivals.values()))
@@ -126,34 +162,37 @@ def cmd_run(args) -> int:
     columns, lines = [], []
     # the plan's forecasts are dumped once, to the first scenario's file
     dumps: dict[int, Path] = {}
-    for num, sc in zip(scenarios, configs):
-        replan_min = sc.params.replan_min
-        plan = plans[replan_min]
-        report = run_scenario(sc, plan)
-        columns.append((f"scenario {num}", report.ledger.to_dict()))
-        meta = {"seed": seed, "config": config_hash(cfg), "scenario": num, "noise": args.noise}
-        try:
-            write_ledger_json(out / f"ledger_s{num}.json", report.ledger, meta)
-            write_ledger_csv(out / f"ledger_s{num}.csv", report.ledger, header)
-            write_roster_csv(out / f"roster_s{num}.csv", report, header)
-            write_series_csv(out / f"series_s{num}.csv", report, header)
-            write_flows_csv(out / f"flows_s{num}.csv", report, header)
-            if args.debug_forecasts:
-                dump = out / f"forecasts_s{num}.csv"
-                if replan_min in dumps:
-                    shutil.copyfile(dumps[replan_min], dump)
-                else:
-                    write_forecast_csv(dump, plan.hub_ids, plan.forecasts(), header)
-                    dumps[replan_min] = dump
-        except OSError as exc:
-            return _cannot_write(exc, out)
-        moving_share = 100.0 * report.merged_shift_count / max(1, len(report.roster))
-        lines.append(
-            f"scenario {num}: {len(report.roster)} shifts, {report.hires} workers, "
-            f"{report.merged_shift_count} cross-hub ({moving_share:.1f}%), "
-            f"{report.late_parcels} late parcels, total {report.ledger.total:.0f} Yuan "
-            f"[{report.runtime_s:.2f}s]"
-        )
+    try:
+        with _outputs(out) as path:
+            # each scenario's files are written as soon as it is run, so no
+            # report outlives its scenario
+            for num, sc in zip(scenarios, configs):
+                replan_min = sc.params.replan_min
+                plan = plans[replan_min]
+                report = run_scenario(sc, plan)
+                columns.append((f"scenario {num}", report.ledger.to_dict()))
+                meta = {"seed": seed, "config": config_hash(cfg), "scenario": num, "noise": args.noise}
+                write_ledger_json(path(f"ledger_s{num}.json"), report.ledger, meta)
+                write_ledger_csv(path(f"ledger_s{num}.csv"), report.ledger, header)
+                write_roster_csv(path(f"roster_s{num}.csv"), report, header)
+                write_series_csv(path(f"series_s{num}.csv"), report, header)
+                write_flows_csv(path(f"flows_s{num}.csv"), report, header)
+                if args.debug_forecasts:
+                    dump = path(f"forecasts_s{num}.csv")
+                    if replan_min in dumps:
+                        shutil.copyfile(dumps[replan_min], dump)
+                    else:
+                        write_forecast_csv(dump, plan.hub_ids, plan.forecasts(), header)
+                        dumps[replan_min] = dump
+                moving_share = 100.0 * report.merged_shift_count / max(1, len(report.roster))
+                lines.append(
+                    f"scenario {num}: {len(report.roster)} shifts, {report.hires} workers, "
+                    f"{report.merged_shift_count} cross-hub ({moving_share:.1f}%), "
+                    f"{report.late_parcels} late parcels, total {report.ledger.total:.0f} Yuan "
+                    f"[{report.runtime_s:.2f}s]"
+                )
+    except OSError as exc:
+        return _cannot_write(exc, out)
 
     if len(columns) > 1:
         lines += ["", _comparison_table(columns)]

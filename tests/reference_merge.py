@@ -2,7 +2,8 @@
 
 Every kept run is a single-segment ``Shift``; the merge regroups them by
 hub, re-sorts each hub's shifts, filters the moving pairs by cost on every
-call, copies the runs out for ``merge_runs``, builds the merged shifts from
+call, copies the runs out for the all-pairs scan
+(``reference_kernels.merge_runs``), builds the merged shifts from
 the input ``Shift``s and sorts the output by ``(start, first hub, end)``.
 The engine keeps every pair (a move costs less than a hire), takes the
 plan's one-hub shifts already sorted, builds a ``Shift`` only for each merged pair and returns every
@@ -11,9 +12,8 @@ other input shift as itself.
 
 import math
 
-from hubroster import _kernels as kernels
-from hubroster.ledger import HIRING_PER_DAY, moving_payment
 from hubroster.shifts import RESTING, TRAVEL, WORKING, Segment, Shift
+from reference_kernels import merge_runs
 
 
 def sort_key(shift):
@@ -49,7 +49,7 @@ def merge_across_hubs(
         kernel_pairs.append((index[p.hub_a], index[p.hub_b], p.travel_time_h))
         pair_refs.append(p)
 
-    merges, used = kernels.merge_runs(runs_by_hub, kernel_pairs, max_work_h, max_gap_h, max_merges)
+    merges, used = merge_runs(runs_by_hub, kernel_pairs, max_work_h, max_gap_h, max_merges)
 
     out = []
     for p_idx, i, j, a_first in merges:
@@ -81,27 +81,3 @@ def _build_merged(first, second, pair):
     segs.extend(second.segments)
     return Shift(segs, move_distance_m=pair.distance_m)
 
-
-def merge_selected(engine, selected, pairs):
-    """The step's merge of the kept shifts ``selected`` (sorted by
-    ``sort_key``), as the engine ran it with the unfiltered moving ``pairs``
-    on every step: called for cross-hub scenarios with more than one kept
-    shift, capped by the hires the pool would need."""
-    if not engine.cfg.allow_cross_hub or len(selected) <= 1:
-        return selected
-    budget = engine.pool.simulate_hires([s.working_h for s in selected])
-    if budget == 0:
-        return selected
-    p = engine.cfg.params
-    per_hub = {h: [] for h in engine.hub_ids}
-    for s in selected:
-        per_hub[s.segments[0].hub_id].append(s)
-    return merge_across_hubs(
-        per_hub,
-        pairs,
-        p.max_work_h,
-        p.max_gap_h,
-        HIRING_PER_DAY,
-        moving_payment,
-        max_merges=budget,
-    )

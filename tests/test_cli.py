@@ -1,5 +1,6 @@
 """End-to-end command-line harness tests."""
 
+import errno
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hubroster import cli
 from hubroster.cli import main
 from hubroster.config import DEFAULT_CONFIG, config_hash, file_header
 
@@ -17,6 +19,16 @@ TINY = {
     "network": {"hubs": 4, "gateways": 1, "area_km": 4.0, "move_radius_m": 3000.0, "walk_speed_m_per_h": 15000.0},
     "arrivals": {"daily_volume": 30000, "gateway_weight": 6.0, "hub_jitter": 0.2, "cell_jitter": 0.25, "local_peak_h": 12, "gateway_peak_h": 2},
 }
+
+# the functions through which ``run`` writes its outputs
+WRITERS = (
+    "write_ledger_json",
+    "write_ledger_csv",
+    "write_roster_csv",
+    "write_series_csv",
+    "write_flows_csv",
+    "write_forecast_csv",
+)
 
 
 def _write_cfg(tmp_path, extra=None):
@@ -177,6 +189,57 @@ def test_generate_names_an_output_directory_it_cannot_make(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {out}: cannot write (File exists)\n"
+
+
+def _files(out):
+    """Every entry of ``out``: a file's bytes, None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
+
+
+def test_a_failed_run_leaves_the_outputs_as_they_were(tmp_path, capsys, monkeypatch):
+    # a perfect-noise run over a paper-noise run's outputs that fails at any
+    # output, for a directory in its way or a writer that raises, names that
+    # output, changes no file and leaves no temporary directory; it used to
+    # leave the files written before the failure beside the older run's
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["run", "--out", str(out), "--debug-forecasts"]) == 0
+    capsys.readouterr()
+    rerun = ["run", "--out", str(out), "--noise", "perfect", "--debug-forecasts"]
+    before = _files(out)
+    for name in sorted(set(before) - {"network.json", "arrivals.csv", "config.json"}):
+        (out / name).unlink()
+        (out / name).mkdir()
+        in_the_way = _files(out)
+        assert main(rerun) == 1, name
+        assert capsys.readouterr() == ("", f"error: {out / name}: cannot write (Is a directory)\n")
+        assert _files(out) == in_the_way, name
+        (out / name).rmdir()
+        (out / name).write_bytes(before[name])
+
+    calls = []
+
+    def failing(real, k):
+        def writer(path, *args):
+            calls.append(Path(path).name)
+            if len(calls) == k:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return real(path, *args)
+
+        return writer
+
+    # five files per scenario, and one forecast dump for scenarios 1 and 3
+    # (scenario 2 copies the first)
+    for k in range(1, 18):
+        calls.clear()
+        with monkeypatch.context() as m:
+            for name in WRITERS:
+                m.setattr(cli, name, failing(getattr(cli, name), k))
+            assert main(rerun) == 1, k
+        assert len(calls) == k
+        assert capsys.readouterr() == ("", f"error: {out / calls[-1]}: cannot write ({os.strerror(errno.ENOSPC)})\n")
+        assert _files(out) == before, calls[-1]
 
 
 def test_compare_prints_one_column_per_file_when_stems_collide(tmp_path, capsys):

@@ -14,7 +14,6 @@ import pytest
 from hubroster import _kernels as kernels
 from hubroster import engine as engine_module
 from hubroster import network as network_module
-from hubroster import shifts as shifts_module
 from hubroster.config import ScenarioParams
 from hubroster.demand import GeneratorConfig, generate_arrivals
 from hubroster.engine import (
@@ -34,11 +33,9 @@ from hubroster.ledger import HIRING_PER_DAY, LATENESS_PER_PARCEL, CostLedger, mo
 from hubroster.network import Hub, HubNetwork, build_moving_pairs, random_network
 from hubroster.shifts import RESTING, TRAVEL, WORKING, Segment, Shift, merge_across_hubs
 from hubroster.valuation import shift_value, should_fix
-import reference_kernels
+import reference_engine
 import reference_merge
 from reference_selection import fix_reach, with_weights
-from reference_selection import select as reference_select
-from reference_selection import shift_value as reference_value
 from shift_checks import validate_shift
 
 RATE = 150
@@ -382,46 +379,6 @@ def _positions(shifts, pool):
     return positions
 
 
-def test_merge_on_runs_matches_shift_based_reference():
-    rng = np.random.default_rng(2024)
-    merged = ties = 0
-    for case in range(2400):
-        net, engine, kept = _random_merge_case(rng)
-        p = engine.cfg.params
-        shifts = _plan_shifts(kept)
-        pairs = build_moving_pairs(net) if engine.cfg.allow_cross_hub else []
-
-        # the merge itself, at every kind of cap
-        budget = int(rng.choice([-1, 0, 1, 3, 100]))
-        by_hub = {h: [x for x in shifts if x.segments[0].hub_id == h] for h in engine.hub_ids}
-        got = merge_across_hubs(shifts, engine.pairs, p.max_work_h, p.max_gap_h, budget)
-        expected = reference_merge.merge_across_hubs(
-            by_hub,
-            pairs,
-            p.max_work_h,
-            p.max_gap_h,
-            HIRING_PER_DAY,
-            moving_payment,
-            budget,
-        )
-        assert _shapes(got) == _shapes(expected), case
-        keys = [reference_merge.sort_key(x) for x in expected]
-        merged_keys = {k for k, x in zip(keys, expected) if any(x.moves())}
-        merged += sum(any(x.moves()) for x in expected)
-        ties += any(k in merged_keys for k, x in zip(keys, expected) if not any(x.moves()))
-
-        # the engine's step, with the hire budget of a partly used pool
-        for _ in range(int(rng.integers(0, 25))):
-            start = int(rng.integers(0, 3))
-            end = start + int(rng.integers(1, p.max_work_h + 1))
-            engine.pool.assign(Shift([Segment(engine.hub_ids[0], start, end, WORKING)]), 0)
-        engine.pool.release_finished(float(p.horizon_h))
-        got = engine._fixed_shifts(shifts)
-        expected = reference_merge.merge_selected(engine, shifts, pairs)
-        assert _shapes(got) == _shapes(expected), case
-    assert merged > 1000 and ties > 100, (merged, ties)
-
-
 def test_merge_returns_untouched_shifts_by_identity_in_order():
     # the merge builds a Shift only for a merged pair: every other input
     # shift comes back as itself, at the place the shift-based reference
@@ -471,187 +428,44 @@ def test_merge_returns_untouched_shifts_by_identity_in_order():
     assert min(seen.values()) > 20, seen
 
 
-def test_merge_runs_on_short_runs_only_matches_reference_on_all_runs():
-    # the merge hands the kernel only runs shorter than max_work: mapped
-    # back, its merges and used marks are those of the full scan over every
-    # run, full-length runs and copies of one run included
-    rng = np.random.default_rng(18)
-    seen = dict.fromkeys(("empty hub", "full", "short", "repeated", "merged"), 0)
-    order = dict.fromkeys(("a first", "b first", "gap = ceil(travel)", "gap = max_gap"), 0)
-    for case in range(3000):
-        max_work = int(rng.integers(1, 9))
-        horizon = int(rng.integers(4, 16))
-        runs_by_hub = []
-        for _ in range(int(rng.integers(2, 6))):
-            hub_runs = []
-            for _ in range(int(rng.integers(0, 8))):
-                start = int(rng.integers(0, horizon))
-                length = max_work if rng.random() < 0.4 else int(rng.integers(1, max_work + 1))
-                hub_runs.append((start, min(horizon, start + length)))
-                if rng.random() < 0.3:
-                    hub_runs.append(hub_runs[-1])
-            runs_by_hub.append(sorted(hub_runs))
-        n = len(runs_by_hub)
-        pairs = [
-            (a, b, float(rng.choice([0.0, 0.4, 1.0, 1.6, 2.5])))
-            for a in range(n)
-            for b in range(n)
-            if a != b and rng.random() < 0.5
-        ]
-        rng.shuffle(pairs)
-        max_gap = int(rng.integers(0, 4))
-        max_merges = int(rng.choice([-1, 0, 1, 2, 100]))
-
-        short = [[k for k, (s, e) in enumerate(r) if e - s < max_work] for r in runs_by_hub]
-        merges, used = kernels.merge_runs(
-            [[r[k] for k in idx] for r, idx in zip(runs_by_hub, short)], pairs, max_work, max_gap, max_merges
-        )
-        mapped = [(p, short[pairs[p][0]][i], short[pairs[p][1]][j], a) for p, i, j, a in merges]
-        used_all = [[False] * len(r) for r in runs_by_hub]
-        for idx, marks, row in zip(short, used, used_all):
-            for k, mark in zip(idx, marks):
-                row[k] = mark
-        expected = reference_kernels.merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges)
-        assert (mapped, used_all) == (list(expected[0]), expected[1]), case
-        all_runs = [run for r in runs_by_hub for run in r]
-        seen["empty hub"] += any(not r for r in runs_by_hub)
-        seen["full"] += any(e - s == max_work for s, e in all_runs)
-        seen["short"] += any(e - s < max_work for s, e in all_runs)
-        seen["repeated"] += any(len(set(r)) < len(r) for r in runs_by_hub)
-        seen["merged"] += bool(merges)
-        for p, i, j, a_first in mapped:
-            ia, ib, travel = pairs[p]
-            (_s1, e1), (s2, _e2) = (
-                (runs_by_hub[ia][i], runs_by_hub[ib][j]) if a_first else (runs_by_hub[ib][j], runs_by_hub[ia][i])
-            )
-            order["a first" if a_first else "b first"] += 1
-            order["gap = ceil(travel)"] += s2 - e1 == math.ceil(travel)
-            order["gap = max_gap"] += s2 - e1 == max_gap
-    assert min(seen.values()) > 100, seen
-    # the kernel's one forward window is searched in both orders, up to both edges
-    assert min(order.values()) > 300, order
-
-
 def test_fixed_shifts_skip_the_budget_and_the_kernel_when_nothing_can_merge(monkeypatch):
-    # a step merges nothing when every run is full length, when no eligible
-    # pair has a short run at both hubs, or when the pool covers every run
-    # for free: the step then fixes the plan's list itself, without
-    # counting the hire budget in the first two cases or calling the kernel
+    # the merge's shortcuts fire: a step whose runs are all full length, or
+    # whose short runs sit at hubs no moving pair joins, fixes the plan's
+    # list itself without counting the hire budget or calling the merge
+    # kernel, and one whose short runs the pool covers for free counts the
+    # budget but calls no kernel; a budget of one hire still merges
     calls = {"simulate_hires": 0, "merge_runs": 0}
 
     def counted(owner, name):
         fn = getattr(owner, name)
 
-        def wrapper(*args, **kwargs):
+        def wrapper(*args):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            return fn(*args)
 
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(engine_module.WorkforcePool, "simulate_hires")
     counted(kernels, "merge_runs")
-    rng = np.random.default_rng(40)
-    seen = dict.fromkeys(("full length", "apart", "no budget"), 0)
-    for case in range(600):
-        n_hubs = int(rng.integers(2, 7))
-        hubs = [
-            Hub(i, f"H{i}", float(rng.uniform(0, 6000)), float(rng.uniform(0, 3000)), "local") for i in range(n_hubs)
-        ]
-        net = HubNetwork(hubs, d_max_m=3000, speed_m_per_h=float(rng.choice([2500.0, 15000.0])))
-        horizon = int(rng.integers(10, 25))
-        params = ScenarioParams(
-            horizon_h=horizon, max_work_h=int(rng.integers(2, 9)), max_gap_h=int(rng.integers(0, 4))
-        )
-        arrivals = {h: [0] * horizon for h in range(n_hubs)}
-        engine = RollingEngine(ScenarioConfig(int(rng.choice([1, 3])), net, arrivals, params))
-        linked = {(pair.hub_a, pair.hub_b) for pair in engine.pairs}
-        if not linked:
-            continue
-        cap = params.max_work_h
-        kind = str(rng.choice(list(seen)))
-        if kind == "apart":  # short runs at hubs no eligible pair joins
-            short_hubs = []
-            for h in rng.permutation(n_hubs).tolist():
-                if all((min(h, g), max(h, g)) not in linked for g in short_hubs):
-                    short_hubs.append(h)
-        else:
-            short_hubs = list(range(n_hubs)) if kind == "no budget" else []
-        kept = []
-        for _ in range(int(rng.integers(1, 30))):
-            h = int(rng.integers(n_hubs))
-            length = int(rng.integers(1, cap)) if h in short_hubs else cap
-            start = int(rng.integers(0, horizon - length + 1))
-            kept += [(start, h, start + length)] * int(rng.integers(1, 3))
-        kept.sort()
-        if kind == "no budget":  # a released worker with room for every run
-            for _ in kept:
-                engine.pool.assign(Shift([Segment(0, 0, 1, WORKING)]), 0)
-            engine.pool.release_finished(1.0)
-        shifts = _plan_shifts(kept)
-        before = dict(calls)
-        assert engine._fixed_shifts(shifts) is shifts, case
-        assert calls["merge_runs"] == before["merge_runs"], case
-        budgets = calls["simulate_hires"] - before["simulate_hires"]
-        counts_budget = kind == "no budget" and any(
-            (min(a, b), max(a, b)) in linked
-            for a in {h for _s, h, _e in kept}
-            for b in {h for _s, h, _e in kept}
-        )
-        assert budgets == counts_budget, (case, kind)
-        seen[kind] += 1
-    assert min(seen.values()) > 50, seen
+    net = _net(3)  # moving pairs (0, 1) and (1, 2), 2 km apart; hubs 0 and 2 lie 4 km apart
 
+    def fixed(runs, pooled=0):
+        """Whether the step fixes the plan's list itself, with the budget
+        counts and kernel calls it made, after ``pooled`` released workers
+        with 3 of their 4 hours left."""
+        engine = RollingEngine(_cfg(net, {h: [0] * 12 for h in range(3)}, max_work_h=4, max_gap_h=2))
+        for _ in range(pooled):
+            engine.pool.assign(Shift((Segment(0, 0, 1, WORKING),)), 0)
+        engine.pool.release_finished(1.0)
+        shifts = _plan_shifts(runs)
+        calls.update(simulate_hires=0, merge_runs=0)
+        return engine._fixed_shifts(shifts) is shifts, calls["simulate_hires"], calls["merge_runs"]
 
-def _plan_select(plan, residual, now_h, fix_all):
-    """The plan's selection of ``residual`` at ``now_h``; with ``fix_all``
-    the plan replans over the whole horizon, as scenario 3 does."""
-    if fix_all:
-        plan.replan_h = float(plan.n)
-    first_slot = math.ceil(now_h - 1e-9)
-    return plan._select(residual, first_slot, plan._fix_lengths(now_h, first_slot))
-
-
-def test_selection_matches_shift_based_reference():
-    # fractional replan times, fix_all, dwell 0-3, caps 1-8 and random
-    # weights; half the thresholds equal a value some candidate attains, so
-    # the inclusive boundary and the exact float expression both decide
-    rng = np.random.default_rng(8)
-    boundary_fixes = 0
-    for _ in range(1500):
-        n_hubs = int(rng.integers(1, 5))
-        horizon = int(rng.integers(8, 25))
-        params = dict(
-            horizon_h=horizon,
-            dwell_h=int(rng.integers(0, 4)),
-            max_work_h=int(rng.integers(1, 9)),
-            replan_min=int(rng.choice([15, 45, 60])),
-        )
-        plan = RollingPlan(_cfg(_net(n_hubs), {h: [0] * horizon for h in range(n_hubs)}, **params))
-        p = plan.cfg.params
-        raw = rng.random(3) + 0.01
-        urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
-        lead = float(rng.choice([4.0, float(rng.uniform(0.5, 6.0))]))
-        residual = {h: [int(v) for v in rng.integers(0, 4, horizon)] for h in range(n_hubs)}
-        now_h = int(rng.integers(0, math.ceil(horizon / p.replan_h))) * p.replan_h
-        fix_all = bool(rng.random() < 0.1)
-
-        threshold = float(rng.random())
-        weights = with_weights(p, urgency, utilization, continuity, lead, threshold)
-        edge = now_h + p.replan_h + 1e-9
-        deferrable = [
-            v
-            for c in reference_select(residual, plan.hub_ids, now_h, weights, fix_all=True)
-            if c.start_h > edge and (v := reference_value(c, now_h, weights)) <= 1.0
-        ]
-        if deferrable and rng.random() < 0.5:
-            threshold = deferrable[int(rng.integers(len(deferrable)))]
-            boundary_fixes += not fix_all
-        plan.cfg.params = with_weights(p, urgency, utilization, continuity, lead, threshold)
-
-        expected = reference_select(residual, plan.hub_ids, now_h, plan.cfg.params, fix_all)
-        got = _plan_select(plan, residual, now_h, fix_all)
-        assert got == [(s.start_h, s.segments[0].hub_id, s.end_h) for s in expected]
-    assert boundary_fixes > 300
+    assert fixed([(1, 0, 5), (6, 1, 10)]) == (True, 0, 0)  # full length
+    assert fixed([(1, 0, 3), (4, 2, 6)]) == (True, 0, 0)  # no pair joins hubs 0 and 2
+    assert fixed([(1, 0, 3), (4, 1, 6)], pooled=2) == (True, 1, 0)  # no hire to save
+    assert fixed([(1, 0, 3), (4, 1, 6)], pooled=1) == (False, 1, 1)  # one hire to save
+    assert fixed([(1, 0, 3), (4, 1, 6)]) == (False, 1, 1)  # two hires to save
 
 
 def test_fix_lengths_keep_exactly_the_runs_whose_value_reaches_the_threshold():
@@ -706,87 +520,6 @@ def test_fix_lengths_keep_exactly_the_runs_whose_value_reaches_the_threshold():
     assert boundary > 100 and unfixable > 200, (boundary, unfixable)
 
 
-def _fresh_kept(plan, rows, first_slot, need):
-    """The runs a search from scratch of each ``{hub: row}`` given keeps
-    under the fix-length table ``need``, as sorted ``(start, hub, end)``."""
-    p, stop = plan.cfg.params, len(need)
-    return sorted(
-        (start, h, end)
-        for h, row in rows.items()
-        for start, end in shifts_module.combine_within_hub_detail(row, p.dwell_h, p.max_work_h, first_slot, stop)[0]
-        if start < stop and end - start >= need[start]
-    )
-
-
-def test_plan_residual_walks_on_from_the_last_step(monkeypatch):
-    # each step walks the FIFO residual on from the state the last step
-    # settled: every hub's row of the walk (the matrix the bound reads)
-    # equals the full walk over the step's demand and the capacity fixed so
-    # far, and so does every row it returns. It returns only hubs whose full
-    # residual holds a unit before the stop, and the step keeps the runs a
-    # fresh search of every such hub keeps, the hubs the bound
-    # (``kernels.keepable_rows``) leaves out included.
-    # A 90-minute replan advances the first slot by one or two slots, so
-    # some steps walk on from more than one slot before theirs
-    residual = RollingPlan._residual
-    select = RollingPlan._select
-    keepable = kernels.keepable_rows
-    returned = bounded = empty = multi_slot = dwell0 = 0
-    walked, expected = [], []
-
-    def capturing(rem, *args):
-        walked[:] = [rem.copy()]
-        return keepable(rem, *args)
-
-    def checking(plan, demand, first_slot, need):
-        nonlocal returned, bounded, empty, multi_slot, dwell0
-        multi_slot += first_slot - plan.settled_at > 1
-        got = residual(plan, demand, first_slot, need)
-        dwell, stop = plan.cfg.params.dwell_h, len(need)
-        held = {}
-        for row, h in enumerate(plan.hub_ids):
-            full = reference_kernels.fifo_match_units(demand[row].tolist(), plan.capacity[row].tolist(), dwell)
-            assert walked[0][row].tolist() == full
-            if any(full[:stop]):
-                held[h] = full
-                dwell0 += dwell == 0
-            else:
-                assert h not in got
-                empty += 1
-            if h in got:
-                assert got[h] == full
-                returned += 1
-            else:
-                bounded += h in held
-        expected[:] = _fresh_kept(plan, held, first_slot, need)
-        return got
-
-    def checking_select(plan, residual, first_slot, need):
-        got = select(plan, residual, first_slot, need)
-        assert got == expected
-        return got
-
-    monkeypatch.setattr(kernels, "keepable_rows", capturing)
-    monkeypatch.setattr(RollingPlan, "_select", checking_select)
-    monkeypatch.setattr(RollingPlan, "_residual", checking)
-    rng = np.random.default_rng(29)
-    for i in range(12):
-        net = random_network(n_hubs=int(rng.integers(3, 9)), n_gateways=1, area_m=3000, seed=i)
-        arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=int(rng.integers(5_000, 60_000))), i)
-        cfg = _cfg(
-            net,
-            arrivals,
-            scenario=int(rng.choice([1, 3])),
-            noise="paper",
-            seed=i,
-            dwell_h=int(rng.integers(0, 4)),
-            replan_min=int(rng.choice([15, 20, 45, 60, 90])),
-        )
-        run_scenario(cfg)
-    counts = (returned, bounded, empty, multi_slot, dwell0)
-    assert returned > 200 and bounded > 200 and empty > 200 and multi_slot > 10 and dwell0 > 100, counts
-
-
 def _outputs(report):
     """What a day reports."""
     roster = [
@@ -809,36 +542,6 @@ def _same_forecasts(a, b) -> bool:
     return len(a) == len(b) and all(t == u and np.array_equal(x, y) for (t, x), (u, y) in zip(a, b))
 
 
-def _candidates_with_and_without_cut(monkeypatch, cfg):
-    """Run one day with each step cut at its stop and once with the stop at
-    the horizon end (the fix-length table padded with a length no run has),
-    check that every output agrees, and return the candidates each run
-    built."""
-    built = []
-    combine = engine_module.combine_within_hub_detail
-    fix_lengths = RollingPlan._fix_lengths
-
-    def padded(plan, now_h, first_slot):
-        need = fix_lengths(plan, now_h, first_slot)
-        return need + [plan.cfg.params.max_work_h + 1] * (plan.n - len(need))
-
-    def counting(*args):
-        out = combine(*args)
-        built[-1] += len(out[0])
-        return out
-
-    outputs = []
-    with monkeypatch.context() as m:
-        m.setattr(engine_module, "combine_within_hub_detail", counting)
-        for disabled in (False, True):
-            if disabled:
-                m.setattr(RollingPlan, "_fix_lengths", padded)
-            built.append(0)
-            outputs.append(run_scenario(cfg))
-    assert outputs[0] == outputs[1]
-    return built
-
-
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -852,49 +555,31 @@ def _candidates_with_and_without_cut(monkeypatch, cfg):
     ids=["defaults", "threshold-eq-util-cont", "no-urgency", "threshold-1", "replan-45", "replan-20"],
 )
 def test_fix_reach_cut_leaves_every_output_unchanged(monkeypatch, overrides):
-    # the same days with the candidate search cut at each step's stop and
-    # with the cut disabled: rosters, ledgers, lateness, series and flows agree,
-    # and the cut builds fewer candidates exactly when there is a reach
+    # a step searches for runs before its stop (the fix-length table's end)
+    # only: it builds fewer candidates than a search of the same rows to the
+    # horizon end exactly when runs past the fix reach cannot be fixed, which
+    # scenario 3, fixing everything, never has; and the day is the one the
+    # reference engine, which has no cut, reports
+    combine = engine_module.combine_within_hub_detail
+    built = [0, 0]  # candidates built with the stop, and without it
+
+    def counting(row, dwell_h, max_work_h, first_slot, stop):
+        runs = combine(row, dwell_h, max_work_h, first_slot, stop)
+        built[0] += len(runs[0])
+        built[1] += len(combine(row, dwell_h, max_work_h, first_slot)[0])
+        return runs
+
+    monkeypatch.setattr(engine_module, "combine_within_hub_detail", counting)
     net = random_network(n_hubs=6, n_gateways=2, area_m=3000, seed=5)
     rows = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 5)
     for scenario in (1, 2, 3):
         cfg = _cfg(net, rows, scenario=scenario, noise="paper", seed=5, **overrides)
-        reach = fix_reach(cfg.params)
-        cut, full = _candidates_with_and_without_cut(monkeypatch, cfg)
+        built[:] = [0, 0]
+        report = run_scenario(cfg)
+        cut, full = built
         assert cut <= full
-        assert (cut < full) == (reach is not None and scenario != 3)
-
-
-def test_fix_reach_cut_matches_full_scan_on_random_days(monkeypatch):
-    # random weights, thresholds, fix leads, dwell, caps and replan steps
-    rng = np.random.default_rng(21)
-    cut_days = 0
-    for i in range(40):
-        horizon = int(rng.choice([12, 24, 36]))
-        net = random_network(n_hubs=int(rng.integers(3, 9)), n_gateways=1, area_m=3000, seed=i)
-        arrivals = generate_arrivals(
-            net, GeneratorConfig(daily_volume=int(rng.integers(5_000, 60_000)), horizon_h=horizon), i
-        )
-        raw = rng.random(3) + 0.01
-        urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
-        cfg = _cfg(
-            net,
-            arrivals,
-            scenario=int(rng.integers(1, 3)),
-            noise="paper",
-            seed=i,
-            dwell_h=int(rng.integers(0, 4)),
-            max_work_h=int(rng.integers(1, 9)),
-            replan_min=int(rng.choice([15, 20, 45, 60, 90])),
-            urgency_weight=urgency,
-            utilization_weight=utilization,
-            continuity_weight=continuity,
-            fix_lead_h=float(rng.uniform(0.5, 6.0)),
-            fix_threshold=float(rng.uniform(0.5, 1.0)),
-        )
-        cut, full = _candidates_with_and_without_cut(monkeypatch, cfg)
-        cut_days += cut < full
-    assert cut_days > 15
+        assert (cut < full) == (fix_reach(cfg.params) is not None and scenario != 3), scenario
+        assert reference_engine.day_of(report) == reference_engine.run(cfg), scenario
 
 
 def test_engine_rosters_pass_validate_shift():
@@ -916,93 +601,36 @@ def test_engine_rosters_pass_validate_shift():
 
 
 def test_rolling_steps_skip_the_hubs_and_runs_they_cannot_fix(monkeypatch):
-    # a step builds no candidates for a hub whose residual is empty before
-    # the stop, and values no run starting at or after the stop (the table
-    # values one full-length run per slot up to the stop, all before the
-    # padded reach here); the days are those of the fix-reach test,
-    # replanned every 15 and 60 minutes
+    # a step searches no hub whose residual can give no kept run, and values
+    # no run starting past the fix reach; the days are those of the
+    # fix-reach test, replanned every 15 and 60 minutes
     net = random_network(n_hubs=6, n_gateways=2, area_m=3000, seed=5)
     rows = generate_arrivals(net, GeneratorConfig(daily_volume=60_000), 5)
     combine = engine_module.combine_within_hub_detail
     value = engine_module.shift_value
-    stops, valued = [], []
-    at_stop = 0
+    searches, valued = [0], []
 
     def counting_combine(*args):
-        nonlocal at_stop
-        out = combine(*args)
-        stop = args[4]
-        stops.append(stop)
-        at_stop += sum(start == stop for start, _end in out[0])
-        return out
+        searches[0] += 1
+        return combine(*args)
 
     def counting_value(start, working, resting, now_h, params):
         valued.append((start, now_h))
         return value(start, working, resting, now_h, params)
 
+    monkeypatch.setattr(engine_module, "combine_within_hub_detail", counting_combine)
+    monkeypatch.setattr(engine_module, "shift_value", counting_value)
     for replan_min in (15, 60):
-        for scenario in (1, 2):
-            cfg = _cfg(net, rows, scenario=scenario, noise="paper", seed=5, replan_min=replan_min)
-            p = cfg.params
-            reach = fix_reach(p)
-            stops.clear()
-            valued.clear()
-            with monkeypatch.context() as m:
-                m.setattr(engine_module, "combine_within_hub_detail", counting_combine)
-                m.setattr(engine_module, "shift_value", counting_value)
-                run_scenario(cfg)
-            steps = math.ceil(p.horizon_h / p.replan_h)
-            assert 0 < len(stops) < len(net) * steps
-            assert valued
-            for start, now_h in valued:
-                assert start < math.ceil(now_h + max(p.replan_h, reach)) + 1, (start, now_h)
-            cut, full = _candidates_with_and_without_cut(monkeypatch, cfg)
-            assert cut < full
-    assert at_stop > 0  # runs at the stop exist, so the valuation guard decides some
-
-
-def test_select_skips_agree_with_full_scan_at_the_stop():
-    # residuals empty before a slot next to the stop. A hub whose first unit
-    # lies at stop - 1 can still give a kept run (forced, or a full-length
-    # run that reaches the threshold), one whose first unit lies at the stop
-    # cannot, and with fix_all every hub's runs are kept
-    rng = np.random.default_rng(12)
-    edge_runs = fix_all_late = 0
-    for _ in range(1500):
-        n_hubs = int(rng.integers(1, 5))
-        horizon = int(rng.integers(12, 37))
-        params = dict(
-            horizon_h=horizon,
-            dwell_h=int(rng.integers(0, 4)),
-            max_work_h=int(rng.integers(1, 9)),
-            replan_min=int(rng.choice([15, 60, 90, 180, 360])),
-        )
-        plan = RollingPlan(_cfg(_net(n_hubs), {h: [0] * horizon for h in range(n_hubs)}, **params))
-        p = plan.cfg.params
-        raw = rng.random(3) + 0.01
-        urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
-        threshold = utilization + continuity + float(rng.uniform(0.01, 0.99)) * urgency
-        plan.cfg.params = with_weights(p, urgency, utilization, continuity, float(rng.uniform(0.25, 6.0)), threshold)
-        now_h = int(rng.integers(0, math.ceil(horizon / p.replan_h))) * p.replan_h
-        stop = len(plan._fix_lengths(now_h, math.ceil(now_h - 1e-9)))
-        fix_all = bool(rng.random() < 0.2)
-        residual = {}
-        for h in range(n_hubs):
-            first = min(max(0, stop + int(rng.integers(-2, 2))), horizon)
-            row = [0] * first + [int(v) for v in rng.integers(0, 4, horizon - first)]
-            if first < horizon:
-                row[first] = max(row[first], 1)
-            residual[h] = row
-
-        expected = reference_select(residual, plan.hub_ids, now_h, plan.cfg.params, fix_all)
-        got = _plan_select(plan, residual, now_h, fix_all)
-        assert got == [(s.start_h, s.segments[0].hub_id, s.end_h) for s in expected]
-        for start, h, _end in got:
-            if not any(residual[h][:stop]):
-                fix_all_late += fix_all
-            elif not any(residual[h][: stop - 1]):
-                edge_runs += start == stop - 1 and not fix_all
-    assert edge_runs > 80 and fix_all_late > 800, (edge_runs, fix_all_late)
+        cfg = _cfg(net, rows, scenario=1, noise="paper", seed=5, replan_min=replan_min)
+        p = cfg.params
+        reach = fix_reach(p)
+        searches[0] = 0
+        valued.clear()
+        run_scenario(cfg)
+        assert 0 < searches[0] < len(net) * math.ceil(p.horizon_h / p.replan_h)
+        assert valued
+        for start, now_h in valued:
+            assert start < math.ceil(now_h + max(p.replan_h, reach)) + 1, (start, now_h)
 
 
 # ------------------------------------------------------------ shared plans
@@ -1187,41 +815,6 @@ def test_a_plan_replays_its_capacity_once_for_every_engine(monkeypatch):
             late_plans += late > 0
             dwell0_late_plans += late > 0 and p.dwell_h == 0
     assert late_plans > 5 and dwell0_late_plans > 2, (late_plans, dwell0_late_plans)
-
-
-def test_a_plan_keeps_the_runs_of_a_fresh_search_for_every_row(monkeypatch):
-    # every step's kept runs are those a search from scratch keeps of every
-    # residual row that holds a unit before the stop: also where the bound
-    # (``kernels.keepable_rows``) leaves the row out unsearched
-    net = random_network(n_hubs=10, n_gateways=2, area_m=4000, seed=8)
-    arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=100_000), 8)
-    select = RollingPlan._select
-    keepable = kernels.keepable_rows
-    bounded = 0
-    walked = []
-
-    def capturing(rem, *args):
-        walked[:] = [rem.copy()]
-        return keepable(rem, *args)
-
-    def checking(plan, residual, first_slot, need):
-        nonlocal bounded
-        got = select(plan, residual, first_slot, need)
-        stop = len(need)
-        held = {h: row.tolist() for h, row in zip(plan.hub_ids, walked[0]) if row[:stop].any()}
-        bounded += len(held) - len(residual)
-        assert got == _fresh_kept(plan, held, first_slot, need), (plan.cfg.params, first_slot)
-        return got
-
-    monkeypatch.setattr(kernels, "keepable_rows", capturing)
-    monkeypatch.setattr(RollingPlan, "_select", checking)
-    for replan_min in (15, 60):
-        for dwell_h in range(4):
-            params = ScenarioParams(seed=8, replan_min=replan_min, dwell_h=dwell_h)
-            for noise in ("paper", "perfect"):
-                for number in (1, 2, 3):
-                    run_scenario(ScenarioConfig(number, net, arrivals, params, noise))
-    assert bounded > 1000, bounded
 
 
 def test_plan_kept_rejects_a_step_outside_the_plan_before_planning():
