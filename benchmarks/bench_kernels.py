@@ -8,11 +8,13 @@ of roster entries (build each ``Shift``, assign it, append its
 synthetic workloads and prints the fastest of three runs. ``within_hub_runs``
 is also timed with its search cut where the engine cuts it at hour 0 under
 the default parameters and on gateway-sized rows. ``fifo_match_units``
-walks 52-hub by 24-slot matrices, as the engine does once per replan step:
-from slot 0, with capacity zero ahead of the slots fixed so far, and
-resumed from a settled slot. ``keepable_rows`` bounds the residual
-matrices of that from-slot-0 walk with each step's fix-length table under
-the default parameters.
+walks slot-major 24-slot by 52-hub matrices, as the engine does once per
+replan step: from slot 0, with capacity zero ahead of the slots fixed so
+far; resumed from a settled slot; and resumed at a slot past the last one
+with capacity, where the whole walk is the one-call capacity-free tail.
+``keepable_rows`` bounds the residual matrices of that from-slot-0 walk
+with the spans of each step's fix-length table under the default
+parameters.
 End-to-end timings of the ``hubroster`` command line come from
 ``perfbench/run.py``:
 
@@ -61,8 +63,9 @@ def bench_merge(runs_by_hub, pairs):
 
 
 def bench_match(demand_mats, cap_mats, dwell=1, starts=None, cleared_mats=None):
-    """Walk each ``(hubs, n)`` demand matrix against its capacity, from slot
-    0 into a scratch matrix, or from ``starts[i]`` on in ``cleared_mats[i]``."""
+    """Walk each slot-major ``(n, hubs)`` demand matrix against its
+    capacity, from slot 0 into a scratch matrix, or from ``starts[i]`` on in
+    ``cleared_mats[i]``."""
     starts = starts or [0] * len(demand_mats)
     cleared_mats = cleared_mats or [np.zeros_like(demand) for demand in demand_mats]
 
@@ -73,13 +76,13 @@ def bench_match(demand_mats, cap_mats, dwell=1, starts=None, cleared_mats=None):
     return run
 
 
-def bench_keepable(residual_mats, starts, needs, dwell=3):
-    """Bound each ``(hubs, n)`` residual matrix from ``starts[i]`` with the
-    fix-length table ``needs[i]``."""
+def bench_keepable(residual_mats, spans, dwell=3):
+    """Bound each slot-major ``(n, hubs)`` residual matrix with the spans
+    ``spans[i]`` of a fix-length table (``kernels.fix_spans``)."""
 
     def run():
-        for residual, start, need in zip(residual_mats, starts, needs):
-            kernels.keepable_rows(residual, start, need, dwell)
+        for residual, (starts, ends) in zip(residual_mats, spans):
+            kernels.keepable_rows(residual, starts, ends, dwell)
 
     return run
 
@@ -163,27 +166,32 @@ def main():
     )
     arrival_rows = [[int(v) for v in rng.integers(0, 3000, 24)] for _ in range(500)]
     cap_rows = [[int(v) for v in rng.integers(0, 20, 24)] for _ in range(500)]
-    # the engine's residual input, one 52-hub matrix per step of a 24 h day
-    # (ten days): the fixed roster's capacity up to the step's slot and
-    # none ahead of it
+    # the engine's residual input, one slot-major 24-slot by 52-hub matrix
+    # per step of a 24 h day (ten days): the fixed roster's capacity up to
+    # the step's slot and none ahead of it
     starts = [i % 24 for i in range(240)]
-    demand_mats = [rng.integers(0, 8, (52, 24)) for _ in starts]
-    cap_mats = [rng.integers(0, 20, (52, 24)) for _ in starts]
-    engine_cap_mats = [np.where(np.arange(24) < at, cap, 0) for at, cap in zip(starts, cap_mats)]
+    slots = np.arange(24)[:, None]
+    demand_mats = [rng.integers(0, 8, (24, 52)) for _ in starts]
+    cap_mats = [rng.integers(0, 20, (24, 52)) for _ in starts]
+    engine_cap_mats = [np.where(slots < at, cap, 0) for at, cap in zip(starts, cap_mats)]
     # the engine's resumed walk: the walk's state is settled before the
     # step's slot (here by one walk from slot 0), fixed runs reach at most
-    # 8 h past it, and the walk goes on from the slot to the row's end
-    resumed_cap_mats = [np.where(np.arange(24) < at + 8, cap, 0) for at, cap in zip(starts, cap_mats)]
+    # 8 h past it, and the walk goes on from the slot to the horizon's end
+    resumed_cap_mats = [np.where(slots < at + 8, cap, 0) for at, cap in zip(starts, cap_mats)]
     cleared_mats = [np.zeros_like(demand) for demand in demand_mats]
     bench_match(demand_mats, resumed_cap_mats, 3, None, cleared_mats)()
+    # the same walk settled up to the step's slot with no capacity from
+    # there on: the resumed walk is the capacity-free tail alone
+    tail_cleared_mats = [np.zeros_like(demand) for demand in demand_mats]
+    bench_match(demand_mats, engine_cap_mats, 3, None, tail_cleared_mats)()
     residual_mats = [
         kernels.fifo_match_units(demand, cap, 3, 0, np.zeros_like(demand))
         for demand, cap in zip(demand_mats, engine_cap_mats)
     ]
-    # each step's fix-length table, as the engine builds it (1 h replan)
+    # the spans of each step's fix-length table, as the engine builds it (1 h replan)
     net = random_network(n_hubs=1, n_gateways=1)
     plan = RollingPlan(ScenarioConfig(1, net, {h: [0] * 24 for h in net.hub_ids}, params))
-    needs = [plan._fix_lengths(at, at) for at in starts]
+    spans = [kernels.fix_spans(at, plan._fix_lengths(at, at), 24) for at in starts]
 
     n_workers = 130 if args.quick else 1300
     batches = [
@@ -207,11 +215,14 @@ def main():
         "within_hub_runs (dwell 3, gateway rows)": _time(bench_within_hub(gateway_rows, 3)),
         "merge_runs": _time(bench_merge(runs_by_hub, pairs)),
         "fifo_match_units": _time(bench_match(demand_mats, cap_mats)),
-        "fifo_match_units (dwell 3, engine rows)": _time(bench_match(demand_mats, engine_cap_mats, 3)),
+        "fifo_match_units (dwell 3, engine steps)": _time(bench_match(demand_mats, engine_cap_mats, 3)),
         "fifo_match_units (dwell 3, resumed)": _time(
             bench_match(demand_mats, resumed_cap_mats, 3, starts, cleared_mats)
         ),
-        "keepable_rows (dwell 3, engine rows)": _time(bench_keepable(residual_mats, starts, needs)),
+        "fifo_match_units (dwell 3, capacity-free tail)": _time(
+            bench_match(demand_mats, engine_cap_mats, 3, starts, tail_cleared_mats)
+        ),
+        "keepable_rows (dwell 3, engine steps)": _time(bench_keepable(residual_mats, spans)),
         "fifo_replay": _time(bench_replay(arrival_rows, cap_rows)),
         f"pool assign + simulate_hires ({n_workers} pooled)": _time(bench_pool(n_workers, batches)),
         f"book {24 * per_step} roster entries: Shift + assign + RosterEntry, then roster_tables": _time(

@@ -1,9 +1,10 @@
 """Scheduling kernels: the inner loops of the engine, in plain Python.
 
 Everything here works on plain ints, lists and tuples, except the FIFO
-residual (``fifo_match_units``), which walks every hub's row at once on
-numpy matrices, and the bound that then rules out the residual rows that
-can give no kept run (``keepable_rows``), read off the same matrix. The
+residual (``fifo_match_units``), which walks every hub at once on
+slot-major numpy matrices (one row per slot, one column per hub), and the
+bound that then rules out the hubs whose residual can give no kept run
+(``keepable_rows``), read off the same matrix. The
 engine and the shift builders call these functions through the module
 (``kernels.<name>``).
 
@@ -252,54 +253,89 @@ def fifo_match_units(demand, capacity, dwell, start, cleared):
     """Credit per-slot capacity against unit demand within dwell windows,
     for every hub at once.
 
-    ``demand`` and ``capacity`` are ``(hubs, n)`` integer matrices, one row
-    per hub. Capacity at slot t serves the oldest unserved units whose
-    origin lies in [t - dwell, t]; capacity can never be credited to a unit
-    it could only reach late. Returns the unserved units per hub and origin
-    slot -- the residual a re-planning pass still has to cover (expired
-    origins included).
+    ``demand`` and ``capacity`` are slot-major ``(n, hubs)`` integer
+    matrices, one row per slot and one column per hub. Capacity at slot t
+    serves the oldest unserved units whose origin lies in [t - dwell, t];
+    capacity can never be credited to a unit it could only reach late.
+    Returns the unserved units per origin slot and hub -- the residual a
+    re-planning pass still has to cover (expired origins included).
 
     Units leave only in origin order: a slot serves the oldest units it can
     reach, and a unit expires only after every older one has. So what has
     left a hub by the end of slot t is a prefix of its units in origin
-    order, and ``cleared[h, t]`` (an int64 matrix of the same shape) counts
-    it. With ``arrived`` the running sum of the demand, the units of the
-    origins before ``t - dwell`` have left by slot t, and the slot's
-    capacity then serves units up to those that have arrived::
+    order, and ``cleared[t, h]`` (an int64 matrix of the same shape) counts
+    it. With ``arrived`` the running sum of the demand down each column,
+    the units of the origins before ``t - dwell`` have left by slot t
+    (``expired[t] = arrived[t - dwell - 1]``), and the slot's capacity then
+    serves units up to those that have arrived::
 
-        cleared[t] = min(arrived[t], max(cleared[t - 1], arrived[t - dwell - 1]) + capacity[t])
+        cleared[t] = min(arrived[t], max(cleared[t - 1], expired[t]) + capacity[t])
 
-    one column over all hubs per slot. The units of origin ``o`` still
-    there at the end of its last slot ``min(o + dwell, n - 1)`` are unserved.
-    The walk writes the columns from ``start`` on and reads the one before
-    it, so it resumes where an earlier walk left ``cleared``: a column is
-    final once the demand and capacity up to it are.
+    one contiguous row over all hubs per slot. Past the last slot ``T - 1``
+    with any capacity the walk is one call: there ``cleared[t] =
+    max(cleared[T - 1], expired[t])``, since without capacity a slot's
+    ``cleared`` is ``max(cleared[t - 1], expired[t])`` (both are at most
+    ``arrived[t]``: ``cleared`` and ``arrived`` never fall, and ``expired``
+    lags ``arrived``), and ``expired`` never falls. The units of origin
+    ``o`` still there at the end of its last slot ``min(o + dwell, n - 1)``
+    are unserved. The walk writes the rows from ``start`` on and reads the
+    one before it, so it resumes where an earlier walk left ``cleared``: a
+    row is final once the demand and capacity up to it are.
     """
-    arrived = np.cumsum(demand, axis=1)
-    hubs, n = arrived.shape
-    # arrived[t - dwell - 1] at column t: the units expired by slot t
-    expired = np.zeros((hubs, n), dtype=np.int64)
-    if dwell + 1 < n:
-        expired[:, dwell + 1 :] = arrived[:, : n - dwell - 1]
-    for t in range(start, n):
-        col = cleared[:, t]
-        np.maximum(cleared[:, t - 1] if t else 0, expired[:, t], out=col)
-        np.add(col, capacity[:, t], out=col)
-        np.minimum(col, arrived[:, t], out=col)
-    last = np.minimum(np.arange(n) + dwell, n - 1)
-    return np.maximum(arrived - np.maximum(cleared[:, last], arrived - demand), 0)
+    n, hubs = demand.shape
+    # the running sums after ``lag`` rows of zeros: ``arrived[t]`` is row
+    # ``t + lag`` and ``expired[t]`` row ``t``, both views
+    lag = min(dwell + 1, n)
+    sums = np.zeros((n + lag, hubs), dtype=np.int64)
+    np.cumsum(demand, axis=0, out=sums[lag:])
+    arrived, expired = sums[lag:], sums[:n]
+    staffed = capacity[start:].any(axis=1).tolist()
+    # one past the last slot with any capacity, or ``start`` if none has
+    tail = n - staffed[::-1].index(True) if True in staffed else start
+    prev = cleared[start - 1] if start else 0
+    walked = zip(cleared[start:tail], expired[start:tail], capacity[start:tail], arrived[start:tail])
+    for row, lapsed, staff, came in walked:
+        np.maximum(prev, lapsed, out=row)
+        np.add(row, staff, out=row)
+        np.minimum(row, came, out=row)
+        prev = row
+    if tail < n:
+        np.maximum(cleared[tail - 1] if tail else 0, expired[tail:], out=cleared[tail:])
+    # what has left by each origin's last slot, but not less than the units
+    # of the origins before it (``arrived[o - 1]``, row ``o + lag - 1``)
+    left = np.empty_like(cleared)
+    cut = max(n - dwell, 0)
+    left[:cut] = cleared[n - cut :]
+    left[cut:] = cleared[n - 1]
+    np.maximum(left, sums[lag - 1 : n + lag - 1], out=left)
+    np.subtract(arrived, left, out=left)
+    return np.maximum(left, 0, out=left)
 
 
-def keepable_rows(residual, first_slot, need, dwell):
-    """Which rows of a ``(hubs, n)`` residual matrix can still give a kept
-    run: a bound on ``within_hub_runs`` and a fix-length table ``need``,
-    for every hub at once.
+def fix_spans(first_slot, need, n):
+    """The slot spans ``keepable_rows`` tests for a fix-length table
+    ``need`` over ``n`` slots: ``(starts, ends)`` index arrays, one entry
+    per start ``t0`` in ``[first_slot, len(need))`` whose shortest kept run
+    ``[t0, t0 + max(1, need[t0]))`` lies inside the horizon."""
+    starts = np.arange(first_slot, len(need))
+    ends = starts + np.maximum(np.asarray(need[first_slot:], dtype=np.int64), 1)
+    fits = ends <= n
+    return starts[fits], ends[fits]
 
-    A run kept from a row starts at some ``t0`` in ``[first_slot,
-    len(need))`` and lasts at least ``m = max(1, need[t0])`` slots. A row
-    qualifies when some such ``t0`` has ``t0 + m <= n`` and every slot
-    ``t`` of ``[t0, t0 + m)`` is covered: the row holds a unit at an origin
-    in ``[t - dwell, t]``. A row that does not qualify gives no kept run:
+
+def keepable_rows(residual, starts, ends, dwell):
+    """Which hubs of a slot-major ``(n, hubs)`` residual matrix can still
+    give a kept run: a bound on ``within_hub_runs`` and a fix-length table,
+    for every hub at once. ``starts`` and ``ends`` are the spans of a
+    fix-length table ``need`` from the step's ``first_slot`` on
+    (``fix_spans``).
+
+    A run kept from a hub's residual starts at some ``t0`` in
+    ``[first_slot, len(need))`` and lasts at least ``m = max(1, need[t0])``
+    slots. A hub qualifies when some such ``t0`` has ``t0 + m <= n`` (the
+    span ``[t0, t0 + m)``) and every slot ``t`` of the span is covered: the
+    hub holds a unit at an origin in ``[t - dwell, t]``. A hub that does
+    not qualify gives no kept run:
 
     - every run ``within_hub_runs`` emits serves, at each of its slots
       ``t``, one unit whose origin lies in ``[t - dwell, t]``: a full-length
@@ -312,23 +348,22 @@ def keepable_rows(residual, first_slot, need, dwell):
       slots from ``t0``, and it is kept only if ``L >= m``.
 
     The residual is never negative, so a slot is covered when the sum of
-    its dwell window is positive. With ``gaps`` counting the uncovered
-    slots before each slot, the slots ``[t0, t0 + m)`` are all covered
-    when ``gaps[t0 + m] == gaps[t0]``: one column lookup per start.
-    Returns a boolean array, one entry per row.
+    its dwell window is positive: when the running sum down the hub's
+    column rose since the slot before the window. With ``gaps`` counting
+    the uncovered slots before each slot, the slots ``[t0, t0 + m)`` are
+    all covered when ``gaps[t0 + m] == gaps[t0]``: one row lookup per span.
+    Returns a boolean array, one entry per hub.
     """
-    hubs, n = residual.shape
-    held = np.cumsum(residual, axis=1)
-    window = held.copy()  # the units of origins in [t - dwell, t]
-    if dwell + 1 < n:
-        window[:, dwell + 1 :] -= held[:, : n - dwell - 1]
-    gaps = np.zeros((hubs, n + 1), dtype=np.int64)
-    np.cumsum(window == 0, axis=1, out=gaps[:, 1:])
-    starts = np.arange(first_slot, len(need))
-    ends = starts + np.maximum(np.asarray(need[first_slot:], dtype=np.int64), 1)
-    fits = ends <= n
-    starts, ends = starts[fits], ends[fits]
-    return (gaps[:, ends] == gaps[:, starts]).any(axis=1)
+    n, hubs = residual.shape
+    # the running sums after ``lag`` rows of zeros: row ``t + lag`` holds
+    # the units up to origin ``t``, row ``t`` those before ``t - dwell``
+    lag = min(dwell + 1, n)
+    held = np.zeros((n + lag, hubs), dtype=np.int64)
+    np.cumsum(residual, axis=0, out=held[lag:])
+    uncovered = held[lag:] == held[:n]  # no unit at an origin in [t - dwell, t]
+    gaps = np.zeros((n + 1, hubs), dtype=np.int64)
+    np.cumsum(uncovered, axis=0, out=gaps[1:])
+    return (gaps[ends] == gaps[starts]).any(axis=0)
 
 
 def fifo_replay(arrivals, workers, dwell, rate):

@@ -158,7 +158,8 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    header = file_header(seed, config_hash(cfg))
+    digest = config_hash(cfg)
+    header = file_header(seed, digest)
     columns, lines = [], []
     # the plan's forecasts are dumped once, to the first scenario's file
     dumps: dict[int, Path] = {}
@@ -171,7 +172,7 @@ def cmd_run(args) -> int:
                 plan = plans[replan_min]
                 report = run_scenario(sc, plan)
                 columns.append((f"scenario {num}", report.ledger.to_dict()))
-                meta = {"seed": seed, "config": config_hash(cfg), "scenario": num, "noise": args.noise}
+                meta = {"seed": seed, "config": digest, "scenario": num, "noise": args.noise}
                 write_ledger_json(path(f"ledger_s{num}.json"), report.ledger, meta)
                 write_ledger_csv(path(f"ledger_s{num}.csv"), report.ledger, header)
                 write_roster_csv(path(f"roster_s{num}.csv"), report, header)

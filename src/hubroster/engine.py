@@ -175,17 +175,20 @@ class RollingPlan:
     (``RollingEngine._fixed_shifts``). ``Shift`` and ``Segment`` are frozen
     values, so runs and engines can share them.
 
-    ``capacity`` (the kept runs' workers per hub and slot) and ``cleared``
-    (the FIFO walk's state) are ``(hubs, n)`` matrices, rows in ``hub_ids``
-    order: a step walks every hub's residual at once (``_residual``).
+    ``capacity`` (the kept runs' workers per slot and hub) and ``cleared``
+    (the FIFO walk's state) are slot-major ``(n, hubs)`` matrices, columns
+    in ``hub_ids`` order: a step walks every hub's residual at once, one
+    row per slot (``_residual``).
 
-    A step searches only the residual rows that can give a run its
+    A step searches only the hubs whose residual can give a run its
     fix-length table keeps (``kernels.keepable_rows``, in ``_residual``):
     a kept run needs as many consecutive slots with a unit in their dwell
-    window as its start's entry, so a row without them is left out.
-    ``_select`` calls the search once for each row kept.
+    window as its start's entry, so a hub without them is left out.
+    ``_select`` calls the search once for each hub kept. The spans that
+    bound tests depend only on the table from the step's first slot on, so
+    the plan keeps them per table (``_spans``).
 
-    After its last step the plan replays its ``capacity`` rows, as lists,
+    After its last step the plan replays its ``capacity`` columns, as lists,
     against the actual arrivals once (``replay_execution``) and keeps the
     late-parcel count in ``late_parcels`` (None until then). The count
     reads only the arrivals, the capacity, ``dwell_h`` and ``work_rate``,
@@ -204,11 +207,17 @@ class RollingPlan:
         self.actual_matrix = np.array([cfg.actuals[h] for h in self.hub_ids], dtype=np.int64)
         # the forecast of each step, drawn in step order (``kept``)
         self._forecasts = self.forecasts()
-        self.capacity = np.zeros((len(self.hub_ids), self.n), dtype=np.int64)
+        self.capacity = np.zeros((self.n, len(self.hub_ids)), dtype=np.int64)
+        self._column = {h: i for i, h in enumerate(self.hub_ids)}
         # the FIFO walk's state (``kernels.fifo_match_units``), final before
         # ``settled_at``: capacity is final there and demand the actuals
         self.cleared = np.zeros_like(self.capacity)
         self.settled_at = 0
+        # each fix-length table's spans (``kernels.fix_spans``), keyed by
+        # the step's first slot and the table from it on
+        self._spans: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        # each start lead's fix length (``_fix_lengths``), 0 where the table ends
+        self._lengths: dict[float, int] = {}
         # the one-hub shifts of each planned step's kept runs
         self.steps: list[list[Shift]] = []
         self.late_parcels: int | None = None
@@ -238,14 +247,15 @@ class RollingPlan:
             now_h, full = next(self._forecasts)
             first_slot = math.ceil(now_h - 1e-9)
             need = self._fix_lengths(now_h, first_slot)
-            residual = self._residual(labor_demand(full, p.work_rate), first_slot, need)
+            demand = np.ascontiguousarray(labor_demand(full, p.work_rate).T)  # slot-major
+            residual = self._residual(demand, first_slot, need)
             kept = self._select(residual, first_slot, need)
-            if kept:  # a run adds one at its start and takes one off at its end: sum along the row
-                width = self.n + 1
-                row = {h: i * width for i, h in enumerate(self.hub_ids)}
-                change = np.bincount([row[h] + start for start, h, _ in kept], minlength=width * len(row))
-                change -= np.bincount([row[h] + end for _, h, end in kept], minlength=change.size)
-                self.capacity += change.reshape(-1, width)[:, :-1].cumsum(axis=1)
+            if kept:  # a run adds one at its start and takes one off at its end: sum down the column
+                hubs, column = len(self.hub_ids), self._column
+                size = (self.n + 1) * hubs
+                change = np.bincount([start * hubs + column[h] for start, h, _ in kept], minlength=size)
+                change -= np.bincount([end * hubs + column[h] for _, h, end in kept], minlength=size)
+                self.capacity += change.reshape(-1, hubs)[:-1].cumsum(axis=0)
             shifts = []
             last = None
             for run in kept:
@@ -258,7 +268,7 @@ class RollingPlan:
                 # the suspended generator's frame holds the plan: drop it, so
                 # a finished plan is freed by reference counting
                 self._forecasts = None
-                working = dict(zip(self.hub_ids, self.capacity.tolist()))
+                working = dict(zip(self.hub_ids, self.capacity.T.tolist()))
                 self.late_parcels = replay_execution(self.cfg.actuals, working, p.dwell_h, p.work_rate)
         return self.steps[k]
 
@@ -285,11 +295,11 @@ class RollingPlan:
             yield now_h, np.concatenate([actual[:, :first_slot].astype(np.float64), tail], axis=1)
 
     def _residual(self, demand: np.ndarray, first_slot: int, need: list[int]) -> dict[int, list[int]]:
-        """The FIFO residual of the ``(hubs, n)`` ``demand`` against the
-        capacity fixed so far (``kernels.fifo_match_units``), as
-        ``{hub: row}`` for the hubs whose row can give a run the fix-length
-        table ``need`` keeps (``kernels.keepable_rows``); the others can fix
-        no run. Only those rows are turned into lists.
+        """The FIFO residual of the slot-major ``(n, hubs)`` ``demand``
+        against the capacity fixed so far (``kernels.fifo_match_units``), as
+        ``{hub: row}`` for the hubs whose residual can give a run the
+        fix-length table ``need`` keeps (``kernels.keepable_rows``); the
+        others can fix no run. Only those columns are turned into lists.
 
         Every run fixed from now on starts at or after ``first_slot``, and
         the demand before it is the actual arrivals, so the walk's state
@@ -299,8 +309,12 @@ class RollingPlan:
         dwell = self.cfg.params.dwell_h
         rem = kernels.fifo_match_units(demand, self.capacity, dwell, self.settled_at, self.cleared)
         self.settled_at = first_slot
-        rows = np.flatnonzero(kernels.keepable_rows(rem, first_slot, need, dwell))
-        return dict(zip([self.hub_ids[i] for i in rows], rem[rows].tolist()))
+        key = (first_slot, *need[first_slot:])
+        spans = self._spans.get(key)
+        if spans is None:
+            spans = self._spans[key] = kernels.fix_spans(first_slot, need, self.n)
+        cols = np.flatnonzero(kernels.keepable_rows(rem, *spans, dwell))
+        return dict(zip([self.hub_ids[i] for i in cols], rem[:, cols].T.tolist()))
 
     def _fix_lengths(self, now_h: float, first_slot: int) -> list[int]:
         """The shortest run each start is fixed with at ``now_h``; a run
@@ -319,22 +333,34 @@ class RollingPlan:
         are those from the first one ``should_fix`` accepts, found by
         bisection. Both bounds are read off the very ``shift_value`` that
         decides the fix, so float rounding cannot disagree with them.
+
+        ``shift_value`` reads a start only through its lead ``start -
+        now_h``, so each entry is computed once per plan for that float
+        lead and kept (``_lengths``, 0 where the table ends); steps whose
+        leads repeat read it back.
         """
         p = self.cfg.params
         cap = p.max_work_h
         threshold = p.fix_threshold
         lengths = range(1, cap + 1)
+        memo = self._lengths
         edge = now_h + self.replan_h + 1e-9
         need = [0] * min(self.n, math.floor(edge) + 1)
         for start in range(len(need), self.n):
-            if not should_fix(shift_value(start, cap, 0, now_h, p), threshold):
+            lead = start - now_h
+            length = memo.get(lead)
+            if length is None:
+                length = 0  # the table ends here
+                if should_fix(shift_value(start, cap, 0, now_h, p), threshold):
+                    length = 1 + bisect_left(
+                        lengths,
+                        True,
+                        key=lambda hours: should_fix(shift_value(start, hours, 0, now_h, p), threshold),
+                    )
+                memo[lead] = length
+            if not length:
                 break
-            first = bisect_left(
-                lengths,
-                True,
-                key=lambda length: should_fix(shift_value(start, length, 0, now_h, p), threshold),
-            )
-            need.append(1 + first)
+            need.append(length)
         return need
 
     def _select(
@@ -448,7 +474,7 @@ class RollingEngine:
         lateness_penalty(late, ledger)
         series = {
             h: {"arrivals": self.cfg.actuals[h], "working": working, "resting": resting[h]}
-            for h, working in zip(self.hub_ids, self.plan.capacity.tolist())
+            for h, working in zip(self.hub_ids, self.plan.capacity.T.tolist())
         }
 
         return SimReport(

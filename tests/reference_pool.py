@@ -1,9 +1,11 @@
 """Linear-scan workforce pool: the reference the bucketed pool must match.
 
 One queue of pooled worker ids in release order; assignment takes the first
-worker whose hours still fit the cap, so every call scans the queue. It
-keeps its own hours per worker id, its own set of busy workers and their
-shift ends, so it stays independent of the pool under test.
+worker whose hours still fit the cap, so every call scans the queue. A
+worker released with its hours at the cap is counted as pooled but never
+queued: every shift works at least one hour, so it fits none. It keeps its
+own hours per worker id, its own set of busy workers and their shift ends,
+so it stays independent of the pool under test.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ class ScanPool:
         self.daily_cap_h = daily_cap_h
         self.hours_worked: list[float] = []  # per worker id
         self._queue: deque[int] = deque()  # pooled worker ids, longest idle first
+        self._spent = 0  # pooled workers whose hours reached the cap, not queued
         self.busy: set[int] = set()  # ids of the workers whose shift runs
         self.busy_until: dict[int, float] = {}  # worker id -> end of its last shift
 
@@ -57,7 +60,10 @@ class ScanPool:
         if now_h < self.busy_until[worker]:
             raise ValueError(f"worker {worker} is busy until h={self.busy_until[worker]}")
         self.busy.remove(worker)
-        self._queue.append(worker)
+        if self.hours_worked[worker] >= self.daily_cap_h:
+            self._spent += 1
+        else:
+            self._queue.append(worker)
 
     def release_finished(self, now_h: float) -> list[int]:
         done = sorted(wid for wid in self.busy if self.busy_until[wid] <= now_h)
@@ -67,7 +73,7 @@ class ScanPool:
 
     @property
     def pooled(self) -> int:
-        return len(self._queue)
+        return len(self._queue) + self._spent
 
     @property
     def hires(self) -> int:

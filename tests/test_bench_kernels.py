@@ -14,9 +14,10 @@ ROWS = [
     "within_hub_runs (dwell 3, gateway rows)",
     "merge_runs",
     "fifo_match_units",
-    "fifo_match_units (dwell 3, engine rows)",
+    "fifo_match_units (dwell 3, engine steps)",
     "fifo_match_units (dwell 3, resumed)",
-    "keepable_rows (dwell 3, engine rows)",
+    "fifo_match_units (dwell 3, capacity-free tail)",
+    "keepable_rows (dwell 3, engine steps)",
     "fifo_replay",
     "pool assign + simulate_hires (130 pooled)",
     "book 384 roster entries: Shift + assign + RosterEntry, then roster_tables",

@@ -117,9 +117,9 @@ def test_labor_demand_rejects_bad_rate():
 
 
 def fifo_match_units(demand, capacity, dwell):
-    """The FIFO residual kernel on one hub's row, walked from slot 0."""
-    cleared = np.zeros((1, len(demand)), np.int64)
-    return kernels.fifo_match_units(np.array([demand]), np.array([capacity]), dwell, 0, cleared)[0].tolist()
+    """The FIFO residual kernel on one hub's column, walked from slot 0."""
+    cleared = np.zeros((len(demand), 1), np.int64)
+    return kernels.fifo_match_units(np.array([demand]).T, np.array([capacity]).T, dwell, 0, cleared)[:, 0].tolist()
 
 
 def test_deduct_basic():
@@ -226,13 +226,13 @@ def test_fifo_match_units_resumed_from_a_settled_prefix_matches_the_full_walk():
         capacity = old_capacity[:split] + [
             c + int(v) for c, v in zip(old_capacity[split:], rng.integers(0, 4, n - split))
         ]
-        cleared = np.zeros((1, n), np.int64)
-        kernels.fifo_match_units(np.array([old_demand]), np.array([old_capacity]), dwell, 0, cleared)
-        settled = cleared[:, :split].copy()
-        rem = kernels.fifo_match_units(np.array([demand]), np.array([capacity]), dwell, split, cleared)[0].tolist()
+        cleared = np.zeros((n, 1), np.int64)
+        kernels.fifo_match_units(np.array([old_demand]).T, np.array([old_capacity]).T, dwell, 0, cleared)
+        settled = cleared[:split].copy()
+        rem = kernels.fifo_match_units(np.array([demand]).T, np.array([capacity]).T, dwell, split, cleared)
         full = reference_kernels.fifo_match_units(demand, capacity, dwell)
-        assert rem == full, (demand, capacity, dwell, split)
-        assert (cleared[:, :split] == settled).all()
+        assert rem[:, 0].tolist() == full, (demand, capacity, dwell, split)
+        assert (cleared[:split] == settled).all()
         splits["start" if split == 0 else "end" if split == n else "inside"] += 1
         partial += 0 < sum(rem) < sum(demand)
     assert min(splits.values()) > 200 and partial > 1000, (splits, partial)
@@ -241,30 +241,65 @@ def test_fifo_match_units_resumed_from_a_settled_prefix_matches_the_full_walk():
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.data())
 def test_fifo_match_units_rows_match_the_reference_fresh_and_resumed(data):
-    # every row of the matrix walk is the one-row reference walk, from slot
-    # 0 and resumed at a slot after an earlier walk whose demand and
-    # capacity agree with these before that slot
+    # every column of the slot-major matrix walk is the one-hub reference
+    # walk, from slot 0 and resumed at a slot after an earlier walk whose
+    # demand and capacity agree with these before that slot
     hubs = data.draw(st.integers(1, 8), label="hubs")
     n = data.draw(st.integers(1, 30), label="slots")
     dwell = data.draw(st.integers(0, 4), label="dwell")
     resume = data.draw(st.integers(0, n), label="resume")
-    cells = arrays(np.int64, (hubs, n), elements=st.integers(0, 6))
+    cells = arrays(np.int64, (n, hubs), elements=st.integers(0, 6))
     demand, capacity, old_demand, old_capacity = (data.draw(cells) for _ in range(4))
 
-    def reference(row):
-        return reference_kernels.fifo_match_units(demand[row].tolist(), capacity[row].tolist(), dwell)
+    def reference(h):
+        return reference_kernels.fifo_match_units(demand[:, h].tolist(), capacity[:, h].tolist(), dwell)
 
-    fresh = kernels.fifo_match_units(demand, capacity, dwell, 0, np.full((hubs, n), -1, np.int64))
-    assert [fresh[h].tolist() for h in range(hubs)] == [reference(h) for h in range(hubs)]
+    fresh = kernels.fifo_match_units(demand, capacity, dwell, 0, np.full((n, hubs), -1, np.int64))
+    assert [fresh[:, h].tolist() for h in range(hubs)] == [reference(h) for h in range(hubs)]
 
-    old_demand[:, :resume] = demand[:, :resume]
-    old_capacity[:, :resume] = capacity[:, :resume]
-    cleared = np.zeros((hubs, n), np.int64)
+    old_demand[:resume] = demand[:resume]
+    old_capacity[:resume] = capacity[:resume]
+    cleared = np.zeros((n, hubs), np.int64)
     kernels.fifo_match_units(old_demand, old_capacity, dwell, 0, cleared)
-    settled = cleared[:, :resume].copy()
+    settled = cleared[:resume].copy()
     resumed = kernels.fifo_match_units(demand, capacity, dwell, resume, cleared)
-    assert [resumed[h].tolist() for h in range(hubs)] == [reference(h) for h in range(hubs)]
-    assert (cleared[:, :resume] == settled).all()
+    assert [resumed[:, h].tolist() for h in range(hubs)] == [reference(h) for h in range(hubs)]
+    assert (cleared[:resume] == settled).all()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_fifo_match_units_capacity_free_tail_matches_the_reference(data):
+    # past the last slot with capacity the walk fills every row in one call
+    # (``cleared[t] = max(cleared[T - 1], expired[t])``): capacity zero from
+    # a drawn slot on, one-slot horizons, dwell windows reaching past the
+    # horizon, and walks resumed before, at or past the last staffed slot
+    # of the earlier walk and of this one, whose state the tail wrote
+    hubs = data.draw(st.integers(1, 6), label="hubs")
+    n = data.draw(st.sampled_from([1, 2, 5, 24]), label="slots")
+    dwell = data.draw(st.integers(0, n + 2), label="dwell")
+    cells = arrays(np.int64, (n, hubs), elements=st.integers(0, 6))
+    demand, capacity, old_demand, old_capacity = (data.draw(cells) for _ in range(4))
+    free_from = data.draw(st.integers(0, n), label="capacity-free from")
+    capacity[free_from:] = 0
+    old_capacity[data.draw(st.integers(0, n), label="earlier walk capacity-free from") :] = 0
+    resume = data.draw(st.one_of(st.integers(0, n), st.integers(free_from, n)), label="resume")
+
+    def reference(h):
+        return reference_kernels.fifo_match_units(demand[:, h].tolist(), capacity[:, h].tolist(), dwell)
+
+    expected = [reference(h) for h in range(hubs)]
+    fresh = kernels.fifo_match_units(demand, capacity, dwell, 0, np.full((n, hubs), -1, np.int64))
+    assert [fresh[:, h].tolist() for h in range(hubs)] == expected
+
+    old_demand[:resume] = demand[:resume]
+    old_capacity[:resume] = capacity[:resume]
+    cleared = np.zeros((n, hubs), np.int64)
+    kernels.fifo_match_units(old_demand, old_capacity, dwell, 0, cleared)
+    settled = cleared[:resume].copy()
+    resumed = kernels.fifo_match_units(demand, capacity, dwell, resume, cleared)
+    assert [resumed[:, h].tolist() for h in range(hubs)] == expected
+    assert (cleared[:resume] == settled).all()
 
 
 def _keepable_row(row, first_slot, need, dwell):
@@ -290,7 +325,7 @@ def _kept_runs(row, dwell, max_run, first_slot, need):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(st.data())
 def test_keepable_rows_rules_out_only_rows_that_keep_no_run(data):
-    # the matrix bound equals the row-by-row loop, and a row it rules out
+    # the matrix bound equals the hub-by-hub loop, and a hub it rules out
     # gives no run a fresh search keeps, whatever the search's run cap
     hubs = data.draw(st.integers(1, 6), label="hubs")
     n = data.draw(st.integers(1, 30), label="slots")
@@ -300,10 +335,10 @@ def test_keepable_rows_rules_out_only_rows_that_keep_no_run(data):
     stop = data.draw(st.integers(0, n), label="stop")
     need = data.draw(st.lists(st.integers(0, 10), min_size=stop, max_size=stop), label="need")
     # mostly empty slots, so rows with and without a kept run both occur
-    residual = data.draw(arrays(np.int64, (hubs, n), elements=st.sampled_from([0, 0, 0, 1, 2, 5])))
+    residual = data.draw(arrays(np.int64, (n, hubs), elements=st.sampled_from([0, 0, 0, 1, 2, 5])))
 
-    got = kernels.keepable_rows(residual, first_slot, need, dwell)
-    rows = residual.tolist()
+    got = kernels.keepable_rows(residual, *kernels.fix_spans(first_slot, need, n), dwell)
+    rows = residual.T.tolist()
     assert got.tolist() == [_keepable_row(row, first_slot, need, dwell) for row in rows]
     for row, keepable in zip(rows, got):
         if not keepable:
@@ -317,7 +352,8 @@ def test_keepable_rows_bound_is_tight():
     row = [0, 0, 1, 1, 1, 0, 0, 0]
     for need_2, keepable, kept in ((3, True, [(2, 5)]), (4, False, [])):
         need = [9, 9, need_2, 9, 9, 9]
-        assert kernels.keepable_rows(np.array([row], np.int64), 0, need, 0).tolist() == [keepable]
+        spans = kernels.fix_spans(0, need, len(row))
+        assert kernels.keepable_rows(np.array([row], np.int64).T, *spans, 0).tolist() == [keepable]
         assert _kept_runs(row, 0, 8, 0, need) == kept
 
 

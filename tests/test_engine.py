@@ -520,6 +520,49 @@ def test_fix_lengths_keep_exactly_the_runs_whose_value_reaches_the_threshold():
     assert boundary > 100 and unfixable > 200, (boundary, unfixable)
 
 
+@pytest.mark.parametrize("replan_min", [7, 15, 45])
+def test_fix_lengths_read_back_from_the_lead_memo_equal_a_fresh_plans(monkeypatch, replan_min):
+    # a plan values each start lead once and reads the entry back at later
+    # steps (``_lengths``); at every step of the day its table equals the
+    # one a plan with an empty memo builds. At 7 min the step times, and so
+    # the leads, are inexact floats
+    real = engine_module.shift_value
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(engine_module, "shift_value", counting)
+    rng = np.random.default_rng(29)
+    memo_calls = fresh_calls = 0
+    for case in range(12):
+        horizon = int(rng.integers(12, 37))
+        raw = rng.random(3) + 0.01
+        urgency, utilization, continuity = (float(v) for v in raw / raw.sum())
+        lead = float(rng.uniform(0.5, 6.0))
+        params = ScenarioParams(horizon_h=horizon, max_work_h=int(rng.integers(1, 9)), replan_min=replan_min)
+        params = with_weights(params, urgency, utilization, continuity, lead, 0.5)
+        if case % 2:  # the value of a drawn run at hour 0
+            start, length = int(rng.integers(1, horizon)), int(rng.integers(1, params.max_work_h + 1))
+            threshold = min(1.0, shift_value(start, length, 0, 0.0, params))
+        else:
+            threshold = float(rng.uniform(0.5, 1.0))
+        params = dataclasses.replace(params, fix_threshold=threshold)
+        cfg = ScenarioConfig(1, _net(1), {0: [0] * horizon}, params, "perfect")
+        plan = RollingPlan(cfg)
+        for now_h in plan.times:
+            first_slot = math.ceil(now_h - 1e-9)
+            before = calls
+            need = plan._fix_lengths(now_h, first_slot)
+            memo_calls += calls - before
+            before = calls
+            assert need == RollingPlan(cfg)._fix_lengths(now_h, first_slot), (case, now_h)
+            fresh_calls += calls - before
+    assert memo_calls < fresh_calls, (memo_calls, fresh_calls)
+
+
 def _outputs(report):
     """What a day reports."""
     roster = [
@@ -807,7 +850,7 @@ def test_a_plan_replays_its_capacity_once_for_every_engine(monkeypatch):
             reports = [run_scenario(cfg, plan) for cfg in group]
             assert replays == 1, i
             p = group[0].params
-            late = real(arrivals, dict(zip(plan.hub_ids, plan.capacity.tolist())), p.dwell_h, p.work_rate)
+            late = real(arrivals, dict(zip(plan.hub_ids, plan.capacity.T.tolist())), p.dwell_h, p.work_rate)
             assert plan.late_parcels == late, i
             for report in reports:
                 assert report.late_parcels == late, (i, report.label)

@@ -105,21 +105,28 @@ def test_replan15_scenario_1_searches_once_per_row_the_bound_keeps(monkeypatch):
         params_from_config(cfg, cfg["seed"]),
     )
     plan = engine_module.RollingPlan(sc)
-    select = plan._select
+    select, fix_lengths = plan._select, plan._fix_lengths
     keepable = engine_module.kernels.keepable_rows
-    rows = held = 0
+    rows = held = stop = 0
 
     def counting_rows(residual, *args):
         nonlocal rows
         rows += len(residual)
         return select(residual, *args)
 
-    def counting_held(rem, first_slot, need, dwell):
+    def recording_stop(*args):
+        nonlocal stop
+        need = fix_lengths(*args)
+        stop = len(need)
+        return need
+
+    def counting_held(rem, starts, ends, dwell):
         nonlocal held
-        held += int(rem[:, : len(need)].any(axis=1).sum())
-        return keepable(rem, first_slot, need, dwell)
+        held += int(rem[:stop].any(axis=0).sum())
+        return keepable(rem, starts, ends, dwell)
 
     monkeypatch.setattr(plan, "_select", counting_rows)
+    monkeypatch.setattr(plan, "_fix_lengths", recording_stop)
     monkeypatch.setattr(engine_module.kernels, "keepable_rows", counting_held)
     engine_module.run_scenario(sc, plan)
     assert (count[0], rows, held) == (419, 419, 1844)

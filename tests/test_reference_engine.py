@@ -25,7 +25,7 @@ from hubroster import cli
 from hubroster.config import ScenarioParams, load_config, params_from_config
 from hubroster.demand import read_arrivals_csv, write_arrivals_csv
 from hubroster.engine import ScenarioConfig, run_scenario
-from hubroster.network import load_network, random_network, save_network
+from hubroster.network import Hub, HubNetwork, load_network, random_network, save_network
 from hubroster.shifts import WORKING, Segment, Shift
 import reference_engine
 from reference_selection import shift_value, with_weights
@@ -56,6 +56,23 @@ def test_the_engine_equals_the_reference_engine_on_the_paper_day():
     # the other two golden instances take about 4 s more of the reference's
     # time: running this file checks all three
     _check_golden_days("paper52")
+
+
+def test_a_one_hire_budget_merges_a_pair():
+    # hour 0 fixes hub 0's run [0, 2) with a hire; at hour 3 that worker is
+    # pooled and the step fixes [4, 5) at hub 0 and [6, 8) at hub 1, one
+    # run more than the pool holds workers: the hire budget is one, and the
+    # pair merges into one shift for the pooled worker. Threshold 1 with a
+    # half-hour target lead fixes only the runs that start by the next step
+    net = HubNetwork([Hub(0, "a", 0.0, 0.0, "local"), Hub(1, "b", 1000.0, 0.0, "local")], 3000.0, 15000.0)
+    arrivals = {0: [100, 100, 0, 0, 100] + [0] * 7, 1: [0] * 6 + [100, 100] + [0] * 4}
+    params = with_weights(ScenarioParams(horizon_h=12, dwell_h=0, replan_min=180), 0.4, 0.3, 0.3, 0.5, 1.0)
+    cfg = ScenarioConfig(1, net, arrivals, params, "perfect")
+    report = run_scenario(cfg)
+    assert reference_engine.day_of(report) == reference_engine.run(cfg)
+    entries = [(e.shift.start_h, e.shift.end_h, e.worker_id, e.fixed_at_h, e.is_new_hire) for e in report.roster]
+    assert entries == [(0, 2, 0, 0.0, True), (4, 8, 0, 3.0, False)]
+    assert report.merged_shift_count == 1 and report.hires == 1
 
 
 @st.composite

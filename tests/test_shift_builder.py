@@ -29,9 +29,9 @@ def _runs(x, dwell):
 
 
 def _residual(x, cap, dwell):
-    """The FIFO residual kernel on one hub's row, walked from slot 0."""
-    cleared = np.zeros((1, len(x)), np.int64)
-    return kernels.fifo_match_units(np.array([x]), np.array([cap]), dwell, 0, cleared)[0].tolist()
+    """The FIFO residual kernel on one hub's column, walked from slot 0."""
+    cleared = np.zeros((len(x), 1), np.int64)
+    return kernels.fifo_match_units(np.array([x]).T, np.array([cap]).T, dwell, 0, cleared)[:, 0].tolist()
 
 
 def _merge(runs_by_hub, pairs):
