@@ -13,8 +13,9 @@ replan step: from slot 0, with capacity zero ahead of the slots fixed so
 far; resumed from a settled slot; and resumed at a slot past the last one
 with capacity, where the whole walk is the one-call capacity-free tail.
 ``keepable_rows`` bounds the residual matrices of that from-slot-0 walk
-with the spans of each step's fix-length table under the default
-parameters.
+with each step's fix-length table under the default parameters, building
+the table's spans on every call as the engine does. ``merge_runs`` is
+capped at the run count, which no merge count reaches.
 End-to-end timings of the ``hubroster`` command line come from
 ``perfbench/run.py``:
 
@@ -55,9 +56,11 @@ def bench_within_hub(rows, dwell, stop=None):
 
 
 def bench_merge(runs_by_hub, pairs):
+    cap = sum(map(len, runs_by_hub))
+
     def run():
         for _ in range(50):
-            kernels.merge_runs([list(r) for r in runs_by_hub], pairs, 8, 2, -1)
+            kernels.merge_runs([list(r) for r in runs_by_hub], pairs, 8, 2, cap)
 
     return run
 
@@ -76,13 +79,13 @@ def bench_match(demand_mats, cap_mats, dwell=1, starts=None, cleared_mats=None):
     return run
 
 
-def bench_keepable(residual_mats, spans, dwell=3):
-    """Bound each slot-major ``(n, hubs)`` residual matrix with the spans
-    ``spans[i]`` of a fix-length table (``kernels.fix_spans``)."""
+def bench_keepable(residual_mats, starts, tables, dwell=3):
+    """Bound each slot-major ``(n, hubs)`` residual matrix with the
+    fix-length table ``tables[i]`` from slot ``starts[i]`` on."""
 
     def run():
-        for residual, (starts, ends) in zip(residual_mats, spans):
-            kernels.keepable_rows(residual, starts, ends, dwell)
+        for residual, first_slot, need in zip(residual_mats, starts, tables):
+            kernels.keepable_rows(residual, first_slot, need, dwell)
 
     return run
 
@@ -188,10 +191,10 @@ def main():
         kernels.fifo_match_units(demand, cap, 3, 0, np.zeros_like(demand))
         for demand, cap in zip(demand_mats, engine_cap_mats)
     ]
-    # the spans of each step's fix-length table, as the engine builds it (1 h replan)
+    # each step's fix-length table, as the engine builds it (1 h replan)
     net = random_network(n_hubs=1, n_gateways=1)
     plan = RollingPlan(ScenarioConfig(1, net, {h: [0] * 24 for h in net.hub_ids}, params))
-    spans = [kernels.fix_spans(at, plan._fix_lengths(at, at), 24) for at in starts]
+    tables = [plan._fix_lengths(at, at) for at in starts]
 
     n_workers = 130 if args.quick else 1300
     batches = [
@@ -213,7 +216,7 @@ def main():
         "within_hub_runs (dwell 3)": _time(bench_within_hub(rows, 3)),
         "within_hub_runs (dwell 3, stop)": _time(bench_within_hub(rows, 3, stop)),
         "within_hub_runs (dwell 3, gateway rows)": _time(bench_within_hub(gateway_rows, 3)),
-        "merge_runs": _time(bench_merge(runs_by_hub, pairs)),
+        "merge_runs (capped at the run count)": _time(bench_merge(runs_by_hub, pairs)),
         "fifo_match_units": _time(bench_match(demand_mats, cap_mats)),
         "fifo_match_units (dwell 3, engine steps)": _time(bench_match(demand_mats, engine_cap_mats, 3)),
         "fifo_match_units (dwell 3, resumed)": _time(
@@ -222,7 +225,9 @@ def main():
         "fifo_match_units (dwell 3, capacity-free tail)": _time(
             bench_match(demand_mats, engine_cap_mats, 3, starts, tail_cleared_mats)
         ),
-        "keepable_rows (dwell 3, engine steps)": _time(bench_keepable(residual_mats, spans)),
+        "keepable_rows (dwell 3, engine steps, spans built)": _time(
+            bench_keepable(residual_mats, starts, tables)
+        ),
         "fifo_replay": _time(bench_replay(arrival_rows, cap_rows)),
         f"pool assign + simulate_hires ({n_workers} pooled)": _time(bench_pool(n_workers, batches)),
         f"book {24 * per_step} roster entries: Shift + assign + RosterEntry, then roster_tables": _time(

@@ -173,7 +173,7 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
     return runs, avail, dropped
 
 
-def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
+def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges):
     """Greedy cross-hub merge over distance-ordered pairs.
 
     ``runs_by_hub`` holds each hub's non-empty runs sorted by start.
@@ -181,8 +181,8 @@ def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
     sorted ascending by distance and pre-filtered to pairs whose moving
     payment undercuts a fresh hire. For each pair, feasible run combinations
     (no overlap, travel time <= gap <= max_gap, summed hours <= max_work)
-    are merged earliest-start-first; each run merges at most once. A
-    non-negative ``max_merges`` caps the number of merges performed.
+    are merged earliest-start-first; each run merges at most once, and at
+    most ``max_merges`` (a non-negative int) merges are performed.
 
     Both orders of a pair, a then b and b then a, are one search: each
     unused first run ``(s1, e1)`` looks only at the second hub's runs that
@@ -214,7 +214,7 @@ def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
     starts = [[s for s, _e in runs] for runs in runs_by_hub]
     merges = []
     for p_idx, (ia, ib, travel_h) in enumerate(pairs):
-        if max_merges >= 0 and len(merges) >= max_merges:
+        if len(merges) >= max_merges:
             break
         lead = math.ceil(travel_h) if travel_h > 0 else 0  # fewest whole slots of gap
         combos = []
@@ -239,7 +239,7 @@ def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
         used_a = used[ia]
         used_b = used[ib]
         for _s1, _s2, _e1, _e2, side, i, j in combos:
-            if max_merges >= 0 and len(merges) >= max_merges:
+            if len(merges) >= max_merges:
                 break
             if used_a[i] or used_b[j]:
                 continue
@@ -312,23 +312,11 @@ def fifo_match_units(demand, capacity, dwell, start, cleared):
     return np.maximum(left, 0, out=left)
 
 
-def fix_spans(first_slot, need, n):
-    """The slot spans ``keepable_rows`` tests for a fix-length table
-    ``need`` over ``n`` slots: ``(starts, ends)`` index arrays, one entry
-    per start ``t0`` in ``[first_slot, len(need))`` whose shortest kept run
-    ``[t0, t0 + max(1, need[t0]))`` lies inside the horizon."""
-    starts = np.arange(first_slot, len(need))
-    ends = starts + np.maximum(np.asarray(need[first_slot:], dtype=np.int64), 1)
-    fits = ends <= n
-    return starts[fits], ends[fits]
-
-
-def keepable_rows(residual, starts, ends, dwell):
+def keepable_rows(residual, first_slot, need, dwell):
     """Which hubs of a slot-major ``(n, hubs)`` residual matrix can still
-    give a kept run: a bound on ``within_hub_runs`` and a fix-length table,
-    for every hub at once. ``starts`` and ``ends`` are the spans of a
-    fix-length table ``need`` from the step's ``first_slot`` on
-    (``fix_spans``).
+    give a kept run: a bound on ``within_hub_runs`` and the step's
+    fix-length table ``need`` (``RollingPlan._fix_lengths``), for every hub
+    at once.
 
     A run kept from a hub's residual starts at some ``t0`` in
     ``[first_slot, len(need))`` and lasts at least ``m = max(1, need[t0])``
@@ -352,9 +340,16 @@ def keepable_rows(residual, starts, ends, dwell):
     column rose since the slot before the window. With ``gaps`` counting
     the uncovered slots before each slot, the slots ``[t0, t0 + m)`` are
     all covered when ``gaps[t0 + m] == gaps[t0]``: one row lookup per span.
+    The spans are listed from plain ints, as the table is short.
     Returns a boolean array, one entry per hub.
     """
     n, hubs = residual.shape
+    starts, ends = [], []
+    for t0 in range(first_slot, len(need)):
+        end = t0 + max(1, need[t0])
+        if end <= n:
+            starts.append(t0)
+            ends.append(end)
     # the running sums after ``lag`` rows of zeros: row ``t + lag`` holds
     # the units up to origin ``t``, row ``t`` those before ``t - dwell``
     lag = min(dwell + 1, n)

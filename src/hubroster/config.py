@@ -74,6 +74,10 @@ class ScenarioParams:
             raise ValueError(f"max_gap_h must be >= 0, got {self.max_gap_h}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # the config file's rule for each value, after the range checks so
+        # that a NaN weight or lead is still named by its range
+        for f in fields(self):
+            check_number(f.name, getattr(self, f.name), isinstance(f.default, int))
 
     @property
     def replan_h(self) -> float:

@@ -184,9 +184,7 @@ class RollingPlan:
     fix-length table keeps (``kernels.keepable_rows``, in ``_residual``):
     a kept run needs as many consecutive slots with a unit in their dwell
     window as its start's entry, so a hub without them is left out.
-    ``_select`` calls the search once for each hub kept. The spans that
-    bound tests depend only on the table from the step's first slot on, so
-    the plan keeps them per table (``_spans``).
+    ``_select`` calls the search once for each hub kept.
 
     After its last step the plan replays its ``capacity`` columns, as lists,
     against the actual arrivals once (``replay_execution``) and keeps the
@@ -213,9 +211,6 @@ class RollingPlan:
         # ``settled_at``: capacity is final there and demand the actuals
         self.cleared = np.zeros_like(self.capacity)
         self.settled_at = 0
-        # each fix-length table's spans (``kernels.fix_spans``), keyed by
-        # the step's first slot and the table from it on
-        self._spans: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         # each start lead's fix length (``_fix_lengths``), 0 where the table ends
         self._lengths: dict[float, int] = {}
         # the one-hub shifts of each planned step's kept runs
@@ -309,11 +304,7 @@ class RollingPlan:
         dwell = self.cfg.params.dwell_h
         rem = kernels.fifo_match_units(demand, self.capacity, dwell, self.settled_at, self.cleared)
         self.settled_at = first_slot
-        key = (first_slot, *need[first_slot:])
-        spans = self._spans.get(key)
-        if spans is None:
-            spans = self._spans[key] = kernels.fix_spans(first_slot, need, self.n)
-        cols = np.flatnonzero(kernels.keepable_rows(rem, *spans, dwell))
+        cols = np.flatnonzero(kernels.keepable_rows(rem, first_slot, need, dwell))
         return dict(zip([self.hub_ids[i] for i in cols], rem[:, cols].T.tolist()))
 
     def _fix_lengths(self, now_h: float, first_slot: int) -> list[int]:
@@ -422,25 +413,20 @@ class RollingEngine:
 
         Runs merge across hubs only among themselves, capped by the number
         of fresh hires they would otherwise require -- so every merge stands
-        in for a hire, never for a free pool reuse. Only a run shorter than
-        ``max_work_h`` can merge (``merge_across_hubs``), so unless an
-        eligible pair has such a run at both hubs the hire budget is not
-        even counted. ``merge_across_hubs`` builds a ``Shift`` only for each
-        merged pair; every other run is fixed as the plan's own ``Shift``,
-        and a step that merges nothing fixes the plan's list itself.
+        in for a hire, never for a free pool reuse. Without moving pairs
+        (scenario 2) the budget is not counted, and with no hire to save
+        the merge is not called. ``merge_across_hubs`` decides which runs
+        can merge and builds a ``Shift`` only for each merged pair; every
+        other run is fixed as the plan's own ``Shift``, and a step that
+        merges nothing fixes the plan's list itself.
         """
         if not self.pairs:
-            return kept
-        p = self.cfg.params
-        max_work = p.max_work_h
-        short = {x.segments[0].hub_id for x in kept if x.working_h < max_work}
-        pairs = [pair for pair in self.pairs if pair.hub_a in short and pair.hub_b in short]
-        if not pairs:
             return kept
         budget = self.pool.simulate_hires([x.working_h for x in kept])
         if not budget:
             return kept
-        return merge_across_hubs(kept, pairs, max_work, p.max_gap_h, budget)
+        p = self.cfg.params
+        return merge_across_hubs(kept, self.pairs, p.max_work_h, p.max_gap_h, budget)
 
     def step(self) -> int:
         """The next replan pass, at the plan's next step time; returns the

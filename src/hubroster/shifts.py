@@ -10,9 +10,7 @@ destination hub.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from . import _kernels as kernels
 from .network import MovingPair
@@ -114,7 +112,7 @@ def merge_across_hubs(
     pairs: list[MovingPair],
     max_work_h: int,
     max_gap_h: int,
-    max_merges: int = -1,
+    max_merges: int,
 ) -> list[Shift]:
     """Greedily merge one-hub working shifts across nearby hub pairs.
 
@@ -127,24 +125,25 @@ def merge_across_hubs(
     working hours stay within ``max_work_h`` (``kernels.merge_runs``). The
     earlier one is worked first; travel occupies whole slots right after it
     and any remaining gap becomes rest at the destination hub. Each shift
-    merges at most once; a non-negative ``max_merges`` caps how many merges
-    are performed.
+    merges at most once, and at most ``max_merges`` (a non-negative int)
+    merges are performed.
 
-    Only shifts shorter than ``max_work_h`` reach the kernel, and only pairs
-    with such a shift at both hubs. This is exact: the kernel skips a run
-    whose ``room`` (``max_work_h`` less its hours) is below 1, and a partner
-    must fit in ``room``, so only short runs ever combine. Leaving the
-    others out keeps each hub's runs in their order, so the kernel's
-    ``(..., i, j)`` combo keys sort as they would over every run, and a
-    pair with no short shift at one hub merges nothing.
+    This is the one place that decides which shifts can merge: only shifts
+    shorter than ``max_work_h`` reach the kernel, and only pairs with such
+    a shift at both hubs. This is exact: the kernel skips a run whose
+    ``room`` (``max_work_h`` less its hours) is below 1, and a partner must
+    fit in ``room``, so only short runs ever combine. Leaving the others
+    out keeps each hub's runs in their order, so the kernel's ``(..., i,
+    j)`` combo keys sort as they would over every run, and a pair with no
+    short shift at one hub merges nothing.
 
     A new ``Shift`` is built only for each merged pair, from the working
     segments of its two inputs; every untouched input shift is returned as
     the same object, and when nothing merges ``shifts`` itself is returned.
-    The output is ordered by (start, first hub, end); on a tie merged shifts
-    come first, in merge order, then untouched shifts in input order. So
-    each merged shift goes in before the first input shift not below its
-    key, found by bisecting ``shifts``.
+    The output is the merged shifts in merge order, then the untouched ones
+    in input order, sorted once, stably, by (start, first hub, end): on a
+    tie merged shifts come first, in merge order, then untouched shifts in
+    input order.
     """
     short: dict[int, list[int]] = {}  # hub -> indices into shifts of its short ones
     for k, shift in enumerate(shifts):
@@ -165,14 +164,13 @@ def merge_across_hubs(
     if not merges:
         return shifts
 
-    # (position in shifts, 0 to insert the merged shift before it or 1 to
-    # drop the shift there, merged key, shift); the stable sort keeps merge
-    # order among equal keys
-    edits = []
+    out = []
+    taken = set()
     for p_idx, i, j, a_first in merges:
         pair = pairs[p_idx]
         ka = index[pos[pair.hub_a]][i]
         kb = index[pos[pair.hub_b]][j]
+        taken.update((ka, kb))
         first, second = (shifts[ka], shifts[kb]) if a_first else (shifts[kb], shifts[ka])
         e1, s2 = first.end_h, second.start_h
         h2 = second.segments[0].hub_id
@@ -183,20 +181,7 @@ def merge_across_hubs(
         if cursor < s2:
             segs.append(Segment(h2, cursor, s2, RESTING))
         segs += second.segments
-        key = (first.start_h, first.segments[0].hub_id, second.end_h)
-        edits.append((bisect_left(shifts, key, key=_run_key), 0, key, Shift(segs, move_distance_m=pair.distance_m)))
-        edits.append((ka, 1, (), None))
-        edits.append((kb, 1, (), None))
-    edits.sort(key=itemgetter(0, 1, 2))
-
-    out = []
-    done = 0
-    for k, drop, _key, shift in edits:
-        out += shifts[done:k]
-        if drop:
-            done = k + 1
-        else:
-            out.append(shift)
-            done = k
-    out += shifts[done:]
+        out.append(Shift(segs, move_distance_m=pair.distance_m))
+    out += [shift for k, shift in enumerate(shifts) if k not in taken]
+    out.sort(key=_run_key)
     return out

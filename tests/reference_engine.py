@@ -10,9 +10,9 @@ residual (``reference_selection.select``), merges the kept shifts over every
 moving pair, capped by the hires a linear-scan pool would need
 (``reference_merge.merge_across_hubs``, ``ScanPool.simulate_hires``), and
 assigns that pool's workers. None of the engine's exact shortcuts is here:
-no ``stop`` cut, no ``keepable_rows`` bound, no resumed walk, no short-run
-merge filter and no skipped hire budget. The late count, the series and the
-flows come from loops of its own.
+no ``stop`` cut, no ``keepable_rows`` bound, no resumed walk and no
+short-run merge filter. The late count, the series and the flows come from
+loops of its own.
 """
 
 from __future__ import annotations

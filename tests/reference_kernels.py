@@ -108,11 +108,11 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
     return runs, served_list, dropped
 
 
-def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
+def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges):
     used = [[False] * len(r) for r in runs_by_hub]
     merges = []
     for p_idx, (ia, ib, travel_h) in enumerate(pairs):
-        if max_merges >= 0 and len(merges) >= max_merges:
+        if len(merges) >= max_merges:
             break
         runs_a = runs_by_hub[ia]
         runs_b = runs_by_hub[ib]
@@ -142,7 +142,7 @@ def merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges=-1):
                 combos.append((key, i, j, a_first))
         combos.sort()
         for _key, i, j, a_first in combos:
-            if max_merges >= 0 and len(merges) >= max_merges:
+            if len(merges) >= max_merges:
                 break
             if used[ia][i] or used[ib][j]:
                 continue

@@ -21,7 +21,7 @@ def sort_key(shift):
 
 
 def merge_across_hubs(
-    per_hub_shifts, pairs, max_work_h, max_gap_h, hiring_cost, moving_cost_fn, max_merges=-1
+    per_hub_shifts, pairs, max_work_h, max_gap_h, hiring_cost, moving_cost_fn, max_merges
 ):
     hub_ids = sorted(per_hub_shifts)
     runs_by_hub = []

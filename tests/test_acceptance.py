@@ -298,8 +298,9 @@ def test_criterion_06_small_instance_oracle():
                 (s, h, e) for h, x in ((0, xa), (1, xb)) for s, e in combine_within_hub_detail(x, dwell, RHO)[0]
             )
             shifts = [Shift([Segment(h, s, e, "working")]) for s, h, e in runs]
-            # both hubs 2000 m apart: a 10-Yuan move under the 50-Yuan hire
-            out = merge_across_hubs(shifts, pairs, RHO, MAX_GAP)
+            # both hubs 2000 m apart: a 10-Yuan move under the 50-Yuan hire;
+            # no merge count reaches the shift count
+            out = merge_across_hubs(shifts, pairs, RHO, MAX_GAP, len(shifts))
             assert sum(s.working_h for s in out) == sum(xa) + sum(xb)
             best = min_workers_two_hub(xa, xb, dwell, RHO, travel, MAX_GAP, True)
             assert len(out) >= best, (xa, xb, len(out), best)

@@ -12,12 +12,12 @@ ROWS = [
     "within_hub_runs (dwell 3)",
     "within_hub_runs (dwell 3, stop)",
     "within_hub_runs (dwell 3, gateway rows)",
-    "merge_runs",
+    "merge_runs (capped at the run count)",
     "fifo_match_units",
     "fifo_match_units (dwell 3, engine steps)",
     "fifo_match_units (dwell 3, resumed)",
     "fifo_match_units (dwell 3, capacity-free tail)",
-    "keepable_rows (dwell 3, engine steps)",
+    "keepable_rows (dwell 3, engine steps, spans built)",
     "fifo_replay",
     "pool assign + simulate_hires (130 pooled)",
     "book 384 roster entries: Shift + assign + RosterEntry, then roster_tables",

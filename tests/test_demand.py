@@ -337,7 +337,7 @@ def test_keepable_rows_rules_out_only_rows_that_keep_no_run(data):
     # mostly empty slots, so rows with and without a kept run both occur
     residual = data.draw(arrays(np.int64, (n, hubs), elements=st.sampled_from([0, 0, 0, 1, 2, 5])))
 
-    got = kernels.keepable_rows(residual, *kernels.fix_spans(first_slot, need, n), dwell)
+    got = kernels.keepable_rows(residual, first_slot, need, dwell)
     rows = residual.T.tolist()
     assert got.tolist() == [_keepable_row(row, first_slot, need, dwell) for row in rows]
     for row, keepable in zip(rows, got):
@@ -352,8 +352,7 @@ def test_keepable_rows_bound_is_tight():
     row = [0, 0, 1, 1, 1, 0, 0, 0]
     for need_2, keepable, kept in ((3, True, [(2, 5)]), (4, False, [])):
         need = [9, 9, need_2, 9, 9, 9]
-        spans = kernels.fix_spans(0, need, len(row))
-        assert kernels.keepable_rows(np.array([row], np.int64).T, *spans, 0).tolist() == [keepable]
+        assert kernels.keepable_rows(np.array([row], np.int64).T, 0, need, 0).tolist() == [keepable]
         assert _kept_runs(row, 0, 8, 0, need) == kept
 
 

@@ -256,8 +256,24 @@ def test_engine_refuses_an_arrival_count_that_is_negative_or_not_an_integer():
         ({"replan_min": 0}, "replan_min must be positive, got 0"),
         ({"horizon_h": 0}, "horizon_h must be >= 1, got 0"),
         ({"max_gap_h": -1}, "max_gap_h must be >= 0, got -1"),
+        # the config file's number rule (``check_number``): these three
+        # used to fail with a TypeError deep inside the plan
+        ({"max_work_h": 2.5}, "max_work_h must be an integer, got 2.5"),
+        ({"dwell_h": 1.5}, "dwell_h must be an integer, got 1.5"),
+        ({"horizon_h": 24.0}, "horizon_h must be an integer, got 24.0"),
+        # these three used to run
+        ({"max_gap_h": 1.5}, "max_gap_h must be an integer, got 1.5"),
+        ({"replan_min": 30.5}, "replan_min must be an integer, got 30.5"),
+        ({"work_rate": 150.5}, "work_rate must be an integer, got 150.5"),
+        # a bool is an int to Python: this one used to run as a 1 h cap
+        ({"max_work_h": True}, "max_work_h must be an integer, got true"),
+        ({"fix_lead_h": math.inf}, "fix_lead_h must be finite, got Infinity"),
     ],
-    ids=["dwell", "max-work", "work-rate", "replan", "horizon", "max-gap"],
+    ids=[
+        "dwell", "max-work", "work-rate", "replan", "horizon", "max-gap",
+        "max-work-float", "dwell-float", "horizon-float", "max-gap-float",
+        "replan-float", "work-rate-float", "max-work-bool", "fix-lead-infinite",
+    ],
 )
 def test_scenario_params_reject_out_of_range(overrides, message):
     with pytest.raises(ValueError, match=message):
@@ -391,7 +407,7 @@ def test_merge_returns_untouched_shifts_by_identity_in_order():
         p = engine.cfg.params
         shifts = _plan_shifts(kept)
         by_hub = {h: [x for x in shifts if x.segments[0].hub_id == h] for h in engine.hub_ids}
-        budget = int(rng.choice([-1, 0, 1, 3, 100]))
+        budget = int(rng.choice([len(shifts), 0, 1, 3, 100]))  # len(shifts): no cap binds
         got = merge_across_hubs(shifts, engine.pairs, p.max_work_h, p.max_gap_h, budget)
         expected = reference_merge.merge_across_hubs(
             by_hub,
@@ -428,12 +444,13 @@ def test_merge_returns_untouched_shifts_by_identity_in_order():
     assert min(seen.values()) > 20, seen
 
 
-def test_fixed_shifts_skip_the_budget_and_the_kernel_when_nothing_can_merge(monkeypatch):
-    # the merge's shortcuts fire: a step whose runs are all full length, or
-    # whose short runs sit at hubs no moving pair joins, fixes the plan's
-    # list itself without counting the hire budget or calling the merge
-    # kernel, and one whose short runs the pool covers for free counts the
-    # budget but calls no kernel; a budget of one hire still merges
+def test_fixed_shifts_skip_the_budget_without_pairs_and_the_merge_without_a_hire_to_save(monkeypatch):
+    # the engine's two shortcuts fire: without moving pairs (scenario 2) a
+    # step fixes the plan's list itself without counting the hire budget,
+    # and with a budget of 0 it fixes the list itself without merging. A
+    # step whose runs are all full length, or whose short runs sit at hubs
+    # no moving pair joins, counts the budget, and the merge's own filter
+    # then calls no kernel; a budget of one hire still merges
     calls = {"simulate_hires": 0, "merge_runs": 0}
 
     def counted(owner, name):
@@ -449,11 +466,12 @@ def test_fixed_shifts_skip_the_budget_and_the_kernel_when_nothing_can_merge(monk
     counted(kernels, "merge_runs")
     net = _net(3)  # moving pairs (0, 1) and (1, 2), 2 km apart; hubs 0 and 2 lie 4 km apart
 
-    def fixed(runs, pooled=0):
+    def fixed(runs, pooled=0, scenario=1):
         """Whether the step fixes the plan's list itself, with the budget
         counts and kernel calls it made, after ``pooled`` released workers
         with 3 of their 4 hours left."""
-        engine = RollingEngine(_cfg(net, {h: [0] * 12 for h in range(3)}, max_work_h=4, max_gap_h=2))
+        rows = {h: [0] * 12 for h in range(3)}
+        engine = RollingEngine(_cfg(net, rows, scenario, max_work_h=4, max_gap_h=2))
         for _ in range(pooled):
             engine.pool.assign(Shift((Segment(0, 0, 1, WORKING),)), 0)
         engine.pool.release_finished(1.0)
@@ -461,8 +479,9 @@ def test_fixed_shifts_skip_the_budget_and_the_kernel_when_nothing_can_merge(monk
         calls.update(simulate_hires=0, merge_runs=0)
         return engine._fixed_shifts(shifts) is shifts, calls["simulate_hires"], calls["merge_runs"]
 
-    assert fixed([(1, 0, 5), (6, 1, 10)]) == (True, 0, 0)  # full length
-    assert fixed([(1, 0, 3), (4, 2, 6)]) == (True, 0, 0)  # no pair joins hubs 0 and 2
+    assert fixed([(1, 0, 3), (4, 1, 6)], scenario=2) == (True, 0, 0)  # no moving pairs
+    assert fixed([(1, 0, 5), (6, 1, 10)]) == (True, 1, 0)  # full length
+    assert fixed([(1, 0, 3), (4, 2, 6)]) == (True, 1, 0)  # no pair joins hubs 0 and 2
     assert fixed([(1, 0, 3), (4, 1, 6)], pooled=2) == (True, 1, 0)  # no hire to save
     assert fixed([(1, 0, 3), (4, 1, 6)], pooled=1) == (False, 1, 1)  # one hire to save
     assert fixed([(1, 0, 3), (4, 1, 6)]) == (False, 1, 1)  # two hires to save

@@ -120,10 +120,10 @@ def test_replan15_scenario_1_searches_once_per_row_the_bound_keeps(monkeypatch):
         stop = len(need)
         return need
 
-    def counting_held(rem, starts, ends, dwell):
+    def counting_held(rem, first_slot, need, dwell):
         nonlocal held
         held += int(rem[:stop].any(axis=0).sum())
-        return keepable(rem, starts, ends, dwell)
+        return keepable(rem, first_slot, need, dwell)
 
     monkeypatch.setattr(plan, "_select", counting_rows)
     monkeypatch.setattr(plan, "_fix_lengths", recording_stop)

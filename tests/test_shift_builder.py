@@ -36,11 +36,12 @@ def _residual(x, cap, dwell):
 
 def _merge(runs_by_hub, pairs):
     """merge_across_hubs of each hub's ``(start, end)`` runs as one-hub
-    working shifts; every pair within the 3000 m radius pays 10 Yuan to
-    move, under the 50-Yuan hire, so every pair is eligible."""
+    working shifts, capped at the shift count, which no merge count reaches;
+    every pair within the 3000 m radius pays 10 Yuan to move, under the
+    50-Yuan hire, so every pair is eligible."""
     runs = sorted((s, h, e) for h, hub_runs in runs_by_hub.items() for s, e in hub_runs)
     shifts = [Shift([Segment(h, s, e, "working")]) for s, h, e in runs]
-    return merge_across_hubs(shifts, pairs, RHO, 2)
+    return merge_across_hubs(shifts, pairs, RHO, 2, len(shifts))
 
 
 def _two_hub_net(dist_m, d_max_m=3000, speed=15000):
@@ -373,7 +374,8 @@ def test_merge_runs_matches_all_pairs_scan():
         ]
         max_work = int(rng.integers(1, 13))
         max_gap = int(rng.integers(0, 4))
-        max_merges = int(rng.choice([-1, 0, 1, 3, 100]))
+        # the run count is a cap no merge count reaches
+        max_merges = int(rng.choice([sum(map(len, runs_by_hub)), 0, 1, 3, 100]))
         got = kernels.merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges)
         assert got == reference_kernels.merge_runs(runs_by_hub, pairs, max_work, max_gap, max_merges)
         merged += len(got[0])
