@@ -1,4 +1,4 @@
-"""The one reader of the program's input files.
+"""The one reader and the one writer of the program's files.
 
 The config, network, ledger and arrivals files are all read here, so each
 fails the same way: a ``ValueError`` whose message starts with the file's
@@ -7,7 +7,9 @@ not valid JSON (...)"). ``check_number`` is the one rule for a number read
 from JSON. Nothing here rewrites a value: a reader gets back what the file
 holds, or an error.
 
-This module imports nothing from the package, so every reader can use it.
+Every output file is written here too: a CSV by ``write_csv``, from its
+file's column line, row template and fields, and JSON by ``write_json``.
+This module imports nothing from the package, so every module can use it.
 """
 
 from __future__ import annotations
@@ -68,3 +70,24 @@ def check_number(name: str, value, integer: bool = False) -> None:
         finite = False
     if not finite:
         raise ValueError(f"{name} must be finite, got {json.dumps(value)}")
+
+
+def write_csv(path, header: str, columns: str, row: str, fields) -> None:
+    """Write ``header`` (a ``#`` line, or ``""``), the column line
+    ``columns`` and one line per ``columns.count(",") + 1`` of ``fields``,
+    all rendered at once by the ``%`` template ``row`` repeated per line:
+    ``%s`` is ``str``, as an f-string's ``{}`` is, and ``%g`` is ``:g``.
+    The header is written outside the template, so it may hold a ``%``.
+    These are the rows ``csv.writer`` would write (excel dialect): CRLF line
+    ends, and no field is ever quoted, as none holds a comma, a quote or a
+    line end."""
+    fields = tuple(fields)
+    with open(path, "w", newline="") as fh:
+        fh.write(header + columns + "\r\n")
+        fh.write((row + "\r\n") * (len(fields) // (columns.count(",") + 1)) % fields)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

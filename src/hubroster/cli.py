@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import json
 import os
 import shutil
 import sys
@@ -21,7 +20,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from ._inputs import check_number
+from ._inputs import check_number, write_json
 from .config import config_hash, file_header, load_config, params_from_config
 from .demand import (
     GeneratorConfig,
@@ -53,8 +52,8 @@ def _config(path, seed) -> dict:
     return cfg
 
 
-def _build_instance(cfg: dict, seed: int):
-    params = params_from_config(cfg, seed)
+def _build_instance(cfg: dict):
+    params = params_from_config(cfg)
     net_cfg = cfg["network"]
     net = random_network(
         n_hubs=net_cfg["hubs"],
@@ -62,10 +61,10 @@ def _build_instance(cfg: dict, seed: int):
         area_m=net_cfg["area_km"] * 1000.0,
         d_max_m=net_cfg["move_radius_m"],
         speed_m_per_h=net_cfg["walk_speed_m_per_h"],
-        seed=seed,
+        seed=params.seed,
     )
     profile = GeneratorConfig(horizon_h=params.horizon_h, **cfg["arrivals"])
-    arrivals = generate_arrivals(net, profile, seed)
+    arrivals = generate_arrivals(net, profile, params.seed)
     return net, arrivals
 
 
@@ -112,18 +111,17 @@ def _outputs(out: Path):
 def cmd_generate(args) -> int:
     try:
         cfg = _config(args.config, args.seed)
-        seed = cfg["seed"]
-        net, arrivals = _build_instance(cfg, seed)
+        net, arrivals = _build_instance(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    header = file_header(seed, config_hash(cfg))
+    header = file_header(cfg["seed"], config_hash(cfg))
     try:
         with _outputs(out) as path:
             save_network(net, path("network.json"))
             write_arrivals_csv(path("arrivals.csv"), arrivals, header)
-            path("config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+            write_json(path("config.json"), cfg)
     except OSError as exc:
         return _cannot_write(exc, out)
     total = sum(map(sum, arrivals.values()))
@@ -146,7 +144,7 @@ def cmd_run(args) -> int:
         seed = cfg["seed"]
         net = load_network(net_path)
         arrivals = read_arrivals_csv(arr_path)
-        params = params_from_config(cfg, seed)
+        params = params_from_config(cfg)
         configs = [ScenarioConfig(num, net, arrivals, params, args.noise) for num in scenarios]
         # scenarios 1 and 2 fix the same runs at every step: plan them once
         # (a plan validates its config), before any file is written

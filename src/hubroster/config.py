@@ -143,10 +143,9 @@ def load_config(path=None) -> dict:
     return cfg
 
 
-def params_from_config(cfg: dict, seed=None) -> ScenarioParams:
-    """The ``ScenarioParams`` of a config that ``load_config`` returned,
-    with ``seed`` in place of the config's own when it is given."""
-    return ScenarioParams(**cfg["params"], seed=cfg["seed"] if seed is None else seed)
+def params_from_config(cfg: dict) -> ScenarioParams:
+    """The ``ScenarioParams`` of a config that ``load_config`` returned."""
+    return ScenarioParams(**cfg["params"], seed=cfg["seed"])
 
 
 def check_network(net: dict) -> None:

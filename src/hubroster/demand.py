@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import chain, repeat
+
 import numpy as np
 
-from ._inputs import read_text
+from ._inputs import read_text, write_csv
 from .network import HubNetwork
 
 
@@ -125,14 +127,10 @@ ARRIVAL_COLUMNS = ("hub_id", "slot_h", "arrivals")
 
 
 def write_arrivals_csv(path, arrivals: dict[int, list[int]], header: str = "") -> None:
-    with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(header)
-        writer = csv.writer(fh)
-        writer.writerow(ARRIVAL_COLUMNS)
-        for hub_id in sorted(arrivals):
-            for t, count in enumerate(arrivals[hub_id]):
-                writer.writerow([hub_id, t, count])
+    fields = []
+    for hub_id, counts in sorted(arrivals.items()):
+        fields += chain.from_iterable(zip(repeat(hub_id), range(len(counts)), counts))
+    write_csv(path, header, ",".join(ARRIVAL_COLUMNS), "%s,%s,%s", fields)
 
 
 def read_arrivals_csv(path) -> dict[int, list[int]]:
@@ -197,11 +195,8 @@ def write_forecast_csv(path, hub_ids: list[int], forecasts, header: str = "") ->
     made_at_h): ``forecasts`` yields ``(made_at_h, full)`` with one
     full-horizon row of ``full`` per hub of ``hub_ids``, in order
     (``RollingPlan.forecasts``)."""
-    with open(path, "w", newline="") as fh:
-        write = fh.write
-        write(header)
-        write("made_at_h,hub_id,slot_h,arrivals\r\n")
-        for made_at_h, full in forecasts:
-            for hub_id, row in zip(hub_ids, full.tolist()):
-                for t, value in enumerate(row):
-                    write(f"{made_at_h},{hub_id},{t},{value:.3f}\r\n")
+    fields = []
+    for made_at_h, full in forecasts:
+        for hub_id, row in zip(hub_ids, full.tolist()):
+            fields += chain.from_iterable(zip(repeat(made_at_h), repeat(hub_id), range(len(row)), row))
+    write_csv(path, header, "made_at_h," + ",".join(ARRIVAL_COLUMNS), "%s,%s,%s,%.3f", fields)

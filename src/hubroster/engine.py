@@ -30,6 +30,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import _kernels as kernels
+from ._inputs import write_csv
 from .config import ScenarioParams
 from .demand import forecast_matrix, labor_demand
 from .ledger import CostLedger, accrue_shift, lateness_penalty
@@ -502,13 +503,6 @@ def run_scenario(cfg: ScenarioConfig, plan: RollingPlan | None = None) -> SimRep
 # ---------------------------------------------------------------- reporting
 
 
-# The writers render the rows ``csv.writer`` would (excel dialect: ``\r\n``
-# line ends; no field here is ever quoted). The roster and series writers
-# collect every row's fields in one flat list and render the file with one
-# ``%`` template repeated per row: ``%s`` is ``str``, as an f-string's ``{}``
-# is, and ``%g`` is ``:g``.
-
-
 def write_roster_csv(path, report: SimReport, header: str = "") -> None:
     fields = []
     add = fields.extend
@@ -516,10 +510,8 @@ def write_roster_csv(path, report: SimReport, header: str = "") -> None:
         worker, fixed = entry.worker_id, entry.fixed_at_h
         for idx, seg in enumerate(entry.shift.segments):
             add((shift_id, worker, idx, seg.hub_id, seg.kind, seg.start_h, seg.end_h, fixed))
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        fh.write("shift_id,worker_id,segment_idx,hub_id,kind,start_h,end_h,fixed_at_h\r\n")
-        fh.write("%s,%s,%s,%s,%s,%s,%s,%g\r\n" * (len(fields) // 8) % tuple(fields))
+    columns = "shift_id,worker_id,segment_idx,hub_id,kind,start_h,end_h,fixed_at_h"
+    write_csv(path, header, columns, "%s,%s,%s,%s,%s,%s,%s,%g", fields)
 
 
 def write_series_csv(path, report: SimReport, header: str = "") -> None:
@@ -530,16 +522,10 @@ def write_series_csv(path, report: SimReport, header: str = "") -> None:
         fields += chain.from_iterable(
             zip(repeat(h), range(len(arrivals)), arrivals, rows["working"], rows["resting"])
         )
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        fh.write("hub_id,slot_h,arrivals,workers_working,workers_resting\r\n")
-        fh.write("%s,%s,%s,%s,%s\r\n" * (len(fields) // 5) % tuple(fields))
+    columns = "hub_id,slot_h,arrivals,workers_working,workers_resting"
+    write_csv(path, header, columns, "%s,%s,%s,%s,%s", fields)
 
 
 def write_flows_csv(path, report: SimReport, header: str = "") -> None:
-    with open(path, "w", newline="") as fh:
-        write = fh.write
-        write(header)
-        write("from_hub,to_hub,window_start_h,worker_moves\r\n")
-        for (src, dst, window), count in sorted(report.flows.items()):
-            write(f"{src},{dst},{window},{count}\r\n")
+    fields = chain.from_iterable((*key, count) for key, count in sorted(report.flows.items()))
+    write_csv(path, header, "from_hub,to_hub,window_start_h,worker_moves", "%s,%s,%s,%s", fields)

@@ -11,12 +11,9 @@ a lead of exactly 2 h pays 10, of exactly 8 h pays 0).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
-from ._inputs import check_number, naming, read_json_object
+from ._inputs import check_number, naming, read_json_object, write_csv, write_json
 from .shifts import Shift
 
 HIRING_PER_DAY = 50.0
@@ -96,7 +93,7 @@ def write_ledger_json(path, ledger: CostLedger, meta: dict | None = None) -> Non
     doc = ledger.to_dict()
     if meta:
         doc["meta"] = meta
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def read_ledger_json(path) -> dict:
@@ -125,11 +122,6 @@ UNIT_PRICES = {
 def write_ledger_csv(path, ledger: CostLedger, header: str = "") -> None:
     """CSV twin of the ledger with one row per cost category and its unit
     price (``UNIT_PRICES``)."""
-    with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(header)
-        writer = csv.writer(fh)
-        writer.writerow(["cost_type", "unit_price_yuan", "cost_yuan"])
-        for name in CATEGORIES:
-            writer.writerow([name, UNIT_PRICES[name], f"{getattr(ledger, name):.2f}"])
-        writer.writerow(["total", "-", f"{ledger.total:.2f}"])
+    fields = [x for name in CATEGORIES for x in (name, UNIT_PRICES[name], getattr(ledger, name))]
+    fields += ("total", "-", ledger.total)
+    write_csv(path, header, "cost_type,unit_price_yuan,cost_yuan", "%s,%s,%.2f", fields)

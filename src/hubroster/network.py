@@ -10,11 +10,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._inputs import check_number, naming, read_json_object
+from ._inputs import check_number, naming, read_json_object, write_json
 
 HUB_TIERS = ("gateway", "local")
 
@@ -134,7 +133,7 @@ def save_network(net: HubNetwork, path) -> None:
             for h in net.hubs
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_network(path) -> HubNetwork:

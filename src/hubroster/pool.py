@@ -87,7 +87,7 @@ class WorkforcePool:
         cross-hub merge pass."""
         if working_hours and min(working_hours) < 1:
             raise ValueError("cannot count hires for a shift with no working hours")
-        if not self._pooled:
+        if not self._pooled or not working_hours:
             return len(working_hours)
         buckets = [deque(q) for q in self._buckets]
         return sum(_take(buckets, working_h) is None for working_h in working_hours)

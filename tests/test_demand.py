@@ -2,6 +2,7 @@
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,6 +424,14 @@ def test_arrivals_csv_round_trip(tmp_path):
     write_arrivals_csv(path, series, "# seed=2 config=abc\n")
     back = read_arrivals_csv(path)
     assert back == series
+    # and the other way: the bytes of a generated file, written again from
+    # what was read with the file's own header line
+    source = Path(__file__).resolve().parent / "golden" / "paper52" / "arrivals.csv"
+    raw = source.read_bytes()
+    header = raw[: raw.index(b"\n") + 1].decode()
+    assert header.startswith("# seed=")
+    write_arrivals_csv(path, read_arrivals_csv(source), header)
+    assert path.read_bytes() == raw
 
 
 @pytest.mark.parametrize(

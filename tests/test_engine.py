@@ -15,7 +15,12 @@ from hubroster import _kernels as kernels
 from hubroster import engine as engine_module
 from hubroster import network as network_module
 from hubroster.config import ScenarioParams
-from hubroster.demand import GeneratorConfig, generate_arrivals
+from hubroster.demand import (
+    GeneratorConfig,
+    generate_arrivals,
+    write_arrivals_csv,
+    write_forecast_csv,
+)
 from hubroster.engine import (
     RollingEngine,
     RollingPlan,
@@ -29,7 +34,15 @@ from hubroster.engine import (
     write_roster_csv,
     write_series_csv,
 )
-from hubroster.ledger import HIRING_PER_DAY, LATENESS_PER_PARCEL, CostLedger, moving_payment
+from hubroster.ledger import (
+    CATEGORIES,
+    HIRING_PER_DAY,
+    LATENESS_PER_PARCEL,
+    UNIT_PRICES,
+    CostLedger,
+    moving_payment,
+    write_ledger_csv,
+)
 from hubroster.network import Hub, HubNetwork, build_moving_pairs, random_network
 from hubroster.shifts import RESTING, TRAVEL, WORKING, Segment, Shift, merge_across_hubs
 from hubroster.valuation import shift_value, should_fix
@@ -1159,9 +1172,10 @@ def _csv_writer_rendering(header, head, rows):
 
 
 def test_writers_render_the_rows_csv_writer_would(tmp_path):
-    # the roster, series and flows files are byte for byte what csv.writer
-    # writes (excel dialect): merged shifts with travel and rest, fractional
-    # fix times, headers or none
+    # every CSV file is byte for byte what csv.writer writes (excel
+    # dialect): merged shifts with travel and rest, fractional fix times,
+    # the ledger, arrivals and a plan's forecasts, headers or none (one
+    # holding a '%', which the row template must not read)
     merged = Shift(
         [
             Segment(0, 0, 4, WORKING),
@@ -1182,41 +1196,68 @@ def test_writers_render_the_rows_csv_writer_would(tmp_path):
         h: {"arrivals": [h * 100 + t for t in range(14)], "working": [t % 3 for t in range(14)], "resting": [h] * 14}
         for h in (2, 0, 1)
     }
-    report = SimReport("s", CostLedger(), roster, 0, series, {(1, 0, 6): 2, (0, 1, 0): 1}, 0.0, 3)
+    ledger = CostLedger(hiring=150.0, hourly=1234.5, waiting=0.125, moving=30.0, lateness=5.0, emergency=0.005)
+    report = SimReport("s", ledger, roster, 0, series, {(1, 0, 6): 2, (0, 1, 0): 1}, 0.0, 3)
     # and real days: one that merges, one that replans every 15 minutes
     merging = run_scenario(_cfg(_net(2, spread_m=800), _merge_showcase_rows(), scenario=1))
     net = random_network(n_hubs=4, n_gateways=1, area_m=3000, seed=4)
     arrivals = generate_arrivals(net, GeneratorConfig(daily_volume=20_000), 4)
     params = ScenarioParams(seed=4, replan_min=15)
-    quarter = run_scenario(ScenarioConfig(1, net, arrivals, params, "paper"))
+    quarter_cfg = ScenarioConfig(1, net, arrivals, params, "paper")
+    quarter = run_scenario(quarter_cfg)
+    plan = RollingPlan(quarter_cfg)
     assert merging.merged_shift_count == 1
     assert any(e.fixed_at_h % 1 for e in quarter.roster)
-    for k, rep in enumerate((report, merging, quarter)):
-        for header in ("", "# seed=42 config=abc\n"):
-            roster_rows = [
-                [shift_id, e.worker_id, idx, seg.hub_id, seg.kind, seg.start_h, seg.end_h, f"{e.fixed_at_h:g}"]
-                for shift_id, e in enumerate(rep.roster)
-                for idx, seg in enumerate(e.shift.segments)
-            ]
-            series_rows = [
-                [h, t, rows["arrivals"][t], rows["working"][t], rows["resting"][t]]
-                for h, rows in sorted(rep.series.items())
-                for t in range(len(rows["arrivals"]))
-            ]
-            flow_rows = [[src, dst, window, count] for (src, dst, window), count in sorted(rep.flows.items())]
-            for write, head, rows in (
-                (
-                    write_roster_csv,
-                    ["shift_id", "worker_id", "segment_idx", "hub_id", "kind", "start_h", "end_h", "fixed_at_h"],
-                    roster_rows,
-                ),
-                (write_series_csv, ["hub_id", "slot_h", "arrivals", "workers_working", "workers_resting"], series_rows),
-                (write_flows_csv, ["from_hub", "to_hub", "window_start_h", "worker_moves"], flow_rows),
-            ):
-                path = tmp_path / f"{write.__name__}_{k}.csv"
-                write(path, rep, header)
-                assert path.read_bytes() == _csv_writer_rendering(header, head, rows), (k, write.__name__)
-    assert b"0.25\r\n" in (tmp_path / "write_roster_csv_0.csv").read_bytes()
+    arrival_rows = [[h, t, count] for h, counts in sorted(arrivals.items()) for t, count in enumerate(counts)]
+    forecasts = list(plan.forecasts())
+    forecast_rows = [
+        [made_at_h, h, t, f"{value:.3f}"]
+        for made_at_h, full in forecasts
+        for h, row in zip(plan.hub_ids, full)
+        for t, value in enumerate(row)
+    ]
+    assert any(made_at_h % 1 for made_at_h, *_rest in forecast_rows)
+    files = [
+        (write_arrivals_csv, arrivals, ["hub_id", "slot_h", "arrivals"], arrival_rows),
+        (
+            lambda path, forecasts, header: write_forecast_csv(path, plan.hub_ids, forecasts, header),
+            forecasts,
+            ["made_at_h", "hub_id", "slot_h", "arrivals"],
+            forecast_rows,
+        ),
+    ]
+    for rep in (report, merging, quarter):
+        roster_rows = [
+            [shift_id, e.worker_id, idx, seg.hub_id, seg.kind, seg.start_h, seg.end_h, f"{e.fixed_at_h:g}"]
+            for shift_id, e in enumerate(rep.roster)
+            for idx, seg in enumerate(e.shift.segments)
+        ]
+        series_rows = [
+            [h, t, rows["arrivals"][t], rows["working"][t], rows["resting"][t]]
+            for h, rows in sorted(rep.series.items())
+            for t in range(len(rows["arrivals"]))
+        ]
+        flow_rows = [[src, dst, window, count] for (src, dst, window), count in sorted(rep.flows.items())]
+        costs = rep.ledger.to_dict()
+        ledger_rows = [[name, UNIT_PRICES.get(name, "-"), f"{costs[name]:.2f}"] for name in (*CATEGORIES, "total")]
+        files += [
+            (
+                write_roster_csv,
+                rep,
+                ["shift_id", "worker_id", "segment_idx", "hub_id", "kind", "start_h", "end_h", "fixed_at_h"],
+                roster_rows,
+            ),
+            (write_series_csv, rep, ["hub_id", "slot_h", "arrivals", "workers_working", "workers_resting"], series_rows),
+            (write_flows_csv, rep, ["from_hub", "to_hub", "window_start_h", "worker_moves"], flow_rows),
+            (write_ledger_csv, rep.ledger, ["cost_type", "unit_price_yuan", "cost_yuan"], ledger_rows),
+        ]
+    for header in ("", "# seed=42 config=abc\n", "# 100% of 5%s\n"):
+        for k, (write, data, head, rows) in enumerate(files):
+            path = tmp_path / f"{k}.csv"
+            write(path, data, header)
+            assert path.read_bytes() == _csv_writer_rendering(header, head, rows), (k, header)
+    assert b"0.25\r\n" in (tmp_path / "2.csv").read_bytes()
+    assert b",0.01\r\n" in (tmp_path / "5.csv").read_bytes()
 
 
 def _fstring_roster_csv(path, report, header=""):

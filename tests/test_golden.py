@@ -102,7 +102,7 @@ def test_replan15_scenario_1_searches_once_per_row_the_bound_keeps(monkeypatch):
         1,
         load_network(GOLDEN / "paper52" / "network.json"),
         read_arrivals_csv(GOLDEN / "paper52" / "arrivals.csv"),
-        params_from_config(cfg, cfg["seed"]),
+        params_from_config(cfg),
     )
     plan = engine_module.RollingPlan(sc)
     select, fix_lengths = plan._select, plan._fix_lengths

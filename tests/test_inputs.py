@@ -1,6 +1,8 @@
 """Property test of the input readers: any JSON value in place of one key,
-or of the whole document, of a valid ledger, network or config file."""
+or of the whole document, of a valid ledger, network or config file; and
+the check that ``_inputs`` is the one module that writes a file."""
 
+import ast
 import contextlib
 import copy
 import io
@@ -12,6 +14,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hubroster
 from hubroster.cli import main
 from hubroster.config import load_config
 from hubroster.network import HubNetwork, load_network
@@ -115,3 +118,39 @@ def test_any_value_in_an_input_file_is_read_or_refused_naming_the_file(data):
     else:
         for value in _leaves(result):
             assert not isinstance(value, bool) and math.isfinite(float(value)), (place, value)
+
+
+def _file_writes(tree):
+    """The line of each call in ``tree`` that writes a file: ``write_text``,
+    ``write_bytes``, and ``open`` (the builtin, or a method such as
+    ``Path.open``) with a mode that writes. ``os.open`` takes flags, not a
+    mode: the CLI's one call opens the null device to drop what is left of
+    stdout after the reader closed it, which writes no file."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            yield node.lineno
+            continue
+        if isinstance(func, ast.Name) and func.id == "open":
+            at = 1  # open(file, mode)
+        elif isinstance(func, ast.Attribute) and func.attr == "open" and ast.unparse(func.value) != "os":
+            at = 0  # path.open(mode)
+        else:
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[at : at + 1]
+        if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes):
+            yield node.lineno
+
+
+def test_every_output_file_is_written_by_the_inputs_module():
+    # one writer for every output file: any other module renders its rows
+    # and hands them to _inputs.write_csv or write_json
+    package = Path(hubroster.__file__).parent
+    writes = {
+        f"{path.name}:{line}"
+        for path in package.rglob("*.py")
+        for line in _file_writes(ast.parse(path.read_text()))
+    }
+    assert writes and all(w.startswith("_inputs.py:") for w in writes), sorted(writes)

@@ -188,6 +188,7 @@ def test_simulate_hires_equals_hires_of_assigning_in_order():
             for _ in range(rng.randint(0, 5)):
                 pool.assign(_random_shift(rng, now, 8), now)
         pool.release_finished(12)
+        assert pool.simulate_hires([]) == 0
         batch = [_random_shift(rng, 12, 8) for _ in range(rng.randint(1, 10))]
         predicted = pool.simulate_hires([s.working_h for s in batch])
         before = pool.hires
