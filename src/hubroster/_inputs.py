@@ -8,7 +8,8 @@ from JSON. Nothing here rewrites a value: a reader gets back what the file
 holds, or an error.
 
 Every output file is written here too: a CSV by ``write_csv``, from its
-file's column line, row template and fields, and JSON by ``write_json``.
+file's column line, row template and blocks of fields, and JSON by
+``write_json``.
 This module imports nothing from the package, so every module can use it.
 """
 
@@ -72,19 +73,23 @@ def check_number(name: str, value, integer: bool = False) -> None:
         raise ValueError(f"{name} must be finite, got {json.dumps(value)}")
 
 
-def write_csv(path, header: str, columns: str, row: str, fields) -> None:
+def write_csv(path, header: str, columns: str, row: str, blocks) -> None:
     """Write ``header`` (a ``#`` line, or ``""``), the column line
-    ``columns`` and one line per ``columns.count(",") + 1`` of ``fields``,
-    all rendered at once by the ``%`` template ``row`` repeated per line:
-    ``%s`` is ``str``, as an f-string's ``{}`` is, and ``%g`` is ``:g``.
-    The header is written outside the template, so it may hold a ``%``.
-    These are the rows ``csv.writer`` would write (excel dialect): CRLF line
-    ends, and no field is ever quoted, as none holds a comma, a quote or a
-    line end."""
-    fields = tuple(fields)
+    ``columns`` and the rows of ``blocks``: each block is an iterable of
+    fields, ``columns.count(",") + 1`` per line, rendered at once by the
+    ``%`` template ``row`` repeated per line and written before the next
+    block is read, so a file written block by block holds one block in
+    memory. ``%s`` is ``str``, as an f-string's ``{}`` is, and ``%g`` is
+    ``:g``. The header is written outside the template, so it may hold a
+    ``%``. These are the rows ``csv.writer`` would write (excel dialect):
+    CRLF line ends, and no field is ever quoted, as none holds a comma, a
+    quote or a line end."""
+    width = columns.count(",") + 1
     with open(path, "w", newline="") as fh:
         fh.write(header + columns + "\r\n")
-        fh.write((row + "\r\n") * (len(fields) // (columns.count(",") + 1)) % fields)
+        for fields in blocks:
+            fields = tuple(fields)
+            fh.write((row + "\r\n") * (len(fields) // width) % fields)
 
 
 def write_json(path, doc) -> None:

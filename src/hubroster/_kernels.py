@@ -61,10 +61,9 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
     Full-length (= max_run) runs are extracted first at their on-time
     placement. The remainder is then served one run at a time: each run's
     start is chosen within the dwell window of the earliest unserved unit
-    (longest resulting run wins, earliest start on ties, so the search ends
-    at the first full-length run) and slots are filled
-    earliest-deadline-first, so no unit is served more than ``dwell`` slots
-    after its origin. Units whose whole window lies before
+    (longest resulting run wins, earliest start on ties) and slots are
+    filled earliest-deadline-first, so no unit is served more than
+    ``dwell`` slots after its origin. Units whose whole window lies before
     ``start_min`` cannot be scheduled and are reported as dropped.
 
     The full-length runs are those of a greedy left-to-right extraction
@@ -81,14 +80,16 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
     units cannot lengthen that. So each start keeps the length of its last
     trial as a bound for the rest of the phase, and a start whose bound is
     no longer than the best run of the window is not tried: it could only
-    tie, and ties keep the earlier start.
+    tie, and ties keep the earlier start. Every bound starts at
+    ``max_run``, the most a trial picks, so no start after a full-length
+    run is tried.
 
     A run found this way is emitted as often as it can repeat. While every
     origin it picks still holds a unit, the window's search returns it
     unchanged: ``s0`` does not move, since it keeps a unit; earlier starts
     of the window were strictly shorter and trials only get shorter; later
-    starts were no longer, or not tried because their bound or a
-    full-length run already ruled them out. When the picks are distinct
+    starts were no longer, or not tried because their bound already ruled
+    them out. When the picks are distinct
     origins, the trial from ``first`` makes the same picks on the row
     without them: the row only lost units, so at each slot the origins
     its pick was chosen over for being empty are still empty and the
@@ -156,8 +157,6 @@ def within_hub_runs(x, dwell, max_run, start_min=0, stop=None):
             bound[t0] = len(picks)
             if len(picks) > longest:
                 best, first, longest = picks, t0, len(picks)
-                if longest == max_run:
-                    break  # no later start can run longer, and ties keep the earliest
         for origin in best:
             avail[origin] -= 1
         run = (first, first + len(best))

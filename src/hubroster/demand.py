@@ -130,7 +130,7 @@ def write_arrivals_csv(path, arrivals: dict[int, list[int]], header: str = "") -
     fields = []
     for hub_id, counts in sorted(arrivals.items()):
         fields += chain.from_iterable(zip(repeat(hub_id), range(len(counts)), counts))
-    write_csv(path, header, ",".join(ARRIVAL_COLUMNS), "%s,%s,%s", fields)
+    write_csv(path, header, ",".join(ARRIVAL_COLUMNS), "%s,%s,%s", [fields])
 
 
 def read_arrivals_csv(path) -> dict[int, list[int]]:
@@ -194,9 +194,14 @@ def write_forecast_csv(path, hub_ids: list[int], forecasts, header: str = "") ->
     """Debug dump of a plan's forecasts (same schema as arrivals +
     made_at_h): ``forecasts`` yields ``(made_at_h, full)`` with one
     full-horizon row of ``full`` per hub of ``hub_ids``, in order
-    (``RollingPlan.forecasts``)."""
-    fields = []
-    for made_at_h, full in forecasts:
-        for hub_id, row in zip(hub_ids, full.tolist()):
-            fields += chain.from_iterable(zip(repeat(made_at_h), repeat(hub_id), range(len(row)), row))
-    write_csv(path, header, "made_at_h," + ",".join(ARRIVAL_COLUMNS), "%s,%s,%s,%.3f", fields)
+    (``RollingPlan.forecasts``). Each step's rows are one block of
+    ``write_csv``, so the dump holds one step's forecast in memory."""
+
+    def blocks():
+        for made_at_h, full in forecasts:
+            fields = []
+            for hub_id, row in zip(hub_ids, full.tolist()):
+                fields += chain.from_iterable(zip(repeat(made_at_h), repeat(hub_id), range(len(row)), row))
+            yield fields
+
+    write_csv(path, header, "made_at_h," + ",".join(ARRIVAL_COLUMNS), "%s,%s,%s,%.3f", blocks())

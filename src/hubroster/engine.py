@@ -511,7 +511,7 @@ def write_roster_csv(path, report: SimReport, header: str = "") -> None:
         for idx, seg in enumerate(entry.shift.segments):
             add((shift_id, worker, idx, seg.hub_id, seg.kind, seg.start_h, seg.end_h, fixed))
     columns = "shift_id,worker_id,segment_idx,hub_id,kind,start_h,end_h,fixed_at_h"
-    write_csv(path, header, columns, "%s,%s,%s,%s,%s,%s,%s,%g", fields)
+    write_csv(path, header, columns, "%s,%s,%s,%s,%s,%s,%s,%g", [fields])
 
 
 def write_series_csv(path, report: SimReport, header: str = "") -> None:
@@ -523,9 +523,9 @@ def write_series_csv(path, report: SimReport, header: str = "") -> None:
             zip(repeat(h), range(len(arrivals)), arrivals, rows["working"], rows["resting"])
         )
     columns = "hub_id,slot_h,arrivals,workers_working,workers_resting"
-    write_csv(path, header, columns, "%s,%s,%s,%s,%s", fields)
+    write_csv(path, header, columns, "%s,%s,%s,%s,%s", [fields])
 
 
 def write_flows_csv(path, report: SimReport, header: str = "") -> None:
     fields = chain.from_iterable((*key, count) for key, count in sorted(report.flows.items()))
-    write_csv(path, header, "from_hub,to_hub,window_start_h,worker_moves", "%s,%s,%s,%s", fields)
+    write_csv(path, header, "from_hub,to_hub,window_start_h,worker_moves", "%s,%s,%s,%s", [fields])

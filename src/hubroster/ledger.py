@@ -124,4 +124,4 @@ def write_ledger_csv(path, ledger: CostLedger, header: str = "") -> None:
     price (``UNIT_PRICES``)."""
     fields = [x for name in CATEGORIES for x in (name, UNIT_PRICES[name], getattr(ledger, name))]
     fields += ("total", "-", ledger.total)
-    write_csv(path, header, "cost_type,unit_price_yuan,cost_yuan", "%s,%s,%.2f", fields)
+    write_csv(path, header, "cost_type,unit_price_yuan,cost_yuan", "%s,%s,%.2f", [fields])

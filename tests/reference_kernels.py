@@ -6,9 +6,9 @@ unserved unit on a fresh copy of the row (``_trial_run``), ``merge_runs``
 tests every pair of runs of a hub pair, and ``fifo_match_units`` walks
 every origin of every slot's dwell window. The kernels in
 ``hubroster._kernels`` count full-length runs by level, walk each trial in
-place, end the start search at the first full-length run, look only at the
-runs whose start can give a feasible gap, and walk each origin once; all
-three must return exactly what these do.
+place, skip the starts whose last trial cannot beat the best run, look only
+at the runs whose start can give a feasible gap, and walk each origin once;
+all three must return exactly what these do.
 """
 
 

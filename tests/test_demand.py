@@ -268,39 +268,56 @@ def test_fifo_match_units_rows_match_the_reference_fresh_and_resumed(data):
     assert (cleared[:resume] == settled).all()
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(st.data())
-def test_fifo_match_units_capacity_free_tail_matches_the_reference(data):
-    # past the last slot with capacity the walk fills every row in one call
-    # (``cleared[t] = max(cleared[T - 1], expired[t])``): capacity zero from
-    # a drawn slot on, one-slot horizons, dwell windows reaching past the
-    # horizon, and walks resumed before, at or past the last staffed slot
-    # of the earlier walk and of this one, whose state the tail wrote
-    hubs = data.draw(st.integers(1, 6), label="hubs")
-    n = data.draw(st.sampled_from([1, 2, 5, 24]), label="slots")
-    dwell = data.draw(st.integers(0, n + 2), label="dwell")
-    cells = arrays(np.int64, (n, hubs), elements=st.integers(0, 6))
-    demand, capacity, old_demand, old_capacity = (data.draw(cells) for _ in range(4))
-    free_from = data.draw(st.integers(0, n), label="capacity-free from")
-    capacity[free_from:] = 0
-    old_capacity[data.draw(st.integers(0, n), label="earlier walk capacity-free from") :] = 0
-    resume = data.draw(st.one_of(st.integers(0, n), st.integers(free_from, n)), label="resume")
+def test_fifo_match_units_capacity_free_tail_matches_the_reference():
+    # every column of the slot-major walk is the one-hub reference walk,
+    # from slot 0 and resumed at a drawn slot after an earlier walk that
+    # agrees with this one before it (the state there is left as it was).
+    # Capacity is zero from a drawn slot on, so the walk ends in its
+    # one-call tail, whose state a resumed walk may read; 1-30 slots, dwell
+    # windows past the horizon, and sparse capacity that leaves units out
+    # of a later staffed slot's reach
+    seen = {"partial": 0, "tail": 0, "out of reach": 0, "resumed inside": 0}
 
-    def reference(h):
-        return reference_kernels.fifo_match_units(demand[:, h].tolist(), capacity[:, h].tolist(), dwell)
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        hubs = data.draw(st.integers(1, 6), label="hubs")
+        n = data.draw(st.integers(1, 30), label="slots")
+        dwell = data.draw(st.one_of(st.integers(0, 4), st.integers(0, n + 2)), label="dwell")
+        cells = arrays(np.int64, (n, hubs), elements=st.integers(0, 6))
+        staff = arrays(np.int64, (n, hubs), elements=st.sampled_from([0, 0, 0, 1, 2, 6]))
+        demand, old_demand = data.draw(cells), data.draw(cells)
+        capacity, old_capacity = data.draw(staff), data.draw(staff)
+        free_from = data.draw(st.integers(0, n), label="capacity-free from")
+        capacity[free_from:] = 0
+        old_capacity[data.draw(st.integers(0, n), label="earlier walk capacity-free from") :] = 0
+        resume = data.draw(st.one_of(st.integers(0, n), st.integers(free_from, n)), label="resume")
+        expected = [
+            reference_kernels.fifo_match_units(demand[:, h].tolist(), capacity[:, h].tolist(), dwell)
+            for h in range(hubs)
+        ]
 
-    expected = [reference(h) for h in range(hubs)]
-    fresh = kernels.fifo_match_units(demand, capacity, dwell, 0, np.full((n, hubs), -1, np.int64))
-    assert [fresh[:, h].tolist() for h in range(hubs)] == expected
+        fresh = kernels.fifo_match_units(demand, capacity, dwell, 0, np.full((n, hubs), -1, np.int64))
+        assert fresh.T.tolist() == expected
 
-    old_demand[:resume] = demand[:resume]
-    old_capacity[:resume] = capacity[:resume]
-    cleared = np.zeros((n, hubs), np.int64)
-    kernels.fifo_match_units(old_demand, old_capacity, dwell, 0, cleared)
-    settled = cleared[:resume].copy()
-    resumed = kernels.fifo_match_units(demand, capacity, dwell, resume, cleared)
-    assert [resumed[:, h].tolist() for h in range(hubs)] == expected
-    assert (cleared[:resume] == settled).all()
+        old_demand[:resume] = demand[:resume]
+        old_capacity[:resume] = capacity[:resume]
+        cleared = np.zeros((n, hubs), np.int64)
+        kernels.fifo_match_units(old_demand, old_capacity, dwell, 0, cleared)
+        settled = cleared[:resume].copy()
+        resumed = kernels.fifo_match_units(demand, capacity, dwell, resume, cleared)
+        assert resumed.T.tolist() == expected
+        assert (cleared[:resume] == settled).all()
+
+        seen["partial"] += 0 < fresh.sum() < demand.sum()
+        seen["tail"] += capacity.any() and free_from < n
+        seen["out of reach"] += any(
+            fresh[o, h] and capacity[o + dwell + 1 :, h].any() for o in range(n) for h in range(hubs)
+        )
+        seen["resumed inside"] += 0 < resume < n
+
+    check()
+    assert min(seen.values()) > 25, seen
 
 
 def _keepable_row(row, first_slot, need, dwell):

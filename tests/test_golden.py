@@ -95,8 +95,19 @@ def test_a_second_run_in_one_process_searches_as_much_as_the_first(monkeypatch, 
 def test_replan15_scenario_1_searches_once_per_row_the_bound_keeps(monkeypatch):
     # on replan15 at seed 42, 1,844 of scenario 1's residual rows hold a
     # unit before the stop; the bound leaves out 1,425 that can give no kept
-    # run, and each of the other 419 is searched once
+    # run, and each of the other 419 is searched once. The searches make
+    # 1,002 trials: the trial bounds and copy emission spare the others,
+    # which change no run and show only in this count
     count = _counting_searches(monkeypatch)
+    trial = engine_module.kernels._trial
+    trials = 0
+
+    def counting_trials(*args):
+        nonlocal trials
+        trials += 1
+        return trial(*args)
+
+    monkeypatch.setattr(engine_module.kernels, "_trial", counting_trials)
     cfg = load_config(GOLDEN / "replan15" / "config.json")
     sc = engine_module.ScenarioConfig(
         1,
@@ -129,7 +140,7 @@ def test_replan15_scenario_1_searches_once_per_row_the_bound_keeps(monkeypatch):
     monkeypatch.setattr(plan, "_fix_lengths", recording_stop)
     monkeypatch.setattr(engine_module.kernels, "keepable_rows", counting_held)
     engine_module.run_scenario(sc, plan)
-    assert (count[0], rows, held) == (419, 419, 1844)
+    assert (count[0], rows, held, trials) == (419, 419, 1844, 1002)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Property test of the input readers: any JSON value in place of one key,
-or of the whole document, of a valid ledger, network or config file; and
-the check that ``_inputs`` is the one module that writes a file."""
+or of the whole document, of a valid ledger, network or config file; the
+check that ``_inputs`` is the one module that writes a file; and the CSV
+writer's blocks."""
 
 import ast
 import contextlib
@@ -9,12 +10,14 @@ import io
 import json
 import math
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hubroster
+from hubroster._inputs import write_csv
 from hubroster.cli import main
 from hubroster.config import load_config
 from hubroster.network import HubNetwork, load_network
@@ -154,3 +157,22 @@ def test_every_output_file_is_written_by_the_inputs_module():
         for line in _file_writes(ast.parse(path.read_text()))
     }
     assert writes and all(w.startswith("_inputs.py:") for w in writes), sorted(writes)
+
+
+def test_write_csv_writes_each_block_before_reading_the_next(tmp_path):
+    # a generator of blocks is read one block at a time: when it is asked
+    # for the second block, the first is already on disk
+    path = tmp_path / "rows.csv"
+    on_disk = []
+    rows = [[(i, i / 8) for i in range(k * 4096, (k + 1) * 4096)] for k in range(3)]
+
+    def blocks():
+        for k, block in enumerate(rows):
+            if k == 1:
+                on_disk.append(path.read_bytes())
+            yield chain.from_iterable(block)
+
+    write_csv(path, "# 100%\n", "a,b", "%s,%g", blocks())
+    lines = ["# 100%\n", "a,b\r\n"] + [f"{i},{x:g}\r\n" for block in rows for i, x in block]
+    assert on_disk == ["".join(lines[: 2 + len(rows[0])]).encode()]
+    assert path.read_bytes() == "".join(lines).encode()

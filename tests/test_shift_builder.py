@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_kernels
 from hubroster import _kernels as kernels
@@ -26,12 +28,6 @@ def _has_move(shift):
 
 def _runs(x, dwell):
     return combine_within_hub_detail(x, dwell, RHO)[0]
-
-
-def _residual(x, cap, dwell):
-    """The FIFO residual kernel on one hub's column, walked from slot 0."""
-    cleared = np.zeros((len(x), 1), np.int64)
-    return kernels.fifo_match_units(np.array([x]).T, np.array([cap]).T, dwell, 0, cleared)[:, 0].tolist()
 
 
 def _merge(runs_by_hub, pairs):
@@ -145,7 +141,7 @@ def test_combine_conservation_dwell_bound_and_cap():
         for s, e in runs:
             for t in range(s, e):
                 cap[t] += 1
-        assert _residual(x, cap, dwell) == [0] * n
+        assert reference_kernels.fifo_match_units(x, cap, dwell) == [0] * n
         assert runs == sorted(runs)
         for s, e in runs:
             assert 0 < e - s <= RHO
@@ -237,42 +233,82 @@ def _left_of(x, served, dropped):
     return left
 
 
+ROW_SHAPES = {
+    # (slots, units per slot, dwell, max_run): a few units per slot; dwell
+    # windows past the horizon, so one window's starts come back in the
+    # next; 5-40 units, so a shorter run repeats; a gateway's day, so
+    # full-length runs stack
+    "few": ((1, 30), st.integers(0, 3), (0, 4), (1, 8)),
+    "long dwell": ((1, 14), st.integers(0, 3), (0, 9), (1, 9)),
+    "heavy": ((1, 30), st.integers(5, 40), (0, 3), (1, 8)),
+    "gateway": ((24, 36), st.just(0) | st.integers(0, 3) | st.integers(0, 60), (0, 6), (4, 8)),
+}
+
+
 def test_within_hub_runs_matches_full_scan(monkeypatch):
-    # the start search ends at the first full-length run; the full scan tries
-    # every start of the window, so fewer trials show the early exit fired.
-    # Half the cases cut the search at a stop, so left holds units.
-    new_calls, ref_calls = [0], [0]
-    monkeypatch.setattr(kernels, "_trial", _counting(_trial, new_calls))
-    monkeypatch.setattr(
-        reference_kernels, "_trial_run", _counting(reference_kernels._trial_run, ref_calls)
-    )
-    rng = np.random.default_rng(6)
-    stops = np.random.default_rng(16)  # its own stream keeps rng's cases as they were
-    early = cut = 0
-    for _ in range(3000):
-        n = int(rng.integers(1, 30))
-        x = [int(v) for v in rng.integers(0, 4, n)]
-        dwell = int(rng.integers(0, 5))
-        max_run = int(rng.integers(1, 9))
-        start_min = int(rng.integers(0, 4))
-        stop = int(stops.integers(start_min + 1, n + 4)) if stops.random() < 0.5 else None
-        new_calls[0] = ref_calls[0] = 0
+    # the kernel returns the full scan's runs, drops and unserved units,
+    # with or without a stop; with one, the runs before it and the drops
+    # are the scan's without a stop. At dwell 0 the runs are the plain
+    # extraction's. The counts show each shortcut at work: fewer trials
+    # than the full scan, than a search that skips only past a full-length
+    # run (the bounds) and than the runs left to the one-run-at-a-time
+    # phase (copy emission); cut rows, drops and stacked full-length runs
+    calls = [0]
+    monkeypatch.setattr(kernels, "_trial", _counting(_trial, calls))
+    trials = []
+    ref_trial = reference_kernels._trial_run
+
+    def recording(avail, t0, *args):
+        out = ref_trial(avail, t0, *args)
+        trials.append((tuple(avail), t0, len(out)))
+        return out
+
+    monkeypatch.setattr(reference_kernels, "_trial_run", recording)
+    seen = dict.fromkeys(["early exit", "bound", "repeated", "cut", "dropped", "stacked", "dwell 0"], 0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        (n_lo, n_hi), units, dwells, max_runs = ROW_SHAPES[data.draw(st.sampled_from(sorted(ROW_SHAPES)), label="shape")]
+        n = data.draw(st.integers(n_lo, n_hi), label="slots")
+        x = data.draw(st.lists(units, min_size=n, max_size=n), label="row")
+        dwell = data.draw(st.integers(*dwells), label="dwell")
+        max_run = data.draw(st.integers(*max_runs), label="max_run")
+        start_min = data.draw(st.integers(0, n), label="start_min")
+        stop = data.draw(st.none() | st.integers(start_min + 1, n + 2), label="stop")
+        calls[0] = 0
+        trials.clear()
         runs, left, dropped = kernels.within_hub_runs(x, dwell, max_run, start_min, stop)
-        ref_runs, ref_served, ref_dropped = reference_kernels.within_hub_runs(
-            x, dwell, max_run, start_min, stop
-        )
+        ref_runs, ref_served, ref_dropped = reference_kernels.within_hub_runs(x, dwell, max_run, start_min, stop)
         assert (runs, dropped) == (ref_runs, ref_dropped)
         assert left == _left_of(x, ref_served, ref_dropped)
-        early += new_calls[0] < ref_calls[0]
-        cut += any(left)
-    assert early > 1000 and cut > 500
+        early = _early_exit_trials(trials, max_run)
+        assert calls[0] <= early
+        seen["early exit"] += calls[0] < len(trials)
+        seen["bound"] += calls[0] < early
+        if stop is not None:
+            full, _served, full_dropped = reference_kernels.within_hub_runs(x, dwell, max_run, start_min)
+            assert [r for r in runs if r[0] < stop] == [r for r in full if r[0] < stop]
+            assert Counter(runs) <= Counter(full)
+            assert dropped == full_dropped
+            assert not any(left[:stop])
+        if dwell == 0 and stop is None:
+            assert runs == sorted(reference_kernels.part1_runs(x, max_run, start_min))
+            seen["dwell 0"] += bool(runs)
+        level = [r for r in reference_kernels.part1_runs(x, max_run, start_min) if r[1] - r[0] == max_run]
+        seen["repeated"] += calls[0] < len(runs) - len(level)
+        seen["cut"] += any(left)
+        seen["dropped"] += bool(dropped)
+        seen["stacked"] += max(Counter(level).values(), default=0) > 1
+
+    check()
+    assert min(seen.values()) > 15, seen
 
 
 def _early_exit_trials(trials, max_run):
-    """The trials a start search that ends only at the first full-length run
-    makes, given the reference's ``(row, start, length)`` trials in order. A
-    window's trials all see the same row, and each window takes units off
-    it (or drops them), so a changed row starts the next window."""
+    """The trials a search that skips only the starts after a full-length
+    run makes, from the reference's ``(row, start, length)`` trials in
+    order; each window changes the row, so a changed row starts the next."""
     count = 0
     window = None
     for row, _t0, length in trials:
